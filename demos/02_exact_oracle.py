@@ -31,15 +31,16 @@ print("\n=== One linear solve, three denoiser parameterizations ===")
 cond = sa.conditional(spec, [(0, reference[0]), (5, reference[5])], [10, 12],
                       cov=cov)
 x = rng.standard_normal((2, 4))
+oracle = sa.ExactDenoiser()
 a = 0.5
-score = sa.exact_score(cond, x, a)
-eps = sa.exact_eps(cond, x, a)
+score = oracle.score(x, a, cond)
+eps = oracle.epsilon(x, a, cond)
 print("eps == -sqrt(1-a) * score:",
       np.allclose(eps, -np.sqrt(1 - a) * score, atol=1e-12))
 
 t = 0.3
-v = sa.exact_velocity(cond, x, t)
-fscore = sa.flow_score(cond, x, t)
+v = oracle.velocity(x, t, cond)
+fscore = oracle.flow_score(x, t, cond)
 print("(1-t) v == -(x + t * score):",
       np.allclose((1 - t) * v, -(x + t * fscore), atol=1e-9))
 

@@ -2,8 +2,8 @@
 
 The package provides noise schedules and reverse-time grids
 (:mod:`stepanneal.schedules`), a joint-Gaussian token field with closed-form
-conditionals, scores and velocities (:mod:`stepanneal.process`,
-:mod:`stepanneal.denoiser`), six reverse samplers
+conditionals (:mod:`stepanneal.process`), the exact denoiser that solves one
+Gaussian channel against them (:mod:`stepanneal.denoiser`), six reverse samplers
 (:mod:`stepanneal.samplers`), the AR-step-to-diffusion-step annealing
 policies (:mod:`stepanneal.annealing`), the autoregressive generation loop
 (:mod:`stepanneal.generate`), and diagnostics for straightness, variance,
@@ -49,9 +49,7 @@ from .diagnostics import (
 )
 from .generate import (
     SequenceBatch,
-    TokenSequence,
     batch_to_csv_rows,
-    generate_sequence,
     simulate_sequences,
 )
 from .process import (
@@ -63,11 +61,6 @@ from .process import (
     conditional,
     conditional_solver,
     default_spec,
-    exact_eps,
-    exact_score,
-    exact_velocity,
-    exact_x0_diffusion,
-    flow_score,
     joint_covariance,
     random_order,
     raster_order,
@@ -97,7 +90,6 @@ from .schedules import (
     build_linear_beta,
     make_diffusion_grid,
     make_flow_grid,
-    with_levels,
 )
 
 __version__ = "0.1.0"

@@ -17,6 +17,7 @@ literally, so ``T(K - 1)`` generally stops one rounding unit short of
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 SCHEDULER_KINDS = ("constant", "two_stage", "linear", "cosine")
@@ -76,17 +77,17 @@ def schedule_table(scheduler: StepScheduler) -> list[tuple[int, int]]:
 
 
 def total_nfe(
-    scheduler: StepScheduler, calls_per_step: int = 1, bootstrap_per_ar_step: int = 0
+    scheduler: StepScheduler, calls: Callable[[int], int] | None = None
 ) -> int:
     """Total scheduled denoiser evaluations across all AR steps.
 
-    ``calls_per_step`` reflects the sampler (2 for the midpoint solver), and
-    multistep solvers that pay a fixed per-AR-step bootstrap pass it
-    explicitly via ``bootstrap_per_ar_step``.
+    ``calls(T)`` is what one sampler run on a T-step grid costs (for example
+    ``SamplerConfig.calls``; 2T - 1 for the midpoint solver); by default one
+    call per step.
     """
-    if calls_per_step < 1:
-        raise ValueError("calls_per_step: must be a positive integer")
-    return sum(
-        steps_at(scheduler, k) * calls_per_step + bootstrap_per_ar_step
-        for k in range(scheduler.ar_steps)
-    )
+    counts = [steps_at(scheduler, k) for k in range(scheduler.ar_steps)]
+    if calls is not None:
+        counts = [calls(t) for t in counts]
+    if min(counts) < 1:
+        raise ValueError("calls: every grid must cost at least one denoiser call")
+    return sum(counts)

@@ -103,6 +103,35 @@ DEFAULT_CONFIG = {
 }
 
 
+# Keys that may be null, with the type of their other values (a null
+# start_index starts at the top of the base grid).
+_NULLABLE = {
+    "schedule_kind": str, "clamp": float, "out_dir": str, "start_index": int,
+}
+
+
+def _is_a(value, kind: type) -> bool:
+    # bool is an int subclass, and an int is a valid float.
+    allowed = (int, float) if kind is float else kind
+    return isinstance(value, allowed) and not isinstance(value, bool)
+
+
+def _check_type(key: str, value) -> None:
+    """Reject a config value whose type differs from its default's."""
+    default = DEFAULT_CONFIG[key]
+    if value is None and key in _NULLABLE:
+        return
+    if isinstance(default, list):
+        item = type(default[0])
+        ok = isinstance(value, list) and all(_is_a(v, item) for v in value)
+        expected = f"a list of {item.__name__}"
+    else:
+        kind = _NULLABLE.get(key, type(default))
+        ok, expected = _is_a(value, kind), kind.__name__
+    if not ok:
+        raise ValueError(f"{key}: expected {expected}, got {value!r}")
+
+
 def load_config(path: str | None, overrides: dict) -> dict:
     cfg = dict(DEFAULT_CONFIG)
     if path is not None:
@@ -111,6 +140,8 @@ def load_config(path: str | None, overrides: dict) -> dict:
         unknown = set(user) - set(cfg)
         if unknown:
             raise ValueError(f"config: unknown keys {sorted(unknown)}")
+        for key, value in user.items():
+            _check_type(key, value)
         cfg.update(user)
     cfg.update({k: v for k, v in overrides.items() if v is not None})
     return cfg
@@ -264,9 +295,7 @@ def cmd_simulate(args) -> int:
         "step_counts": list(batch.step_counts),
         "nfe_per_sequence": batch.nfe_per_sequence,
         "total_nfe": batch.nfe_per_sequence * cfg["n_sequences"],
-        "scheduled_nfe_per_sequence": total_nfe(
-            scheduler, sampler_config.calls_per_step
-        ),
+        "scheduled_nfe_per_sequence": total_nfe(scheduler, sampler_config.calls),
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

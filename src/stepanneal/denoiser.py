@@ -12,6 +12,12 @@ The velocity relation follows from the linear interpolation
 ``(1-t) E[x0|x] + t E[eps|x] = x``: with ``E[eps|x] = -t * score`` one gets
 ``E[x0|x] = x - t v`` and ``E[eps|x] = x + (1-t) v``.
 
+The exact oracle treats both domains as one Gaussian channel
+``x = s x0 + sigma eps`` on the conditional ``x0 ~ N(mu, Sigma)``: diffusion
+has ``(s^2, sigma^2) = (a, 1 - a)`` and flow ``((1 - t)^2, t^2)``.  One
+solve ``y = (s^2 Sigma + sigma^2 I)^-1 (x - s mu)`` gives every output:
+``score = -y``, ``E[eps|x] = sigma y`` and ``E[x0|x] = mu + s Sigma y``.
+
 Samplers call an oracle with the conditional context passed through, so the
 exact-process oracle below stays stateless; call counting lives in the
 sampler's trajectory record.
@@ -20,15 +26,9 @@ sampler's trajectory record.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
-from .process import (
-    ConditionalGaussian,
-    exact_eps,
-    exact_score,
-    exact_velocity,
-    exact_x0_diffusion,
-    flow_score,
-)
+from .process import ConditionalGaussian, NumericalError
 
 _LIMIT_EPS = 1e-12
 
@@ -75,14 +75,55 @@ def velocity_from_eps(eps: np.ndarray, x_t: np.ndarray, t: float) -> np.ndarray:
     return (np.asarray(eps) - np.asarray(x_t)) / (1.0 - t)
 
 
+def _diffusion_channel(
+    alpha_bar: float, allow_zero: bool = False
+) -> tuple[float, float]:
+    """Channel variances ``(s^2, sigma^2) = (a, 1 - a)`` at signal level ``a``;
+    the pure-noise level ``a = 0`` only where ``allow_zero``."""
+    if not 0.0 <= alpha_bar <= 1.0 or (alpha_bar == 0.0 and not allow_zero):
+        raise ValueError(f"alpha_bar: must lie in {'[' if allow_zero else '('}0, 1]")
+    return alpha_bar, 1.0 - alpha_bar
+
+
+def _flow_channel(t: float) -> tuple[float, float]:
+    """Channel variances ``(s^2, sigma^2) = ((1 - t)^2, t^2)`` at flow time ``t``."""
+    if not 0.0 <= t <= 1.0:
+        raise ValueError("t: must lie in [0, 1]")
+    return (1.0 - t) ** 2, t**2
+
+
+def _channel_solve(
+    cond: ConditionalGaussian, x: np.ndarray, signal_var: float, noise_var: float
+) -> np.ndarray:
+    """``y = (s^2 Sigma + sigma^2 I)^-1 (x - s mu)`` with ``s = sqrt(signal_var)``,
+    for states of shape (..., m, d), through a Cholesky factor."""
+    mat = signal_var * cond.covariance + noise_var * np.eye(cond.size)
+    try:
+        factor = cho_factor(mat, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"marginal covariance is singular: {exc}") from exc
+    dev = np.asarray(x, dtype=np.float64) - np.sqrt(signal_var) * cond.mean
+    moved = np.moveaxis(dev, -2, 0)  # (m, ..., d)
+    solved = cho_solve(factor, moved.reshape(moved.shape[0], -1))
+    return np.moveaxis(solved.reshape(moved.shape), 0, -2)
+
+
+def _posterior_velocity(
+    cond: ConditionalGaussian, y: np.ndarray, t: float
+) -> np.ndarray:
+    """``E[eps - x0 | x] = t y - (mu + (1 - t) Sigma y)`` from the flow solve."""
+    return t * y - (cond.mean + (1.0 - t) * (cond.covariance @ y))
+
+
 class ExactDenoiser:
     """Denoiser backed by the closed-form conditional Gaussian process.
 
     Every method takes the conditional context explicitly and accepts states
     of shape (m, d) or (batch, m, d).  ``native_parameterization`` is
-    "score"; the other outputs are exact posterior means rather than chained
-    conversions, so all conversion identities can be cross-checked against
-    this class.
+    "score"; the other outputs are exact posterior means from the same
+    channel solve rather than chained conversions, so all conversion
+    identities can be cross-checked against this class.  No method calls
+    another, so each call is one denoiser evaluation.
     """
 
     native_parameterization = "score"
@@ -90,36 +131,41 @@ class ExactDenoiser:
     def epsilon(
         self, x: np.ndarray, alpha_bar: float, cond: ConditionalGaussian
     ) -> np.ndarray:
-        return exact_eps(cond, x, alpha_bar)
+        signal_var, noise_var = _diffusion_channel(alpha_bar)
+        return np.sqrt(noise_var) * _channel_solve(cond, x, signal_var, noise_var)
 
     def score(
         self, x: np.ndarray, alpha_bar: float, cond: ConditionalGaussian
     ) -> np.ndarray:
-        return exact_score(cond, x, alpha_bar)
+        return -_channel_solve(cond, x, *_diffusion_channel(alpha_bar))
 
     def x0(
         self, x: np.ndarray, alpha_bar: float, cond: ConditionalGaussian
     ) -> np.ndarray:
-        return exact_x0_diffusion(cond, x, alpha_bar)
+        signal_var, noise_var = _diffusion_channel(alpha_bar, allow_zero=True)
+        y = _channel_solve(cond, x, signal_var, noise_var)
+        return cond.mean + np.sqrt(signal_var) * (cond.covariance @ y)
 
     def velocity(
         self, x: np.ndarray, t: float, cond: ConditionalGaussian
     ) -> np.ndarray:
-        return exact_velocity(cond, x, t)
+        return _posterior_velocity(cond, _channel_solve(cond, x, *_flow_channel(t)), t)
 
     def flow_score(
         self, x: np.ndarray, t: float, cond: ConditionalGaussian
     ) -> np.ndarray:
-        return flow_score(cond, x, t)
+        return -_channel_solve(cond, x, *_flow_channel(t))
 
     def velocity_and_flow_score(
         self, x: np.ndarray, t: float, cond: ConditionalGaussian
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Both flow quantities from one call (one denoiser evaluation)."""
-        if t < _LIMIT_EPS or 1.0 - t < _LIMIT_EPS:
-            return exact_velocity(cond, x, t), flow_score(cond, x, t)
-        score = flow_score(cond, x, t)
-        return velocity_from_flow_score(score, x, t), score
+        """Both flow quantities from one call (one denoiser evaluation): the
+        velocity through the score conversion, or from the posterior where
+        that conversion divides by ``1 - t = 0``."""
+        y = _channel_solve(cond, x, *_flow_channel(t))
+        if 1.0 - t < _LIMIT_EPS:
+            return _posterior_velocity(cond, y, t), -y
+        return velocity_from_flow_score(-y, x, t), -y
 
 
 class BiasedDenoiser(ExactDenoiser):

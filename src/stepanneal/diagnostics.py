@@ -434,7 +434,6 @@ def quality_sweep(
 
     rows: list[SweepRow] = []
     summaries: list[SweepSummary] = []
-    calls = sampler_config.calls_per_step
     for scheduler in scheduler_list:
         label = scheduler_label(scheduler)
         w2s = []
@@ -458,7 +457,7 @@ def quality_sweep(
                     t_early=scheduler.t_early,
                     t_late=scheduler.t_late,
                     ar_step=k,
-                    nfe=t_k * calls,
+                    nfe=sampler_config.calls(t_k),
                     w2=w2,
                     w2_floor=floors[k],
                 )
@@ -483,7 +482,7 @@ def quality_sweep(
                 kind=scheduler.kind,
                 t_early=scheduler.t_early,
                 t_late=scheduler.t_late,
-                total_nfe=total_nfe(scheduler, calls),
+                total_nfe=total_nfe(scheduler, sampler_config.calls),
                 aggregate_w2=float(np.mean(w2s)),
                 mean_floor=float(np.mean(floors)),
                 joint_moment_error=joint_err,

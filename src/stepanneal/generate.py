@@ -10,7 +10,6 @@ depends only on which positions are observed, so only the means are batched.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,30 +25,6 @@ from .process import (
 )
 from .samplers import SamplerConfig, TrajectoryRecord, sample_with_config
 from .schedules import DIFFUSION, DiffusionSchedule, make_diffusion_grid, make_flow_grid
-
-
-@dataclass(eq=False)
-class TokenSequence:
-    """One generated token field plus per-step sampling metadata."""
-
-    values: np.ndarray  # (n, d), indexed by grid position
-    order: GenerationOrder
-    step_counts: tuple[int, ...]  # T(k) per AR step
-    nfe: int
-    seed: int
-    trajectories: list[TrajectoryRecord] | None = None
-    conditionals: list[ConditionalGaussian] | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "nfe": self.nfe,
-                "step_counts": list(self.step_counts),
-                "groups": [list(g) for g in self.order.groups()],
-                "values": self.values.tolist(),
-            }
-        )
 
 
 @dataclass(eq=False)
@@ -86,81 +61,6 @@ def _grid_for_step(
     return t_k, make_flow_grid(t_k, flow_start_time)
 
 
-def _run_steps(
-    spec: TokenProcessSpec,
-    order: GenerationOrder,
-    config: SamplerConfig,
-    scheduler: StepScheduler,
-    schedule: DiffusionSchedule | None,
-    start_index: int | None,
-    flow_start_time: float,
-    rng: np.random.Generator,
-    n_sequences: int,
-    record_paths: bool,
-):
-    if scheduler.ar_steps != order.step_count:
-        raise ValueError("scheduler: ar_steps must match the generation order")
-    cov = joint_covariance(spec)
-    oracle = ExactDenoiser()
-    groups = order.groups()
-    n, d = spec.token_count, spec.token_dim
-    values = np.zeros((n_sequences, n, d))
-    observed: list[int] = []
-    step_counts: list[int] = []
-    trajectories = [] if record_paths else None
-    conditionals = [] if record_paths else None
-    nfe = 0
-    for k, group in enumerate(groups):
-        try:
-            t_k, grid = _grid_for_step(
-                config, scheduler, k, schedule, start_index, flow_start_time
-            )
-            solver = conditional_solver(spec, observed, group, cov=cov)
-            cond = solver.conditional(spec, values[:, observed, :])
-            sample, record = sample_with_config(
-                config, oracle, cond, grid, rng, record_path=record_paths
-            )
-        except Exception as exc:
-            raise RuntimeError(f"AR step {k}: {exc}") from exc
-        values[:, list(group), :] = sample
-        observed.extend(group)
-        step_counts.append(t_k)
-        nfe += record.nfe
-        if record_paths:
-            trajectories.append(record)
-            conditionals.append(cond)
-    return values, tuple(step_counts), nfe, trajectories, conditionals
-
-
-def generate_sequence(
-    spec: TokenProcessSpec,
-    order: GenerationOrder,
-    sampler_config: SamplerConfig,
-    scheduler: StepScheduler,
-    schedule: DiffusionSchedule | None = None,
-    *,
-    seed: int,
-    start_index: int | None = None,
-    flow_start_time: float = 1.0,
-    record_paths: bool = False,
-) -> TokenSequence:
-    """Generate one full token field; bitwise reproducible for a fixed seed."""
-    rng = np.random.default_rng(seed)
-    values, counts, nfe, trajs, conds = _run_steps(
-        spec, order, sampler_config, scheduler, schedule, start_index,
-        flow_start_time, rng, 1, record_paths,
-    )
-    return TokenSequence(
-        values=values[0],
-        order=order,
-        step_counts=counts,
-        nfe=nfe,
-        seed=seed,
-        trajectories=trajs,
-        conditionals=conds,
-    )
-
-
 def simulate_sequences(
     spec: TokenProcessSpec,
     order: GenerationOrder,
@@ -174,22 +74,52 @@ def simulate_sequences(
     flow_start_time: float = 1.0,
     record_paths: bool = False,
 ) -> SequenceBatch:
-    """Generate ``n_sequences`` fields at once (vectorized over sequences)."""
+    """Generate ``n_sequences`` fields at once (vectorized over sequences).
+
+    The random stream is ``default_rng([master_seed, n_sequences])``, so a
+    run is bitwise reproducible for a fixed seed and batch size.
+    """
     if n_sequences < 1:
         raise ValueError("n_sequences: must be positive")
+    if scheduler.ar_steps != order.step_count:
+        raise ValueError("scheduler: ar_steps must match the generation order")
     rng = np.random.default_rng([master_seed, n_sequences])
-    values, counts, nfe, trajs, conds = _run_steps(
-        spec, order, sampler_config, scheduler, schedule, start_index,
-        flow_start_time, rng, n_sequences, record_paths,
-    )
+    cov = joint_covariance(spec)
+    oracle = ExactDenoiser()
+    n, d = spec.token_count, spec.token_dim
+    values = np.zeros((n_sequences, n, d))
+    observed: list[int] = []
+    step_counts: list[int] = []
+    trajectories = [] if record_paths else None
+    conditionals = [] if record_paths else None
+    nfe = 0
+    for k, group in enumerate(order.groups()):
+        try:
+            t_k, grid = _grid_for_step(
+                sampler_config, scheduler, k, schedule, start_index, flow_start_time
+            )
+            solver = conditional_solver(spec, observed, group, cov=cov)
+            cond = solver.conditional(spec, values[:, observed, :])
+            sample, record = sample_with_config(
+                sampler_config, oracle, cond, grid, rng, record_path=record_paths
+            )
+        except Exception as exc:
+            raise RuntimeError(f"AR step {k}: {exc}") from exc
+        values[:, list(group), :] = sample
+        observed.extend(group)
+        step_counts.append(t_k)
+        nfe += record.nfe
+        if record_paths:
+            trajectories.append(record)
+            conditionals.append(cond)
     return SequenceBatch(
         values=values,
         order=order,
-        step_counts=counts,
+        step_counts=tuple(step_counts),
         nfe_per_sequence=nfe,
         master_seed=master_seed,
-        trajectories=trajs,
-        conditionals=conds,
+        trajectories=trajectories,
+        conditionals=conditionals,
     )
 
 

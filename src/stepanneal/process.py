@@ -4,23 +4,12 @@ Tokens live on an ``grid_height x grid_width`` lattice; each position carries
 a ``token_dim``-dimensional value whose dimensions are i.i.d. draws from one
 spatial Gaussian field, so the joint law is fully described by an ``n x n``
 covariance (``n`` = number of positions) shared across dimensions.  Because
-the joint is Gaussian, the next-token conditional at any point of the
-generation order is available in closed form, as are the score, the
-noise-prediction and the velocity of its diffused/interpolated marginals.
-This closed-form family plays the role of a trained backbone plus denoising
-head, which lets sampler behaviour be checked against exact truth.
-
-Noisy marginals used throughout:
-
-* discrete diffusion at signal product ``a`` (alpha-bar):
-  ``x_a = sqrt(a) x0 + sqrt(1-a) eps`` giving marginal
-  ``N(sqrt(a) mu, a Sigma + (1-a) I)``;
-* flow interpolation at time ``t`` (0 = data, 1 = noise):
-  ``x_t = (1-t) x0 + t eps`` giving marginal
-  ``N((1-t) mu, (1-t)^2 Sigma + t^2 I)``.
-
-Singular limits (``a -> 1``, ``t -> 0``) are handled by explicit branches
-below ``_LIMIT_EPS``.
+the joint is Gaussian, the next-token conditional ``N(mu, Sigma)`` at any
+point of the generation order is available in closed form.  Together with
+:class:`stepanneal.denoiser.ExactDenoiser`, which solves the noisy channel
+``x = s x0 + sigma eps`` against it, this plays the role of a trained
+backbone plus denoising head, which lets sampler behaviour be checked
+against exact truth.
 
 Specs, solvers and conditionals are immutable after construction and safe to
 share across concurrent workers.
@@ -28,13 +17,10 @@ share across concurrent workers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-
-_LIMIT_EPS = 1e-12
 
 
 class NumericalError(RuntimeError):
@@ -89,34 +75,6 @@ class TokenProcessSpec:
         """(n, 2) array of (row, col) coordinates in position order."""
         rows, cols = np.divmod(np.arange(self.token_count), self.grid_width)
         return np.stack([rows, cols], axis=1).astype(np.float64)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "grid_height": self.grid_height,
-                "grid_width": self.grid_width,
-                "token_dim": self.token_dim,
-                "kernel": self.kernel,
-                "length_scale": self.length_scale,
-                "marginal_std": self.marginal_std,
-                "mean_field": np.asarray(self.mean_field).tolist(),
-                "jitter": self.jitter,
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "TokenProcessSpec":
-        obj = json.loads(text)
-        return TokenProcessSpec(
-            grid_height=int(obj["grid_height"]),
-            grid_width=int(obj["grid_width"]),
-            token_dim=int(obj["token_dim"]),
-            kernel=obj["kernel"],
-            length_scale=float(obj["length_scale"]),
-            marginal_std=float(obj["marginal_std"]),
-            mean_field=np.asarray(obj["mean_field"], dtype=np.float64),
-            jitter=float(obj["jitter"]),
-        )
 
 
 def default_spec(token_dim: int = 4) -> TokenProcessSpec:
@@ -332,110 +290,6 @@ def conditional(
     else:
         values = np.zeros((0, spec.token_dim))
     return solver.conditional(spec, values)
-
-
-# ---------------------------------------------------------------------------
-# Noisy-marginal quantities (shared helpers)
-# ---------------------------------------------------------------------------
-
-
-def _solve_spd(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``mat @ y = rhs`` for rhs of shape (..., m, d) via Cholesky."""
-    try:
-        factor = cho_factor(mat, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"marginal covariance is singular: {exc}") from exc
-    moved = np.moveaxis(rhs, -2, 0)  # (m, ..., d)
-    flat = moved.reshape(moved.shape[0], -1)
-    solved = cho_solve(factor, flat)
-    return np.moveaxis(solved.reshape(moved.shape), 0, -2)
-
-
-def _deviation(cond: ConditionalGaussian, x: np.ndarray, scale: float) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64) - scale * cond.mean
-
-
-def exact_score(
-    cond: ConditionalGaussian, x_t: np.ndarray, alpha_bar: float
-) -> np.ndarray:
-    """Gradient of the log-density of the diffused conditional at ``x_t``.
-
-    The diffused marginal is ``N(sqrt(a) mu, a Sigma + (1-a) I)``, so the
-    score is ``-(a Sigma + (1-a) I)^-1 (x_t - sqrt(a) mu)``, applied to each
-    token dimension independently.
-    """
-    if not 0.0 < alpha_bar <= 1.0:
-        raise ValueError("alpha_bar: must lie in (0, 1]")
-    m = cond.size
-    mat = alpha_bar * cond.covariance + (1.0 - alpha_bar) * np.eye(m)
-    dev = _deviation(cond, x_t, np.sqrt(alpha_bar))
-    return -_solve_spd(mat, dev)
-
-
-def exact_eps(
-    cond: ConditionalGaussian, x_t: np.ndarray, alpha_bar: float
-) -> np.ndarray:
-    """Posterior mean of the injected noise, ``E[eps | x_t]``.
-
-    Equals ``-sqrt(1 - a) * score``; written in posterior-mean form
-    ``sqrt(1-a) (a Sigma + (1-a) I)^-1 (x_t - sqrt(a) mu)`` so the
-    ``a -> 1`` limit is 0 rather than 0/0.
-    """
-    if not 0.0 < alpha_bar <= 1.0:
-        raise ValueError("alpha_bar: must lie in (0, 1]")
-    if 1.0 - alpha_bar < _LIMIT_EPS:
-        return np.zeros_like(np.asarray(x_t, dtype=np.float64) + cond.mean)
-    return -np.sqrt(1.0 - alpha_bar) * exact_score(cond, x_t, alpha_bar)
-
-
-def exact_x0_diffusion(
-    cond: ConditionalGaussian, x_t: np.ndarray, alpha_bar: float
-) -> np.ndarray:
-    """Posterior mean of the clean token, ``E[x0 | x_t]``, at signal product
-    ``alpha_bar`` (well defined for every ``alpha_bar`` in [0, 1])."""
-    if not 0.0 <= alpha_bar <= 1.0:
-        raise ValueError("alpha_bar: must lie in [0, 1]")
-    if alpha_bar == 0.0:
-        return cond.mean + np.zeros_like(np.asarray(x_t, dtype=np.float64))
-    m = cond.size
-    mat = alpha_bar * cond.covariance + (1.0 - alpha_bar) * np.eye(m)
-    dev = _deviation(cond, x_t, np.sqrt(alpha_bar))
-    return cond.mean + np.sqrt(alpha_bar) * (
-        cond.covariance @ _solve_spd(mat, dev)
-    )
-
-
-def flow_score(cond: ConditionalGaussian, x_t: np.ndarray, t: float) -> np.ndarray:
-    """Score of the interpolated marginal ``N((1-t) mu, (1-t)^2 Sigma + t^2 I)``."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t: must lie in [0, 1]")
-    m = cond.size
-    mat = (1.0 - t) ** 2 * cond.covariance + t**2 * np.eye(m)
-    dev = _deviation(cond, x_t, 1.0 - t)
-    return -_solve_spd(mat, dev)
-
-
-def exact_velocity(
-    cond: ConditionalGaussian, x_t: np.ndarray, t: float
-) -> np.ndarray:
-    """Bayes-optimal interpolation velocity ``E[eps - x0 | x_t]``.
-
-    Both posterior means come from the same linear solve against the
-    interpolated marginal covariance; at ``t = 0`` the state reveals nothing
-    about the noise, so the limit is ``-x_t``.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t: must lie in [0, 1]")
-    x_t = np.asarray(x_t, dtype=np.float64)
-    if t < _LIMIT_EPS:
-        return -x_t + np.zeros_like(cond.mean)
-    m = cond.size
-    mat = (1.0 - t) ** 2 * cond.covariance + t**2 * np.eye(m)
-    dev = _deviation(cond, x_t, 1.0 - t)
-    solved = _solve_spd(mat, dev)
-    eps_post = t * solved
-    x0_post = cond.mean + (1.0 - t) * (cond.covariance @ solved)
-    return eps_post - x0_post
 
 
 def sample_conditional(

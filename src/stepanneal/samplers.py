@@ -31,7 +31,6 @@ concurrent trajectories independent generators and nothing is shared.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -71,9 +70,10 @@ class SamplerConfig:
     def domain(self) -> str:
         return DIFFUSION if self.kind in DIFFUSION_SAMPLERS else FLOW
 
-    @property
-    def calls_per_step(self) -> int:
-        return 2 if self.kind == "dpm_solver" and self.order == 2 else 1
+    def calls(self, steps: int) -> int:
+        """Denoiser calls of one run on a ``steps``-step grid (the table above)."""
+        midpoint = self.kind == "dpm_solver" and self.order == 2
+        return 2 * steps - 1 if midpoint else steps
 
 
 @dataclass(eq=False)
@@ -103,13 +103,6 @@ class TrajectoryRecord:
     @property
     def step_count(self) -> int:
         return len(self.times) - 1
-
-    def to_json(self, include_path: bool = False) -> str:
-        obj = {"domain": self.domain, "times": np.asarray(self.times).tolist(),
-               "nfe": self.nfe}
-        if include_path and self.states is not None:
-            obj["path"] = [np.asarray(s).tolist() for s in self.states]
-        return json.dumps(obj)
 
 
 class _Recorder:

@@ -24,7 +24,6 @@ share across workers.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -69,25 +68,6 @@ class DiffusionSchedule:
     @property
     def base_step_count(self) -> int:
         return int(self.betas.size)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "base_step_count": self.base_step_count,
-                "betas": self.betas.tolist(),
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "DiffusionSchedule":
-        obj = json.loads(text)
-        betas = np.asarray(obj["betas"], dtype=np.float64)
-        if betas.size != int(obj["base_step_count"]):
-            raise ValueError("base_step_count: does not match betas length")
-        return DiffusionSchedule(
-            kind=obj["kind"], betas=betas, alpha_bars=np.cumprod(1.0 - betas)
-        )
 
 
 def build_linear_beta(
@@ -175,20 +155,6 @@ class TimeGrid:
             return int(self.points.size)
         return int(self.points.size - 1)
 
-    def to_json(self) -> str:
-        return json.dumps({"domain": self.domain, "points": self.points.tolist()})
-
-    @staticmethod
-    def from_json(
-        text: str, schedule: DiffusionSchedule | None = None
-    ) -> "TimeGrid":
-        """Rebuild a grid; pass the schedule to restore diffusion levels."""
-        obj = json.loads(text)
-        grid = TimeGrid(domain=obj["domain"], points=np.asarray(obj["points"]))
-        if grid.domain == DIFFUSION and schedule is not None:
-            return with_levels(grid, schedule)
-        return grid
-
 
 def make_diffusion_grid(
     schedule: DiffusionSchedule, num_steps: int, start_index: int | None = None
@@ -233,18 +199,3 @@ def make_flow_grid(num_steps: int, start_time: float = 1.0) -> TimeGrid:
         raise ValueError("start_time: must lie in (0, 1]")
     points = np.linspace(start_time, 0.0, num_steps + 1)
     return TimeGrid(domain=FLOW, points=points)
-
-
-def with_levels(grid: TimeGrid, schedule: DiffusionSchedule) -> TimeGrid:
-    """Reattach diffusion noise levels to a grid loaded without them.
-
-    Every point is interpreted as a schedule index (one-step hop grids must
-    be rebuilt through :func:`make_diffusion_grid` instead).
-    """
-    if grid.domain != DIFFUSION:
-        raise ValueError("grid: expected a diffusion-domain grid")
-    return TimeGrid(
-        domain=DIFFUSION,
-        points=grid.points,
-        levels=schedule.alpha_bars[grid.points.astype(int)],
-    )

@@ -100,12 +100,14 @@ class TestTotalNfe:
 
     def test_calls_per_step_and_bootstrap(self):
         sched = make("two_stage", 50, 5, 64)
-        assert sa.total_nfe(sched, calls_per_step=2) == 2 * 1760
-        assert sa.total_nfe(sched, calls_per_step=1, bootstrap_per_ar_step=1) == 1760 + 64
+        assert sa.total_nfe(sched, lambda t: 2 * t) == 2 * 1760
+        # The midpoint solver's rule: one call short of 2T per AR step.
+        midpoint = sa.SamplerConfig(kind="dpm_solver", order=2).calls
+        assert sa.total_nfe(sched, midpoint) == 2 * 1760 - 64
 
     def test_calls_per_step_validation(self):
-        with pytest.raises(ValueError, match="calls_per_step"):
-            sa.total_nfe(make("constant", 5, 5, 4), calls_per_step=0)
+        with pytest.raises(ValueError, match="calls"):
+            sa.total_nfe(make("constant", 5, 5, 4), lambda t: 0)
 
 
 class TestScheduleTable:

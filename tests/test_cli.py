@@ -129,11 +129,19 @@ class TestSimulateCommand:
         assert "schedule_kind" in err
 
     def test_unknown_config_key_fails(self, capsys, tmp_path):
+        # An unknown key, and a known key with a value of the wrong type,
+        # both fail before any output is written.
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"no_such_key": 1}))
-        code, _, err = run_cli(capsys, "simulate", "--config", str(config))
-        assert code == 1
-        assert "no_such_key" in err
+        out_dir = tmp_path / "out"
+        for user, message in (
+            ({"no_such_key": 1}, "no_such_key"),
+            ({"grid_height": "4"}, "error: grid_height: "),
+        ):
+            config.write_text(json.dumps({**user, "out_dir": str(out_dir)}))
+            code, _, err = run_cli(capsys, "simulate", "--config", str(config))
+            assert code == 1
+            assert message in err
+            assert not out_dir.exists()
 
     def test_runtime_error_exit_code(self, capsys, base_config):
         config, _ = base_config
@@ -199,6 +207,48 @@ class TestSweepCommand:
         totals = [int(r[4]) for r in srows]
         assert totals == sorted(totals)
         assert all(b > a for a, b in zip(totals, totals[1:]))
+
+
+@pytest.mark.parametrize("sampler,order", [
+    ("ddpm", 1), ("ddim", 1), ("dpm_solver", 1), ("dpm_solver", 2),
+    ("dpm_solver_pp", 1), ("euler_flow", 1), ("euler_maruyama", 1),
+])
+def test_reported_nfe_equals_spent(capsys, tmp_path, monkeypatch, sampler, order):
+    """summary.json, sweep.csv and sweep_summary.csv report the denoiser
+    calls that the run actually made."""
+    from stepanneal.denoiser import ExactDenoiser
+
+    spent = [0]
+
+    def counted(method):
+        def wrapper(*args, **kwargs):
+            spent[0] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    for name in ("epsilon", "score", "x0", "velocity", "flow_score",
+                 "velocity_and_flow_score"):
+        monkeypatch.setattr(ExactDenoiser, name, counted(getattr(ExactDenoiser, name)))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "grid_height": 2, "grid_width": 2, "ar_steps": 4,
+        "schedule_kind": "linear", "sampler": sampler, "solver_order": order,
+        "t_early": 6, "t_late": 2, "n_sequences": 2, "draws_per_step": 4,
+        "floor_repeats": 1, "sweep_t_early": [6], "sweep_t_late": [2, 6],
+        "out_dir": str(tmp_path / "out"),
+    }))
+
+    assert run_cli(capsys, "simulate", "--config", str(config))[0] == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["scheduled_nfe_per_sequence"] == summary["nfe_per_sequence"]
+    assert summary["nfe_per_sequence"] == spent[0]
+
+    spent[0] = 0
+    assert run_cli(capsys, "sweep", "--config", str(config))[0] == 0
+    _, rows = read_csv(tmp_path / "out" / "sweep.csv")
+    _, summaries = read_csv(tmp_path / "out" / "sweep_summary.csv")
+    assert sum(int(r[5]) for r in rows) == spent[0]
+    assert sum(int(r[4]) for r in summaries) == spent[0]
 
 
 class TestOracleCheckCommand:

@@ -12,41 +12,42 @@ def setup(spec, linear_schedule):
     return order, cfg, pol
 
 
+def _one(spec, order, cfg, pol, schedule=None, *, seed, **kwargs):
+    """One sequence through the batched entry point."""
+    return sa.simulate_sequences(spec, order, cfg, pol, schedule, n_sequences=1,
+                                 master_seed=seed, **kwargs)
+
+
 class TestGenerateSequence:
     def test_bitwise_reproducible(self, spec, linear_schedule, setup):
         order, cfg, pol = setup
-        a = sa.generate_sequence(spec, order, cfg, pol, linear_schedule,
-                                 seed=7, start_index=950)
-        b = sa.generate_sequence(spec, order, cfg, pol, linear_schedule,
-                                 seed=7, start_index=950)
+        a = _one(spec, order, cfg, pol, linear_schedule, seed=7, start_index=950)
+        b = _one(spec, order, cfg, pol, linear_schedule, seed=7, start_index=950)
         np.testing.assert_array_equal(a.values, b.values)
-        c = sa.generate_sequence(spec, order, cfg, pol, linear_schedule,
-                                 seed=8, start_index=950)
+        c = _one(spec, order, cfg, pol, linear_schedule, seed=8, start_index=950)
         assert not np.array_equal(a.values, c.values)
 
     def test_step_counts_follow_scheduler(self, spec, linear_schedule, setup):
         order, cfg, pol = setup
-        seq = sa.generate_sequence(spec, order, cfg, pol, linear_schedule,
-                                   seed=1, start_index=950)
+        seq = _one(spec, order, cfg, pol, linear_schedule, seed=1, start_index=950)
         assert seq.step_counts == tuple(
             sa.steps_at(pol, k) for k in range(16))
-        assert seq.values.shape == (16, 4)
+        assert seq.values.shape == (1, 16, 4)
         assert np.all(np.isfinite(seq.values))
 
     def test_nfe_matches_scheduled_total(self, spec, linear_schedule, setup):
         order, cfg, pol = setup
-        seq = sa.generate_sequence(spec, order, cfg, pol, linear_schedule,
-                                   seed=1, start_index=950)
-        assert seq.nfe == sa.total_nfe(pol, calls_per_step=1)
+        seq = _one(spec, order, cfg, pol, linear_schedule, seed=1, start_index=950)
+        assert seq.nfe_per_sequence == sa.total_nfe(pol)
 
     def test_nfe_midpoint_solver(self, spec, linear_schedule, setup):
         order, _, pol = setup
         cfg = sa.SamplerConfig(kind="dpm_solver", order=2)
-        seq = sa.generate_sequence(spec, order, cfg, pol, linear_schedule,
-                                   seed=1, start_index=950)
+        seq = _one(spec, order, cfg, pol, linear_schedule, seed=1, start_index=950)
         # 2 T(k) - 1 per AR step: one evaluation short of 2 T(k) at the
         # terminal transition of every grid.
-        assert seq.nfe == sa.total_nfe(pol, calls_per_step=2) - pol.ar_steps
+        assert seq.nfe_per_sequence == 2 * sa.total_nfe(pol) - pol.ar_steps
+        assert seq.nfe_per_sequence == sa.total_nfe(pol, cfg.calls)
 
     def test_dirac_process_returns_mean_field(self, linear_schedule):
         mean_field = np.linspace(-1.0, 1.0, 16)
@@ -55,60 +56,47 @@ class TestGenerateSequence:
         order = sa.random_order(tight, 4, seed=0)
         for kind in ("constant", "linear"):
             pol = sa.StepScheduler(kind=kind, t_early=20, t_late=5, ar_steps=4)
-            seq = sa.generate_sequence(
-                tight, order, sa.SamplerConfig(kind="ddim"), pol,
-                linear_schedule, seed=3, start_index=950)
-            np.testing.assert_allclose(seq.values,
+            seq = _one(tight, order, sa.SamplerConfig(kind="ddim"), pol,
+                       linear_schedule, seed=3, start_index=950)
+            np.testing.assert_allclose(seq.values[0],
                                        np.tile(mean_field[:, None], (1, 4)),
                                        atol=1e-3)
 
     def test_flow_generation(self, spec, setup):
         order, _, pol = setup
         cfg = sa.SamplerConfig(kind="euler_flow")
-        seq = sa.generate_sequence(spec, order, cfg, pol, seed=2)
-        assert seq.nfe == sa.total_nfe(pol, calls_per_step=1)
+        seq = _one(spec, order, cfg, pol, seed=2)
+        assert seq.nfe_per_sequence == sa.total_nfe(pol)
 
     def test_ar1_kernel_field(self, linear_schedule):
         spec = sa.TokenProcessSpec(grid_height=3, grid_width=3, token_dim=2,
                                    kernel="ar1", length_scale=1.5)
         order = sa.random_order(spec, 3, seed=1)
         pol = sa.constant_scheduler(20, 3)
-        seq = sa.generate_sequence(spec, order, sa.SamplerConfig(kind="ddim"),
-                                   pol, linear_schedule, seed=5,
-                                   start_index=950)
-        assert seq.values.shape == (9, 2)
+        seq = _one(spec, order, sa.SamplerConfig(kind="ddim"), pol,
+                   linear_schedule, seed=5, start_index=950)
+        assert seq.values.shape == (1, 9, 2)
         assert np.all(np.isfinite(seq.values))
 
     def test_error_carries_ar_step_context(self, spec, linear_schedule, setup):
         order, cfg, _ = setup
         pol = sa.constant_scheduler(1000, 16)
         with pytest.raises(RuntimeError, match="AR step 0"):
-            sa.generate_sequence(spec, order, cfg, pol, linear_schedule,
-                                 seed=0, start_index=950)
+            _one(spec, order, cfg, pol, linear_schedule, seed=0, start_index=950)
 
     def test_scheduler_order_mismatch(self, spec, linear_schedule, setup):
         order, cfg, _ = setup
         pol = sa.constant_scheduler(10, 8)
         with pytest.raises(ValueError, match="ar_steps"):
-            sa.generate_sequence(spec, order, cfg, pol, linear_schedule, seed=0)
+            _one(spec, order, cfg, pol, linear_schedule, seed=0)
 
     def test_record_paths(self, spec, linear_schedule, setup):
         order, cfg, pol = setup
-        seq = sa.generate_sequence(spec, order, cfg, pol, linear_schedule,
-                                   seed=4, start_index=950, record_paths=True)
+        seq = _one(spec, order, cfg, pol, linear_schedule, seed=4,
+                   start_index=950, record_paths=True)
         assert len(seq.trajectories) == 16
         assert len(seq.conditionals) == 16
         assert seq.trajectories[0].states is not None
-
-    def test_json_export(self, spec, linear_schedule, setup):
-        import json
-
-        order, cfg, pol = setup
-        seq = sa.generate_sequence(spec, order, cfg, pol, linear_schedule,
-                                   seed=4, start_index=950)
-        obj = json.loads(seq.to_json())
-        assert obj["step_counts"] == list(seq.step_counts)
-        assert len(obj["values"]) == 16
 
 
 class TestSimulateSequences:

@@ -77,18 +77,6 @@ class TestNfeAccounting:
         assert len(rec.states) == len(rec.times)
         assert len(rec.outputs) == len(rec.times) - 1
 
-    def test_record_json_export(self, linear_schedule, aniso_cond, oracle):
-        import json
-
-        grid = sa.make_diffusion_grid(linear_schedule, 5, 950)
-        _, rec = sa.ddim_sample(oracle, aniso_cond, grid,
-                                np.random.default_rng(0), record_path=True)
-        obj = json.loads(rec.to_json())
-        assert obj["nfe"] == 5
-        assert "path" not in obj
-        obj = json.loads(rec.to_json(include_path=True))
-        assert len(obj["path"]) == len(rec.times)
-
 
 class TestDeterminism:
     @pytest.mark.parametrize("kind,kwargs", [
@@ -410,8 +398,11 @@ class TestSamplerConfig:
         assert sa.SamplerConfig(kind="euler_flow").domain == sa.FLOW
 
     def test_calls_per_step(self):
-        assert sa.SamplerConfig(kind="dpm_solver", order=2).calls_per_step == 2
-        assert sa.SamplerConfig(kind="dpm_solver_pp").calls_per_step == 1
+        # The README calls table: 2T - 1 for the midpoint solver, else T.
+        assert sa.SamplerConfig(kind="dpm_solver", order=2).calls(5) == 9
+        assert sa.SamplerConfig(kind="dpm_solver", order=2).calls(1) == 1
+        for kind in sa.SAMPLER_KINDS:
+            assert sa.SamplerConfig(kind=kind).calls(5) == 5
 
     def test_validation(self):
         with pytest.raises(ValueError, match="kind"):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -164,28 +162,3 @@ class TestFlowGrid:
             sa.make_flow_grid(0, 1.0)
         with pytest.raises(ValueError, match="start_time"):
             sa.make_flow_grid(4, 1.5)
-
-
-class TestSerialization:
-    def test_schedule_round_trip(self):
-        sched = sa.build_cosine_alpha_bar(64, 0.008)
-        obj = json.loads(sched.to_json())
-        assert obj["kind"] == "cosine"
-        assert obj["base_step_count"] == 64
-        back = sa.DiffusionSchedule.from_json(sched.to_json())
-        np.testing.assert_array_equal(back.betas, sched.betas)
-        np.testing.assert_allclose(back.alpha_bars, sched.alpha_bars, rtol=1e-15)
-
-    def test_grid_round_trip(self, linear_schedule):
-        grid = sa.make_diffusion_grid(linear_schedule, 10, 950)
-        obj = json.loads(grid.to_json())
-        assert obj["domain"] == sa.DIFFUSION
-        back = sa.TimeGrid.from_json(grid.to_json(), schedule=linear_schedule)
-        np.testing.assert_array_equal(back.points, grid.points)
-        np.testing.assert_array_equal(back.levels, grid.levels)
-
-    def test_flow_grid_round_trip(self):
-        grid = sa.make_flow_grid(4, 1.0)
-        back = sa.TimeGrid.from_json(grid.to_json())
-        np.testing.assert_array_equal(back.points, grid.points)
-        assert back.levels is None
