@@ -30,7 +30,7 @@ from .diagnostics import (
     sampling_variance,
     straightness_by_step,
 )
-from .generate import batch_to_csv_rows, simulate_sequences
+from .generate import batch_to_csv_rows, simulate_sequences, step_grids
 from .process import (
     TokenProcessSpec,
     conditional,
@@ -217,6 +217,24 @@ def _schedule_for(cfg: dict, sampler_config: SamplerConfig):
     return None
 
 
+def check_run(
+    cfg: dict,
+    sampler_config: SamplerConfig,
+    schedulers: list[StepScheduler],
+    schedule,
+    minimums: dict[str, int],
+) -> None:
+    """Range and grid-limit checks that must pass before anything is
+    written: each key in ``minimums`` at least its minimum, and every AR
+    step's grid under every policy."""
+    for key, least in minimums.items():
+        if cfg[key] < least:
+            raise ValueError(f"{key}: must be >= {least}, got {cfg[key]}")
+    for scheduler in schedulers:
+        step_grids(sampler_config, scheduler, schedule,
+                   cfg["start_index"], cfg["flow_start_time"])
+
+
 def resolve_out_dir(cfg: dict) -> Path:
     out = cfg["out_dir"] or os.environ.get(OUT_DIR_ENV) or "stepanneal_out"
     path = Path(out)
@@ -273,6 +291,7 @@ def cmd_simulate(args) -> int:
     sampler_config = build_sampler_config(cfg)
     scheduler = build_scheduler(cfg)
     schedule = _schedule_for(cfg, sampler_config)
+    check_run(cfg, sampler_config, [scheduler], schedule, {"n_sequences": 1})
     out = resolve_out_dir(cfg)
     digest = echo_config(cfg, out)
     started = time.perf_counter()
@@ -314,6 +333,9 @@ def cmd_diagnose(args) -> int:
     sampler_config = build_sampler_config(cfg)
     scheduler = build_scheduler(cfg)
     schedule = _schedule_for(cfg, sampler_config)
+    check_run(cfg, sampler_config, [scheduler], schedule, {
+        "n_sequences": 1, "t_draws": 1, "draws_per_step": 2, "probe_sequences": 1,
+    })
     out = resolve_out_dir(cfg)
     digest = echo_config(cfg, out)
     started = time.perf_counter()
@@ -385,8 +407,6 @@ def cmd_sweep(args) -> int:
     order = build_order(cfg, spec)
     sampler_config = build_sampler_config(cfg)
     schedule = _schedule_for(cfg, sampler_config)
-    out = resolve_out_dir(cfg)
-    digest = echo_config(cfg, out)
     schedulers = [
         StepScheduler(
             kind=cfg["scheduler_kind"], t_early=te, t_late=tl,
@@ -395,6 +415,10 @@ def cmd_sweep(args) -> int:
         for te in cfg["sweep_t_early"]
         for tl in cfg["sweep_t_late"]
     ]
+    check_run(cfg, sampler_config, schedulers, schedule,
+              {"draws_per_step": 2, "floor_repeats": 1})
+    out = resolve_out_dir(cfg)
+    digest = echo_config(cfg, out)
     started = time.perf_counter()
     rows, summaries = quality_sweep(
         spec, order, sampler_config, schedulers,

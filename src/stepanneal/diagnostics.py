@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import spearmanr
 
-from .annealing import StepScheduler, steps_at, total_nfe
+from .annealing import StepScheduler, steps_at, total_nfe  # noqa: F401
 from .denoiser import ExactDenoiser
-from .generate import SequenceBatch, simulate_sequences
+from .generate import SequenceBatch, simulate_sequences, step_grids
 from .process import (
     ConditionalGaussian,
     GenerationOrder,
@@ -37,7 +37,16 @@ from .process import (
     sample_conditional,
 )
 from .samplers import SamplerConfig, TrajectoryRecord, sample_with_config
-from .schedules import DIFFUSION, DiffusionSchedule, make_diffusion_grid, make_flow_grid
+
+# Grids come from ``generate.step_grids``.  ``steps_at`` and the two grid
+# functions stay bound in this module because bench/spans.py traces the
+# layers by rebinding these names here.
+from .schedules import (  # noqa: F401
+    DIFFUSION,
+    DiffusionSchedule,
+    make_diffusion_grid,
+    make_flow_grid,
+)
 
 _NORM_EPS = 1e-300
 
@@ -282,21 +291,19 @@ def sampling_variance(
     if draws_per_step < 2:
         raise ValueError("draws_per_step: must be >= 2")
     prefix_seed, redraw_seed = seeds
+    grids = step_grids(sampler_config, scheduler, schedule, start_index, flow_start_time)
     cov = joint_covariance(spec)
     oracle = ExactDenoiser()
     prefix_rng = np.random.default_rng(prefix_seed)
     redraw_rng = np.random.default_rng(redraw_seed)
     values = np.zeros((1, spec.token_count, spec.token_dim))
     observed: list[int] = []
+    factor = None
     empirical, exact = [], []
-    for k, group in enumerate(order.groups()):
-        solver = conditional_solver(spec, observed, group, cov=cov)
+    for group, (_, grid) in zip(order.groups(), grids):
+        solver = conditional_solver(spec, observed, group, cov=cov, factor=factor)
+        factor = solver.factor
         cond = solver.conditional(spec, values[0, observed, :])
-        t_k = steps_at(scheduler, k)
-        if sampler_config.domain == DIFFUSION:
-            grid = make_diffusion_grid(schedule, t_k, start_index)
-        else:
-            grid = make_flow_grid(t_k, flow_start_time)
         draws, _ = sample_with_config(
             sampler_config, oracle, cond, grid, redraw_rng, n_samples=draws_per_step
         )
@@ -335,9 +342,11 @@ def probe_error(
     cov = joint_covariance(spec)
     values = np.zeros((n_seq, spec.token_count, spec.token_dim))
     observed: list[int] = []
+    factor = None
     mse, exact = [], []
     for group in order.groups():
-        solver = conditional_solver(spec, observed, group, cov=cov)
+        solver = conditional_solver(spec, observed, group, cov=cov, factor=factor)
+        factor = solver.factor
         cond = solver.conditional(spec, values[:, observed, :])
         draws = sample_conditional(cond, spec.token_dim, rng)
         mse.append(float(np.mean((draws - cond.mean) ** 2)))
@@ -412,6 +421,10 @@ def quality_sweep(
     if any(s.ar_steps != order.step_count for s in scheduler_list):
         raise ValueError("scheduler_list: all policies must share the AR step count")
     prefix_seed, sweep_seed = seeds
+    grids = [
+        step_grids(sampler_config, s, schedule, start_index, flow_start_time)
+        for s in scheduler_list
+    ]
     cov = joint_covariance(spec)
     oracle = ExactDenoiser()
     prefix_rng = np.random.default_rng(prefix_seed)
@@ -421,8 +434,10 @@ def quality_sweep(
     conds, floors = [], []
     values = np.zeros((1, spec.token_count, spec.token_dim))
     observed: list[int] = []
+    factor = None
     for group in order.groups():
-        solver = conditional_solver(spec, observed, group, cov=cov)
+        solver = conditional_solver(spec, observed, group, cov=cov, factor=factor)
+        factor = solver.factor
         cond = solver.conditional(spec, values[0, observed, :])
         conds.append(cond)
         floors.append(
@@ -434,15 +449,10 @@ def quality_sweep(
 
     rows: list[SweepRow] = []
     summaries: list[SweepSummary] = []
-    for scheduler in scheduler_list:
+    for scheduler, policy_grids in zip(scheduler_list, grids):
         label = scheduler_label(scheduler)
         w2s = []
-        for k, cond in enumerate(conds):
-            t_k = steps_at(scheduler, k)
-            if sampler_config.domain == DIFFUSION:
-                grid = make_diffusion_grid(schedule, t_k, start_index)
-            else:
-                grid = make_flow_grid(t_k, flow_start_time)
+        for k, (cond, (t_k, grid)) in enumerate(zip(conds, policy_grids)):
             cell_rng = np.random.default_rng([sweep_seed, 1 + k])
             draws, _ = sample_with_config(
                 sampler_config, oracle, cond, grid, cell_rng,

@@ -24,7 +24,13 @@ from .process import (
     joint_covariance,
 )
 from .samplers import SamplerConfig, TrajectoryRecord, sample_with_config
-from .schedules import DIFFUSION, DiffusionSchedule, make_diffusion_grid, make_flow_grid
+from .schedules import (
+    DIFFUSION,
+    DiffusionSchedule,
+    TimeGrid,
+    make_diffusion_grid,
+    make_flow_grid,
+)
 
 
 @dataclass(eq=False)
@@ -45,20 +51,34 @@ class SequenceBatch:
     conditionals: list[ConditionalGaussian] | None = None
 
 
-def _grid_for_step(
+def step_grids(
     config: SamplerConfig,
     scheduler: StepScheduler,
-    k: int,
-    schedule: DiffusionSchedule | None,
-    start_index: int | None,
-    flow_start_time: float,
-):
-    t_k = steps_at(scheduler, k)
-    if config.domain == DIFFUSION:
-        if schedule is None:
-            raise ValueError("schedule: diffusion samplers need a noise schedule")
-        return t_k, make_diffusion_grid(schedule, t_k, start_index)
-    return t_k, make_flow_grid(t_k, flow_start_time)
+    schedule: DiffusionSchedule | None = None,
+    start_index: int | None = None,
+    flow_start_time: float = 1.0,
+) -> list[tuple[int, TimeGrid]]:
+    """``(T(k), grid)`` for every AR step k.  Building them all first checks
+    the whole policy against the grid limits before any work starts; a
+    failure is a ``RuntimeError`` naming the AR step, as in the loop."""
+    grids = []
+    for k in range(scheduler.ar_steps):
+        try:
+            t_k = steps_at(scheduler, k)
+            if t_k < config.min_steps:
+                raise ValueError(
+                    f"grid: {config.kind} needs at least {config.min_steps} steps"
+                )
+            if config.domain == DIFFUSION:
+                if schedule is None:
+                    raise ValueError("schedule: diffusion samplers need a noise schedule")
+                grid = make_diffusion_grid(schedule, t_k, start_index)
+            else:
+                grid = make_flow_grid(t_k, flow_start_time)
+        except ValueError as exc:
+            raise RuntimeError(f"AR step {k}: {exc}") from exc
+        grids.append((t_k, grid))
+    return grids
 
 
 def simulate_sequences(
@@ -83,6 +103,7 @@ def simulate_sequences(
         raise ValueError("n_sequences: must be positive")
     if scheduler.ar_steps != order.step_count:
         raise ValueError("scheduler: ar_steps must match the generation order")
+    grids = step_grids(sampler_config, scheduler, schedule, start_index, flow_start_time)
     rng = np.random.default_rng([master_seed, n_sequences])
     cov = joint_covariance(spec)
     oracle = ExactDenoiser()
@@ -93,12 +114,10 @@ def simulate_sequences(
     trajectories = [] if record_paths else None
     conditionals = [] if record_paths else None
     nfe = 0
-    for k, group in enumerate(order.groups()):
+    factor = None
+    for k, (group, (t_k, grid)) in enumerate(zip(order.groups(), grids)):
         try:
-            t_k, grid = _grid_for_step(
-                sampler_config, scheduler, k, schedule, start_index, flow_start_time
-            )
-            solver = conditional_solver(spec, observed, group, cov=cov)
+            solver = conditional_solver(spec, observed, group, cov=cov, factor=factor)
             cond = solver.conditional(spec, values[:, observed, :])
             sample, record = sample_with_config(
                 sampler_config, oracle, cond, grid, rng, record_path=record_paths
@@ -107,6 +126,7 @@ def simulate_sequences(
             raise RuntimeError(f"AR step {k}: {exc}") from exc
         values[:, list(group), :] = sample
         observed.extend(group)
+        factor = solver.factor
         step_counts.append(t_k)
         nfe += record.nfe
         if record_paths:

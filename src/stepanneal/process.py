@@ -17,10 +17,14 @@ share across concurrent workers.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import solve_triangular
+
+
+logger = logging.getLogger("stepanneal")
 
 
 class NumericalError(RuntimeError):
@@ -192,12 +196,18 @@ class ConditionalSolver:
     """Reusable pieces of one conditioning step: the regression weights from
     observed onto target positions and the (prefix-independent) conditional
     covariance.  Means for many prefixes can then be formed by matrix
-    products, which is what the batched generation loop uses."""
+    products, which is what the batched generation loop uses.
+
+    ``factor`` is the lower Cholesky factor of the joint covariance of the
+    observed then the target positions, in that order; passing it to the
+    next step's :func:`conditional_solver` extends it instead of factoring
+    the grown observed block again."""
 
     observed_positions: tuple[int, ...]
     target_positions: tuple[int, ...]
     weights: np.ndarray  # (m, o)
     covariance: np.ndarray  # (m, m)
+    factor: np.ndarray  # (o + m, o + m)
 
     def mean(self, spec: TokenProcessSpec, observed_values: np.ndarray) -> np.ndarray:
         """Conditional mean for observed token values of shape (o, d) or
@@ -226,49 +236,67 @@ class ConditionalSolver:
         )
 
 
+def _cholesky(mat: np.ndarray, what: str) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what} is not positive definite: {exc}") from exc
+
+
 def conditional_solver(
     spec: TokenProcessSpec,
     observed_positions,
     target_positions,
     cov: np.ndarray | None = None,
+    factor: np.ndarray | None = None,
 ) -> ConditionalSolver:
-    """Schur-complement conditioning, solved through a Cholesky factor of the
-    observed block (never an explicit inverse)."""
-    obs = tuple(int(p) for p in observed_positions)
-    tgt = tuple(int(p) for p in target_positions)
-    if set(obs) & set(tgt):
+    """Schur-complement conditioning through one growing Cholesky factor.
+
+    ``factor`` is the lower Cholesky factor L of the observed block, in the
+    order of ``observed_positions``, usually the previous step's
+    ``ConditionalSolver.factor``; without it the observed block is factored
+    here.  With ``B = L^-1 Sigma_ot`` (one triangular solve) the weights are
+    ``(L^-T B)^T`` (a second one), the conditional covariance is
+    ``Sigma_tt - B^T B`` and the returned factor is
+    ``[[L, 0], [B^T, chol(Sigma_tt - B^T B)]]``.  Threading it along a
+    generation order costs triangular solves, never an explicit inverse or a
+    second factorisation of the observed block."""
+    obs_idx = np.asarray(observed_positions, dtype=int).reshape(-1)
+    tgt_idx = np.asarray(target_positions, dtype=int).reshape(-1)
+    all_idx = np.concatenate([obs_idx, tgt_idx])
+    if np.isin(tgt_idx, obs_idx).any():
         raise ValueError("observed/target positions must be disjoint")
-    all_pos = obs + tgt
-    if len(set(all_pos)) != len(all_pos):
+    if np.unique(all_idx).size != all_idx.size:
         raise ValueError("positions: duplicates are not allowed")
-    if any(not 0 <= p < spec.token_count for p in all_pos):
+    if all_idx.size and not 0 <= all_idx.min() <= all_idx.max() < spec.token_count:
         raise ValueError("positions: out of range for this grid")
     if cov is None:
         cov = joint_covariance(spec)
-    tgt_idx = np.asarray(tgt, dtype=int)
-    sigma_tt = cov[np.ix_(tgt_idx, tgt_idx)]
-    if not obs:
-        return ConditionalSolver(
-            observed_positions=obs,
-            target_positions=tgt,
-            weights=np.zeros((len(tgt), 0)),
-            covariance=sigma_tt,
+    o, m = obs_idx.size, tgt_idx.size
+    if factor is None:
+        factor = _cholesky(cov[np.ix_(obs_idx, obs_idx)], "observed block")
+    elif np.shape(factor) != (o, o):
+        raise ValueError(
+            f"factor: expected shape ({o}, {o}) for {o} observed positions, "
+            f"got {np.shape(factor)}"
         )
-    obs_idx = np.asarray(obs, dtype=int)
-    sigma_oo = cov[np.ix_(obs_idx, obs_idx)]
-    sigma_to = cov[np.ix_(tgt_idx, obs_idx)]
-    try:
-        factor = cho_factor(sigma_oo, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"observed block is singular: {exc}") from exc
-    weights = cho_solve(factor, sigma_to.T).T
-    cond_cov = sigma_tt - weights @ sigma_to.T
+    b = solve_triangular(
+        factor, cov[np.ix_(obs_idx, tgt_idx)], lower=True, check_finite=False
+    )
+    weights = solve_triangular(factor, b, lower=True, trans="T", check_finite=False).T
+    cond_cov = cov[np.ix_(tgt_idx, tgt_idx)] - b.T @ b
     cond_cov = 0.5 * (cond_cov + cond_cov.T)
+    grown = np.empty((o + m, o + m))
+    grown[:o, :o] = factor
+    grown[:o, o:] = 0.0
+    grown[o:, :o] = b.T
+    grown[o:, o:] = _cholesky(cond_cov, "conditional covariance")
     return ConditionalSolver(
-        observed_positions=obs,
-        target_positions=tgt,
+        observed_positions=tuple(obs_idx.tolist()),
+        target_positions=tuple(tgt_idx.tolist()),
         weights=weights,
         covariance=cond_cov,
+        factor=_readonly(grown),
     )
 
 
@@ -302,6 +330,11 @@ def sample_conditional(
         chol = np.linalg.cholesky(cond.covariance)
     except np.linalg.LinAlgError:
         vals, vecs = np.linalg.eigh(cond.covariance)
+        logger.warning(
+            "sample_conditional: Cholesky failed on a %dx%d conditional "
+            "covariance (smallest eigenvalue %.3e); drawing through eigh",
+            m, m, vals[0],
+        )
         chol = vecs * np.sqrt(np.clip(vals, 0.0, None))
     if cond.mean.ndim == 3:
         batch = cond.mean.shape[0]

@@ -70,6 +70,11 @@ class SamplerConfig:
     def domain(self) -> str:
         return DIFFUSION if self.kind in DIFFUSION_SAMPLERS else FLOW
 
+    @property
+    def min_steps(self) -> int:
+        """Fewest grid steps the sampler runs on (2 for the multistep solver)."""
+        return 2 if self.kind == "dpm_solver_pp" else 1
+
     def calls(self, steps: int) -> int:
         """Denoiser calls of one run on a ``steps``-step grid (the table above)."""
         midpoint = self.kind == "dpm_solver" and self.order == 2

@@ -129,19 +129,31 @@ class TestSimulateCommand:
         assert "schedule_kind" in err
 
     def test_unknown_config_key_fails(self, capsys, tmp_path):
-        # An unknown key, and a known key with a value of the wrong type,
-        # both fail before any output is written.
+        # An unknown key, a known key with a value of the wrong type, a value
+        # out of range and a policy that some AR step's grid rejects all fail
+        # before any output is written.
         config = tmp_path / "cfg.json"
         out_dir = tmp_path / "out"
-        for user, message in (
-            ({"no_such_key": 1}, "no_such_key"),
-            ({"grid_height": "4"}, "error: grid_height: "),
+        multistep = {"schedule_kind": "linear", "sampler": "dpm_solver_pp",
+                     "scheduler_kind": "two_stage", "t_late": 1,
+                     "sweep_t_late": [5, 1]}
+        simulate = ("simulate",)
+        for user, message, commands in (
+            ({"no_such_key": 1}, "no_such_key", simulate),
+            ({"grid_height": "4"}, "error: grid_height: ", simulate),
+            ({"schedule_kind": "linear", "n_sequences": 0},
+             "error: n_sequences: ", ("simulate", "diagnose")),
+            ({"schedule_kind": "linear", "draws_per_step": 1},
+             "error: draws_per_step: ", ("diagnose", "sweep")),
+            (multistep, "error: AR step 8: grid: ",
+             ("simulate", "diagnose", "sweep")),
         ):
             config.write_text(json.dumps({**user, "out_dir": str(out_dir)}))
-            code, _, err = run_cli(capsys, "simulate", "--config", str(config))
-            assert code == 1
-            assert message in err
-            assert not out_dir.exists()
+            for command in commands:
+                code, _, err = run_cli(capsys, command, "--config", str(config))
+                assert code == 1
+                assert message in err
+                assert not out_dir.exists()
 
     def test_runtime_error_exit_code(self, capsys, base_config):
         config, _ = base_config

@@ -100,6 +100,24 @@ class TestGenerateSequence:
 
 
 class TestSimulateSequences:
+    def test_conditionals_are_exact(self, spec, cov, linear_schedule, setup):
+        # The loop grows one Cholesky factor along the order; every recorded
+        # conditional must equal a from-scratch Schur complement given the
+        # values generated before it.
+        order, cfg, pol = setup
+        batch = sa.simulate_sequences(spec, order, cfg, pol, linear_schedule,
+                                      n_sequences=3, master_seed=2,
+                                      start_index=950, record_paths=True)
+        observed = []
+        for group, cond in zip(order.groups(), batch.conditionals):
+            exact = sa.conditional_solver(spec, observed, group, cov=cov)
+            np.testing.assert_allclose(cond.covariance, exact.covariance,
+                                       rtol=0, atol=1e-10)
+            np.testing.assert_allclose(
+                cond.mean, exact.mean(spec, batch.values[:, observed, :]),
+                rtol=0, atol=1e-10)
+            observed += group
+
     def test_batched_determinism(self, spec, linear_schedule, setup):
         order, cfg, pol = setup
         a = sa.simulate_sequences(spec, order, cfg, pol, linear_schedule,

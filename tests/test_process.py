@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,92 @@ class TestConditional:
         batched = solver.mean(spec, values)
         for b in range(7):
             np.testing.assert_allclose(batched[b], solver.mean(spec, values[b]))
+
+
+class TestThreadedFactor:
+    """One Cholesky factor grown along a generation order, checked in closed
+    form against from-scratch Schur complements."""
+
+    @pytest.fixture(scope="class")
+    def field(self):
+        spec = sa.TokenProcessSpec(grid_height=8, grid_width=8)
+        return spec, sa.joint_covariance(spec)
+
+    @staticmethod
+    def _thread(spec, cov, order):
+        observed, factor, steps = [], None, []
+        for group in order.groups():
+            solver = sa.conditional_solver(spec, observed, group, cov=cov,
+                                           factor=factor)
+            steps.append((list(observed), list(group), solver))
+            observed += group
+            factor = solver.factor
+        return steps, factor
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_from_scratch(self, field, seed):
+        spec, cov = field
+        order = sa.random_order(spec, spec.token_count, seed=seed)
+        steps, _ = self._thread(spec, cov, order)
+        # Both solvers are backward stable: each meets W Sigma_oo = Sigma_to
+        # to a few ulps.  Their weights may therefore differ by up to about
+        # cond(Sigma) * eps (3e-7 on this field, jitter 1e-8); 1.5e-8 is the
+        # largest difference seen over these orders.
+        weight_tol = np.linalg.cond(cov) * np.finfo(float).eps
+        for observed, group, solver in steps:
+            scratch = sa.conditional_solver(spec, observed, group, cov=cov)
+            np.testing.assert_allclose(solver.covariance, scratch.covariance,
+                                       rtol=0, atol=1e-10)
+            if not observed:
+                assert solver.weights.shape == (len(group), 0)
+                continue
+            sigma_oo = cov[np.ix_(observed, observed)]
+            sigma_to = cov[np.ix_(group, observed)]
+            residual = solver.weights @ sigma_oo - sigma_to
+            assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(sigma_to)
+            gap = np.linalg.norm(solver.weights - scratch.weights)
+            assert gap <= weight_tol * np.linalg.norm(scratch.weights)
+
+    def test_final_factor_is_cholesky_of_permuted_covariance(self, field):
+        spec, cov = field
+        order = sa.random_order(spec, 16, seed=3)
+        _, factor = self._thread(spec, cov, order)
+        perm = list(order.permutation)
+        np.testing.assert_array_equal(np.triu(factor, 1), 0.0)
+        np.testing.assert_allclose(factor @ factor.T, cov[np.ix_(perm, perm)],
+                                   rtol=0, atol=1e-12)
+
+    def test_from_scratch_factor(self, spec, cov):
+        solver = sa.conditional_solver(spec, [0, 5, 9], [2, 3], cov=cov)
+        block = cov[np.ix_([0, 5, 9, 2, 3], [0, 5, 9, 2, 3])]
+        np.testing.assert_allclose(solver.factor, np.linalg.cholesky(block),
+                                   rtol=0, atol=1e-12)
+
+    def test_factor_shape_is_checked(self, spec, cov):
+        with pytest.raises(ValueError, match="factor"):
+            sa.conditional_solver(spec, [0, 1, 2], [5], cov=cov,
+                                  factor=np.eye(2))
+
+
+class TestSampleConditional:
+    def test_eigh_fallback_is_logged(self, caplog):
+        # Rank one: Cholesky fails on the zero pivot, eigh draws exactly.
+        cond = sa.ConditionalGaussian(
+            target_positions=(0, 1), mean=np.zeros((2, 3)),
+            covariance=np.ones((2, 2)))
+        with caplog.at_level(logging.WARNING, logger="stepanneal"):
+            draws = sa.sample_conditional(cond, 3, np.random.default_rng(0),
+                                          size=5)
+        np.testing.assert_allclose(draws[:, 0], draws[:, 1], atol=1e-12)
+        [record] = caplog.records
+        assert record.name == "stepanneal"
+        assert "2x2" in record.getMessage()
+        assert "smallest eigenvalue" in record.getMessage()
+
+    def test_no_warning_on_positive_definite(self, caplog, aniso_cond):
+        with caplog.at_level(logging.WARNING, logger="stepanneal"):
+            sa.sample_conditional(aniso_cond, 4, np.random.default_rng(0))
+        assert caplog.records == []
 
 
 def _gauss_logpdf(x, mean, cov_mat):
