@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -219,10 +220,10 @@ def _schedule_for(cfg: dict, sampler_config: SamplerConfig):
 
 def check_run(
     cfg: dict,
-    sampler_config: SamplerConfig,
-    schedulers: list[StepScheduler],
-    schedule,
     minimums: dict[str, int],
+    sampler_config: SamplerConfig | None = None,
+    schedulers: Sequence[StepScheduler] = (),
+    schedule=None,
 ) -> None:
     """Range and grid-limit checks that must pass before anything is
     written: each key in ``minimums`` at least its minimum, and every AR
@@ -243,17 +244,14 @@ def resolve_out_dir(cfg: dict) -> Path:
 
 
 def write_csv(path: Path, digest: str, header: list[str], rows) -> None:
+    """Write the config-hash line, the header, then ``rows``.  A row is
+    either a tuple, written with ``str`` per value, or a text block of
+    finished lines (``batch_to_csv_rows``)."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_hash={digest}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+            fh.write(row if isinstance(row, str) else ",".join(map(str, row)) + "\n")
 
 
 def echo_config(cfg: dict, out: Path) -> str:
@@ -291,7 +289,7 @@ def cmd_simulate(args) -> int:
     sampler_config = build_sampler_config(cfg)
     scheduler = build_scheduler(cfg)
     schedule = _schedule_for(cfg, sampler_config)
-    check_run(cfg, sampler_config, [scheduler], schedule, {"n_sequences": 1})
+    check_run(cfg, {"n_sequences": 1}, sampler_config, [scheduler], schedule)
     out = resolve_out_dir(cfg)
     digest = echo_config(cfg, out)
     started = time.perf_counter()
@@ -333,9 +331,9 @@ def cmd_diagnose(args) -> int:
     sampler_config = build_sampler_config(cfg)
     scheduler = build_scheduler(cfg)
     schedule = _schedule_for(cfg, sampler_config)
-    check_run(cfg, sampler_config, [scheduler], schedule, {
+    check_run(cfg, {
         "n_sequences": 1, "t_draws": 1, "draws_per_step": 2, "probe_sequences": 1,
-    })
+    }, sampler_config, [scheduler], schedule)
     out = resolve_out_dir(cfg)
     digest = echo_config(cfg, out)
     started = time.perf_counter()
@@ -415,8 +413,8 @@ def cmd_sweep(args) -> int:
         for te in cfg["sweep_t_early"]
         for tl in cfg["sweep_t_late"]
     ]
-    check_run(cfg, sampler_config, schedulers, schedule,
-              {"draws_per_step": 2, "floor_repeats": 1})
+    check_run(cfg, {"draws_per_step": 2, "floor_repeats": 1, "joint_sequences": 0},
+              sampler_config, schedulers, schedule)
     out = resolve_out_dir(cfg)
     digest = echo_config(cfg, out)
     started = time.perf_counter()
@@ -462,6 +460,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     cfg = load_config(args.config, _overrides(args))
+    # The regression below fits 9 parameters (intercept and 8 observed
+    # positions) and needs a residual degree of freedom.
+    check_run(cfg, {"mc_samples": 10})
     spec = build_spec(cfg)
     rng = np.random.default_rng(cfg["master_seed"])
     oracle = BiasedDenoiser(0.5) if args.corrupt_score else ExactDenoiser()

@@ -143,16 +143,22 @@ def simulate_sequences(
     )
 
 
-def batch_to_csv_rows(batch: SequenceBatch) -> list[tuple[int, int, int, int, float]]:
-    """Rows (seq_id, ar_step, position, dim, value), ordered by cell index."""
+def batch_to_csv_rows(batch: SequenceBatch) -> list[str]:
+    """The body of ``tokens.csv`` as one text block per sequence: a line
+    ``seq_id,ar_step,position,dim,value`` per cell, in cell order.  Values
+    are written with ``str``, the shortest repr that round-trips, so
+    ``float()`` of a value gives back ``batch.values`` exactly."""
     step_of = np.empty(len(batch.order.permutation), dtype=int)
     for k, group in enumerate(batch.order.groups()):
-        for p in group:
-            step_of[p] = k
-    rows = []
-    n_seq, n, d = batch.values.shape
-    for s in range(n_seq):
-        for p in range(n):
-            for j in range(d):
-                rows.append((s, int(step_of[p]), p, j, float(batch.values[s, p, j])))
-    return rows
+        step_of[list(group)] = k
+    _, n, d = batch.values.shape
+    # One template per order; a sequence fills it with (s, v0, s, v1, ...).
+    template = "".join(
+        f"%d,{step_of[p]},{p},{j},%s\n" for p in range(n) for j in range(d)
+    )
+    blocks = []
+    for s, seq in enumerate(batch.values):
+        fill = [s] * (2 * n * d)
+        fill[1::2] = seq.ravel().tolist()
+        blocks.append(template % tuple(fill))
+    return blocks

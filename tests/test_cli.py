@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from stepanneal import cli, simulate_sequences
 from stepanneal.cli import main
 
 
@@ -145,6 +146,8 @@ class TestSimulateCommand:
              "error: n_sequences: ", ("simulate", "diagnose")),
             ({"schedule_kind": "linear", "draws_per_step": 1},
              "error: draws_per_step: ", ("diagnose", "sweep")),
+            ({"schedule_kind": "linear", "joint_sequences": -3},
+             "error: joint_sequences: ", ("sweep",)),
             (multistep, "error: AR step 8: grid: ",
              ("simulate", "diagnose", "sweep")),
         ):
@@ -161,6 +164,29 @@ class TestSimulateCommand:
                                "--t-early", "1000")
         assert code == 1
         assert "AR step" in err
+
+    def test_tokens_csv_reads_back_exactly(self, capsys, tmp_path):
+        # A small run shaped like the wide_batch benchmark (4x4 field, flow
+        # SDE): tokens.csv holds exactly the values of simulate_sequences.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "sampler": "euler_maruyama", "n_sequences": 64,
+            "out_dir": str(tmp_path / "out")}))
+        assert run_cli(capsys, "simulate", "--config", str(config))[0] == 0
+        cfg = cli.load_config(str(config), {})
+        spec = cli.build_spec(cfg)
+        order = cli.build_order(cfg, spec)
+        batch = simulate_sequences(
+            spec, order, cli.build_sampler_config(cfg), cli.build_scheduler(cfg),
+            n_sequences=64, master_seed=cfg["master_seed"],
+            flow_start_time=cfg["flow_start_time"])
+        _, rows = read_csv(tmp_path / "out" / "tokens.csv")
+        cells = [[int(x) for x in r[:4]] for r in rows]
+        step_of = {p: k for k, group in enumerate(order.groups()) for p in group}
+        assert cells == [[s, step_of[p], p, j]
+                         for s in range(64) for p in range(16) for j in range(4)]
+        values = np.array([float(r[4]) for r in rows]).reshape(batch.values.shape)
+        np.testing.assert_array_equal(values, batch.values)
 
     def test_env_var_out_dir(self, capsys, tmp_path, monkeypatch):
         config = tmp_path / "cfg.json"
@@ -279,3 +305,15 @@ class TestOracleCheckCommand:
                                "--corrupt-score")
         assert code == 1
         assert "[FAIL] score finite-difference" in out
+
+    @pytest.mark.parametrize("samples", [0, 9])
+    def test_too_few_mc_samples_fails_first(self, capsys, base_config, samples):
+        # The moment regression fits 9 parameters; with fewer than 10 draws
+        # the run must stop before any check, naming the key.
+        config, _ = base_config
+        cfg = json.loads(config.read_text())
+        config.write_text(json.dumps({**cfg, "mc_samples": samples}))
+        code, out, err = run_cli(capsys, "oracle-check", "--config", str(config))
+        assert code == 1
+        assert f"error: mc_samples: must be >= 10, got {samples}" in err
+        assert "[FAIL]" not in out

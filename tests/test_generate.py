@@ -128,16 +128,44 @@ class TestSimulateSequences:
         assert a.values.shape == (8, 16, 4)
 
     def test_csv_rows(self, spec, linear_schedule, setup):
+        # One text block per sequence.  Together they hold a line
+        # seq_id,ar_step,position,dim,value per cell, in cell order, and
+        # the values read back exactly.
         order, cfg, pol = setup
         batch = sa.simulate_sequences(spec, order, cfg, pol, linear_schedule,
                                       n_sequences=2, master_seed=1,
                                       start_index=950)
-        rows = sa.batch_to_csv_rows(batch)
-        assert len(rows) == 2 * 16 * 4
-        seq_id, ar_step, position, dim, value = rows[0]
-        assert (seq_id, position, dim) == (0, 0, 0)
-        groups = batch.order.groups()
-        assert position in groups[ar_step]
+        blocks = sa.batch_to_csv_rows(batch)
+        assert len(blocks) == 2
+        lines = "".join(blocks).splitlines()
+        assert len(lines) == 2 * 16 * 4
+        groups = order.groups()
+        cells = [(s, p, j) for s in range(2) for p in range(16) for j in range(4)]
+        values = []
+        for line, cell in zip(lines, cells):
+            seq_id, ar_step, position, dim, value = line.split(",")
+            assert (int(seq_id), int(position), int(dim)) == cell
+            assert int(position) in groups[int(ar_step)]
+            values.append(float(value))
+        np.testing.assert_array_equal(np.reshape(values, (2, 16, 4)), batch.values)
+
+    def test_csv_rows_match_per_row_repr(self):
+        # Values whose text is easy to get wrong: signed zero, exponents,
+        # the smallest subnormal and non-terminating binary fractions.  The
+        # body must equal the per-row repr formatter it replaced.
+        first = np.array([-0.0, 1e-05, 1e16, 5e-324, 0.1, 1 / 3]).reshape(3, 2)
+        values = np.stack([first, -first])
+        order = sa.GenerationOrder(permutation=(2, 0, 1), group_sizes=(1, 2))
+        batch = sa.SequenceBatch(values=values, order=order, step_counts=(1, 1),
+                                 nfe_per_sequence=2, master_seed=0)
+        step_of = {0: 1, 1: 1, 2: 0}
+        expected = "".join(
+            ",".join((str(s), str(step_of[p]), str(p), str(j),
+                      repr(float(values[s, p, j])))) + "\n"
+            for s in range(2) for p in range(3) for j in range(2)
+        )
+        assert "".join(sa.batch_to_csv_rows(batch)) == expected
+        assert "-0.0" in expected and "5e-324" in expected and "1e+16" in expected
 
     def test_joint_moments_match_process(self, spec, cov, linear_schedule):
         # Full-resolution ancestral generation, one token per AR step:
