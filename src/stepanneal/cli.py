@@ -461,8 +461,15 @@ def cmd_sweep(args) -> int:
 def cmd_oracle_check(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     # The regression below fits 9 parameters (intercept and 8 observed
-    # positions) and needs a residual degree of freedom.
+    # positions) and needs a residual degree of freedom; its target is a
+    # ninth position.
     check_run(cfg, {"mc_samples": 10})
+    height, width = cfg["grid_height"], cfg["grid_width"]
+    if height * width < 9:
+        raise ValueError(
+            f"grid_height/grid_width: oracle-check needs at least 9 positions "
+            f"(8 observed and 1 target), got {height}x{width}"
+        )
     spec = build_spec(cfg)
     rng = np.random.default_rng(cfg["master_seed"])
     oracle = BiasedDenoiser(0.5) if args.corrupt_score else ExactDenoiser()

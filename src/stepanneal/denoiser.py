@@ -14,9 +14,12 @@ The velocity relation follows from the linear interpolation
 
 The exact oracle treats both domains as one Gaussian channel
 ``x = s x0 + sigma eps`` on the conditional ``x0 ~ N(mu, Sigma)``: diffusion
-has ``(s^2, sigma^2) = (a, 1 - a)`` and flow ``((1 - t)^2, t^2)``.  One
-solve ``y = (s^2 Sigma + sigma^2 I)^-1 (x - s mu)`` gives every output:
-``score = -y``, ``E[eps|x] = sigma y`` and ``E[x0|x] = mu + s Sigma y``.
+has ``(s^2, sigma^2) = (a, 1 - a)`` and flow ``((1 - t)^2, t^2)``.  With the
+conditional's cached spectrum ``Sigma = U diag(lam) U^T`` the channel solve
+``y = (s^2 Sigma + sigma^2 I)^-1 (x - s mu)`` is ``y = U r`` with
+``r = U^T (x - s mu) / (s^2 lam + sigma^2)``, elementwise in the eigenbasis.
+Every output is one back-rotation of a rescaled ``r``: ``score = -U r``,
+``E[eps|x] = sigma U r`` and ``E[x0|x] = mu + U (s lam r)``.
 
 Samplers call an oracle with the conditional context passed through, so the
 exact-process oracle below stays stateless; call counting lives in the
@@ -25,8 +28,9 @@ sampler's trajectory record.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .process import ConditionalGaussian, NumericalError
 
@@ -93,26 +97,38 @@ def _flow_channel(t: float) -> tuple[float, float]:
 
 
 def _channel_solve(
-    cond: ConditionalGaussian, x: np.ndarray, signal_var: float, noise_var: float
+    cond: ConditionalGaussian,
+    x: np.ndarray,
+    signal_var: float,
+    noise_var: float,
+    gain: float | np.ndarray,
 ) -> np.ndarray:
-    """``y = (s^2 Sigma + sigma^2 I)^-1 (x - s mu)`` with ``s = sqrt(signal_var)``,
-    for states of shape (..., m, d), through a Cholesky factor."""
-    mat = signal_var * cond.covariance + noise_var * np.eye(cond.size)
-    try:
-        factor = cho_factor(mat, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"marginal covariance is singular: {exc}") from exc
-    dev = np.asarray(x, dtype=np.float64) - np.sqrt(signal_var) * cond.mean
-    moved = np.moveaxis(dev, -2, 0)  # (m, ..., d)
-    solved = cho_solve(factor, moved.reshape(moved.shape[0], -1))
-    return np.moveaxis(solved.reshape(moved.shape), 0, -2)
+    """``U (gain * r)`` with ``r = U^T (x - s mu) / (s^2 lam + sigma^2)``,
+    ``s = sqrt(signal_var)`` and ``Sigma = U diag(lam) U^T``, for states of
+    shape (..., m, d).  ``r`` is the channel solve in the eigenbasis
+    (``y = U r``, ``Sigma y = U (lam r)``), so every output is one rotation
+    in, a per-eigenvalue ``gain`` (a scalar or an (m,) array) and one
+    rotation back.  A channel whose smallest ``s^2 lam + sigma^2`` is zero to
+    rounding (at most ``m`` ulps of the largest, the ``matrix_rank`` cut) is
+    singular."""
+    lam, vecs = cond.spectrum
+    denom = signal_var * lam + noise_var
+    if denom[0] <= denom[-1] * lam.size * np.finfo(np.float64).eps:
+        raise NumericalError(
+            f"marginal covariance is singular: eigenvalues of "
+            f"s^2 Sigma + sigma^2 I span {denom[0]:.3e} to {denom[-1]:.3e}"
+        )
+    dev = np.asarray(x, dtype=np.float64) - math.sqrt(signal_var) * cond.mean
+    return vecs @ ((gain / denom)[:, None] * (vecs.T @ dev))
 
 
 def _posterior_velocity(
-    cond: ConditionalGaussian, y: np.ndarray, t: float
+    cond: ConditionalGaussian, x: np.ndarray, t: float
 ) -> np.ndarray:
-    """``E[eps - x0 | x] = t y - (mu + (1 - t) Sigma y)`` from the flow solve."""
-    return t * y - (cond.mean + (1.0 - t) * (cond.covariance @ y))
+    """``E[eps - x0 | x] = t y - (mu + (1 - t) Sigma y)``, that is
+    ``U ((t - (1 - t) lam) r) - mu``."""
+    gain = t - (1.0 - t) * cond.spectrum[0]
+    return _channel_solve(cond, x, *_flow_channel(t), gain) - cond.mean
 
 
 class ExactDenoiser:
@@ -132,29 +148,30 @@ class ExactDenoiser:
         self, x: np.ndarray, alpha_bar: float, cond: ConditionalGaussian
     ) -> np.ndarray:
         signal_var, noise_var = _diffusion_channel(alpha_bar)
-        return np.sqrt(noise_var) * _channel_solve(cond, x, signal_var, noise_var)
+        y = _channel_solve(cond, x, signal_var, noise_var, 1.0)
+        return math.sqrt(noise_var) * y
 
     def score(
         self, x: np.ndarray, alpha_bar: float, cond: ConditionalGaussian
     ) -> np.ndarray:
-        return -_channel_solve(cond, x, *_diffusion_channel(alpha_bar))
+        return _channel_solve(cond, x, *_diffusion_channel(alpha_bar), -1.0)
 
     def x0(
         self, x: np.ndarray, alpha_bar: float, cond: ConditionalGaussian
     ) -> np.ndarray:
         signal_var, noise_var = _diffusion_channel(alpha_bar, allow_zero=True)
-        y = _channel_solve(cond, x, signal_var, noise_var)
-        return cond.mean + np.sqrt(signal_var) * (cond.covariance @ y)
+        gain = math.sqrt(signal_var) * cond.spectrum[0]
+        return cond.mean + _channel_solve(cond, x, signal_var, noise_var, gain)
 
     def velocity(
         self, x: np.ndarray, t: float, cond: ConditionalGaussian
     ) -> np.ndarray:
-        return _posterior_velocity(cond, _channel_solve(cond, x, *_flow_channel(t)), t)
+        return _posterior_velocity(cond, x, t)
 
     def flow_score(
         self, x: np.ndarray, t: float, cond: ConditionalGaussian
     ) -> np.ndarray:
-        return -_channel_solve(cond, x, *_flow_channel(t))
+        return _channel_solve(cond, x, *_flow_channel(t), -1.0)
 
     def velocity_and_flow_score(
         self, x: np.ndarray, t: float, cond: ConditionalGaussian
@@ -162,10 +179,10 @@ class ExactDenoiser:
         """Both flow quantities from one call (one denoiser evaluation): the
         velocity through the score conversion, or from the posterior where
         that conversion divides by ``1 - t = 0``."""
-        y = _channel_solve(cond, x, *_flow_channel(t))
+        score = _channel_solve(cond, x, *_flow_channel(t), -1.0)
         if 1.0 - t < _LIMIT_EPS:
-            return _posterior_velocity(cond, y, t), -y
-        return velocity_from_flow_score(-y, x, t), -y
+            return _posterior_velocity(cond, x, t), score
+        return velocity_from_flow_score(score, x, t), score
 
 
 class BiasedDenoiser(ExactDenoiser):

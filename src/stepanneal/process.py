@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -190,6 +191,14 @@ class ConditionalGaussian:
     def size(self) -> int:
         return len(self.target_positions)
 
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues ``lam`` (ascending) and orthonormal eigenvectors ``U``
+        with ``covariance = U diag(lam) U^T``: one ``eigh`` on first use,
+        cached and read-only like the other fields."""
+        lam, vecs = np.linalg.eigh(self.covariance)
+        return _readonly(lam), _readonly(vecs)
+
 
 @dataclass(frozen=True, eq=False)
 class ConditionalSolver:
@@ -329,7 +338,7 @@ def sample_conditional(
     try:
         chol = np.linalg.cholesky(cond.covariance)
     except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(cond.covariance)
+        vals, vecs = cond.spectrum
         logger.warning(
             "sample_conditional: Cholesky failed on a %dx%d conditional "
             "covariance (smallest eigenvalue %.3e); drawing through eigh",

@@ -317,3 +317,14 @@ class TestOracleCheckCommand:
         assert code == 1
         assert f"error: mc_samples: must be >= 10, got {samples}" in err
         assert "[FAIL]" not in out
+
+    def test_too_few_positions_fails_first(self, capsys, base_config):
+        # 8 observed positions and 1 regression target need a 9-position
+        # field; a 2x2 field must stop before any check, naming the keys.
+        config, _ = base_config
+        cfg = json.loads(config.read_text())
+        config.write_text(json.dumps({**cfg, "grid_height": 2, "grid_width": 2}))
+        code, out, err = run_cli(capsys, "oracle-check", "--config", str(config))
+        assert code == 1
+        assert "error: grid_height/grid_width: oracle-check needs at least 9" in err
+        assert "[FAIL]" not in out

@@ -78,6 +78,77 @@ class TestExactDenoiser:
                 np.sqrt(a) * x0 + np.sqrt(1 - a) * eps, x, atol=1e-10)
 
 
+def _dense_reference(cond, x, signal_var, noise_var):
+    """``y = (s^2 Sigma + sigma^2 I)^-1 (x - s mu)`` by a dense solve."""
+    mat = signal_var * cond.covariance + noise_var * np.eye(cond.size)
+    return np.linalg.solve(mat, x - np.sqrt(signal_var) * cond.mean)
+
+
+def _assert_close(got, ref):
+    rel = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+    assert rel <= 1e-10, rel
+
+
+class TestChannelSolveAgainstDenseReference:
+    @pytest.fixture(params=["default", "ill_conditioned"])
+    def cond(self, request, aniso_cond):
+        if request.param == "default":
+            return aniso_cond
+        # Row 0 of the 8x8 field given row 1: condition number about 7.5e4.
+        spec = sa.TokenProcessSpec(grid_height=8, grid_width=8)
+        values = np.random.default_rng(4).standard_normal((8, spec.token_dim))
+        cond = sa.conditional(spec, list(zip(range(8, 16), values)), list(range(8)))
+        lam = np.linalg.eigvalsh(cond.covariance)
+        assert lam[-1] / lam[0] > 1e4
+        return cond
+
+    @pytest.fixture(params=[(), (5,)], ids=["m_d", "batch_m_d"])
+    def state(self, request, cond):
+        shape = request.param + (cond.size, cond.mean.shape[-1])
+        return np.random.default_rng(6).standard_normal(shape)
+
+    @pytest.mark.parametrize("a", [0.0, 0.35, 0.999])
+    def test_diffusion_outputs(self, oracle, cond, state, a):
+        y = _dense_reference(cond, state, a, 1.0 - a)
+        _assert_close(oracle.x0(state, a, cond),
+                      cond.mean + np.sqrt(a) * (cond.covariance @ y))
+        if a == 0.0:
+            return  # score and noise prediction need a signal
+        _assert_close(oracle.score(state, a, cond), -y)
+        _assert_close(oracle.epsilon(state, a, cond), np.sqrt(1.0 - a) * y)
+
+    @pytest.mark.parametrize("t", [0.0, 0.4, 1.0])
+    def test_flow_outputs(self, oracle, cond, state, t):
+        y = _dense_reference(cond, state, (1.0 - t) ** 2, t**2)
+        velocity = t * y - (cond.mean + (1.0 - t) * (cond.covariance @ y))
+        _assert_close(oracle.flow_score(state, t, cond), -y)
+        _assert_close(oracle.velocity(state, t, cond), velocity)
+        v, score = oracle.velocity_and_flow_score(state, t, cond)
+        _assert_close(v, velocity)
+        _assert_close(score, -y)
+
+
+class TestSingularChannel:
+    # eigh gives the zero eigenvalue of these three as 0, +5.6e-17 and
+    # -2.2e-16: each must count as zero.
+    @pytest.mark.parametrize("direction", [[1.0, 2.0], [-0.7, -1.3],
+                                           [0.3, -0.7, 1.1]])
+    def test_rank_one_covariance_without_noise(self, oracle, direction):
+        v = np.asarray(direction)
+        cond = sa.ConditionalGaussian(
+            target_positions=tuple(range(v.size)),
+            mean=np.full((v.size, 4), 0.3),
+            covariance=np.outer(v, v),
+        )
+        x = np.random.default_rng(8).standard_normal((3, v.size, 4))
+        with pytest.raises(sa.NumericalError, match="singular"):
+            oracle.x0(x, 1.0, cond)
+        with pytest.raises(sa.NumericalError, match="singular"):
+            oracle.velocity(x, 0.0, cond)
+        # Any noise makes the channel regular again.
+        assert np.all(np.isfinite(oracle.x0(x, 0.9, cond)))
+
+
 class TestBiasedDenoiser:
     def test_bias_breaks_gradient_identity(self, aniso_cond):
         biased = sa.BiasedDenoiser(0.5)

@@ -101,6 +101,18 @@ class TestConditional:
         with pytest.raises(sa.NumericalError):
             sa.conditional_solver(spec, [0, 1, 2], [5], cov=bad)
 
+    def test_fields_and_spectrum_are_read_only(self, aniso_cond):
+        # Conditionals are shared across workers, so the cached spectrum is
+        # as immutable as the mean and the covariance.
+        lam, vecs = aniso_cond.spectrum
+        assert aniso_cond.spectrum[1] is vecs
+        np.testing.assert_allclose((vecs * lam) @ vecs.T, aniso_cond.covariance,
+                                   atol=1e-14)
+        for arr in (aniso_cond.mean, aniso_cond.covariance, lam, vecs):
+            assert arr.flags.writeable is False
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
     def test_batched_means_match_loop(self, spec, cov):
         solver = sa.conditional_solver(spec, [0, 5, 9], [2, 3], cov=cov)
         rng = np.random.default_rng(3)
