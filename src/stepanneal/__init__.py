@@ -55,11 +55,13 @@ from .generate import (
 from .process import (
     ConditionalGaussian,
     ConditionalSolver,
+    ConditioningPlan,
     GenerationOrder,
     NumericalError,
     TokenProcessSpec,
     conditional,
     conditional_solver,
+    conditioning_plan,
     default_spec,
     joint_covariance,
     random_order,

@@ -169,6 +169,9 @@ def build_spec(cfg: dict) -> TokenProcessSpec:
 
 
 def build_order(cfg: dict, spec: TokenProcessSpec):
+    n = spec.token_count
+    if not 1 <= cfg["ar_steps"] <= n:
+        raise ValueError(f"ar_steps: must lie in [1, {n}], got {cfg['ar_steps']}")
     if cfg["order_kind"] == "raster":
         return raster_order(spec, cfg["ar_steps"])
     if cfg["order_kind"] == "random":
@@ -224,13 +227,17 @@ def check_run(
     sampler_config: SamplerConfig | None = None,
     schedulers: Sequence[StepScheduler] = (),
     schedule=None,
+    spec: TokenProcessSpec | None = None,
 ) -> None:
-    """Range and grid-limit checks that must pass before anything is
-    written: each key in ``minimums`` at least its minimum, and every AR
-    step's grid under every policy."""
+    """Range, grid-limit and covariance checks that must pass before
+    anything is written: each key in ``minimums`` at least its minimum,
+    every AR step's grid under every policy, and the spec's covariance
+    positive definite (built here once and cached on the spec)."""
     for key, least in minimums.items():
         if cfg[key] < least:
             raise ValueError(f"{key}: must be >= {least}, got {cfg[key]}")
+    if spec is not None:
+        joint_covariance(spec)
     for scheduler in schedulers:
         step_grids(sampler_config, scheduler, schedule,
                    cfg["start_index"], cfg["flow_start_time"])
@@ -289,7 +296,7 @@ def cmd_simulate(args) -> int:
     sampler_config = build_sampler_config(cfg)
     scheduler = build_scheduler(cfg)
     schedule = _schedule_for(cfg, sampler_config)
-    check_run(cfg, {"n_sequences": 1}, sampler_config, [scheduler], schedule)
+    check_run(cfg, {"n_sequences": 1}, sampler_config, [scheduler], schedule, spec)
     out = resolve_out_dir(cfg)
     digest = echo_config(cfg, out)
     started = time.perf_counter()
@@ -333,7 +340,7 @@ def cmd_diagnose(args) -> int:
     schedule = _schedule_for(cfg, sampler_config)
     check_run(cfg, {
         "n_sequences": 1, "t_draws": 1, "draws_per_step": 2, "probe_sequences": 1,
-    }, sampler_config, [scheduler], schedule)
+    }, sampler_config, [scheduler], schedule, spec)
     out = resolve_out_dir(cfg)
     digest = echo_config(cfg, out)
     started = time.perf_counter()
@@ -414,7 +421,7 @@ def cmd_sweep(args) -> int:
         for tl in cfg["sweep_t_late"]
     ]
     check_run(cfg, {"draws_per_step": 2, "floor_repeats": 1, "joint_sequences": 0},
-              sampler_config, schedulers, schedule)
+              sampler_config, schedulers, schedule, spec)
     out = resolve_out_dir(cfg)
     digest = echo_config(cfg, out)
     started = time.perf_counter()

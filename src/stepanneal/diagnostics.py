@@ -32,7 +32,8 @@ from .process import (
     ConditionalGaussian,
     GenerationOrder,
     TokenProcessSpec,
-    conditional_solver,
+    conditional_solver,  # noqa: F401  (kept for bench/spans.py)
+    conditioning_plan,
     joint_covariance,
     sample_conditional,
 )
@@ -287,31 +288,27 @@ def sampling_variance(
     flow_start_time: float = 1.0,
 ) -> VarianceReport:
     """Freeze a reference prefix, then at each AR step redraw the next group
-    ``draws_per_step`` times through the annealed sampler."""
+    ``draws_per_step`` times through the annealed sampler.  The prefix is
+    drawn exactly, so its whitened innovations are the standard normal draws
+    themselves."""
     if draws_per_step < 2:
         raise ValueError("draws_per_step: must be >= 2")
     prefix_seed, redraw_seed = seeds
     grids = step_grids(sampler_config, scheduler, schedule, start_index, flow_start_time)
-    cov = joint_covariance(spec)
+    plan = conditioning_plan(spec, order, joint_covariance(spec))
     oracle = ExactDenoiser()
     prefix_rng = np.random.default_rng(prefix_seed)
     redraw_rng = np.random.default_rng(redraw_seed)
-    values = np.zeros((1, spec.token_count, spec.token_dim))
-    observed: list[int] = []
-    factor = None
+    whitened = np.empty((spec.token_count, spec.token_dim))
     empirical, exact = [], []
-    for group, (_, grid) in zip(order.groups(), grids):
-        solver = conditional_solver(spec, observed, group, cov=cov, factor=factor)
-        factor = solver.factor
-        cond = solver.conditional(spec, values[0, observed, :])
+    for k, (_, grid) in enumerate(grids[: order.step_count]):
+        cond = plan.conditional(k, whitened)
         draws, _ = sample_with_config(
             sampler_config, oracle, cond, grid, redraw_rng, n_samples=draws_per_step
         )
         empirical.append(draws.var(axis=0, ddof=1).mean(axis=0))  # (d,)
         exact.append(float(np.trace(cond.covariance)) / cond.size)
-        committed = sample_conditional(cond, spec.token_dim, prefix_rng, size=1)
-        values[0, list(group), :] = committed[0]
-        observed.extend(group)
+        whitened[plan.rows(k)] = prefix_rng.standard_normal((cond.size, spec.token_dim))
     return VarianceReport(
         empirical=np.asarray(empirical),
         exact_per_dim=np.asarray(exact),
@@ -333,26 +330,20 @@ def probe_error(
     spec: TokenProcessSpec, order: GenerationOrder, seeds
 ) -> ProbeReport:
     """Per-step squared error of predicting the sampled group by the
-    conditional mean, averaged over exactly sampled sequences."""
+    conditional mean, averaged over exactly sampled sequences.  An exact draw
+    is ``mean + L_kk z``, so the error is the innovation ``L_kk z`` and the
+    means themselves are never formed."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds: need at least one seed")
     rng = np.random.default_rng(seeds)
     n_seq = len(seeds)
-    cov = joint_covariance(spec)
-    values = np.zeros((n_seq, spec.token_count, spec.token_dim))
-    observed: list[int] = []
-    factor = None
+    plan = conditioning_plan(spec, order, joint_covariance(spec))
     mse, exact = [], []
-    for group in order.groups():
-        solver = conditional_solver(spec, observed, group, cov=cov, factor=factor)
-        factor = solver.factor
-        cond = solver.conditional(spec, values[:, observed, :])
-        draws = sample_conditional(cond, spec.token_dim, rng)
-        mse.append(float(np.mean((draws - cond.mean) ** 2)))
-        exact.append(float(np.trace(cond.covariance)) / cond.size)
-        values[:, list(group), :] = draws
-        observed.extend(group)
+    for k, size in enumerate(order.group_sizes):
+        z = rng.standard_normal((n_seq, size, spec.token_dim))
+        mse.append(float(np.mean((plan.block(k) @ z) ** 2)))
+        exact.append(float(np.trace(plan.covariance(k))) / size)
     return ProbeReport(
         mse=np.asarray(mse), exact_per_dim=np.asarray(exact), n_sequences=n_seq
     )
@@ -426,26 +417,22 @@ def quality_sweep(
         for s in scheduler_list
     ]
     cov = joint_covariance(spec)
+    plan = conditioning_plan(spec, order, cov)
     oracle = ExactDenoiser()
     prefix_rng = np.random.default_rng(prefix_seed)
     rng = np.random.default_rng(sweep_seed)
 
-    # Frozen reference prefix and per-step exact conditionals + floors.
+    # Frozen exact reference prefix (whitened innovations are its standard
+    # normal draws) and per-step exact conditionals + floors.
     conds, floors = [], []
-    values = np.zeros((1, spec.token_count, spec.token_dim))
-    observed: list[int] = []
-    factor = None
-    for group in order.groups():
-        solver = conditional_solver(spec, observed, group, cov=cov, factor=factor)
-        factor = solver.factor
-        cond = solver.conditional(spec, values[0, observed, :])
+    whitened = np.empty((spec.token_count, spec.token_dim))
+    for k in range(order.step_count):
+        cond = plan.conditional(k, whitened)
         conds.append(cond)
         floors.append(
             w2_floor(cond, spec.token_dim, draws_per_step, rng, repeats=floor_repeats)
         )
-        committed = sample_conditional(cond, spec.token_dim, prefix_rng, size=1)
-        values[0, list(group), :] = committed[0]
-        observed.extend(group)
+        whitened[plan.rows(k)] = prefix_rng.standard_normal((cond.size, spec.token_dim))
 
     rows: list[SweepRow] = []
     summaries: list[SweepSummary] = []

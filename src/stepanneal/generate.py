@@ -4,8 +4,10 @@ Each AR step k conditions on everything generated so far, builds a reverse
 grid with the annealed step count T(k), and runs the configured sampler with
 the exact conditional as its denoiser.  Runs are fully determined by the
 seed.  ``simulate_sequences`` vectorizes many sequences through one shared
-generation order: the conditional covariance (and hence the per-step solver)
-depends only on which positions are observed, so only the means are batched.
+generation order: it factors the order's covariance once
+(:func:`~stepanneal.process.conditioning_plan`), every step's conditional
+covariance comes from that factor, and each step's batched means are one
+product with the whitened innovations of the groups already drawn.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from .process import (
     ConditionalGaussian,
     GenerationOrder,
     TokenProcessSpec,
-    conditional_solver,
+    conditional_solver,  # noqa: F401  (kept for bench/spans.py)
+    conditioning_plan,
     joint_covariance,
 )
 from .samplers import SamplerConfig, TrajectoryRecord, sample_with_config
@@ -104,29 +107,26 @@ def simulate_sequences(
     if scheduler.ar_steps != order.step_count:
         raise ValueError("scheduler: ar_steps must match the generation order")
     grids = step_grids(sampler_config, scheduler, schedule, start_index, flow_start_time)
+    plan = conditioning_plan(spec, order, joint_covariance(spec))
     rng = np.random.default_rng([master_seed, n_sequences])
-    cov = joint_covariance(spec)
     oracle = ExactDenoiser()
     n, d = spec.token_count, spec.token_dim
     values = np.zeros((n_sequences, n, d))
-    observed: list[int] = []
+    whitened = np.empty((n, n_sequences, d))
     step_counts: list[int] = []
     trajectories = [] if record_paths else None
     conditionals = [] if record_paths else None
     nfe = 0
-    factor = None
     for k, (group, (t_k, grid)) in enumerate(zip(order.groups(), grids)):
         try:
-            solver = conditional_solver(spec, observed, group, cov=cov, factor=factor)
-            cond = solver.conditional(spec, values[:, observed, :])
+            cond = plan.conditional(k, whitened)
             sample, record = sample_with_config(
                 sampler_config, oracle, cond, grid, rng, record_path=record_paths
             )
         except Exception as exc:
             raise RuntimeError(f"AR step {k}: {exc}") from exc
         values[:, list(group), :] = sample
-        observed.extend(group)
-        factor = solver.factor
+        whitened[plan.rows(k)] = plan.whiten(k, sample - cond.mean)
         step_counts.append(t_k)
         nfe += record.nfe
         if record_paths:

@@ -11,18 +11,25 @@ point of the generation order is available in closed form.  Together with
 backbone plus denoising head, which lets sampler behaviour be checked
 against exact truth.
 
-Specs, solvers and conditionals are immutable after construction and safe to
-share across concurrent workers.
+Generation conditions through a :class:`ConditioningPlan`: one Cholesky
+factor of the covariance permuted into the generation order, from which
+every AR step's conditional follows by one small triangular solve and one
+matrix product (the innovations form of Gaussian autoregression).
+
+Specs, plans, solvers and conditionals are immutable after construction and
+safe to share across concurrent workers.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 
 logger = logging.getLogger("stepanneal")
@@ -81,6 +88,30 @@ class TokenProcessSpec:
         rows, cols = np.divmod(np.arange(self.token_count), self.grid_width)
         return np.stack([rows, cols], axis=1).astype(np.float64)
 
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """Dense n x n position covariance, jitter included on the diagonal:
+        built and checked positive definite on first use, then cached and
+        read-only like the fields."""
+        pos = self.positions()
+        d_row = pos[:, None, 0] - pos[None, :, 0]
+        d_col = pos[:, None, 1] - pos[None, :, 1]
+        dist2 = d_row * d_row + d_col * d_col
+        s2 = self.marginal_std**2
+        if self.kernel == "rbf":
+            cov = s2 * np.exp(-dist2 / (2.0 * self.length_scale**2))
+        else:  # ar1: exponential decay in grid distance
+            cov = s2 * np.exp(-np.sqrt(dist2) / self.length_scale)
+        cov.flat[:: self.token_count + 1] += self.jitter
+        if dpotrf(cov, lower=1, clean=0)[1] != 0:
+            smallest = float(np.linalg.eigvalsh(cov)[0])
+            raise NumericalError(
+                f"length_scale/jitter: the joint covariance is not positive "
+                f"definite after jitter (smallest eigenvalue ~ {smallest:.3e}); "
+                f"raise jitter or shorten length_scale"
+            )
+        return _readonly(cov)
+
 
 def default_spec(token_dim: int = 4) -> TokenProcessSpec:
     """The standard experiment field: 4x4 grid, rbf kernel, ell=2, sigma=1."""
@@ -88,25 +119,9 @@ def default_spec(token_dim: int = 4) -> TokenProcessSpec:
 
 
 def joint_covariance(spec: TokenProcessSpec) -> np.ndarray:
-    """Dense n x n position covariance (jitter included on the diagonal)."""
-    pos = spec.positions()
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist2 = np.sum(diff * diff, axis=-1)
-    s2 = spec.marginal_std**2
-    if spec.kernel == "rbf":
-        cov = s2 * np.exp(-dist2 / (2.0 * spec.length_scale**2))
-    else:  # ar1: exponential decay in grid distance
-        cov = s2 * np.exp(-np.sqrt(dist2) / spec.length_scale)
-    cov = cov + spec.jitter * np.eye(spec.token_count)
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        smallest = float(np.linalg.eigvalsh(cov)[0])
-        raise NumericalError(
-            f"joint covariance not positive definite after jitter "
-            f"(smallest eigenvalue ~ {smallest:.3e})"
-        ) from None
-    return cov
+    """Dense n x n position covariance (jitter included on the diagonal),
+    read-only and cached on the spec (:attr:`TokenProcessSpec.covariance`)."""
+    return spec.covariance
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +154,7 @@ class GenerationOrder:
 
 def _split_sizes(n: int, group_count: int) -> tuple[int, ...]:
     if not 1 <= group_count <= n:
-        raise ValueError("group_count: must lie in [1, token_count]")
+        raise ValueError(f"group_count: must lie in [1, {n}], got {group_count}")
     base, extra = divmod(n, group_count)
     return tuple(base + (1 if k < extra else 0) for k in range(group_count))
 
@@ -201,22 +216,117 @@ class ConditionalGaussian:
 
 
 @dataclass(frozen=True, eq=False)
+class ConditioningPlan:
+    """Every AR step's conditional along one generation order, from one
+    Cholesky factor.
+
+    ``factor`` is the lower Cholesky factor L of the joint covariance permuted
+    into generation order, and AR step k emits rows ``a:b`` =
+    ``offsets[k]:offsets[k + 1]`` of it.  With ``L_kk = L[a:b, a:b]`` the
+    step's conditional covariance is ``L_kk L_kk^T`` and its mean is
+    ``mu_k + L[a:b, :a] w[:a]``, where ``w`` holds the whitened innovations
+    ``w_j = L_jj^-1 (x_j - mean_j)`` of the groups already drawn; an exact
+    draw is ``mean_k + L_kk z`` with whitened innovation ``z``.  ``w`` is
+    position-major, shape (n, d) for one sequence or (n, S, d) for S, so each
+    step's mean is one matrix product over every sequence."""
+
+    order: GenerationOrder
+    mean_field: np.ndarray  # (n,), in generation order
+    factor: np.ndarray  # (n, n), lower
+    offsets: tuple[int, ...]  # (K + 1,)
+
+    def rows(self, k: int) -> slice:
+        """Step k's rows of the factor (and of the whitened innovations)."""
+        return slice(self.offsets[k], self.offsets[k + 1])
+
+    def block(self, k: int) -> np.ndarray:
+        """``L_kk``, the lower Cholesky factor of step k's covariance."""
+        rows = self.rows(k)
+        return self.factor[rows, rows]
+
+    def covariance(self, k: int) -> np.ndarray:
+        """Step k's conditional covariance ``L_kk L_kk^T``."""
+        block = self.block(k)
+        cov = block @ block.T
+        return 0.5 * (cov + cov.T)
+
+    def conditional(self, k: int, whitened: np.ndarray) -> ConditionalGaussian:
+        """Step k's conditional given the whitened innovations of the groups
+        before it: the rows of ``whitened`` before step k (later rows are not
+        read)."""
+        a, b = self.offsets[k], self.offsets[k + 1]
+        prefix = whitened.reshape(whitened.shape[0], -1)[:a]
+        mean = self.mean_field[a:b, None] + self.factor[a:b, :a] @ prefix
+        mean = mean.reshape((b - a,) + whitened.shape[1:])
+        if mean.ndim == 3:
+            mean = mean.transpose(1, 0, 2)
+        return ConditionalGaussian(
+            target_positions=self.order.permutation[a:b],
+            mean=mean,
+            covariance=self.covariance(k),
+        )
+
+    def whiten(self, k: int, innovation: np.ndarray) -> np.ndarray:
+        """``L_kk^-1 innovation`` for step k's innovation ``x - mean`` of
+        shape (m, d) or (S, m, d), returned position-major: (m, d) or
+        (m, S, d)."""
+        if innovation.ndim == 3:
+            innovation = innovation.transpose(1, 0, 2)
+        m = innovation.shape[0]
+        flat = solve_triangular(
+            self.block(k), innovation.reshape(m, -1), lower=True, check_finite=False
+        )
+        return flat.reshape(innovation.shape)
+
+
+def conditioning_plan(
+    spec: TokenProcessSpec, order: GenerationOrder, cov: np.ndarray | None = None
+) -> ConditioningPlan:
+    """Factor the joint covariance, permuted into ``order``, once: one n x n
+    Cholesky factorisation.  A pivot that is not positive raises
+    :class:`NumericalError` naming its AR step and position, before any
+    conditional is formed."""
+    n = spec.token_count
+    if len(order.permutation) != n:
+        raise ValueError(f"order: covers {len(order.permutation)} positions, "
+                         f"the grid has {n}")
+    if cov is None:
+        cov = joint_covariance(spec)
+    perm = np.asarray(order.permutation)
+    permuted = cov[np.ix_(perm, perm)]
+    # The permuted covariance is symmetric, so its transpose is the same
+    # matrix in Fortran order: LAPACK factors it in place as U^T U, and the
+    # same buffer read in C order is L = U^T.
+    upper, info = dpotrf(permuted.T, lower=0, clean=1, overwrite_a=1)
+    offsets = tuple(np.cumsum((0,) + order.group_sizes).tolist())
+    if info > 0:
+        row = info - 1
+        k = bisect_right(offsets, row) - 1
+        raise NumericalError(
+            f"AR step {k}: the covariance is not positive definite at position "
+            f"{perm[row]} (pivot {info} of {n} in generation order)"
+        )
+    return ConditioningPlan(
+        order=order,
+        mean_field=_readonly(spec.mean_field[perm]),
+        factor=_readonly(upper.T),
+        offsets=offsets,
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class ConditionalSolver:
-    """Reusable pieces of one conditioning step: the regression weights from
+    """One conditioning step solved from scratch: the regression weights from
     observed onto target positions and the (prefix-independent) conditional
     covariance.  Means for many prefixes can then be formed by matrix
-    products, which is what the batched generation loop uses.
-
-    ``factor`` is the lower Cholesky factor of the joint covariance of the
-    observed then the target positions, in that order; passing it to the
-    next step's :func:`conditional_solver` extends it instead of factoring
-    the grown observed block again."""
+    products.  Generation conditions through a :class:`ConditioningPlan`
+    instead; this one-shot form serves :func:`conditional` and
+    ``oracle-check``."""
 
     observed_positions: tuple[int, ...]
     target_positions: tuple[int, ...]
     weights: np.ndarray  # (m, o)
     covariance: np.ndarray  # (m, m)
-    factor: np.ndarray  # (o + m, o + m)
 
     def mean(self, spec: TokenProcessSpec, observed_values: np.ndarray) -> np.ndarray:
         """Conditional mean for observed token values of shape (o, d) or
@@ -245,31 +355,18 @@ class ConditionalSolver:
         )
 
 
-def _cholesky(mat: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"{what} is not positive definite: {exc}") from exc
-
-
 def conditional_solver(
     spec: TokenProcessSpec,
     observed_positions,
     target_positions,
     cov: np.ndarray | None = None,
-    factor: np.ndarray | None = None,
 ) -> ConditionalSolver:
-    """Schur-complement conditioning through one growing Cholesky factor.
+    """Schur-complement conditioning of the targets on the observed positions.
 
-    ``factor`` is the lower Cholesky factor L of the observed block, in the
-    order of ``observed_positions``, usually the previous step's
-    ``ConditionalSolver.factor``; without it the observed block is factored
-    here.  With ``B = L^-1 Sigma_ot`` (one triangular solve) the weights are
-    ``(L^-T B)^T`` (a second one), the conditional covariance is
-    ``Sigma_tt - B^T B`` and the returned factor is
-    ``[[L, 0], [B^T, chol(Sigma_tt - B^T B)]]``.  Threading it along a
-    generation order costs triangular solves, never an explicit inverse or a
-    second factorisation of the observed block."""
+    With L the lower Cholesky factor of the observed block and
+    ``B = L^-1 Sigma_ot`` (one triangular solve), the weights are
+    ``(L^-T B)^T`` (a second one) and the conditional covariance is
+    ``Sigma_tt - B^T B``: no explicit inverse."""
     obs_idx = np.asarray(observed_positions, dtype=int).reshape(-1)
     tgt_idx = np.asarray(target_positions, dtype=int).reshape(-1)
     all_idx = np.concatenate([obs_idx, tgt_idx])
@@ -281,31 +378,20 @@ def conditional_solver(
         raise ValueError("positions: out of range for this grid")
     if cov is None:
         cov = joint_covariance(spec)
-    o, m = obs_idx.size, tgt_idx.size
-    if factor is None:
-        factor = _cholesky(cov[np.ix_(obs_idx, obs_idx)], "observed block")
-    elif np.shape(factor) != (o, o):
-        raise ValueError(
-            f"factor: expected shape ({o}, {o}) for {o} observed positions, "
-            f"got {np.shape(factor)}"
-        )
+    try:
+        factor = np.linalg.cholesky(cov[np.ix_(obs_idx, obs_idx)])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"observed block is not positive definite: {exc}") from exc
     b = solve_triangular(
         factor, cov[np.ix_(obs_idx, tgt_idx)], lower=True, check_finite=False
     )
     weights = solve_triangular(factor, b, lower=True, trans="T", check_finite=False).T
     cond_cov = cov[np.ix_(tgt_idx, tgt_idx)] - b.T @ b
-    cond_cov = 0.5 * (cond_cov + cond_cov.T)
-    grown = np.empty((o + m, o + m))
-    grown[:o, :o] = factor
-    grown[:o, o:] = 0.0
-    grown[o:, :o] = b.T
-    grown[o:, o:] = _cholesky(cond_cov, "conditional covariance")
     return ConditionalSolver(
         observed_positions=tuple(obs_idx.tolist()),
         target_positions=tuple(tgt_idx.tolist()),
         weights=weights,
-        covariance=cond_cov,
-        factor=_readonly(grown),
+        covariance=0.5 * (cond_cov + cond_cov.T),
     )
 
 

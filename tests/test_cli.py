@@ -148,6 +148,8 @@ class TestSimulateCommand:
              "error: draws_per_step: ", ("diagnose", "sweep")),
             ({"schedule_kind": "linear", "joint_sequences": -3},
              "error: joint_sequences: ", ("sweep",)),
+            ({"ar_steps": 100}, "error: ar_steps: must lie in [1, 16], got 100",
+             ("simulate", "diagnose", "sweep")),
             (multistep, "error: AR step 8: grid: ",
              ("simulate", "diagnose", "sweep")),
         ):
@@ -157,6 +159,21 @@ class TestSimulateCommand:
                 assert code == 1
                 assert message in err
                 assert not out_dir.exists()
+
+    def test_singular_covariance_fails_before_output(self, capsys, tmp_path):
+        # A near-constant field with almost no jitter is not positive
+        # definite; every command stops before writing, naming both keys.
+        config = tmp_path / "cfg.json"
+        out_dir = tmp_path / "out"
+        config.write_text(json.dumps({
+            "grid_height": 3, "grid_width": 3, "ar_steps": 9,
+            "sampler": "euler_flow", "length_scale": 1e6, "jitter": 1e-18,
+            "out_dir": str(out_dir)}))
+        for command in ("simulate", "diagnose", "sweep"):
+            code, _, err = run_cli(capsys, command, "--config", str(config))
+            assert code == 1
+            assert "error: length_scale/jitter: " in err
+            assert not (out_dir / "effective_config.json").exists()
 
     def test_runtime_error_exit_code(self, capsys, base_config):
         config, _ = base_config

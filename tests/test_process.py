@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 import stepanneal as sa
 
@@ -122,69 +123,100 @@ class TestConditional:
             np.testing.assert_allclose(batched[b], solver.mean(spec, values[b]))
 
 
-class TestThreadedFactor:
-    """One Cholesky factor grown along a generation order, checked in closed
-    form against from-scratch Schur complements."""
+class TestConditioningPlan:
+    """One Cholesky factor of the covariance in generation order, checked in
+    closed form against from-scratch Schur complements."""
 
     @pytest.fixture(scope="class")
     def field(self):
         spec = sa.TokenProcessSpec(grid_height=8, grid_width=8)
         return spec, sa.joint_covariance(spec)
 
-    @staticmethod
-    def _thread(spec, cov, order):
-        observed, factor, steps = [], None, []
-        for group in order.groups():
-            solver = sa.conditional_solver(spec, observed, group, cov=cov,
-                                           factor=factor)
-            steps.append((list(observed), list(group), solver))
-            observed += group
-            factor = solver.factor
-        return steps, factor
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_from_scratch(self, field, seed):
         spec, cov = field
         order = sa.random_order(spec, spec.token_count, seed=seed)
-        steps, _ = self._thread(spec, cov, order)
+        plan = sa.conditioning_plan(spec, order, cov)
+        factor = plan.factor
         # Both solvers are backward stable: each meets W Sigma_oo = Sigma_to
         # to a few ulps.  Their weights may therefore differ by up to about
-        # cond(Sigma) * eps (3e-7 on this field, jitter 1e-8); 1.5e-8 is the
-        # largest difference seen over these orders.
+        # cond(Sigma) * eps (3e-7 on this field, jitter 1e-8).  The plan's
+        # weights are implicit, L_k,<k L_<k^-1.
         weight_tol = np.linalg.cond(cov) * np.finfo(float).eps
-        for observed, group, solver in steps:
+        observed = []
+        for k, group in enumerate(order.groups()):
             scratch = sa.conditional_solver(spec, observed, group, cov=cov)
-            np.testing.assert_allclose(solver.covariance, scratch.covariance,
+            np.testing.assert_allclose(plan.covariance(k), scratch.covariance,
                                        rtol=0, atol=1e-10)
-            if not observed:
-                assert solver.weights.shape == (len(group), 0)
+            a = len(observed)
+            weights = solve_triangular(factor[:a, :a], factor[plan.rows(k), :a].T,
+                                       lower=True, trans="T").T
+            observed += group
+            if not a:
                 continue
-            sigma_oo = cov[np.ix_(observed, observed)]
-            sigma_to = cov[np.ix_(group, observed)]
-            residual = solver.weights @ sigma_oo - sigma_to
+            sigma_oo = cov[np.ix_(observed[:a], observed[:a])]
+            sigma_to = cov[np.ix_(group, observed[:a])]
+            residual = weights @ sigma_oo - sigma_to
             assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(sigma_to)
-            gap = np.linalg.norm(solver.weights - scratch.weights)
+            gap = np.linalg.norm(weights - scratch.weights)
             assert gap <= weight_tol * np.linalg.norm(scratch.weights)
 
-    def test_final_factor_is_cholesky_of_permuted_covariance(self, field):
+    def test_means_from_whitened_innovations(self, field):
+        # Prefix values drawn from the field itself, as generation sees them.
+        spec, cov = field
+        order = sa.random_order(spec, 16, seed=4)
+        plan = sa.conditioning_plan(spec, order, cov)
+        z = np.random.default_rng(5).standard_normal((3, spec.token_count, 2))
+        values = np.linalg.cholesky(cov) @ z
+        whitened = np.empty((spec.token_count, 3, 2))
+        observed = []
+        for k, group in enumerate(order.groups()):
+            cond = plan.conditional(k, whitened)
+            exact = sa.conditional_solver(spec, observed, group, cov=cov)
+            assert cond.target_positions == group
+            np.testing.assert_allclose(
+                cond.mean, exact.mean(spec, values[:, observed, :]),
+                rtol=0, atol=1e-10)
+            sample = values[:, list(group), :]
+            whitened[plan.rows(k)] = plan.whiten(k, sample - cond.mean)
+            observed += group
+        # One sequence, unbatched: the same means.
+        single = np.empty((spec.token_count, 2))
+        single[:] = whitened[:, 1]
+        for k in range(order.step_count):
+            np.testing.assert_allclose(plan.conditional(k, single).mean,
+                                       plan.conditional(k, whitened).mean[1],
+                                       rtol=0, atol=1e-14)
+
+    def test_factor_is_cholesky_of_permuted_covariance(self, field):
         spec, cov = field
         order = sa.random_order(spec, 16, seed=3)
-        _, factor = self._thread(spec, cov, order)
+        plan = sa.conditioning_plan(spec, order, cov)
         perm = list(order.permutation)
-        np.testing.assert_array_equal(np.triu(factor, 1), 0.0)
-        np.testing.assert_allclose(factor @ factor.T, cov[np.ix_(perm, perm)],
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(np.triu(plan.factor, 1), 0.0)
+        np.testing.assert_allclose(plan.factor @ plan.factor.T,
+                                   cov[np.ix_(perm, perm)], rtol=0, atol=1e-12)
+        assert plan.offsets == tuple(range(0, 65, 4))
 
-    def test_from_scratch_factor(self, spec, cov):
-        solver = sa.conditional_solver(spec, [0, 5, 9], [2, 3], cov=cov)
-        block = cov[np.ix_([0, 5, 9, 2, 3], [0, 5, 9, 2, 3])]
-        np.testing.assert_allclose(solver.factor, np.linalg.cholesky(block),
-                                   rtol=0, atol=1e-12)
+    def test_factor_is_read_only(self, field):
+        # Plans are shared across workers, like conditionals.
+        spec, cov = field
+        plan = sa.conditioning_plan(spec, sa.raster_order(spec, 8), cov)
+        for arr in (plan.factor, plan.mean_field, plan.block(2)):
+            assert arr.flags.writeable is False
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
-    def test_factor_shape_is_checked(self, spec, cov):
-        with pytest.raises(ValueError, match="factor"):
-            sa.conditional_solver(spec, [0, 1, 2], [5], cov=cov,
-                                  factor=np.eye(2))
+    @pytest.mark.parametrize("group_count,step", [(64, 1), (16, 0)])
+    def test_failed_pivot_names_its_step(self, field, group_count, step):
+        # On an all-ones covariance the second pivot in generation order is 0.
+        spec, _ = field
+        order = sa.random_order(spec, group_count, seed=1)
+        with pytest.raises(sa.NumericalError) as exc:
+            sa.conditioning_plan(spec, order, np.ones((64, 64)))
+        message = str(exc.value)
+        assert message.startswith(f"AR step {step}: ")
+        assert f"position {order.permutation[1]} " in message
 
 
 class TestSampleConditional:
