@@ -7,7 +7,6 @@ the score and the direction to the clean token closer to 1).
 """
 
 import numpy as np
-from scipy.stats import spearmanr
 
 import stepanneal as sa
 
@@ -43,8 +42,8 @@ for k in range(16):
           f"{straight[k]:17.4f}")
 
 steps = np.arange(16)
-print(f"\nSpearman(step, predictor MSE)  = {spearmanr(steps, probe)[0]:+.3f}")
-print(f"Spearman(step, variance)       = {spearmanr(steps, variance)[0]:+.3f}")
-print(f"Spearman(step, straightness)   = {spearmanr(steps, straight)[0]:+.3f}")
+print(f"\nSpearman(step, predictor MSE)  = {sa.spearman(steps, probe):+.3f}")
+print(f"Spearman(step, variance)       = {sa.spearman(steps, variance):+.3f}")
+print(f"Spearman(step, straightness)   = {sa.spearman(steps, straight):+.3f}")
 print("\nPredictability rises, variance falls, and paths straighten as the")
 print("prefix grows: exactly the regime where fewer denoising steps suffice.")

@@ -7,7 +7,8 @@ Gaussian channel against them (:mod:`stepanneal.denoiser`), six reverse samplers
 (:mod:`stepanneal.samplers`), the AR-step-to-diffusion-step annealing
 policies (:mod:`stepanneal.annealing`), the autoregressive generation loop
 (:mod:`stepanneal.generate`), and diagnostics for straightness, variance,
-predictability and Gaussian W2 quality (:mod:`stepanneal.diagnostics`).
+predictability, Gaussian W2 quality and rank correlation
+(:mod:`stepanneal.diagnostics`).
 """
 
 from .annealing import (
@@ -40,6 +41,7 @@ from .diagnostics import (
     quality_sweep,
     sampling_variance,
     scheduler_label,
+    spearman,
     straightness_by_step,
     straightness_diffusion,
     straightness_flow,

@@ -21,7 +21,6 @@ from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .annealing import StepScheduler, schedule_table, total_nfe
 from .denoiser import BiasedDenoiser, ExactDenoiser
@@ -29,6 +28,7 @@ from .diagnostics import (
     probe_error,
     quality_sweep,
     sampling_variance,
+    spearman,
     straightness_by_step,
 )
 from .generate import batch_to_csv_rows, simulate_sequences, step_grids
@@ -396,9 +396,9 @@ def cmd_diagnose(args) -> int:
     )
     elapsed = time.perf_counter() - started
     steps = np.arange(order.step_count)
-    rho_var, _ = spearmanr(steps, variance.empirical.mean(axis=1))
+    rho_var = spearman(steps, variance.empirical.mean(axis=1))
     print(f"straightness Spearman(step, value) = {straight.spearman_to_step:+.3f}")
-    print(f"variance Spearman(step, value) = {float(rho_var):+.3f}")
+    print(f"variance Spearman(step, value) = {rho_var:+.3f}")
     print(
         f"probe MSE first step {probe.mse[0]:.4f} -> last step {probe.mse[-1]:.4f}"
     )

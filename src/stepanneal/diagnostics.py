@@ -9,7 +9,10 @@ used to score sample quality against the exactly known conditionals:
 * per-AR-step variance of repeated next-token draws;
 * Bayes-predictor (conditional-mean) squared error per AR step;
 * closed-form 2-Wasserstein distance between Gaussians
-  ``W2^2 = ||mu1 - mu2||^2 + tr(S1 + S2 - 2 (S2^1/2 S1 S2^1/2)^1/2)``.
+  ``W2^2 = ||mu1 - mu2||^2 + tr(S1 + S2 - 2 (S2^1/2 S1 S2^1/2)^1/2)``;
+* the Spearman rank correlation of a per-step metric with the step index
+  (:func:`spearman`, in numpy: the package imports no ``scipy.stats``, whose
+  import alone would cost more than most CLI runs spend working).
 
 Empirical-vs-exact distances fit a Gaussian to the draws by moments (the
 truth is Gaussian, so the fit is consistent) and always report a Monte Carlo
@@ -23,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .annealing import StepScheduler, steps_at, total_nfe  # noqa: F401
 from .denoiser import ExactDenoiser
@@ -135,6 +137,47 @@ def w2_floor(
 
 
 # ---------------------------------------------------------------------------
+# Rank correlation
+# ---------------------------------------------------------------------------
+
+
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``a``; each run of equal values gets its mean rank."""
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[starts, a.size])
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat(starts + 0.5 * (counts + 1), counts)
+    return ranks
+
+
+def spearman(x, y) -> float:
+    """Spearman rank correlation of two equal-length 1-D samples.
+
+    Tied values share their average rank, and the result is the Pearson
+    correlation of the two rank vectors: the statistic of
+    ``scipy.stats.spearmanr``.  Like scipy's default
+    ``nan_policy="propagate"``, it is ``nan`` when either sample is constant
+    or holds a ``nan`` (and for fewer than two values).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError("spearman: x and y must be 1-D of equal length")
+    if x.size < 2 or np.isnan(x).any() or np.isnan(y).any():
+        return float("nan")
+    rx = _average_ranks(x)
+    ry = _average_ranks(y)
+    rx -= rx.mean()
+    ry -= ry.mean()
+    scale = np.sqrt((rx @ rx) * (ry @ ry))
+    if scale == 0.0:
+        return float("nan")
+    return float(np.clip((rx @ ry) / scale, -1.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
 # Straightness
 # ---------------------------------------------------------------------------
 
@@ -231,8 +274,7 @@ class StraightnessReport:
 
     @property
     def spearman_to_step(self) -> float:
-        rho, _ = spearmanr(np.arange(self.per_step.size), self.per_step)
-        return float(rho)
+        return spearman(np.arange(self.per_step.size), self.per_step)
 
 
 def straightness_by_step(

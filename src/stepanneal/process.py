@@ -195,7 +195,10 @@ class ConditionalGaussian:
             raise ValueError("mean: expected shape (m, d) or (batch, m, d)")
         if cov.shape != (m, m):
             raise ValueError("covariance: expected shape (m, m)")
-        if not np.allclose(cov, cov.T, atol=1e-10):
+        # np.allclose's test (atol 1e-10, rtol 1e-5) written out: a quarter of
+        # its cost on the small matrices every AR step builds, and any inf or
+        # nan entry fails it.
+        if not (np.abs(cov - cov.T) <= 1e-10 + 1e-5 * np.abs(cov.T)).all():
             raise ValueError("covariance: must be symmetric")
         mean = mean.copy()
         mean.flags.writeable = False

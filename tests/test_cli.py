@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stepanneal
 from stepanneal import cli, simulate_sequences
 from stepanneal.cli import main
 
@@ -19,6 +24,20 @@ def read_csv(path):
     header = lines[1].split(",")
     rows = [line.split(",") for line in lines[2:]]
     return header, rows
+
+
+def test_cold_import_leaves_out_scipy_stats():
+    # Importing scipy.stats costs more than most CLI runs spend working, and
+    # every invocation pays it before doing anything.
+    src = str(Path(stepanneal.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, stepanneal, stepanneal.cli; "
+            "print('scipy.stats' in sys.modules, 'scipy.linalg' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]
 
 
 class TestScheduleCommand:

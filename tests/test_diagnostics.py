@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.stats import spearmanr
 
 import stepanneal as sa
 
@@ -263,6 +266,60 @@ class TestQualitySweep:
             sa.quality_sweep(spec, order, sa.SamplerConfig(kind="ddim"),
                              [sa.constant_scheduler(10, 8)], (0, 1),
                              schedule=linear_schedule)
+
+
+def scipy_spearman(x, y):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ConstantInputWarning
+        return float(spearmanr(x, y)[0])
+
+
+class TestSpearman:
+    def test_matches_scipy_on_random_pairs(self):
+        # Every third pair is integer-valued from a few levels, so most of
+        # those have ties; lengths start at 2.
+        rng = np.random.default_rng(20240517)
+        worst, compared = 0.0, 0
+        for i in range(1200):
+            n = int(rng.integers(2, 30))
+            if i % 3 == 0:
+                x = rng.integers(0, 4, n).astype(float)
+                y = rng.integers(0, 3, n).astype(float)
+            else:
+                x, y = rng.standard_normal(n), rng.standard_normal(n)
+            ref, got = scipy_spearman(x, y), sa.spearman(x, y)
+            if np.isnan(ref):
+                assert np.isnan(got)
+                continue
+            worst = max(worst, abs(got - ref))
+            compared += 1
+        assert compared > 1000
+        assert worst <= 1e-12
+
+    def test_length_two(self):
+        assert sa.spearman([0.0, 1.0], [5.0, 2.0]) == -1.0
+        assert sa.spearman([0.0, 1.0], [2.0, 5.0]) == 1.0
+
+    @pytest.mark.parametrize("x, y", [
+        ([1.0, 1.0, 1.0, 1.0], [0.1, 0.4, 0.2, 0.3]),
+        ([0.1, 0.4, 0.2, 0.3], [2.0, 2.0, 2.0, 2.0]),
+        ([0.1, np.nan, 0.2, 0.3], [0.1, 0.4, 0.2, 0.3]),
+        ([0.1, 0.4, 0.2, 0.3], [0.1, 0.4, np.nan, 0.3]),
+    ])
+    def test_constant_or_nan_gives_nan(self, x, y):
+        assert np.isnan(scipy_spearman(x, y))
+        assert np.isnan(sa.spearman(x, y))
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            sa.spearman([1.0, 2.0, 3.0], [1.0, 2.0])
+
+    def test_spearman_to_step_with_ties(self):
+        per_step = np.array([0.3, 0.1, 0.1, 0.5, 0.3, 0.0, 0.5])
+        rep = sa.StraightnessReport(metric="flow", per_step=per_step,
+                                    t_draws=8, n_trajectories=4)
+        ref = scipy_spearman(np.arange(per_step.size), per_step)
+        assert abs(rep.spearman_to_step - ref) <= 1e-12
 
 
 class TestStraightnessReport:

@@ -114,6 +114,38 @@ class TestConditional:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
+    @staticmethod
+    def _cond(covariance):
+        return sa.ConditionalGaussian(target_positions=(0, 1, 2, 3),
+                                      mean=np.zeros((4, 2)),
+                                      covariance=covariance)
+
+    def test_asymmetric_covariance_rejected(self):
+        # Against a zero partner the tolerance is the absolute 1e-10 alone.
+        skewed = np.eye(4)
+        skewed[0, 1] += 1e-6
+        with pytest.raises(ValueError, match="covariance: must be symmetric"):
+            self._cond(skewed)
+
+    def test_rounding_level_asymmetry_accepted(self, cov):
+        block = 0.5 * (cov[:4, :4] + cov[:4, :4].T)
+        block[2, 1] += 1e-15
+        assert self._cond(block).covariance[2, 1] == block[2, 1]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_covariance_rejected(self, cov, bad):
+        # np.allclose would pass a matching pair of infinities; the check
+        # does not.
+        block = cov[:4, :4].copy()
+        block[0, 3] = block[3, 0] = bad
+        with pytest.raises(ValueError, match="covariance: must be symmetric"):
+            self._cond(block)
+        diagonal = cov[:4, :4].copy()
+        diagonal[1, 1] = bad
+        with pytest.raises(ValueError, match="covariance: must be symmetric"):
+            self._cond(diagonal)
+
     def test_batched_means_match_loop(self, spec, cov):
         solver = sa.conditional_solver(spec, [0, 5, 9], [2, 3], cov=cov)
         rng = np.random.default_rng(3)
