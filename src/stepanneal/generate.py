@@ -64,6 +64,8 @@ def step_grids(
     """``(T(k), grid)`` for every AR step k.  Building them all first checks
     the whole policy against the grid limits before any work starts; a
     failure is a ``RuntimeError`` naming the AR step, as in the loop."""
+    if config.domain != DIFFUSION and not 0.0 < flow_start_time <= 1.0:
+        raise ValueError(f"flow_start_time: must lie in (0, 1], got {flow_start_time}")
     grids = []
     for k in range(scheduler.ar_steps):
         try:

@@ -40,6 +40,22 @@ def test_cold_import_leaves_out_scipy_stats():
     assert result.stdout.split() == ["False", "True"]
 
 
+def test_benchmark_hooks_bind():
+    # The benchmark (bench/spans.py) rebinds package names from outside, such
+    # as every ExactDenoiser method, velocity_and_flow_score included, which no
+    # package code calls.  Renaming or removing one must fail here rather
+    # than in every benchmark pass.
+    root = Path(__file__).resolve().parent.parent
+    src = str(Path(stepanneal.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import spans; "
+            "spans.install(spans.Tracer()); spans.count_generation_calls()")
+    result = subprocess.run([sys.executable, "-c", code, str(root / "bench")],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
 class TestScheduleCommand:
     def test_two_stage_table(self, capsys):
         code, out, _ = run_cli(capsys, "schedule", "--kind", "two_stage",
@@ -150,8 +166,10 @@ class TestSimulateCommand:
 
     def test_unknown_config_key_fails(self, capsys, tmp_path):
         # An unknown key, a known key with a value of the wrong type, a value
-        # out of range and a policy that some AR step's grid rejects all fail
-        # before any output is written.
+        # out of range, a policy that some AR step's grid rejects, a clamp on
+        # a flow sampler (which has no data prediction to clip) and a flow
+        # start time out of range all fail, naming the key, before any output
+        # is written.
         config = tmp_path / "cfg.json"
         out_dir = tmp_path / "out"
         multistep = {"schedule_kind": "linear", "sampler": "dpm_solver_pp",
@@ -171,6 +189,12 @@ class TestSimulateCommand:
              ("simulate", "diagnose", "sweep")),
             (multistep, "error: AR step 8: grid: ",
              ("simulate", "diagnose", "sweep")),
+            ({"sampler": "euler_flow", "clamp": 1.0}, "error: clamp: ",
+             ("simulate", "diagnose", "sweep")),
+            ({"sampler": "euler_maruyama", "clamp": 1.0}, "error: clamp: ",
+             simulate),
+            ({"sampler": "euler_flow", "flow_start_time": 1.5},
+             "error: flow_start_time: ", ("simulate", "diagnose", "sweep")),
         ):
             config.write_text(json.dumps({**user, "out_dir": str(out_dir)}))
             for command in commands:

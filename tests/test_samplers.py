@@ -70,12 +70,19 @@ class TestNfeAccounting:
                                           np.random.default_rng(0))
         assert rec.nfe == steps
 
-    def test_record_lengths(self, linear_schedule, aniso_cond, oracle):
-        grid = sa.make_diffusion_grid(linear_schedule, 5, 950)
-        _, rec = sa.ddim_sample(oracle, aniso_cond, grid,
-                                np.random.default_rng(0), record_path=True)
-        assert len(rec.states) == len(rec.times)
-        assert len(rec.outputs) == len(rec.times) - 1
+    @pytest.mark.parametrize("kind,kwargs", [
+        (kind, {}) for kind in sa.SAMPLER_KINDS] + [("dpm_solver", {"order": 2})])
+    def test_record_lengths(self, linear_schedule, aniso_cond, oracle, kind, kwargs):
+        # One state per grid point: the midpoint solver's first-stage states
+        # are not recorded, though their calls are counted.
+        cfg = sa.SamplerConfig(kind=kind, **kwargs)
+        grid = (sa.make_diffusion_grid(linear_schedule, 5, 950)
+                if cfg.domain == sa.DIFFUSION else sa.make_flow_grid(5, 1.0))
+        _, rec = sa.sample_with_config(cfg, oracle, aniso_cond, grid,
+                                       np.random.default_rng(0), n_samples=2,
+                                       record_path=True)
+        assert len(rec.states) == len(rec.times) == grid.step_count + 1
+        assert rec.nfe == cfg.calls(grid.step_count)
 
 
 class TestDeterminism:
@@ -154,9 +161,8 @@ class TestDdim:
         out, rec = sa.ddim_sample(oracle, cond, grid, np.random.default_rng(0),
                                   n_samples=6, record_path=True)
         lv = walk_levels(grid)
-        for i, eps in enumerate(rec.outputs):
-            a = lv[i]
-            x0 = (rec.states[i] - np.sqrt(1 - a) * eps) / np.sqrt(a)
+        for i in range(len(lv) - 1):
+            x0 = oracle.x0(rec.states[i], lv[i], cond)
             np.testing.assert_allclose(x0, -0.3, atol=1e-9)
         np.testing.assert_allclose(out, -0.3, atol=1e-9)
 
@@ -192,11 +198,13 @@ class TestDdim:
             sa.ddim_sample(oracle, aniso_cond, grid, np.random.default_rng(0),
                            eta=-0.1)
 
-    def test_clamp_bounds_data_prediction(self, linear_schedule, aniso_cond, oracle):
+    @pytest.mark.parametrize("kind", sa.DIFFUSION_SAMPLERS)
+    def test_clamp_bounds_data_prediction(self, linear_schedule, aniso_cond, oracle,
+                                          kind):
         grid = sa.make_diffusion_grid(linear_schedule, 10, 950)
-        out, _ = sa.ddim_sample(oracle, aniso_cond, grid,
-                                np.random.default_rng(0), n_samples=50,
-                                clamp=1e-9)
+        out, _ = sa.sample_with_config(sa.SamplerConfig(kind=kind, clamp=1e-9),
+                                       oracle, aniso_cond, grid,
+                                       np.random.default_rng(0), n_samples=50)
         assert np.max(np.abs(out)) < 1e-6
 
 
@@ -273,7 +281,9 @@ class TestDpmSolverPlusPlus:
         out, rec = sa.dpm_solver_pp_sample(oracle, cond, grid,
                                            np.random.default_rng(0),
                                            n_samples=8, record_path=True)
-        for x0 in rec.outputs:
+        lv = walk_levels(grid)
+        for i in range(len(lv) - 1):
+            x0 = oracle.x0(rec.states[i], lv[i], cond)
             np.testing.assert_allclose(x0, 1.1, atol=1e-9)
         assert np.max(np.abs(out - 1.1)) < 1e-6
 
@@ -407,6 +417,9 @@ class TestSamplerConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="kind"):
             sa.SamplerConfig(kind="heun")
+        for kind in sa.FLOW_SAMPLERS:
+            with pytest.raises(ValueError, match="^clamp: "):
+                sa.SamplerConfig(kind=kind, clamp=1.0)
         with pytest.raises(ValueError, match="eta"):
             sa.SamplerConfig(kind="ddim", eta=-1.0)
         with pytest.raises(ValueError, match="order"):
