@@ -14,6 +14,7 @@ spec = sa.default_spec()
 schedule = sa.build_linear_beta()
 sampler = sa.SamplerConfig(kind="ddpm")
 policy = sa.constant_scheduler(50, 16)
+grids = sa.step_grids(sampler, policy, schedule, start_index=950)
 orders = [sa.random_order(spec, 16, seed=s) for s in range(32)]
 
 probe = np.mean(
@@ -21,18 +22,17 @@ probe = np.mean(
 
 variance = np.zeros(16)
 for i, order in enumerate(orders):
-    rep = sa.sampling_variance(spec, order, sampler, policy, 100,
-                               (1000 + i, 2000 + i),
-                               schedule=schedule, start_index=950)
+    rep = sa.sampling_variance(spec, order, sampler, grids, 100,
+                               (1000 + i, 2000 + i))
     variance += rep.empirical.mean(axis=1)
 variance /= len(orders)
 
 straight = np.zeros(16)
 rng = np.random.default_rng(0)
 for i, order in enumerate(orders):
-    batch = sa.simulate_sequences(spec, order, sampler, policy, schedule,
+    batch = sa.simulate_sequences(spec, order, sampler, grids,
                                   n_sequences=16, master_seed=500 + i,
-                                  start_index=950, record_paths=True)
+                                  record_paths=True)
     straight += sa.straightness_by_step(batch, 64, rng).per_step
 straight /= len(orders)
 

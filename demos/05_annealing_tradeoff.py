@@ -23,8 +23,9 @@ policies = [
     sa.StepScheduler(kind="linear", t_early=5, t_late=50, ar_steps=16),
 ]
 rows, summaries = sa.quality_sweep(
-    spec, order, ddim, policies, (100, 200), draws_per_step=512,
-    schedule=schedule, start_index=950)
+    spec, order, ddim,
+    [(p, sa.step_grids(ddim, p, schedule, start_index=950)) for p in policies],
+    (100, 200), draws_per_step=512)
 
 print(f"{'policy':16s} {'NFE':>6s} {'agg W2':>8s} {'step-0 W2':>10s} "
       f"{'step-15 W2':>11s}")

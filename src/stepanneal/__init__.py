@@ -53,6 +53,7 @@ from .generate import (
     SequenceBatch,
     batch_to_csv_rows,
     simulate_sequences,
+    step_grids,
 )
 from .process import (
     ConditionalGaussian,

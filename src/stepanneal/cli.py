@@ -48,6 +48,7 @@ from .samplers import (
 )
 from .schedules import (
     DIFFUSION,
+    TimeGrid,
     build_cosine_alpha_bar,
     build_linear_beta,
     make_diffusion_grid,
@@ -215,32 +216,31 @@ def build_scheduler(cfg: dict) -> StepScheduler:
     )
 
 
-def _schedule_for(cfg: dict, sampler_config: SamplerConfig):
-    if sampler_config.domain == DIFFUSION:
-        return build_schedule(cfg)
-    return None
-
-
 def check_run(
     cfg: dict,
     minimums: dict[str, int],
     sampler_config: SamplerConfig | None = None,
     schedulers: Sequence[StepScheduler] = (),
-    schedule=None,
     spec: TokenProcessSpec | None = None,
-) -> None:
-    """Range, grid-limit and covariance checks that must pass before
-    anything is written: each key in ``minimums`` at least its minimum,
-    every AR step's grid under every policy, and the spec's covariance
-    positive definite (built here once and cached on the spec)."""
+) -> list[list[TimeGrid]]:
+    """Range, covariance and grid-limit checks that must pass before
+    anything is written: each key in ``minimums`` at least its minimum, the
+    spec's covariance positive definite (built here once and cached on the
+    spec), and every AR step's grid under every policy.  Returns each
+    policy's grids, the only ones the command builds."""
     for key, least in minimums.items():
         if cfg[key] < least:
             raise ValueError(f"{key}: must be >= {least}, got {cfg[key]}")
     if spec is not None:
         joint_covariance(spec)
-    for scheduler in schedulers:
+    if not schedulers:
+        return []
+    schedule = build_schedule(cfg) if sampler_config.domain == DIFFUSION else None
+    return [
         step_grids(sampler_config, scheduler, schedule,
                    cfg["start_index"], cfg["flow_start_time"])
+        for scheduler in schedulers
+    ]
 
 
 def resolve_out_dir(cfg: dict) -> Path:
@@ -295,17 +295,14 @@ def cmd_simulate(args) -> int:
     order = build_order(cfg, spec)
     sampler_config = build_sampler_config(cfg)
     scheduler = build_scheduler(cfg)
-    schedule = _schedule_for(cfg, sampler_config)
-    check_run(cfg, {"n_sequences": 1}, sampler_config, [scheduler], schedule, spec)
+    [grids] = check_run(cfg, {"n_sequences": 1}, sampler_config, [scheduler], spec)
     out = resolve_out_dir(cfg)
     digest = echo_config(cfg, out)
     started = time.perf_counter()
     batch = simulate_sequences(
-        spec, order, sampler_config, scheduler, schedule,
+        spec, order, sampler_config, grids,
         n_sequences=cfg["n_sequences"],
         master_seed=cfg["master_seed"],
-        start_index=cfg["start_index"],
-        flow_start_time=cfg["flow_start_time"],
     )
     elapsed = time.perf_counter() - started
     write_csv(
@@ -337,21 +334,18 @@ def cmd_diagnose(args) -> int:
     order = build_order(cfg, spec)
     sampler_config = build_sampler_config(cfg)
     scheduler = build_scheduler(cfg)
-    schedule = _schedule_for(cfg, sampler_config)
-    check_run(cfg, {
+    [grids] = check_run(cfg, {
         "n_sequences": 1, "t_draws": 1, "draws_per_step": 2, "probe_sequences": 1,
-    }, sampler_config, [scheduler], schedule, spec)
+    }, sampler_config, [scheduler], spec)
     out = resolve_out_dir(cfg)
     digest = echo_config(cfg, out)
     started = time.perf_counter()
     seed = cfg["master_seed"]
 
     batch = simulate_sequences(
-        spec, order, sampler_config, scheduler, schedule,
+        spec, order, sampler_config, grids,
         n_sequences=cfg["n_sequences"],
         master_seed=seed,
-        start_index=cfg["start_index"],
-        flow_start_time=cfg["flow_start_time"],
         record_paths=True,
     )
     straight = straightness_by_step(
@@ -367,11 +361,8 @@ def cmd_diagnose(args) -> int:
     )
 
     variance = sampling_variance(
-        spec, order, sampler_config, scheduler,
+        spec, order, sampler_config, grids,
         cfg["draws_per_step"], (seed + 101, seed + 202),
-        schedule=schedule,
-        start_index=cfg["start_index"],
-        flow_start_time=cfg["flow_start_time"],
     )
     var_rows = [
         (k, j, float(variance.empirical[k, j]), float(variance.exact_per_dim[k]),
@@ -411,7 +402,6 @@ def cmd_sweep(args) -> int:
     spec = build_spec(cfg)
     order = build_order(cfg, spec)
     sampler_config = build_sampler_config(cfg)
-    schedule = _schedule_for(cfg, sampler_config)
     schedulers = [
         StepScheduler(
             kind=cfg["scheduler_kind"], t_early=te, t_late=tl,
@@ -420,18 +410,16 @@ def cmd_sweep(args) -> int:
         for te in cfg["sweep_t_early"]
         for tl in cfg["sweep_t_late"]
     ]
-    check_run(cfg, {"draws_per_step": 2, "floor_repeats": 1, "joint_sequences": 0},
-              sampler_config, schedulers, schedule, spec)
+    grids = check_run(
+        cfg, {"draws_per_step": 2, "floor_repeats": 1, "joint_sequences": 0},
+        sampler_config, schedulers, spec)
     out = resolve_out_dir(cfg)
     digest = echo_config(cfg, out)
     started = time.perf_counter()
     rows, summaries = quality_sweep(
-        spec, order, sampler_config, schedulers,
+        spec, order, sampler_config, list(zip(schedulers, grids)),
         (cfg["master_seed"] + 11, cfg["master_seed"] + 12),
         draws_per_step=cfg["draws_per_step"],
-        schedule=schedule,
-        start_index=cfg["start_index"],
-        flow_start_time=cfg["flow_start_time"],
         floor_repeats=cfg["floor_repeats"],
         joint_sequences=cfg["joint_sequences"],
     )
@@ -520,13 +508,11 @@ def cmd_oracle_check(args) -> int:
     design = np.column_stack([np.ones(n_mc), draws[:, obs_pos]])
     beta, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ beta
-    solver_w = conditional(
-        spec, [(p, np.zeros(spec.token_dim)) for p in obs_pos], [targets[0]], cov=cov
-    )
-    exact_var = float(solver_w.covariance[0, 0])
+    solver = conditional_solver(spec, obs_pos, [targets[0]], cov=cov)
+    exact_var = float(solver.covariance[0, 0])
     xtx_inv = np.linalg.inv(design.T @ design)
     se = np.sqrt(np.var(resid, ddof=design.shape[1]) * np.diag(xtx_inv))
-    weights = conditional_solver(spec, obs_pos, [targets[0]], cov=cov).weights[0]
+    weights = solver.weights[0]
     ok_w = bool(np.all(np.abs(beta[1:] - weights) <= 3.0 * se[1:]))
     var_mc = float(np.var(resid, ddof=design.shape[1]))
     se_var = exact_var * np.sqrt(2.0 / n_mc)
@@ -608,15 +594,8 @@ def _add_override_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--draws-per-step", dest="draws_per_step", type=int, default=None)
 
 
-_OVERRIDE_KEYS = (
-    "out_dir", "master_seed", "n_sequences", "ar_steps", "sampler", "eta",
-    "solver_order", "sde_noise_scale", "schedule_kind", "start_index",
-    "scheduler_kind", "t_early", "t_late", "draws_per_step",
-)
-
-
 def _overrides(args) -> dict:
-    return {k: getattr(args, k, None) for k in _OVERRIDE_KEYS}
+    return {k: v for k, v in vars(args).items() if k in DEFAULT_CONFIG}
 
 
 def build_parser() -> argparse.ArgumentParser:

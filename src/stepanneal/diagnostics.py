@@ -27,29 +27,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Callers hand in grids built by ``generate.step_grids``.  ``steps_at``,
+# ``conditional_solver`` and the two grid functions stay bound here, unused,
+# because bench/spans.py traces the layers by rebinding these names here.
 from .annealing import StepScheduler, steps_at, total_nfe  # noqa: F401
 from .denoiser import ExactDenoiser
-from .generate import SequenceBatch, simulate_sequences, step_grids
+from .generate import SequenceBatch, check_grid_count, simulate_sequences
 from .process import (
     ConditionalGaussian,
     GenerationOrder,
     TokenProcessSpec,
-    conditional_solver,  # noqa: F401  (kept for bench/spans.py)
+    conditional_solver,  # noqa: F401
     conditioning_plan,
     joint_covariance,
     sample_conditional,
 )
 from .samplers import SamplerConfig, TrajectoryRecord, sample_with_config
-
-# Grids come from ``generate.step_grids``.  ``steps_at`` and the two grid
-# functions stay bound in this module because bench/spans.py traces the
-# layers by rebinding these names here.
-from .schedules import (  # noqa: F401
-    DIFFUSION,
-    DiffusionSchedule,
-    make_diffusion_grid,
-    make_flow_grid,
-)
+from .schedules import DIFFUSION, TimeGrid
+from .schedules import make_diffusion_grid, make_flow_grid  # noqa: F401
 
 _NORM_EPS = 1e-300
 
@@ -321,29 +316,25 @@ def sampling_variance(
     spec: TokenProcessSpec,
     order: GenerationOrder,
     sampler_config: SamplerConfig,
-    scheduler: StepScheduler,
+    grids: list[TimeGrid],
     draws_per_step: int,
     seeds: tuple[int, int],
-    *,
-    schedule: DiffusionSchedule | None = None,
-    start_index: int | None = None,
-    flow_start_time: float = 1.0,
 ) -> VarianceReport:
-    """Freeze a reference prefix, then at each AR step redraw the next group
-    ``draws_per_step`` times through the annealed sampler.  The prefix is
-    drawn exactly, so its whitened innovations are the standard normal draws
-    themselves."""
+    """Freeze a reference prefix, then at each AR step k redraw the next
+    group ``draws_per_step`` times through the sampler on ``grids[k]``.  The
+    prefix is drawn exactly, so its whitened innovations are the standard
+    normal draws themselves."""
     if draws_per_step < 2:
         raise ValueError("draws_per_step: must be >= 2")
+    check_grid_count(grids, order)
     prefix_seed, redraw_seed = seeds
-    grids = step_grids(sampler_config, scheduler, schedule, start_index, flow_start_time)
     plan = conditioning_plan(spec, order, joint_covariance(spec))
     oracle = ExactDenoiser()
     prefix_rng = np.random.default_rng(prefix_seed)
     redraw_rng = np.random.default_rng(redraw_seed)
     whitened = np.empty((spec.token_count, spec.token_dim))
     empirical, exact = [], []
-    for k, (_, grid) in enumerate(grids[: order.step_count]):
+    for k, grid in enumerate(grids):
         cond = plan.conditional(k, whitened)
         draws, _ = sample_with_config(
             sampler_config, oracle, cond, grid, redraw_rng, n_samples=draws_per_step
@@ -430,17 +421,16 @@ def quality_sweep(
     spec: TokenProcessSpec,
     order: GenerationOrder,
     sampler_config: SamplerConfig,
-    scheduler_list: list[StepScheduler],
+    policies: list[tuple[StepScheduler, list[TimeGrid]]],
     seeds: tuple[int, int],
     *,
     draws_per_step: int = 256,
-    schedule: DiffusionSchedule | None = None,
-    start_index: int | None = None,
-    flow_start_time: float = 1.0,
     floor_repeats: int = 8,
     joint_sequences: int = 0,
 ) -> tuple[list[SweepRow], list[SweepSummary]]:
-    """Per-AR-step empirical-vs-exact W2 for each annealing policy.
+    """Per-AR-step empirical-vs-exact W2 for each annealing policy, given as
+    ``(scheduler, grids)``: the scheduler labels the rows, its grids (from
+    :func:`~stepanneal.generate.step_grids`) are what the sampler walks.
 
     A reference prefix is drawn exactly from the process (one per AR step,
     shared by every policy), so the per-step distance isolates sampler
@@ -451,13 +441,9 @@ def quality_sweep(
     also runs that many full sequences end to end and reports the relative
     Frobenius error of the empirical joint covariance.
     """
-    if any(s.ar_steps != order.step_count for s in scheduler_list):
-        raise ValueError("scheduler_list: all policies must share the AR step count")
+    for _, grids in policies:
+        check_grid_count(grids, order)
     prefix_seed, sweep_seed = seeds
-    grids = [
-        step_grids(sampler_config, s, schedule, start_index, flow_start_time)
-        for s in scheduler_list
-    ]
     cov = joint_covariance(spec)
     plan = conditioning_plan(spec, order, cov)
     oracle = ExactDenoiser()
@@ -478,10 +464,10 @@ def quality_sweep(
 
     rows: list[SweepRow] = []
     summaries: list[SweepSummary] = []
-    for scheduler, policy_grids in zip(scheduler_list, grids):
+    for scheduler, grids in policies:
         label = scheduler_label(scheduler)
         w2s = []
-        for k, (cond, (t_k, grid)) in enumerate(zip(conds, policy_grids)):
+        for k, (cond, grid) in enumerate(zip(conds, grids)):
             cell_rng = np.random.default_rng([sweep_seed, 1 + k])
             draws, _ = sample_with_config(
                 sampler_config, oracle, cond, grid, cell_rng,
@@ -496,7 +482,7 @@ def quality_sweep(
                     t_early=scheduler.t_early,
                     t_late=scheduler.t_late,
                     ar_step=k,
-                    nfe=sampler_config.calls(t_k),
+                    nfe=sampler_config.calls(grid.step_count),
                     w2=w2,
                     w2_floor=floors[k],
                 )
@@ -504,11 +490,9 @@ def quality_sweep(
         joint_err = float("nan")
         if joint_sequences > 0:
             batch = simulate_sequences(
-                spec, order, sampler_config, scheduler, schedule,
+                spec, order, sampler_config, grids,
                 n_sequences=joint_sequences,
                 master_seed=int(rng.integers(2**31)),
-                start_index=start_index,
-                flow_start_time=flow_start_time,
             )
             flat = batch.values.transpose(0, 2, 1).reshape(-1, spec.token_count)
             emp = np.cov(flat, rowvar=False, ddof=1)

@@ -1,8 +1,11 @@
 """Autoregressive generation loop over the exact token process.
 
-Each AR step k conditions on everything generated so far, builds a reverse
-grid with the annealed step count T(k), and runs the configured sampler with
-the exact conditional as its denoiser.  Runs are fully determined by the
+:func:`step_grids` is the one place where an annealing policy becomes
+reverse grids: one :class:`~stepanneal.schedules.TimeGrid` per AR step k,
+with ``grid.step_count`` = T(k).  Generation takes those grids, so any
+per-step allocation reaches it as grids.  Each AR step k conditions on
+everything generated so far and runs the configured sampler on step k's grid
+with the exact conditional as its denoiser.  Runs are fully determined by the
 seed.  ``simulate_sequences`` vectorizes many sequences through one shared
 generation order: it factors the order's covariance once
 (:func:`~stepanneal.process.conditioning_plan`), every step's conditional
@@ -60,10 +63,11 @@ def step_grids(
     schedule: DiffusionSchedule | None = None,
     start_index: int | None = None,
     flow_start_time: float = 1.0,
-) -> list[tuple[int, TimeGrid]]:
-    """``(T(k), grid)`` for every AR step k.  Building them all first checks
-    the whole policy against the grid limits before any work starts; a
-    failure is a ``RuntimeError`` naming the AR step, as in the loop."""
+) -> list[TimeGrid]:
+    """The reverse grid of every AR step k, with ``grid.step_count`` = T(k).
+    Building them all first checks the whole policy against the grid limits
+    before any work starts; a failure is a ``RuntimeError`` naming the AR
+    step."""
     if config.domain != DIFFUSION and not 0.0 < flow_start_time <= 1.0:
         raise ValueError(f"flow_start_time: must lie in (0, 1], got {flow_start_time}")
     grids = []
@@ -77,49 +81,51 @@ def step_grids(
             if config.domain == DIFFUSION:
                 if schedule is None:
                     raise ValueError("schedule: diffusion samplers need a noise schedule")
-                grid = make_diffusion_grid(schedule, t_k, start_index)
+                grids.append(make_diffusion_grid(schedule, t_k, start_index))
             else:
-                grid = make_flow_grid(t_k, flow_start_time)
+                grids.append(make_flow_grid(t_k, flow_start_time))
         except ValueError as exc:
             raise RuntimeError(f"AR step {k}: {exc}") from exc
-        grids.append((t_k, grid))
     return grids
+
+
+def check_grid_count(grids: list[TimeGrid], order: GenerationOrder) -> None:
+    if len(grids) != order.step_count:
+        raise ValueError(
+            f"grids: the policy's ar_steps ({len(grids)}) must equal the "
+            f"generation order's AR step count ({order.step_count})"
+        )
 
 
 def simulate_sequences(
     spec: TokenProcessSpec,
     order: GenerationOrder,
     sampler_config: SamplerConfig,
-    scheduler: StepScheduler,
-    schedule: DiffusionSchedule | None = None,
+    grids: list[TimeGrid],
     *,
     n_sequences: int,
     master_seed: int,
-    start_index: int | None = None,
-    flow_start_time: float = 1.0,
     record_paths: bool = False,
 ) -> SequenceBatch:
-    """Generate ``n_sequences`` fields at once (vectorized over sequences).
+    """Generate ``n_sequences`` fields at once (vectorized over sequences),
+    AR step k on ``grids[k]`` (see :func:`step_grids`).
 
     The random stream is ``default_rng([master_seed, n_sequences])``, so a
     run is bitwise reproducible for a fixed seed and batch size.
     """
     if n_sequences < 1:
         raise ValueError("n_sequences: must be positive")
-    if scheduler.ar_steps != order.step_count:
-        raise ValueError("scheduler: ar_steps must match the generation order")
-    grids = step_grids(sampler_config, scheduler, schedule, start_index, flow_start_time)
+    check_grid_count(grids, order)
     plan = conditioning_plan(spec, order, joint_covariance(spec))
     rng = np.random.default_rng([master_seed, n_sequences])
     oracle = ExactDenoiser()
     n, d = spec.token_count, spec.token_dim
     values = np.zeros((n_sequences, n, d))
     whitened = np.empty((n, n_sequences, d))
-    step_counts: list[int] = []
     trajectories = [] if record_paths else None
     conditionals = [] if record_paths else None
     nfe = 0
-    for k, (group, (t_k, grid)) in enumerate(zip(order.groups(), grids)):
+    for k, (group, grid) in enumerate(zip(order.groups(), grids)):
         try:
             cond = plan.conditional(k, whitened)
             sample, record = sample_with_config(
@@ -129,7 +135,6 @@ def simulate_sequences(
             raise RuntimeError(f"AR step {k}: {exc}") from exc
         values[:, list(group), :] = sample
         whitened[plan.rows(k)] = plan.whiten(k, sample - cond.mean)
-        step_counts.append(t_k)
         nfe += record.nfe
         if record_paths:
             trajectories.append(record)
@@ -137,7 +142,7 @@ def simulate_sequences(
     return SequenceBatch(
         values=values,
         order=order,
-        step_counts=tuple(step_counts),
+        step_counts=tuple(grid.step_count for grid in grids),
         nfe_per_sequence=nfe,
         master_seed=master_seed,
         trajectories=trajectories,

@@ -333,27 +333,21 @@ class ConditionalSolver:
 
     def mean(self, spec: TokenProcessSpec, observed_values: np.ndarray) -> np.ndarray:
         """Conditional mean for observed token values of shape (o, d) or
-        (batch, o, d)."""
+        (batch, o, d).  With no observed positions (o = 0) the product is
+        zeros and the mean is the targets' mean field."""
         obs_idx = np.asarray(self.observed_positions, dtype=int)
         tgt_idx = np.asarray(self.target_positions, dtype=int)
         mu_t = spec.mean_field[tgt_idx][:, None]
-        observed_values = np.asarray(observed_values, dtype=np.float64)
-        if obs_idx.size == 0:
-            shape = observed_values.shape[:-2] + (tgt_idx.size, observed_values.shape[-1])
-            return np.broadcast_to(mu_t, shape).copy()
         mu_o = spec.mean_field[obs_idx][:, None]
+        observed_values = np.asarray(observed_values, dtype=np.float64)
         return mu_t + self.weights @ (observed_values - mu_o)
 
     def conditional(
         self, spec: TokenProcessSpec, observed_values: np.ndarray
     ) -> ConditionalGaussian:
-        mean = self.mean(spec, observed_values)
-        if mean.ndim == 2:
-            d = spec.token_dim
-            mean = np.broadcast_to(mean, (len(self.target_positions), d)).copy()
         return ConditionalGaussian(
             target_positions=self.target_positions,
-            mean=mean,
+            mean=self.mean(spec, observed_values),
             covariance=self.covariance,
         )
 
@@ -434,9 +428,6 @@ def sample_conditional(
             m, m, vals[0],
         )
         chol = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    if cond.mean.ndim == 3:
-        batch = cond.mean.shape[0]
-        z = rng.standard_normal((batch, m, token_dim))
-        return cond.mean + chol @ z
-    z = rng.standard_normal((size, m, token_dim))
+    draws = cond.mean.shape[0] if cond.mean.ndim == 3 else size
+    z = rng.standard_normal((draws, m, token_dim))
     return cond.mean + chol @ z

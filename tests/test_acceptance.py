@@ -222,9 +222,9 @@ def test_criterion_5b_variance_trend(spec, linear_schedule, evidence_orders):
     pol = sa.constant_scheduler(50, 16)
     per_step = np.zeros(16)
     for i, order in enumerate(evidence_orders):
-        rep = sa.sampling_variance(spec, order, cfg, pol, 100,
-                                   (1000 + i, 2000 + i),
-                                   schedule=linear_schedule, start_index=950)
+        rep = sa.sampling_variance(spec, order, cfg,
+                                   sa.step_grids(cfg, pol, linear_schedule, 950),
+                                   100, (1000 + i, 2000 + i))
         per_step += rep.empirical.mean(axis=1)
     per_step /= len(evidence_orders)
     rho, _ = spearmanr(np.arange(16), per_step)
@@ -240,9 +240,10 @@ def test_criterion_5c_straightness_trend(spec, linear_schedule, evidence_orders)
     per_step = np.zeros(16)
     n_traj = 0
     for i, order in enumerate(evidence_orders):
-        batch = sa.simulate_sequences(spec, order, cfg, pol, linear_schedule,
+        batch = sa.simulate_sequences(spec, order, cfg,
+                                      sa.step_grids(cfg, pol, linear_schedule, 950),
                                       n_sequences=16, master_seed=500 + i,
-                                      start_index=950, record_paths=True)
+                                      record_paths=True)
         rep = sa.straightness_by_step(batch, 64, rng)
         per_step += rep.per_step
         n_traj += batch.values.shape[0]
@@ -266,9 +267,10 @@ def headline_sweep(spec, linear_schedule):
         sa.constant_scheduler(5, 16),
         sa.StepScheduler(kind="linear", t_early=5, t_late=50, ar_steps=16),
     ]
+    policies = [(s, sa.step_grids(ddim, s, linear_schedule, 950))
+                for s in schedulers]
     rows, summaries = sa.quality_sweep(
-        spec, order, ddim, schedulers, (100, 200), draws_per_step=512,
-        schedule=linear_schedule, start_index=950)
+        spec, order, ddim, policies, (100, 200), draws_per_step=512)
     return rows, {s.label: s for s in summaries}
 
 
@@ -330,13 +332,15 @@ def test_criterion_7_dpm2_annealed_vs_ddim50(spec, linear_schedule):
     order = sa.random_order(spec, 16, seed=0)
     ddim = sa.SamplerConfig(kind="ddim", eta=0.0)
     dpm2 = sa.SamplerConfig(kind="dpm_solver", order=2)
+    const50 = sa.constant_scheduler(50, 16)
     _, ddim_summary = sa.quality_sweep(
-        spec, order, ddim, [sa.constant_scheduler(50, 16)], (100, 200),
-        draws_per_step=512, schedule=linear_schedule, start_index=950)
+        spec, order, ddim,
+        [(const50, sa.step_grids(ddim, const50, linear_schedule, 950))],
+        (100, 200), draws_per_step=512)
     sched = sa.StepScheduler(kind="linear", t_early=25, t_late=10, ar_steps=16)
     _, dpm_summary = sa.quality_sweep(
-        spec, order, dpm2, [sched], (100, 200),
-        draws_per_step=512, schedule=linear_schedule, start_index=950)
+        spec, order, dpm2, [(sched, sa.step_grids(dpm2, sched, linear_schedule, 950))],
+        (100, 200), draws_per_step=512)
     c50 = ddim_summary[0].aggregate_w2
     dpm = dpm_summary[0].aggregate_w2
     rel = abs(dpm - c50) / c50

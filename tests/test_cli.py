@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import stepanneal
-from stepanneal import cli, simulate_sequences
+from stepanneal import cli, generate, simulate_sequences, step_grids
 from stepanneal.cli import main
 
 
@@ -54,6 +55,43 @@ def test_benchmark_hooks_bind():
     result = subprocess.run([sys.executable, "-c", code, str(root / "bench")],
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_override_flags_are_config_keys():
+    # Only dests that are config keys become overrides, so a misspelt dest
+    # would be dropped silently.
+    parser = argparse.ArgumentParser()
+    cli._add_override_flags(parser)
+    dests = {action.dest for action in parser._actions} - {"help", "config"}
+    assert dests <= set(cli.DEFAULT_CONFIG)
+    args = parser.parse_args(["--eta", "0.5", "--out-dir", "x"])
+    assert cli._overrides(args) == {**dict.fromkeys(dests), "eta": 0.5, "out_dir": "x"}
+
+
+@pytest.mark.parametrize("command, policies", [
+    ("simulate", 1), ("diagnose", 1), ("sweep", 2),
+])
+def test_each_policy_builds_its_grids_once(capsys, tmp_path, monkeypatch,
+                                           command, policies):
+    # A command builds each policy's grids once, one per AR step, and hands
+    # them to generation and the diagnostics (the sweep's joint run too).
+    builds = []
+    build = generate.make_diffusion_grid
+
+    def counted(*args, **kwargs):
+        builds.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(generate, "make_diffusion_grid", counted)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "schedule_kind": "linear", "ar_steps": 4, "t_early": 10, "t_late": 5,
+        "n_sequences": 2, "draws_per_step": 32, "t_draws": 2,
+        "probe_sequences": 2, "floor_repeats": 1, "joint_sequences": 4,
+        "sweep_t_early": [10], "sweep_t_late": [5, 10],
+        "out_dir": str(tmp_path / "out")}))
+    assert run_cli(capsys, command, "--config", str(config))[0] == 0
+    assert len(builds) == 4 * policies
 
 
 class TestScheduleCommand:
@@ -236,10 +274,12 @@ class TestSimulateCommand:
         cfg = cli.load_config(str(config), {})
         spec = cli.build_spec(cfg)
         order = cli.build_order(cfg, spec)
+        sampler_config = cli.build_sampler_config(cfg)
+        grids = step_grids(sampler_config, cli.build_scheduler(cfg),
+                           flow_start_time=cfg["flow_start_time"])
         batch = simulate_sequences(
-            spec, order, cli.build_sampler_config(cfg), cli.build_scheduler(cfg),
-            n_sequences=64, master_seed=cfg["master_seed"],
-            flow_start_time=cfg["flow_start_time"])
+            spec, order, sampler_config, grids,
+            n_sequences=64, master_seed=cfg["master_seed"])
         _, rows = read_csv(tmp_path / "out" / "tokens.csv")
         cells = [[int(x) for x in r[:4]] for r in rows]
         step_of = {p: k for k, group in enumerate(order.groups()) for p in group}

@@ -142,18 +142,20 @@ class TestSamplingVariance:
     def test_dirac_process_has_zero_variance(self, linear_schedule):
         tight = sa.TokenProcessSpec(marginal_std=1e-6, jitter=1e-16)
         order = sa.random_order(tight, 4, seed=0)
+        cfg = sa.SamplerConfig(kind="ddim")
         rep = sa.sampling_variance(
-            tight, order, sa.SamplerConfig(kind="ddim"),
-            sa.constant_scheduler(50, 4), 50, (1, 2),
-            schedule=linear_schedule, start_index=950)
+            tight, order, cfg,
+            sa.step_grids(cfg, sa.constant_scheduler(50, 4), linear_schedule, 950),
+            50, (1, 2))
         assert np.all(rep.empirical < 1e-9)
 
     def test_last_step_below_first_step(self, spec, linear_schedule):
         order = sa.random_order(spec, 16, seed=0)
+        cfg = sa.SamplerConfig(kind="ddpm")
         rep = sa.sampling_variance(
-            spec, order, sa.SamplerConfig(kind="ddpm"),
-            sa.constant_scheduler(50, 16), 100, (11, 22),
-            schedule=linear_schedule, start_index=950)
+            spec, order, cfg,
+            sa.step_grids(cfg, sa.constant_scheduler(50, 16), linear_schedule, 950),
+            100, (11, 22))
         assert rep.empirical[-1].mean() < rep.empirical[0].mean()
         assert rep.exact_per_dim[-1] < rep.exact_per_dim[0]
 
@@ -161,20 +163,35 @@ class TestSamplingVariance:
         # At the base grid the sampler is essentially exact, so the
         # empirical variance sits within the chi-square band of 100 draws.
         order = sa.random_order(spec, 16, seed=0)
+        cfg = sa.SamplerConfig(kind="ddim")
         rep = sa.sampling_variance(
-            spec, order, sa.SamplerConfig(kind="ddim"),
-            sa.constant_scheduler(951, 16), 100, (11, 22),
-            schedule=linear_schedule, start_index=950)
+            spec, order, cfg,
+            sa.step_grids(cfg, sa.constant_scheduler(951, 16), linear_schedule, 950),
+            100, (11, 22))
         per_step = rep.empirical.mean(axis=1)
         rel = np.abs(per_step - rep.exact_per_dim) / rep.exact_per_dim
         assert np.max(rel) < 0.30
 
     def test_draw_count_validation(self, spec, linear_schedule):
         order = sa.random_order(spec, 4, seed=0)
+        cfg = sa.SamplerConfig(kind="ddim")
         with pytest.raises(ValueError, match="draws_per_step"):
-            sa.sampling_variance(spec, order, sa.SamplerConfig(kind="ddim"),
-                                 sa.constant_scheduler(10, 4), 1, (1, 2),
-                                 schedule=linear_schedule)
+            sa.sampling_variance(
+                spec, order, cfg,
+                sa.step_grids(cfg, sa.constant_scheduler(10, 4), linear_schedule),
+                1, (1, 2))
+
+    @pytest.mark.parametrize("policy_steps, order_steps", [(4, 16), (16, 4)])
+    def test_ar_step_mismatch_rejected(self, spec, linear_schedule,
+                                       policy_steps, order_steps):
+        # A policy with more or fewer AR steps than the order is an error,
+        # not a report cut to the shorter of the two.
+        order = sa.random_order(spec, order_steps, seed=0)
+        cfg = sa.SamplerConfig(kind="ddim")
+        grids = sa.step_grids(cfg, sa.constant_scheduler(10, policy_steps),
+                              linear_schedule)
+        with pytest.raises(ValueError, match="ar_steps"):
+            sa.sampling_variance(spec, order, cfg, grids, 10, (1, 2))
 
 
 class TestProbeError:
@@ -202,15 +219,16 @@ class TestProbeError:
 @pytest.fixture(scope="module")
 def sweep(spec, linear_schedule):
     order = sa.random_order(spec, 16, seed=0)
+    cfg = sa.SamplerConfig(kind="ddim")
     schedulers = [
         sa.constant_scheduler(951, 16),
         sa.constant_scheduler(50, 16),
         sa.StepScheduler(kind="linear", t_early=50, t_late=5, ar_steps=16),
     ]
+    policies = [(s, sa.step_grids(cfg, s, linear_schedule, 950)) for s in schedulers]
     rows, summaries = sa.quality_sweep(
-        spec, order, sa.SamplerConfig(kind="ddim"), schedulers, (3, 4),
-        draws_per_step=512, schedule=linear_schedule, start_index=950,
-        joint_sequences=2000)
+        spec, order, cfg, policies, (3, 4),
+        draws_per_step=512, joint_sequences=2000)
     return rows, summaries
 
 
@@ -237,14 +255,16 @@ class TestQualitySweep:
         self, spec, linear_schedule
     ):
         order = sa.random_order(spec, 16, seed=0)
+        cfg = sa.SamplerConfig(kind="ddim")
         schedulers = [
             sa.constant_scheduler(50, 16),
             sa.StepScheduler(kind="linear", t_early=50, t_late=5, ar_steps=16),
             sa.StepScheduler(kind="linear", t_early=5, t_late=50, ar_steps=16),
         ]
-        rows, _ = sa.quality_sweep(
-            spec, order, sa.SamplerConfig(kind="ddim"), schedulers, (3, 4),
-            draws_per_step=256, schedule=linear_schedule, start_index=950)
+        policies = [(s, sa.step_grids(cfg, s, linear_schedule, 950))
+                    for s in schedulers]
+        rows, _ = sa.quality_sweep(spec, order, cfg, policies, (3, 4),
+                                   draws_per_step=256)
         step0 = {r.label: r.w2 for r in rows if r.ar_step == 0}
         assert step0["linear_5_50"] >= 2.0 * step0["constant_50"]
         assert step0["linear_50_5"] <= 1.2 * step0["constant_50"]
@@ -262,10 +282,12 @@ class TestQualitySweep:
 
     def test_mismatched_ar_steps_rejected(self, spec, linear_schedule):
         order = sa.random_order(spec, 16, seed=0)
+        cfg = sa.SamplerConfig(kind="ddim")
+        pol = sa.constant_scheduler(10, 8)
         with pytest.raises(ValueError, match="AR step count"):
-            sa.quality_sweep(spec, order, sa.SamplerConfig(kind="ddim"),
-                             [sa.constant_scheduler(10, 8)], (0, 1),
-                             schedule=linear_schedule)
+            sa.quality_sweep(spec, order, cfg,
+                             [(pol, sa.step_grids(cfg, pol, linear_schedule))],
+                             (0, 1))
 
 
 def scipy_spearman(x, y):
@@ -325,19 +347,21 @@ class TestSpearman:
 class TestStraightnessReport:
     def test_by_step_requires_paths(self, spec, linear_schedule):
         order = sa.random_order(spec, 4, seed=0)
+        cfg = sa.SamplerConfig(kind="ddim")
         batch = sa.simulate_sequences(
-            spec, order, sa.SamplerConfig(kind="ddim"),
-            sa.constant_scheduler(20, 4), linear_schedule,
-            n_sequences=4, master_seed=0, start_index=950)
+            spec, order, cfg,
+            sa.step_grids(cfg, sa.constant_scheduler(20, 4), linear_schedule, 950),
+            n_sequences=4, master_seed=0)
         with pytest.raises(ValueError, match="record_paths"):
             sa.straightness_by_step(batch, 32, np.random.default_rng(0))
 
     def test_report_fields(self, spec, linear_schedule):
         order = sa.random_order(spec, 4, seed=0)
+        cfg = sa.SamplerConfig(kind="ddpm")
         batch = sa.simulate_sequences(
-            spec, order, sa.SamplerConfig(kind="ddpm"),
-            sa.constant_scheduler(20, 4), linear_schedule,
-            n_sequences=8, master_seed=0, start_index=950, record_paths=True)
+            spec, order, cfg,
+            sa.step_grids(cfg, sa.constant_scheduler(20, 4), linear_schedule, 950),
+            n_sequences=8, master_seed=0, record_paths=True)
         rep = sa.straightness_by_step(batch, 32, np.random.default_rng(0))
         assert rep.metric == "diffusion"
         assert rep.per_step.shape == (4,)

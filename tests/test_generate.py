@@ -12,9 +12,11 @@ def setup(spec, linear_schedule):
     return order, cfg, pol
 
 
-def _one(spec, order, cfg, pol, schedule=None, *, seed, **kwargs):
+def _one(spec, order, cfg, pol, schedule=None, *, seed, start_index=None,
+         **kwargs):
     """One sequence through the batched entry point."""
-    return sa.simulate_sequences(spec, order, cfg, pol, schedule, n_sequences=1,
+    grids = sa.step_grids(cfg, pol, schedule, start_index)
+    return sa.simulate_sequences(spec, order, cfg, grids, n_sequences=1,
                                  master_seed=seed, **kwargs)
 
 
@@ -105,9 +107,10 @@ class TestSimulateSequences:
         # conditional must equal a from-scratch Schur complement given the
         # values generated before it.
         order, cfg, pol = setup
-        batch = sa.simulate_sequences(spec, order, cfg, pol, linear_schedule,
+        grids = sa.step_grids(cfg, pol, linear_schedule, 950)
+        batch = sa.simulate_sequences(spec, order, cfg, grids,
                                       n_sequences=3, master_seed=2,
-                                      start_index=950, record_paths=True)
+                                      record_paths=True)
         observed = []
         for group, cond in zip(order.groups(), batch.conditionals):
             exact = sa.conditional_solver(spec, observed, group, cov=cov)
@@ -120,10 +123,11 @@ class TestSimulateSequences:
 
     def test_batched_determinism(self, spec, linear_schedule, setup):
         order, cfg, pol = setup
-        a = sa.simulate_sequences(spec, order, cfg, pol, linear_schedule,
-                                  n_sequences=8, master_seed=1, start_index=950)
-        b = sa.simulate_sequences(spec, order, cfg, pol, linear_schedule,
-                                  n_sequences=8, master_seed=1, start_index=950)
+        grids = sa.step_grids(cfg, pol, linear_schedule, 950)
+        a = sa.simulate_sequences(spec, order, cfg, grids,
+                                  n_sequences=8, master_seed=1)
+        b = sa.simulate_sequences(spec, order, cfg, grids,
+                                  n_sequences=8, master_seed=1)
         np.testing.assert_array_equal(a.values, b.values)
         assert a.values.shape == (8, 16, 4)
 
@@ -132,9 +136,9 @@ class TestSimulateSequences:
         # seq_id,ar_step,position,dim,value per cell, in cell order, and
         # the values read back exactly.
         order, cfg, pol = setup
-        batch = sa.simulate_sequences(spec, order, cfg, pol, linear_schedule,
-                                      n_sequences=2, master_seed=1,
-                                      start_index=950)
+        batch = sa.simulate_sequences(spec, order, cfg,
+                                      sa.step_grids(cfg, pol, linear_schedule, 950),
+                                      n_sequences=2, master_seed=1)
         blocks = sa.batch_to_csv_rows(batch)
         assert len(blocks) == 2
         lines = "".join(blocks).splitlines()
@@ -174,9 +178,9 @@ class TestSimulateSequences:
         order = sa.raster_order(spec, 16)
         cfg = sa.SamplerConfig(kind="ddpm")
         pol = sa.constant_scheduler(1000, 16)
-        batch = sa.simulate_sequences(spec, order, cfg, pol, linear_schedule,
-                                      n_sequences=20000, master_seed=5,
-                                      start_index=999)
+        batch = sa.simulate_sequences(spec, order, cfg,
+                                      sa.step_grids(cfg, pol, linear_schedule, 999),
+                                      n_sequences=20000, master_seed=5)
         flat = batch.values.transpose(0, 2, 1).reshape(-1, 16)
         emp = np.cov(flat, rowvar=False, ddof=1)
         assert np.linalg.norm(emp - cov) / np.linalg.norm(cov) < 0.05

@@ -48,6 +48,16 @@ class TestConditional:
         cond = sa.conditional(spec, [], [2, 7], cov=cov)
         np.testing.assert_allclose(cond.mean, np.zeros((2, 4)))
         np.testing.assert_allclose(cond.covariance, cov[np.ix_([2, 7], [2, 7])])
+        # With a nonzero mean field the empty prefix leaves the targets' own
+        # means, unbatched (m, d) and batched (B, m, d).
+        shifted = sa.TokenProcessSpec(mean_field=np.linspace(-1.0, 1.0, 16))
+        mu = np.tile(shifted.mean_field[[2, 7], None], (1, 4))
+        cond = sa.conditional(shifted, [], [2, 7])
+        np.testing.assert_array_equal(cond.mean, mu)
+        solver = sa.conditional_solver(shifted, [], [2, 7])
+        batched = solver.conditional(shifted, np.zeros((3, 0, 4)))
+        assert batched.mean.shape == (3, 2, 4)
+        np.testing.assert_array_equal(batched.mean, np.broadcast_to(mu, (3, 2, 4)))
 
     def test_fully_correlated_degenerate_limit(self):
         spec = sa.TokenProcessSpec(grid_height=2, grid_width=1, length_scale=1e6)
