@@ -15,26 +15,26 @@ schedule = sa.build_linear_beta()
 sampler = sa.SamplerConfig(kind="ddpm")
 policy = sa.constant_scheduler(50, 16)
 grids = sa.step_grids(sampler, policy, schedule, start_index=950)
-orders = [sa.random_order(spec, 16, seed=s) for s in range(32)]
+plans = [sa.conditioning_plan(spec, sa.random_order(spec, 16, seed=s))
+         for s in range(32)]
 
 probe = np.mean(
-    [sa.probe_error(spec, o, range(8)).exact_per_dim for o in orders], axis=0)
+    [sa.probe_error(plan, range(8)).exact_per_dim for plan in plans], axis=0)
 
 variance = np.zeros(16)
-for i, order in enumerate(orders):
-    rep = sa.sampling_variance(spec, order, sampler, grids, 100,
-                               (1000 + i, 2000 + i))
+for i, plan in enumerate(plans):
+    rep = sa.sampling_variance(plan, sampler, grids, 100, (1000 + i, 2000 + i))
     variance += rep.empirical.mean(axis=1)
-variance /= len(orders)
+variance /= len(plans)
 
 straight = np.zeros(16)
 rng = np.random.default_rng(0)
-for i, order in enumerate(orders):
-    batch = sa.simulate_sequences(spec, order, sampler, grids,
+for i, plan in enumerate(plans):
+    batch = sa.simulate_sequences(plan, sampler, grids,
                                   n_sequences=16, master_seed=500 + i,
                                   record_paths=True)
     straight += sa.straightness_by_step(batch, 64, rng).per_step
-straight /= len(orders)
+straight /= len(plans)
 
 print("AR step | Bayes-predictor MSE | sampling variance | path straightness")
 for k in range(16):

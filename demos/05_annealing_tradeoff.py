@@ -23,7 +23,7 @@ policies = [
     sa.StepScheduler(kind="linear", t_early=5, t_late=50, ar_steps=16),
 ]
 rows, summaries = sa.quality_sweep(
-    spec, order, ddim,
+    sa.conditioning_plan(spec, order), ddim,
     [(p, sa.step_grids(ddim, p, schedule, start_index=950)) for p in policies],
     (100, 200), draws_per_step=512)
 

@@ -33,10 +33,11 @@ from .diagnostics import (
 )
 from .generate import batch_to_csv_rows, simulate_sequences, step_grids
 from .process import (
+    ConditioningPlan,
     TokenProcessSpec,
     conditional,
     conditional_solver,
-    joint_covariance,
+    conditioning_plan,
     random_order,
     raster_order,
 )
@@ -216,27 +217,32 @@ def build_scheduler(cfg: dict) -> StepScheduler:
     )
 
 
+def check_minimums(cfg: dict, minimums: dict[str, int]) -> None:
+    """Each key in ``minimums``, both seeds and ``cosine_offset`` at least its
+    minimum (numpy would reject a negative seed only once work has started)."""
+    for key, least in {"master_seed": 0, "order_seed": 0, "cosine_offset": 0,
+                       **minimums}.items():
+        if cfg[key] < least:
+            raise ValueError(f"{key}: must be >= {least}, got {cfg[key]}")
+
+
 def check_run(
     cfg: dict,
     minimums: dict[str, int],
-    sampler_config: SamplerConfig | None = None,
-    schedulers: Sequence[StepScheduler] = (),
-    spec: TokenProcessSpec | None = None,
-) -> list[list[TimeGrid]]:
-    """Range, covariance and grid-limit checks that must pass before
-    anything is written: each key in ``minimums`` at least its minimum, the
-    spec's covariance positive definite (built here once and cached on the
-    spec), and every AR step's grid under every policy.  Returns each
-    policy's grids, the only ones the command builds."""
-    for key, least in minimums.items():
-        if cfg[key] < least:
-            raise ValueError(f"{key}: must be >= {least}, got {cfg[key]}")
-    if spec is not None:
-        joint_covariance(spec)
-    if not schedulers:
-        return []
+    sampler_config: SamplerConfig,
+    schedulers: Sequence[StepScheduler],
+) -> tuple[ConditioningPlan, list[list[TimeGrid]]]:
+    """Every check that must pass before anything is written, in order: the
+    minimums (:func:`check_minimums`), the spec and the generation order,
+    the field's positive definiteness, and every AR step's grid under every
+    policy.  Returns the order's conditioning plan, whose factorisation is
+    that positive-definiteness check, and each policy's grids: the only plan
+    and grids the command builds."""
+    check_minimums(cfg, minimums)
+    spec = build_spec(cfg)
+    plan = conditioning_plan(spec, build_order(cfg, spec))
     schedule = build_schedule(cfg) if sampler_config.domain == DIFFUSION else None
-    return [
+    return plan, [
         step_grids(sampler_config, scheduler, schedule,
                    cfg["start_index"], cfg["flow_start_time"])
         for scheduler in schedulers
@@ -291,16 +297,14 @@ def cmd_schedule(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, _overrides(args))
-    spec = build_spec(cfg)
-    order = build_order(cfg, spec)
     sampler_config = build_sampler_config(cfg)
     scheduler = build_scheduler(cfg)
-    [grids] = check_run(cfg, {"n_sequences": 1}, sampler_config, [scheduler], spec)
+    plan, [grids] = check_run(cfg, {"n_sequences": 1}, sampler_config, [scheduler])
     out = resolve_out_dir(cfg)
     digest = echo_config(cfg, out)
     started = time.perf_counter()
     batch = simulate_sequences(
-        spec, order, sampler_config, grids,
+        plan, sampler_config, grids,
         n_sequences=cfg["n_sequences"],
         master_seed=cfg["master_seed"],
     )
@@ -330,20 +334,18 @@ def cmd_simulate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg = load_config(args.config, _overrides(args))
-    spec = build_spec(cfg)
-    order = build_order(cfg, spec)
     sampler_config = build_sampler_config(cfg)
     scheduler = build_scheduler(cfg)
-    [grids] = check_run(cfg, {
+    plan, [grids] = check_run(cfg, {
         "n_sequences": 1, "t_draws": 1, "draws_per_step": 2, "probe_sequences": 1,
-    }, sampler_config, [scheduler], spec)
+    }, sampler_config, [scheduler])
     out = resolve_out_dir(cfg)
     digest = echo_config(cfg, out)
     started = time.perf_counter()
     seed = cfg["master_seed"]
 
     batch = simulate_sequences(
-        spec, order, sampler_config, grids,
+        plan, sampler_config, grids,
         n_sequences=cfg["n_sequences"],
         master_seed=seed,
         record_paths=True,
@@ -361,7 +363,7 @@ def cmd_diagnose(args) -> int:
     )
 
     variance = sampling_variance(
-        spec, order, sampler_config, grids,
+        plan, sampler_config, grids,
         cfg["draws_per_step"], (seed + 101, seed + 202),
     )
     var_rows = [
@@ -376,7 +378,7 @@ def cmd_diagnose(args) -> int:
         var_rows,
     )
 
-    probe = probe_error(spec, order, range(seed + 300, seed + 300 + cfg["probe_sequences"]))
+    probe = probe_error(plan, range(seed + 300, seed + 300 + cfg["probe_sequences"]))
     write_csv(
         out / "probe.csv", digest,
         ["ar_step", "mse", "exact_mse"],
@@ -386,7 +388,7 @@ def cmd_diagnose(args) -> int:
         ],
     )
     elapsed = time.perf_counter() - started
-    steps = np.arange(order.step_count)
+    steps = np.arange(plan.order.step_count)
     rho_var = spearman(steps, variance.empirical.mean(axis=1))
     print(f"straightness Spearman(step, value) = {straight.spearman_to_step:+.3f}")
     print(f"variance Spearman(step, value) = {rho_var:+.3f}")
@@ -399,9 +401,10 @@ def cmd_diagnose(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, _overrides(args))
-    spec = build_spec(cfg)
-    order = build_order(cfg, spec)
     sampler_config = build_sampler_config(cfg)
+    for key in ("sweep_t_early", "sweep_t_late"):
+        if not cfg[key]:
+            raise ValueError(f"{key}: must hold at least one step count")
     schedulers = [
         StepScheduler(
             kind=cfg["scheduler_kind"], t_early=te, t_late=tl,
@@ -410,14 +413,14 @@ def cmd_sweep(args) -> int:
         for te in cfg["sweep_t_early"]
         for tl in cfg["sweep_t_late"]
     ]
-    grids = check_run(
+    plan, grids = check_run(
         cfg, {"draws_per_step": 2, "floor_repeats": 1, "joint_sequences": 0},
-        sampler_config, schedulers, spec)
+        sampler_config, schedulers)
     out = resolve_out_dir(cfg)
     digest = echo_config(cfg, out)
     started = time.perf_counter()
     rows, summaries = quality_sweep(
-        spec, order, sampler_config, list(zip(schedulers, grids)),
+        plan, sampler_config, list(zip(schedulers, grids)),
         (cfg["master_seed"] + 11, cfg["master_seed"] + 12),
         draws_per_step=cfg["draws_per_step"],
         floor_repeats=cfg["floor_repeats"],
@@ -458,7 +461,7 @@ def cmd_oracle_check(args) -> int:
     # The regression below fits 9 parameters (intercept and 8 observed
     # positions) and needs a residual degree of freedom; its target is a
     # ninth position.
-    check_run(cfg, {"mc_samples": 10})
+    check_minimums(cfg, {"mc_samples": 10})
     height, width = cfg["grid_height"], cfg["grid_width"]
     if height * width < 9:
         raise ValueError(
@@ -466,17 +469,18 @@ def cmd_oracle_check(args) -> int:
             f"(8 observed and 1 target), got {height}x{width}"
         )
     spec = build_spec(cfg)
+    # One AR step in natural order: the factor of the covariance itself,
+    # for the Monte Carlo draws below, and the positive-definiteness check.
+    chol = conditioning_plan(spec, raster_order(spec, 1)).factor
     rng = np.random.default_rng(cfg["master_seed"])
     oracle = BiasedDenoiser(0.5) if args.corrupt_score else ExactDenoiser()
     checks: list[tuple[str, bool, str]] = []
 
-    cov = joint_covariance(spec)
     obs_pos = list(rng.permutation(spec.token_count)[:8])
     targets = [p for p in range(spec.token_count) if p not in obs_pos][:3]
     obs_vals = rng.standard_normal((len(obs_pos), spec.token_dim))
-    cond = conditional(
-        spec, [(p, obs_vals[i]) for i, p in enumerate(obs_pos)], targets, cov=cov
-    )
+    observed = list(zip(obs_pos, obs_vals))
+    cond = conditional(spec, observed, targets)
 
     # Finite differences against the analytic log-density gradient.
     a = 0.35
@@ -502,13 +506,12 @@ def cmd_oracle_check(args) -> int:
 
     # Monte Carlo regression for the conditional moments.
     n_mc = int(cfg["mc_samples"])
-    chol = np.linalg.cholesky(cov)
     draws = rng.standard_normal((n_mc, spec.token_count)) @ chol.T
     y = draws[:, targets[0]]
     design = np.column_stack([np.ones(n_mc), draws[:, obs_pos]])
     beta, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ beta
-    solver = conditional_solver(spec, obs_pos, [targets[0]], cov=cov)
+    solver = conditional_solver(spec, obs_pos, [targets[0]])
     exact_var = float(solver.covariance[0, 0])
     xtx_inv = np.linalg.inv(design.T @ design)
     se = np.sqrt(np.var(resid, ddof=design.shape[1]) * np.diag(xtx_inv))
@@ -523,9 +526,7 @@ def cmd_oracle_check(args) -> int:
     )
 
     # Conditioning never increases uncertainty.
-    small = conditional(
-        spec, [(p, obs_vals[i]) for i, p in enumerate(obs_pos[:4])], targets, cov=cov
-    )
+    small = conditional(spec, observed[:4], targets)
     tightens = (
         float(np.trace(cond.covariance))
         <= float(np.trace(small.covariance)) + 1e-9

@@ -18,7 +18,10 @@ Empirical-vs-exact distances fit a Gaussian to the draws by moments (the
 truth is Gaussian, so the fit is consistent) and always report a Monte Carlo
 floor: the same-size-sample W2 of exact draws against their own truth.
 Everything here is a pure computation, bitwise reproducible under fixed
-seeds.
+seeds.  The per-step runners (:func:`sampling_variance`, :func:`probe_error`,
+:func:`quality_sweep`) take the generation order's
+:class:`~stepanneal.process.ConditioningPlan`, built once per command, and
+condition every AR step through it; none of them factors the covariance.
 """
 
 from __future__ import annotations
@@ -27,18 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Callers hand in grids built by ``generate.step_grids``.  ``steps_at``,
-# ``conditional_solver`` and the two grid functions stay bound here, unused,
-# because bench/spans.py traces the layers by rebinding these names here.
+# Callers hand in the generation order's conditioning plan and grids built by
+# ``generate.step_grids``.  ``steps_at``, ``conditional_solver`` and the two
+# grid functions stay bound here, unused, because bench/spans.py traces the
+# layers by rebinding these names here.
 from .annealing import StepScheduler, steps_at, total_nfe  # noqa: F401
 from .denoiser import ExactDenoiser
 from .generate import SequenceBatch, check_grid_count, simulate_sequences
 from .process import (
     ConditionalGaussian,
-    GenerationOrder,
-    TokenProcessSpec,
+    ConditioningPlan,
     conditional_solver,  # noqa: F401
-    conditioning_plan,
     joint_covariance,
     sample_conditional,
 )
@@ -313,8 +315,7 @@ class VarianceReport:
 
 
 def sampling_variance(
-    spec: TokenProcessSpec,
-    order: GenerationOrder,
+    plan: ConditioningPlan,
     sampler_config: SamplerConfig,
     grids: list[TimeGrid],
     draws_per_step: int,
@@ -326,9 +327,9 @@ def sampling_variance(
     normal draws themselves."""
     if draws_per_step < 2:
         raise ValueError("draws_per_step: must be >= 2")
-    check_grid_count(grids, order)
+    check_grid_count(grids, plan.order)
     prefix_seed, redraw_seed = seeds
-    plan = conditioning_plan(spec, order, joint_covariance(spec))
+    spec = plan.spec
     oracle = ExactDenoiser()
     prefix_rng = np.random.default_rng(prefix_seed)
     redraw_rng = np.random.default_rng(redraw_seed)
@@ -359,9 +360,7 @@ class ProbeReport:
     n_sequences: int
 
 
-def probe_error(
-    spec: TokenProcessSpec, order: GenerationOrder, seeds
-) -> ProbeReport:
+def probe_error(plan: ConditioningPlan, seeds) -> ProbeReport:
     """Per-step squared error of predicting the sampled group by the
     conditional mean, averaged over exactly sampled sequences.  An exact draw
     is ``mean + L_kk z``, so the error is the innovation ``L_kk z`` and the
@@ -371,10 +370,9 @@ def probe_error(
         raise ValueError("seeds: need at least one seed")
     rng = np.random.default_rng(seeds)
     n_seq = len(seeds)
-    plan = conditioning_plan(spec, order, joint_covariance(spec))
     mse, exact = [], []
-    for k, size in enumerate(order.group_sizes):
-        z = rng.standard_normal((n_seq, size, spec.token_dim))
+    for k, size in enumerate(plan.order.group_sizes):
+        z = rng.standard_normal((n_seq, size, plan.spec.token_dim))
         mse.append(float(np.mean((plan.block(k) @ z) ** 2)))
         exact.append(float(np.trace(plan.covariance(k))) / size)
     return ProbeReport(
@@ -418,8 +416,7 @@ def scheduler_label(s: StepScheduler) -> str:
 
 
 def quality_sweep(
-    spec: TokenProcessSpec,
-    order: GenerationOrder,
+    plan: ConditioningPlan,
     sampler_config: SamplerConfig,
     policies: list[tuple[StepScheduler, list[TimeGrid]]],
     seeds: tuple[int, int],
@@ -442,10 +439,9 @@ def quality_sweep(
     Frobenius error of the empirical joint covariance.
     """
     for _, grids in policies:
-        check_grid_count(grids, order)
+        check_grid_count(grids, plan.order)
     prefix_seed, sweep_seed = seeds
-    cov = joint_covariance(spec)
-    plan = conditioning_plan(spec, order, cov)
+    spec = plan.spec
     oracle = ExactDenoiser()
     prefix_rng = np.random.default_rng(prefix_seed)
     rng = np.random.default_rng(sweep_seed)
@@ -454,7 +450,7 @@ def quality_sweep(
     # normal draws) and per-step exact conditionals + floors.
     conds, floors = [], []
     whitened = np.empty((spec.token_count, spec.token_dim))
-    for k in range(order.step_count):
+    for k in range(plan.order.step_count):
         cond = plan.conditional(k, whitened)
         conds.append(cond)
         floors.append(
@@ -490,12 +486,13 @@ def quality_sweep(
         joint_err = float("nan")
         if joint_sequences > 0:
             batch = simulate_sequences(
-                spec, order, sampler_config, grids,
+                plan, sampler_config, grids,
                 n_sequences=joint_sequences,
                 master_seed=int(rng.integers(2**31)),
             )
             flat = batch.values.transpose(0, 2, 1).reshape(-1, spec.token_count)
             emp = np.cov(flat, rowvar=False, ddof=1)
+            cov = joint_covariance(spec)
             joint_err = float(
                 np.linalg.norm(emp - cov) / np.linalg.norm(cov)
             )

@@ -7,10 +7,10 @@ per-step allocation reaches it as grids.  Each AR step k conditions on
 everything generated so far and runs the configured sampler on step k's grid
 with the exact conditional as its denoiser.  Runs are fully determined by the
 seed.  ``simulate_sequences`` vectorizes many sequences through one shared
-generation order: it factors the order's covariance once
-(:func:`~stepanneal.process.conditioning_plan`), every step's conditional
-covariance comes from that factor, and each step's batched means are one
-product with the whitened innovations of the groups already drawn.
+generation order, given as its :class:`~stepanneal.process.ConditioningPlan`
+(built once per command; it carries the spec): every step's conditional
+covariance comes from the plan's factor, and each step's batched means are
+one product with the whitened innovations of the groups already drawn.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ from .annealing import StepScheduler, steps_at
 from .denoiser import ExactDenoiser
 from .process import (
     ConditionalGaussian,
+    ConditioningPlan,
     GenerationOrder,
-    TokenProcessSpec,
     conditional_solver,  # noqa: F401  (kept for bench/spans.py)
-    conditioning_plan,
-    joint_covariance,
+    joint_covariance,  # noqa: F401  (kept for bench/spans.py)
 )
 from .samplers import SamplerConfig, TrajectoryRecord, sample_with_config
 from .schedules import (
@@ -98,8 +97,7 @@ def check_grid_count(grids: list[TimeGrid], order: GenerationOrder) -> None:
 
 
 def simulate_sequences(
-    spec: TokenProcessSpec,
-    order: GenerationOrder,
+    plan: ConditioningPlan,
     sampler_config: SamplerConfig,
     grids: list[TimeGrid],
     *,
@@ -107,19 +105,19 @@ def simulate_sequences(
     master_seed: int,
     record_paths: bool = False,
 ) -> SequenceBatch:
-    """Generate ``n_sequences`` fields at once (vectorized over sequences),
-    AR step k on ``grids[k]`` (see :func:`step_grids`).
+    """Generate ``n_sequences`` fields at once (vectorized over sequences)
+    along ``plan.order``, AR step k on ``grids[k]`` (see :func:`step_grids`).
 
     The random stream is ``default_rng([master_seed, n_sequences])``, so a
     run is bitwise reproducible for a fixed seed and batch size.
     """
     if n_sequences < 1:
         raise ValueError("n_sequences: must be positive")
+    order = plan.order
     check_grid_count(grids, order)
-    plan = conditioning_plan(spec, order, joint_covariance(spec))
     rng = np.random.default_rng([master_seed, n_sequences])
     oracle = ExactDenoiser()
-    n, d = spec.token_count, spec.token_dim
+    n, d = plan.spec.token_count, plan.spec.token_dim
     values = np.zeros((n_sequences, n, d))
     whitened = np.empty((n, n_sequences, d))
     trajectories = [] if record_paths else None

@@ -91,8 +91,8 @@ class TokenProcessSpec:
     @cached_property
     def covariance(self) -> np.ndarray:
         """Dense n x n position covariance, jitter included on the diagonal:
-        built and checked positive definite on first use, then cached and
-        read-only like the fields."""
+        built on first use, then cached and read-only like the fields.
+        :func:`conditioning_plan` checks it positive definite."""
         pos = self.positions()
         d_row = pos[:, None, 0] - pos[None, :, 0]
         d_col = pos[:, None, 1] - pos[None, :, 1]
@@ -103,13 +103,6 @@ class TokenProcessSpec:
         else:  # ar1: exponential decay in grid distance
             cov = s2 * np.exp(-np.sqrt(dist2) / self.length_scale)
         cov.flat[:: self.token_count + 1] += self.jitter
-        if dpotrf(cov, lower=1, clean=0)[1] != 0:
-            smallest = float(np.linalg.eigvalsh(cov)[0])
-            raise NumericalError(
-                f"length_scale/jitter: the joint covariance is not positive "
-                f"definite after jitter (smallest eigenvalue ~ {smallest:.3e}); "
-                f"raise jitter or shorten length_scale"
-            )
         return _readonly(cov)
 
 
@@ -231,8 +224,10 @@ class ConditioningPlan:
     ``w_j = L_jj^-1 (x_j - mean_j)`` of the groups already drawn; an exact
     draw is ``mean_k + L_kk z`` with whitened innovation ``z``.  ``w`` is
     position-major, shape (n, d) for one sequence or (n, S, d) for S, so each
-    step's mean is one matrix product over every sequence."""
+    step's mean is one matrix product over every sequence.  ``spec`` is the
+    field the plan factors."""
 
+    spec: TokenProcessSpec
     order: GenerationOrder
     mean_field: np.ndarray  # (n,), in generation order
     factor: np.ndarray  # (n, n), lower
@@ -286,8 +281,9 @@ def conditioning_plan(
     spec: TokenProcessSpec, order: GenerationOrder, cov: np.ndarray | None = None
 ) -> ConditioningPlan:
     """Factor the joint covariance, permuted into ``order``, once: one n x n
-    Cholesky factorisation.  A pivot that is not positive raises
-    :class:`NumericalError` naming its AR step and position, before any
+    Cholesky factorisation.  This is the field's positive-definiteness
+    check: a pivot that is not positive raises :class:`NumericalError`
+    naming ``length_scale/jitter``, its AR step and its position, before any
     conditional is formed."""
     n = spec.token_count
     if len(order.permutation) != n:
@@ -306,10 +302,12 @@ def conditioning_plan(
         row = info - 1
         k = bisect_right(offsets, row) - 1
         raise NumericalError(
-            f"AR step {k}: the covariance is not positive definite at position "
-            f"{perm[row]} (pivot {info} of {n} in generation order)"
+            f"length_scale/jitter: AR step {k}: the joint covariance is not "
+            f"positive definite at position {perm[row]} (pivot {info} of {n} "
+            f"in generation order); raise jitter or shorten length_scale"
         )
     return ConditioningPlan(
+        spec=spec,
         order=order,
         mean_field=_readonly(spec.mean_field[perm]),
         factor=_readonly(upper.T),

@@ -168,13 +168,14 @@ def make_diffusion_grid(
     final point clean).
 
     ``start_index`` defaults to the top of the base grid; pass
-    ``DEFAULT_START_OFFSET`` to skip the noisiest levels.
+    ``DEFAULT_START_OFFSET`` to skip the noisiest levels.  It must be at
+    least 1: a grid starting at index 0 would have no step to take.
     """
     base = schedule.base_step_count
     if start_index is None:
         start_index = base - 1
-    if not 0 <= start_index < base:
-        raise ValueError("start_index: must lie in [0, base_step_count)")
+    if not 1 <= start_index < base:
+        raise ValueError(f"start_index: must lie in [1, {base}), got {start_index}")
     if not 1 <= num_steps <= start_index + 1:
         raise ValueError("num_steps: must lie in [1, start_index + 1]")
     if num_steps == 1:

@@ -209,7 +209,8 @@ def evidence_orders(spec):
 
 def test_criterion_5a_probe_mse_strictly_decreasing(spec, evidence_orders):
     traces = np.mean(
-        [sa.probe_error(spec, o, range(2)).exact_per_dim for o in evidence_orders],
+        [sa.probe_error(sa.conditioning_plan(spec, o), range(2)).exact_per_dim
+         for o in evidence_orders],
         axis=0,
     )
     ok = bool(np.all(np.diff(traces) < 0))
@@ -222,7 +223,7 @@ def test_criterion_5b_variance_trend(spec, linear_schedule, evidence_orders):
     pol = sa.constant_scheduler(50, 16)
     per_step = np.zeros(16)
     for i, order in enumerate(evidence_orders):
-        rep = sa.sampling_variance(spec, order, cfg,
+        rep = sa.sampling_variance(sa.conditioning_plan(spec, order), cfg,
                                    sa.step_grids(cfg, pol, linear_schedule, 950),
                                    100, (1000 + i, 2000 + i))
         per_step += rep.empirical.mean(axis=1)
@@ -240,7 +241,7 @@ def test_criterion_5c_straightness_trend(spec, linear_schedule, evidence_orders)
     per_step = np.zeros(16)
     n_traj = 0
     for i, order in enumerate(evidence_orders):
-        batch = sa.simulate_sequences(spec, order, cfg,
+        batch = sa.simulate_sequences(sa.conditioning_plan(spec, order), cfg,
                                       sa.step_grids(cfg, pol, linear_schedule, 950),
                                       n_sequences=16, master_seed=500 + i,
                                       record_paths=True)
@@ -270,7 +271,8 @@ def headline_sweep(spec, linear_schedule):
     policies = [(s, sa.step_grids(ddim, s, linear_schedule, 950))
                 for s in schedulers]
     rows, summaries = sa.quality_sweep(
-        spec, order, ddim, policies, (100, 200), draws_per_step=512)
+        sa.conditioning_plan(spec, order), ddim, policies, (100, 200),
+        draws_per_step=512)
     return rows, {s.label: s for s in summaries}
 
 
@@ -334,12 +336,13 @@ def test_criterion_7_dpm2_annealed_vs_ddim50(spec, linear_schedule):
     dpm2 = sa.SamplerConfig(kind="dpm_solver", order=2)
     const50 = sa.constant_scheduler(50, 16)
     _, ddim_summary = sa.quality_sweep(
-        spec, order, ddim,
+        sa.conditioning_plan(spec, order), ddim,
         [(const50, sa.step_grids(ddim, const50, linear_schedule, 950))],
         (100, 200), draws_per_step=512)
     sched = sa.StepScheduler(kind="linear", t_early=25, t_late=10, ar_steps=16)
     _, dpm_summary = sa.quality_sweep(
-        spec, order, dpm2, [(sched, sa.step_grids(dpm2, sched, linear_schedule, 950))],
+        sa.conditioning_plan(spec, order), dpm2,
+        [(sched, sa.step_grids(dpm2, sched, linear_schedule, 950))],
         (100, 200), draws_per_step=512)
     c50 = ddim_summary[0].aggregate_w2
     dpm = dpm_summary[0].aggregate_w2

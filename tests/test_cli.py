@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import stepanneal
-from stepanneal import cli, generate, simulate_sequences, step_grids
+from stepanneal import (
+    cli, conditioning_plan, generate, process, simulate_sequences, step_grids,
+)
 from stepanneal.cli import main
 
 
@@ -73,16 +75,23 @@ def test_override_flags_are_config_keys():
 ])
 def test_each_policy_builds_its_grids_once(capsys, tmp_path, monkeypatch,
                                            command, policies):
-    # A command builds each policy's grids once, one per AR step, and hands
-    # them to generation and the diagnostics (the sweep's joint run too).
-    builds = []
-    build = generate.make_diffusion_grid
+    # A command builds each policy's grids once, one per AR step, and the
+    # generation order's conditioning plan once, and hands them to generation
+    # and the diagnostics (the sweep's joint run too).  Counting the LAPACK
+    # factorisations as well shows that nothing else factors the covariance.
+    calls = {"grids": 0, "plans": 0, "factorisations": 0}
 
-    def counted(*args, **kwargs):
-        builds.append(args[1])
-        return build(*args, **kwargs)
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(generate, "make_diffusion_grid", counted)
+    monkeypatch.setattr(generate, "make_diffusion_grid",
+                        counted("grids", generate.make_diffusion_grid))
+    monkeypatch.setattr(cli, "conditioning_plan",
+                        counted("plans", cli.conditioning_plan))
+    monkeypatch.setattr(process, "dpotrf", counted("factorisations", process.dpotrf))
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
         "schedule_kind": "linear", "ar_steps": 4, "t_early": 10, "t_late": 5,
@@ -91,7 +100,7 @@ def test_each_policy_builds_its_grids_once(capsys, tmp_path, monkeypatch,
         "sweep_t_early": [10], "sweep_t_late": [5, 10],
         "out_dir": str(tmp_path / "out")}))
     assert run_cli(capsys, command, "--config", str(config))[0] == 0
-    assert len(builds) == 4 * policies
+    assert calls == {"grids": 4 * policies, "plans": 1, "factorisations": 1}
 
 
 class TestScheduleCommand:
@@ -204,10 +213,11 @@ class TestSimulateCommand:
 
     def test_unknown_config_key_fails(self, capsys, tmp_path):
         # An unknown key, a known key with a value of the wrong type, a value
-        # out of range, a policy that some AR step's grid rejects, a clamp on
-        # a flow sampler (which has no data prediction to clip) and a flow
-        # start time out of range all fail, naming the key, before any output
-        # is written.
+        # out of range (a negative seed included), an empty sweep list, a
+        # policy that some AR step's grid rejects, a grid start at index 0, a
+        # clamp on a flow sampler (which has no data prediction to clip) and a
+        # flow start time out of range all fail, naming the key, before any
+        # output is written.
         config = tmp_path / "cfg.json"
         out_dir = tmp_path / "out"
         multistep = {"schedule_kind": "linear", "sampler": "dpm_solver_pp",
@@ -223,6 +233,22 @@ class TestSimulateCommand:
              "error: draws_per_step: ", ("diagnose", "sweep")),
             ({"schedule_kind": "linear", "joint_sequences": -3},
              "error: joint_sequences: ", ("sweep",)),
+            ({"schedule_kind": "linear", "master_seed": -1},
+             "error: master_seed: must be >= 0, got -1",
+             ("simulate", "diagnose", "sweep", "oracle-check")),
+            ({"schedule_kind": "linear", "order_seed": -1},
+             "error: order_seed: must be >= 0, got -1",
+             ("simulate", "diagnose", "sweep")),
+            ({"schedule_kind": "cosine", "cosine_offset": -0.1},
+             "error: cosine_offset: must be >= 0, got -0.1",
+             ("simulate", "diagnose", "sweep")),
+            ({"schedule_kind": "linear", "sweep_t_early": []},
+             "error: sweep_t_early: ", ("sweep",)),
+            ({"schedule_kind": "linear", "sweep_t_late": []},
+             "error: sweep_t_late: ", ("sweep",)),
+            ({"schedule_kind": "linear", "start_index": 0},
+             "error: AR step 0: start_index: must lie in [1, ",
+             ("simulate", "diagnose", "sweep")),
             ({"ar_steps": 100}, "error: ar_steps: must lie in [1, 16], got 100",
              ("simulate", "diagnose", "sweep")),
             (multistep, "error: AR step 8: grid: ",
@@ -244,17 +270,20 @@ class TestSimulateCommand:
     def test_singular_covariance_fails_before_output(self, capsys, tmp_path):
         # A near-constant field with almost no jitter is not positive
         # definite; every command stops before writing, naming both keys.
+        # The conditioning plan's factorisation is the check, oracle-check's
+        # too.
         config = tmp_path / "cfg.json"
         out_dir = tmp_path / "out"
         config.write_text(json.dumps({
             "grid_height": 3, "grid_width": 3, "ar_steps": 9,
             "sampler": "euler_flow", "length_scale": 1e6, "jitter": 1e-18,
             "out_dir": str(out_dir)}))
-        for command in ("simulate", "diagnose", "sweep"):
-            code, _, err = run_cli(capsys, command, "--config", str(config))
+        for command in ("simulate", "diagnose", "sweep", "oracle-check"):
+            code, out, err = run_cli(capsys, command, "--config", str(config))
             assert code == 1
-            assert "error: length_scale/jitter: " in err
-            assert not (out_dir / "effective_config.json").exists()
+            assert "error: length_scale/jitter: AR step " in err
+            assert out == ""
+            assert not out_dir.exists()
 
     def test_runtime_error_exit_code(self, capsys, base_config):
         config, _ = base_config
@@ -278,7 +307,7 @@ class TestSimulateCommand:
         grids = step_grids(sampler_config, cli.build_scheduler(cfg),
                            flow_start_time=cfg["flow_start_time"])
         batch = simulate_sequences(
-            spec, order, sampler_config, grids,
+            conditioning_plan(spec, order), sampler_config, grids,
             n_sequences=64, master_seed=cfg["master_seed"])
         _, rows = read_csv(tmp_path / "out" / "tokens.csv")
         cells = [[int(x) for x in r[:4]] for r in rows]

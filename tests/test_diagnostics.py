@@ -144,7 +144,7 @@ class TestSamplingVariance:
         order = sa.random_order(tight, 4, seed=0)
         cfg = sa.SamplerConfig(kind="ddim")
         rep = sa.sampling_variance(
-            tight, order, cfg,
+            sa.conditioning_plan(tight, order), cfg,
             sa.step_grids(cfg, sa.constant_scheduler(50, 4), linear_schedule, 950),
             50, (1, 2))
         assert np.all(rep.empirical < 1e-9)
@@ -153,7 +153,7 @@ class TestSamplingVariance:
         order = sa.random_order(spec, 16, seed=0)
         cfg = sa.SamplerConfig(kind="ddpm")
         rep = sa.sampling_variance(
-            spec, order, cfg,
+            sa.conditioning_plan(spec, order), cfg,
             sa.step_grids(cfg, sa.constant_scheduler(50, 16), linear_schedule, 950),
             100, (11, 22))
         assert rep.empirical[-1].mean() < rep.empirical[0].mean()
@@ -165,7 +165,7 @@ class TestSamplingVariance:
         order = sa.random_order(spec, 16, seed=0)
         cfg = sa.SamplerConfig(kind="ddim")
         rep = sa.sampling_variance(
-            spec, order, cfg,
+            sa.conditioning_plan(spec, order), cfg,
             sa.step_grids(cfg, sa.constant_scheduler(951, 16), linear_schedule, 950),
             100, (11, 22))
         per_step = rep.empirical.mean(axis=1)
@@ -177,7 +177,7 @@ class TestSamplingVariance:
         cfg = sa.SamplerConfig(kind="ddim")
         with pytest.raises(ValueError, match="draws_per_step"):
             sa.sampling_variance(
-                spec, order, cfg,
+                sa.conditioning_plan(spec, order), cfg,
                 sa.step_grids(cfg, sa.constant_scheduler(10, 4), linear_schedule),
                 1, (1, 2))
 
@@ -191,26 +191,28 @@ class TestSamplingVariance:
         grids = sa.step_grids(cfg, sa.constant_scheduler(10, policy_steps),
                               linear_schedule)
         with pytest.raises(ValueError, match="ar_steps"):
-            sa.sampling_variance(spec, order, cfg, grids, 10, (1, 2))
+            sa.sampling_variance(sa.conditioning_plan(spec, order), cfg, grids, 10,
+                                 (1, 2))
 
 
 class TestProbeError:
     def test_dirac_process(self):
         tight = sa.TokenProcessSpec(marginal_std=1e-6, jitter=1e-16)
         order = sa.random_order(tight, 4, seed=0)
-        rep = sa.probe_error(tight, order, range(32))
+        rep = sa.probe_error(sa.conditioning_plan(tight, order), range(32))
         assert np.all(rep.mse < 1e-9)
 
     def test_expectation_matches_trace(self, spec):
         order = sa.random_order(spec, 16, seed=0)
-        rep = sa.probe_error(spec, order, range(1000))
+        rep = sa.probe_error(sa.conditioning_plan(spec, order), range(1000))
         se = rep.exact_per_dim * np.sqrt(2.0 / (1000 * 4))
         assert np.all(np.abs(rep.mse - rep.exact_per_dim) <= 3 * se)
 
     def test_order_averaged_traces_strictly_decrease(self, spec):
+        orders = [sa.random_order(spec, 16, seed=s) for s in range(32)]
         traces = np.mean(
-            [sa.probe_error(spec, sa.random_order(spec, 16, seed=s), range(2)
-                            ).exact_per_dim for s in range(32)],
+            [sa.probe_error(sa.conditioning_plan(spec, o), range(2)).exact_per_dim
+             for o in orders],
             axis=0,
         )
         assert np.all(np.diff(traces) < 0)
@@ -227,7 +229,7 @@ def sweep(spec, linear_schedule):
     ]
     policies = [(s, sa.step_grids(cfg, s, linear_schedule, 950)) for s in schedulers]
     rows, summaries = sa.quality_sweep(
-        spec, order, cfg, policies, (3, 4),
+        sa.conditioning_plan(spec, order), cfg, policies, (3, 4),
         draws_per_step=512, joint_sequences=2000)
     return rows, summaries
 
@@ -263,8 +265,8 @@ class TestQualitySweep:
         ]
         policies = [(s, sa.step_grids(cfg, s, linear_schedule, 950))
                     for s in schedulers]
-        rows, _ = sa.quality_sweep(spec, order, cfg, policies, (3, 4),
-                                   draws_per_step=256)
+        rows, _ = sa.quality_sweep(sa.conditioning_plan(spec, order), cfg, policies,
+                                   (3, 4), draws_per_step=256)
         step0 = {r.label: r.w2 for r in rows if r.ar_step == 0}
         assert step0["linear_5_50"] >= 2.0 * step0["constant_50"]
         assert step0["linear_50_5"] <= 1.2 * step0["constant_50"]
@@ -285,7 +287,7 @@ class TestQualitySweep:
         cfg = sa.SamplerConfig(kind="ddim")
         pol = sa.constant_scheduler(10, 8)
         with pytest.raises(ValueError, match="AR step count"):
-            sa.quality_sweep(spec, order, cfg,
+            sa.quality_sweep(sa.conditioning_plan(spec, order), cfg,
                              [(pol, sa.step_grids(cfg, pol, linear_schedule))],
                              (0, 1))
 
@@ -349,7 +351,7 @@ class TestStraightnessReport:
         order = sa.random_order(spec, 4, seed=0)
         cfg = sa.SamplerConfig(kind="ddim")
         batch = sa.simulate_sequences(
-            spec, order, cfg,
+            sa.conditioning_plan(spec, order), cfg,
             sa.step_grids(cfg, sa.constant_scheduler(20, 4), linear_schedule, 950),
             n_sequences=4, master_seed=0)
         with pytest.raises(ValueError, match="record_paths"):
@@ -359,7 +361,7 @@ class TestStraightnessReport:
         order = sa.random_order(spec, 4, seed=0)
         cfg = sa.SamplerConfig(kind="ddpm")
         batch = sa.simulate_sequences(
-            spec, order, cfg,
+            sa.conditioning_plan(spec, order), cfg,
             sa.step_grids(cfg, sa.constant_scheduler(20, 4), linear_schedule, 950),
             n_sequences=8, master_seed=0, record_paths=True)
         rep = sa.straightness_by_step(batch, 32, np.random.default_rng(0))

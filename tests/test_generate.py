@@ -16,8 +16,8 @@ def _one(spec, order, cfg, pol, schedule=None, *, seed, start_index=None,
          **kwargs):
     """One sequence through the batched entry point."""
     grids = sa.step_grids(cfg, pol, schedule, start_index)
-    return sa.simulate_sequences(spec, order, cfg, grids, n_sequences=1,
-                                 master_seed=seed, **kwargs)
+    return sa.simulate_sequences(sa.conditioning_plan(spec, order), cfg, grids,
+                                 n_sequences=1, master_seed=seed, **kwargs)
 
 
 class TestGenerateSequence:
@@ -108,7 +108,7 @@ class TestSimulateSequences:
         # values generated before it.
         order, cfg, pol = setup
         grids = sa.step_grids(cfg, pol, linear_schedule, 950)
-        batch = sa.simulate_sequences(spec, order, cfg, grids,
+        batch = sa.simulate_sequences(sa.conditioning_plan(spec, order), cfg, grids,
                                       n_sequences=3, master_seed=2,
                                       record_paths=True)
         observed = []
@@ -124,9 +124,9 @@ class TestSimulateSequences:
     def test_batched_determinism(self, spec, linear_schedule, setup):
         order, cfg, pol = setup
         grids = sa.step_grids(cfg, pol, linear_schedule, 950)
-        a = sa.simulate_sequences(spec, order, cfg, grids,
+        a = sa.simulate_sequences(sa.conditioning_plan(spec, order), cfg, grids,
                                   n_sequences=8, master_seed=1)
-        b = sa.simulate_sequences(spec, order, cfg, grids,
+        b = sa.simulate_sequences(sa.conditioning_plan(spec, order), cfg, grids,
                                   n_sequences=8, master_seed=1)
         np.testing.assert_array_equal(a.values, b.values)
         assert a.values.shape == (8, 16, 4)
@@ -136,7 +136,7 @@ class TestSimulateSequences:
         # seq_id,ar_step,position,dim,value per cell, in cell order, and
         # the values read back exactly.
         order, cfg, pol = setup
-        batch = sa.simulate_sequences(spec, order, cfg,
+        batch = sa.simulate_sequences(sa.conditioning_plan(spec, order), cfg,
                                       sa.step_grids(cfg, pol, linear_schedule, 950),
                                       n_sequences=2, master_seed=1)
         blocks = sa.batch_to_csv_rows(batch)
@@ -178,7 +178,7 @@ class TestSimulateSequences:
         order = sa.raster_order(spec, 16)
         cfg = sa.SamplerConfig(kind="ddpm")
         pol = sa.constant_scheduler(1000, 16)
-        batch = sa.simulate_sequences(spec, order, cfg,
+        batch = sa.simulate_sequences(sa.conditioning_plan(spec, order), cfg,
                                       sa.step_grids(cfg, pol, linear_schedule, 999),
                                       n_sequences=20000, master_seed=5)
         flat = batch.values.transpose(0, 2, 1).reshape(-1, 16)

@@ -257,8 +257,24 @@ class TestConditioningPlan:
         with pytest.raises(sa.NumericalError) as exc:
             sa.conditioning_plan(spec, order, np.ones((64, 64)))
         message = str(exc.value)
-        assert message.startswith(f"AR step {step}: ")
+        assert message.startswith(f"length_scale/jitter: AR step {step}: ")
         assert f"position {order.permutation[1]} " in message
+
+    def test_plan_is_the_positive_definiteness_check(self):
+        # At this length scale every kernel entry rounds to 1, and the jitter
+        # is lost in rounding, so the covariance is exactly all ones (rank
+        # one).  The spec builds it without checking it; the plan's
+        # factorisation fails at the second pivot, naming the keys, the AR
+        # step and the position.
+        spec = sa.TokenProcessSpec(grid_height=3, grid_width=3,
+                                   length_scale=1e9, jitter=1e-18)
+        np.testing.assert_array_equal(sa.joint_covariance(spec), np.ones((9, 9)))
+        order = sa.random_order(spec, 3, seed=2)
+        with pytest.raises(sa.NumericalError) as exc:
+            sa.conditioning_plan(spec, order)
+        assert str(exc.value).startswith(
+            f"length_scale/jitter: AR step 0: the joint covariance is not "
+            f"positive definite at position {order.permutation[1]} ")
 
 
 class TestSampleConditional:

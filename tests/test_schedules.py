@@ -133,6 +133,14 @@ class TestDiffusionGrid:
         with pytest.raises(ValueError):
             sa.make_diffusion_grid(linear_schedule, num_steps, start)
 
+    @pytest.mark.parametrize("num_steps", [1, 2])
+    def test_start_index_zero_names_start_index(self, linear_schedule, num_steps):
+        # No grid can start at index 0 (the one-step hop would be [0, 0]);
+        # the error names start_index, whatever the step count.
+        with pytest.raises(ValueError,
+                           match=r"^start_index: must lie in \[1, 1000\), got 0$"):
+            sa.make_diffusion_grid(linear_schedule, num_steps, 0)
+
     @pytest.mark.parametrize("num_steps", [2, 7, 64, 500, 951])
     def test_grids_strictly_decreasing_and_terminate_at_zero(
         self, linear_schedule, num_steps
