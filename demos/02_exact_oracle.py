@@ -10,7 +10,7 @@ import numpy as np
 
 import stepanneal as sa
 
-spec = sa.default_spec()
+spec = sa.TokenProcessSpec()
 cov = sa.joint_covariance(spec)
 print(f"field: {spec.grid_height}x{spec.grid_width} grid, rbf kernel, "
       f"length scale {spec.length_scale}, neighbour correlation "
@@ -19,17 +19,16 @@ print(f"field: {spec.grid_height}x{spec.grid_width} grid, rbf kernel, "
 print("\n=== Conditionals tighten as tokens are observed ===")
 rng = np.random.default_rng(0)
 reference = sa.sample_conditional(
-    sa.conditional(spec, [], list(range(16)), cov=cov), spec.token_dim, rng)[0]
+    sa.conditional(spec, [], list(range(16))), spec.token_dim, rng)[0]
 target = [15]
 for n_obs in (0, 2, 5, 9, 14):
     observed = [(p, reference[p]) for p in range(n_obs)]
-    cond = sa.conditional(spec, observed, target, cov=cov)
+    cond = sa.conditional(spec, observed, target)
     print(f"observed {n_obs:2d} tokens -> target variance "
           f"{cond.covariance[0, 0]:.5f}")
 
 print("\n=== One linear solve, three denoiser parameterizations ===")
-cond = sa.conditional(spec, [(0, reference[0]), (5, reference[5])], [10, 12],
-                      cov=cov)
+cond = sa.conditional(spec, [(0, reference[0]), (5, reference[5])], [10, 12])
 x = rng.standard_normal((2, 4))
 oracle = sa.ExactDenoiser()
 a = 0.5

@@ -12,11 +12,10 @@ import numpy as np
 
 import stepanneal as sa
 
-spec = sa.default_spec()
-cov = sa.joint_covariance(spec)
+spec = sa.TokenProcessSpec()
 rng = np.random.default_rng(0)
 obs = [(0, rng.standard_normal(4) * 0.8), (15, rng.standard_normal(4) * 0.8)]
-cond = sa.conditional(spec, obs, [5, 6, 10], cov=cov)
+cond = sa.conditional(spec, obs, [5, 6, 10])
 schedule = sa.build_linear_beta()
 oracle = sa.ExactDenoiser()
 

@@ -10,7 +10,7 @@ import numpy as np
 
 import stepanneal as sa
 
-spec = sa.default_spec()
+spec = sa.TokenProcessSpec()
 schedule = sa.build_linear_beta()
 sampler = sa.SamplerConfig(kind="ddpm")
 policy = sa.constant_scheduler(50, 16)

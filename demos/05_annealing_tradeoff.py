@@ -9,7 +9,7 @@ reversed annealing 5 -> 50) visibly degrades the hardest steps.
 
 import stepanneal as sa
 
-spec = sa.default_spec()
+spec = sa.TokenProcessSpec()
 order = sa.random_order(spec, 16, seed=0)
 schedule = sa.build_linear_beta()
 ddim = sa.SamplerConfig(kind="ddim", eta=0.0)

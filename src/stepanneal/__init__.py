@@ -65,7 +65,6 @@ from .process import (
     conditional,
     conditional_solver,
     conditioning_plan,
-    default_spec,
     joint_covariance,
     random_order,
     raster_order,
@@ -77,12 +76,6 @@ from .samplers import (
     SAMPLER_KINDS,
     SamplerConfig,
     TrajectoryRecord,
-    ddim_sample,
-    ddpm_sample,
-    dpm_solver_pp_sample,
-    dpm_solver_sample,
-    euler_flow_sample,
-    euler_maruyama_sample,
     sample_with_config,
 )
 from .schedules import (

@@ -41,12 +41,7 @@ from .process import (
     random_order,
     raster_order,
 )
-from .samplers import (
-    SamplerConfig,
-    ddim_sample,
-    ddpm_sample,
-    dpm_solver_sample,
-)
+from .samplers import SamplerConfig, sample_with_config
 from .schedules import (
     DIFFUSION,
     TimeGrid,
@@ -468,6 +463,10 @@ def cmd_oracle_check(args) -> int:
             f"grid_height/grid_width: oracle-check needs at least 9 positions "
             f"(8 observed and 1 target), got {height}x{width}"
         )
+    # The cross-sampler checks' grid, built before any other work so that a
+    # bad schedule or start_index fails at once.
+    schedule = build_schedule({**cfg, "schedule_kind": cfg["schedule_kind"] or "linear"})
+    grid = make_diffusion_grid(schedule, 25, cfg["start_index"])
     spec = build_spec(cfg)
     # One AR step in natural order: the factor of the covariance itself,
     # for the Monte Carlo draws below, and the positive-definiteness check.
@@ -534,23 +533,19 @@ def cmd_oracle_check(args) -> int:
     checks.append(("conditioning tightens", tightens, ""))
 
     # Cross-sampler agreements on the exact oracle.
-    schedule = build_schedule({**cfg, "schedule_kind": cfg["schedule_kind"] or "linear"})
-    grid = make_diffusion_grid(schedule, 25, cfg["start_index"])
     seed = int(rng.integers(2**31))
-    d1, _ = dpm_solver_sample(
-        oracle, cond, grid, np.random.default_rng(seed), order=1, n_samples=64
-    )
-    d2, _ = ddim_sample(
-        oracle, cond, grid, np.random.default_rng(seed), eta=0.0, n_samples=64
-    )
+    d1, _ = sample_with_config(SamplerConfig("dpm_solver", order=1), oracle, cond,
+                               grid, np.random.default_rng(seed), n_samples=64)
+    d2, _ = sample_with_config(SamplerConfig("ddim", eta=0.0), oracle, cond, grid,
+                               np.random.default_rng(seed), n_samples=64)
     gap = float(np.max(np.abs(d1 - d2)))
     checks.append(("dpm order-1 equals ddim eta=0", gap < 1e-9, f"max gap {gap:.2e}"))
 
     n_eq = 4000
-    s1, _ = ddpm_sample(oracle, cond, grid, np.random.default_rng(seed + 1), n_samples=n_eq)
-    s2, _ = ddim_sample(
-        oracle, cond, grid, np.random.default_rng(seed + 2), eta=1.0, n_samples=n_eq
-    )
+    s1, _ = sample_with_config(SamplerConfig("ddpm"), oracle, cond, grid,
+                               np.random.default_rng(seed + 1), n_samples=n_eq)
+    s2, _ = sample_with_config(SamplerConfig("ddim", eta=1.0), oracle, cond, grid,
+                               np.random.default_rng(seed + 2), n_samples=n_eq)
     m1, m2 = s1.mean(axis=0), s2.mean(axis=0)
     v1, v2 = s1.var(axis=0), s2.var(axis=0)
     tol_m = 5.0 * np.sqrt((v1 + v2) / n_eq)

@@ -314,6 +314,22 @@ class VarianceReport:
             raise ValueError("empirical: variances must be nonnegative")
 
 
+def _reference_conditionals(
+    plan: ConditioningPlan, prefix_seed: int
+) -> list[ConditionalGaussian]:
+    """Every AR step's conditional given one frozen reference prefix, drawn
+    exactly from the process with its own stream: the prefix's whitened
+    innovations are its standard normal draws."""
+    token_dim = plan.spec.token_dim
+    prefix_rng = np.random.default_rng(prefix_seed)
+    whitened = np.empty((plan.spec.token_count, token_dim))
+    conds = []
+    for k in range(plan.order.step_count):
+        conds.append(plan.conditional(k, whitened))
+        whitened[plan.rows(k)] = prefix_rng.standard_normal((conds[k].size, token_dim))
+    return conds
+
+
 def sampling_variance(
     plan: ConditioningPlan,
     sampler_config: SamplerConfig,
@@ -322,27 +338,20 @@ def sampling_variance(
     seeds: tuple[int, int],
 ) -> VarianceReport:
     """Freeze a reference prefix, then at each AR step k redraw the next
-    group ``draws_per_step`` times through the sampler on ``grids[k]``.  The
-    prefix is drawn exactly, so its whitened innovations are the standard
-    normal draws themselves."""
+    group ``draws_per_step`` times through the sampler on ``grids[k]``."""
     if draws_per_step < 2:
         raise ValueError("draws_per_step: must be >= 2")
     check_grid_count(grids, plan.order)
     prefix_seed, redraw_seed = seeds
-    spec = plan.spec
     oracle = ExactDenoiser()
-    prefix_rng = np.random.default_rng(prefix_seed)
     redraw_rng = np.random.default_rng(redraw_seed)
-    whitened = np.empty((spec.token_count, spec.token_dim))
     empirical, exact = [], []
-    for k, grid in enumerate(grids):
-        cond = plan.conditional(k, whitened)
+    for cond, grid in zip(_reference_conditionals(plan, prefix_seed), grids):
         draws, _ = sample_with_config(
             sampler_config, oracle, cond, grid, redraw_rng, n_samples=draws_per_step
         )
         empirical.append(draws.var(axis=0, ddof=1).mean(axis=0))  # (d,)
         exact.append(float(np.trace(cond.covariance)) / cond.size)
-        whitened[plan.rows(k)] = prefix_rng.standard_normal((cond.size, spec.token_dim))
     return VarianceReport(
         empirical=np.asarray(empirical),
         exact_per_dim=np.asarray(exact),
@@ -443,20 +452,12 @@ def quality_sweep(
     prefix_seed, sweep_seed = seeds
     spec = plan.spec
     oracle = ExactDenoiser()
-    prefix_rng = np.random.default_rng(prefix_seed)
     rng = np.random.default_rng(sweep_seed)
-
-    # Frozen exact reference prefix (whitened innovations are its standard
-    # normal draws) and per-step exact conditionals + floors.
-    conds, floors = [], []
-    whitened = np.empty((spec.token_count, spec.token_dim))
-    for k in range(plan.order.step_count):
-        cond = plan.conditional(k, whitened)
-        conds.append(cond)
-        floors.append(
-            w2_floor(cond, spec.token_dim, draws_per_step, rng, repeats=floor_repeats)
-        )
-        whitened[plan.rows(k)] = prefix_rng.standard_normal((cond.size, spec.token_dim))
+    conds = _reference_conditionals(plan, prefix_seed)
+    floors = [
+        w2_floor(cond, spec.token_dim, draws_per_step, rng, repeats=floor_repeats)
+        for cond in conds
+    ]
 
     rows: list[SweepRow] = []
     summaries: list[SweepSummary] = []

@@ -106,11 +106,6 @@ class TokenProcessSpec:
         return _readonly(cov)
 
 
-def default_spec(token_dim: int = 4) -> TokenProcessSpec:
-    """The standard experiment field: 4x4 grid, rbf kernel, ell=2, sigma=1."""
-    return TokenProcessSpec(token_dim=token_dim)
-
-
 def joint_covariance(spec: TokenProcessSpec) -> np.ndarray:
     """Dense n x n position covariance (jitter included on the diagonal),
     read-only and cached on the spec (:attr:`TokenProcessSpec.covariance`)."""
@@ -278,10 +273,10 @@ class ConditioningPlan:
 
 
 def conditioning_plan(
-    spec: TokenProcessSpec, order: GenerationOrder, cov: np.ndarray | None = None
+    spec: TokenProcessSpec, order: GenerationOrder
 ) -> ConditioningPlan:
-    """Factor the joint covariance, permuted into ``order``, once: one n x n
-    Cholesky factorisation.  This is the field's positive-definiteness
+    """Factor the spec's joint covariance, permuted into ``order``, once: one
+    n x n Cholesky factorisation.  This is the field's positive-definiteness
     check: a pivot that is not positive raises :class:`NumericalError`
     naming ``length_scale/jitter``, its AR step and its position, before any
     conditional is formed."""
@@ -289,10 +284,8 @@ def conditioning_plan(
     if len(order.permutation) != n:
         raise ValueError(f"order: covers {len(order.permutation)} positions, "
                          f"the grid has {n}")
-    if cov is None:
-        cov = joint_covariance(spec)
     perm = np.asarray(order.permutation)
-    permuted = cov[np.ix_(perm, perm)]
+    permuted = joint_covariance(spec)[np.ix_(perm, perm)]
     # The permuted covariance is symmetric, so its transpose is the same
     # matrix in Fortran order: LAPACK factors it in place as U^T U, and the
     # same buffer read in C order is L = U^T.
@@ -351,10 +344,7 @@ class ConditionalSolver:
 
 
 def conditional_solver(
-    spec: TokenProcessSpec,
-    observed_positions,
-    target_positions,
-    cov: np.ndarray | None = None,
+    spec: TokenProcessSpec, observed_positions, target_positions
 ) -> ConditionalSolver:
     """Schur-complement conditioning of the targets on the observed positions.
 
@@ -371,8 +361,7 @@ def conditional_solver(
         raise ValueError("positions: duplicates are not allowed")
     if all_idx.size and not 0 <= all_idx.min() <= all_idx.max() < spec.token_count:
         raise ValueError("positions: out of range for this grid")
-    if cov is None:
-        cov = joint_covariance(spec)
+    cov = joint_covariance(spec)
     try:
         factor = np.linalg.cholesky(cov[np.ix_(obs_idx, obs_idx)])
     except np.linalg.LinAlgError as exc:
@@ -391,15 +380,12 @@ def conditional_solver(
 
 
 def conditional(
-    spec: TokenProcessSpec,
-    observed: list[tuple[int, np.ndarray]],
-    targets,
-    cov: np.ndarray | None = None,
+    spec: TokenProcessSpec, observed: list[tuple[int, np.ndarray]], targets
 ) -> ConditionalGaussian:
     """Exact conditional of the targets given ``observed`` (position, value)
     pairs; with no observations this is the unconditional marginal."""
     obs_pos = [p for p, _ in observed]
-    solver = conditional_solver(spec, obs_pos, targets, cov=cov)
+    solver = conditional_solver(spec, obs_pos, targets)
     if observed:
         values = np.stack(
             [np.broadcast_to(np.asarray(v, dtype=np.float64), (spec.token_dim,))
@@ -413,9 +399,11 @@ def conditional(
 def sample_conditional(
     cond: ConditionalGaussian, token_dim: int, rng: np.random.Generator, size: int = 1
 ) -> np.ndarray:
-    """Exact draws from the conditional, shape (size, m, d) (or the batch
-    shape of a batched mean)."""
+    """Exact draws from the conditional, shape (size, m, d); a batched
+    (3-D) mean gets one draw per batch entry, so ``size`` must then be 1."""
     m = cond.size
+    if cond.mean.ndim == 3 and size != 1:
+        raise ValueError(f"size: must be 1 with a batched mean, got {size}")
     try:
         chol = np.linalg.cholesky(cond.covariance)
     except np.linalg.LinAlgError:

@@ -241,14 +241,6 @@ _RULES = {"ddpm": _ddpm, "ddim": _ddim, "dpm_solver": _dpm_solver,
           "euler_maruyama": _euler_maruyama}
 
 
-def _start_noise(
-    cond: ConditionalGaussian, rng: np.random.Generator, n_samples: int
-) -> np.ndarray:
-    if cond.mean.ndim == 3:
-        return rng.standard_normal(cond.mean.shape)
-    return rng.standard_normal((n_samples, cond.size, cond.mean.shape[-1]))
-
-
 def sample_with_config(
     config: SamplerConfig,
     oracle,
@@ -261,9 +253,12 @@ def sample_with_config(
     """Run the configured sampler's rule on ``grid`` (the executor above).
 
     Diffusion grids ending on schedule index 0 get the terminal transition
-    to the clean state appended.  Returns the final state and the run's
-    record.
+    to the clean state appended.  A batched (3-D) conditional mean runs one
+    sample per batch entry, so ``n_samples`` must then be 1.  Returns the
+    final state and the run's record.
     """
+    if cond.mean.ndim == 3 and n_samples != 1:
+        raise ValueError(f"n_samples: must be 1 with a batched mean, got {n_samples}")
     if grid.domain != config.domain:
         raise ValueError(
             f"grid: {config.kind} requires a {config.domain} grid, got {grid.domain}"
@@ -280,7 +275,8 @@ def sample_with_config(
         predict, walk = oracle.velocity, times
     if len(walk) - 1 < config.min_steps:
         raise ValueError(f"grid: {config.kind} needs at least {config.min_steps} steps")
-    x = _start_noise(cond, rng, n_samples)
+    batch = () if cond.mean.ndim == 3 else (n_samples,)
+    x = rng.standard_normal(batch + cond.mean.shape)
     states = [x] if record_path else None
     prev = None
     nfe = 0
@@ -299,45 +295,3 @@ def sample_with_config(
             states.append(x)
     return x, TrajectoryRecord(config.domain, times, nfe, levels, states)
 
-
-# One entry point per sampler, each a call into the executor.
-
-
-def ddpm_sample(oracle, cond, grid, rng, n_samples=1, clamp=None, record_path=False):
-    """Ancestral sampling with the lower-bound (beta-tilde) variance."""
-    return sample_with_config(SamplerConfig("ddpm", clamp=clamp),
-                              oracle, cond, grid, rng, n_samples, record_path)
-
-
-def ddim_sample(oracle, cond, grid, rng, eta=0.0, n_samples=1, clamp=None,
-                record_path=False):
-    """DDIM: deterministic at ``eta`` 0, ancestral noise at ``eta`` 1."""
-    return sample_with_config(SamplerConfig("ddim", eta=eta, clamp=clamp),
-                              oracle, cond, grid, rng, n_samples, record_path)
-
-
-def dpm_solver_sample(oracle, cond, grid, rng, order=1, n_samples=1, record_path=False):
-    """DPM-Solver of order 1 or 2 (midpoint in log-SNR)."""
-    return sample_with_config(SamplerConfig("dpm_solver", order=order),
-                              oracle, cond, grid, rng, n_samples, record_path)
-
-
-def dpm_solver_pp_sample(oracle, cond, grid, rng, n_samples=1, clamp=None,
-                         record_path=False):
-    """Order-2 multistep DPM-Solver++ (at least 2 steps)."""
-    return sample_with_config(SamplerConfig("dpm_solver_pp", clamp=clamp),
-                              oracle, cond, grid, rng, n_samples, record_path)
-
-
-def euler_flow_sample(oracle, cond, grid, rng, n_samples=1, record_path=False):
-    """Explicit Euler on the interpolation ODE, from noise to data."""
-    return sample_with_config(SamplerConfig("euler_flow"),
-                              oracle, cond, grid, rng, n_samples, record_path)
-
-
-def euler_maruyama_sample(oracle, cond, grid, rng, sde_noise_scale=1.0, n_samples=1,
-                          record_path=False):
-    """Euler-Maruyama on the score-corrected SDE sharing the flow marginals."""
-    return sample_with_config(
-        SamplerConfig("euler_maruyama", sde_noise_scale=sde_noise_scale),
-        oracle, cond, grid, rng, n_samples, record_path)

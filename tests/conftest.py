@@ -6,7 +6,7 @@ import stepanneal as sa
 
 @pytest.fixture(scope="session")
 def spec():
-    return sa.default_spec()
+    return sa.TokenProcessSpec()
 
 
 @pytest.fixture(scope="session")
@@ -25,11 +25,11 @@ def oracle():
 
 
 @pytest.fixture(scope="session")
-def aniso_cond(spec, cov):
+def aniso_cond(spec):
     """Anisotropic 3-target conditional used across sampler tests."""
     rng = np.random.default_rng(0)
     obs = [(0, rng.standard_normal(4) * 0.8), (15, rng.standard_normal(4) * 0.8)]
-    return sa.conditional(spec, obs, [5, 6, 10], cov=cov)
+    return sa.conditional(spec, obs, [5, 6, 10])
 
 
 def isotropic_cond(mean=0.0, var=1.0, dim=4):

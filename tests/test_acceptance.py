@@ -96,7 +96,7 @@ def test_criterion_2_nfe_accounting():
 def test_criterion_3_oracle_validity(spec, cov, oracle):
     rng = np.random.default_rng(31)
     obs = [(p, rng.standard_normal(4)) for p in (0, 6, 9, 15)]
-    cond = sa.conditional(spec, obs, [2, 5, 12], cov=cov)
+    cond = sa.conditional(spec, obs, [2, 5, 12])
 
     # (a) score vs central finite differences of the analytic log-density.
     worst = 0.0
@@ -132,7 +132,7 @@ def test_criterion_3_oracle_validity(spec, cov, oracle):
     resid = y - design @ beta
     dof = design.shape[1]
     se = np.sqrt(np.var(resid, ddof=dof) * np.diag(np.linalg.inv(design.T @ design)))
-    solver = sa.conditional_solver(spec, obs_pos, [target], cov=cov)
+    solver = sa.conditional_solver(spec, obs_pos, [target])
     mc_ok = bool(np.all(np.abs(beta[1:] - solver.weights[0]) <= 3 * se[1:]))
     exact_var = solver.covariance[0, 0]
     mc_ok = mc_ok and abs(np.var(resid, ddof=dof) - exact_var) <= (
@@ -146,8 +146,8 @@ def test_criterion_3_oracle_validity(spec, cov, oracle):
         targets = list(perm[:2])
         small = list(perm[2 : 2 + order_rng.integers(1, 6)])
         big = small + list(perm[10:14])
-        t_small = np.trace(sa.conditional_solver(spec, small, targets, cov=cov).covariance)
-        t_big = np.trace(sa.conditional_solver(spec, big, targets, cov=cov).covariance)
+        t_small = np.trace(sa.conditional_solver(spec, small, targets).covariance)
+        t_big = np.trace(sa.conditional_solver(spec, big, targets).covariance)
         tight_ok = tight_ok and t_big <= t_small + 1e-9
 
     report("criterion 3: oracle validity", fd_ok and mc_ok and tight_ok,
@@ -188,10 +188,10 @@ def test_criterion_4_sampler_convergence(spec, cov, linear_schedule, oracle,
             failures.append(f"{name}: {np.round(values, 4)}")
 
     grid = sa.make_diffusion_grid(linear_schedule, 25, 999)
-    a, _ = sa.dpm_solver_sample(oracle, aniso_cond, grid,
-                                np.random.default_rng(42), order=1, n_samples=64)
-    b, _ = sa.ddim_sample(oracle, aniso_cond, grid, np.random.default_rng(42),
-                          n_samples=64)
+    a, _ = sa.sample_with_config(configs["dpm_solver order 1"], oracle, aniso_cond,
+                                 grid, np.random.default_rng(42), n_samples=64)
+    b, _ = sa.sample_with_config(configs["ddim eta=0"], oracle, aniso_cond, grid,
+                                 np.random.default_rng(42), n_samples=64)
     gap = float(np.max(np.abs(a - b)))
     if gap >= 1e-9:
         failures.append(f"dpm1 vs ddim0 gap {gap:.2e}")

@@ -29,15 +29,19 @@ def read_csv(path):
     return header, rows
 
 
+def package_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(stepanneal.__file__).resolve().parent.parent)
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_cold_import_leaves_out_scipy_stats():
     # Importing scipy.stats costs more than most CLI runs spend working, and
     # every invocation pays it before doing anything.
-    src = str(Path(stepanneal.__file__).resolve().parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, stepanneal, stepanneal.cli; "
             "print('scipy.stats' in sys.modules, 'scipy.linalg' in sys.modules)")
-    result = subprocess.run([sys.executable, "-c", code], env=env,
+    result = subprocess.run([sys.executable, "-c", code], env=package_env(),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "True"]
@@ -49,14 +53,32 @@ def test_benchmark_hooks_bind():
     # package code calls.  Renaming or removing one must fail here rather
     # than in every benchmark pass.
     root = Path(__file__).resolve().parent.parent
-    src = str(Path(stepanneal.__file__).resolve().parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import spans; "
             "spans.install(spans.Tracer()); spans.count_generation_calls()")
     result = subprocess.run([sys.executable, "-c", code, str(root / "bench")],
-                            env=env, capture_output=True, text=True, timeout=120)
+                            env=package_env(), capture_output=True, text=True,
+                            timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_benchmark_child_runs_one_pass(tmp_path):
+    # One untraced pass of bench/child.py on a tiny simulate config: it calls
+    # cli.load_config, build_spec, build_order, build_schedule and
+    # process.joint_covariance itself, which no other test reaches.
+    root = Path(__file__).resolve().parent.parent
+    env = {**package_env(), "OPENBLAS_NUM_THREADS": "1"}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "ar_steps": 4, "schedule_kind": "linear", "t_early": 5, "t_late": 2,
+        "n_sequences": 2,
+    }))
+    result = subprocess.run(
+        [sys.executable, str(root / "bench" / "child.py"), str(config),
+         str(tmp_path / "out"), "simulate"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    record = json.loads(result.stdout.splitlines()[-1])
+    assert record["exit_codes"] == [0]
 
 
 def test_override_flags_are_config_keys():
@@ -456,4 +478,18 @@ class TestOracleCheckCommand:
         code, out, err = run_cli(capsys, "oracle-check", "--config", str(config))
         assert code == 1
         assert "error: grid_height/grid_width: oracle-check needs at least 9" in err
+        assert "[FAIL]" not in out
+
+    def test_bad_grid_fails_before_any_check(self, capsys, base_config, monkeypatch):
+        # The cross-sampler grid is built first, so a bad start_index stops
+        # the run before the conditionals and the Monte Carlo regression.
+        config, _ = base_config
+        cfg = json.loads(config.read_text())
+        config.write_text(json.dumps({**cfg, "start_index": 0}))
+        calls = []
+        monkeypatch.setattr(cli, "conditional", lambda *a, **k: calls.append(a))
+        code, out, err = run_cli(capsys, "oracle-check", "--config", str(config))
+        assert code == 1
+        assert "error: start_index: must lie in [1, 1000), got 0" in err
+        assert calls == []
         assert "[FAIL]" not in out

@@ -8,6 +8,9 @@ import stepanneal as sa
 
 from conftest import dirac_cond, isotropic_cond
 
+DDPM = sa.SamplerConfig("ddpm")
+EULER_FLOW = sa.SamplerConfig("euler_flow")
+
 
 def random_spd(rng, d):
     a = rng.standard_normal((d, d))
@@ -70,9 +73,9 @@ class TestStraightnessFlow:
     def test_dirac_path_is_straight(self, oracle):
         cond = dirac_cond(mean=0.7)
         grid = sa.make_flow_grid(50, 1.0)
-        _, rec = sa.euler_flow_sample(oracle, cond, grid,
-                                      np.random.default_rng(0), n_samples=32,
-                                      record_path=True)
+        _, rec = sa.sample_with_config(EULER_FLOW, oracle, cond, grid,
+                                       np.random.default_rng(0), n_samples=32,
+                                       record_path=True)
         value = sa.straightness_flow(rec, oracle, cond, 128,
                                      np.random.default_rng(1))
         assert 0.0 <= value < 1e-8
@@ -80,29 +83,29 @@ class TestStraightnessFlow:
     def test_monte_carlo_self_consistency(self, oracle):
         cond = isotropic_cond(mean=0.0, var=1.0)
         grid = sa.make_flow_grid(100, 1.0)
-        _, rec = sa.euler_flow_sample(oracle, cond, grid,
-                                      np.random.default_rng(2), n_samples=500,
-                                      record_path=True)
+        _, rec = sa.sample_with_config(EULER_FLOW, oracle, cond, grid,
+                                       np.random.default_rng(2), n_samples=500,
+                                       record_path=True)
         v256 = sa.straightness_flow(rec, oracle, cond, 256,
                                     np.random.default_rng(3))
         v1024 = sa.straightness_flow(rec, oracle, cond, 1024,
                                      np.random.default_rng(4))
         assert abs(v256 - v1024) / v1024 < 0.05
 
-    def test_late_step_straighter_than_early(self, spec, cov, oracle):
+    def test_late_step_straighter_than_early(self, spec, oracle):
         rng = np.random.default_rng(5)
         reference = sa.sample_conditional(
-            sa.conditional(spec, [], list(range(16)), cov=cov), 4, rng)[0]
+            sa.conditional(spec, [], list(range(16))), 4, rng)[0]
         observed = [(p, reference[p]) for p in range(14)]
         targets = [14, 15]
-        early = sa.conditional(spec, [], targets, cov=cov)
-        late = sa.conditional(spec, observed, targets, cov=cov)
+        early = sa.conditional(spec, [], targets)
+        late = sa.conditional(spec, observed, targets)
         grid = sa.make_flow_grid(50, 1.0)
         values = {}
         for name, cond in (("early", early), ("late", late)):
-            _, rec = sa.euler_flow_sample(oracle, cond, grid,
-                                          np.random.default_rng(6),
-                                          n_samples=500, record_path=True)
+            _, rec = sa.sample_with_config(EULER_FLOW, oracle, cond, grid,
+                                           np.random.default_rng(6),
+                                           n_samples=500, record_path=True)
             values[name] = sa.straightness_flow(rec, oracle, cond, 256,
                                                 np.random.default_rng(7))
         assert values["late"] < values["early"]
@@ -110,8 +113,8 @@ class TestStraightnessFlow:
     def test_requires_recorded_path(self, oracle):
         cond = isotropic_cond()
         grid = sa.make_flow_grid(10, 1.0)
-        _, rec = sa.euler_flow_sample(oracle, cond, grid,
-                                      np.random.default_rng(0), n_samples=4)
+        _, rec = sa.sample_with_config(EULER_FLOW, oracle, cond, grid,
+                                       np.random.default_rng(0), n_samples=4)
         with pytest.raises(ValueError, match="record"):
             sa.straightness_flow(rec, oracle, cond, 64, np.random.default_rng(0))
 
@@ -119,9 +122,9 @@ class TestStraightnessFlow:
 class TestStraightnessDiffusion:
     def test_values_bounded_by_cosine_range(self, linear_schedule, aniso_cond, oracle):
         grid = sa.make_diffusion_grid(linear_schedule, 50, 950)
-        _, rec = sa.ddpm_sample(oracle, aniso_cond, grid,
-                                np.random.default_rng(1), n_samples=64,
-                                record_path=True)
+        _, rec = sa.sample_with_config(DDPM, oracle, aniso_cond, grid,
+                                       np.random.default_rng(1), n_samples=64,
+                                       record_path=True)
         value = sa.straightness_diffusion(rec, oracle, aniso_cond, 128,
                                           np.random.default_rng(2))
         assert -1.0 <= value <= 1.0
@@ -131,8 +134,9 @@ class TestStraightnessDiffusion:
         # x_t straight at the clean token, so the cosine approaches 1.
         cond = dirac_cond(mean=0.9)
         grid = sa.make_diffusion_grid(linear_schedule, 30, 30)
-        _, rec = sa.ddpm_sample(oracle, cond, grid, np.random.default_rng(3),
-                                n_samples=64, record_path=True)
+        _, rec = sa.sample_with_config(DDPM, oracle, cond, grid,
+                                       np.random.default_rng(3), n_samples=64,
+                                       record_path=True)
         value = sa.straightness_diffusion(rec, oracle, cond, 256,
                                           np.random.default_rng(4))
         assert value > 1 - 1e-3

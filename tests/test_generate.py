@@ -102,7 +102,7 @@ class TestGenerateSequence:
 
 
 class TestSimulateSequences:
-    def test_conditionals_are_exact(self, spec, cov, linear_schedule, setup):
+    def test_conditionals_are_exact(self, spec, linear_schedule, setup):
         # The loop grows one Cholesky factor along the order; every recorded
         # conditional must equal a from-scratch Schur complement given the
         # values generated before it.
@@ -113,7 +113,7 @@ class TestSimulateSequences:
                                       record_paths=True)
         observed = []
         for group, cond in zip(order.groups(), batch.conditionals):
-            exact = sa.conditional_solver(spec, observed, group, cov=cov)
+            exact = sa.conditional_solver(spec, observed, group)
             np.testing.assert_allclose(cond.covariance, exact.covariance,
                                        rtol=0, atol=1e-10)
             np.testing.assert_allclose(

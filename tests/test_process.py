@@ -6,6 +6,11 @@ from scipy.linalg import solve_triangular
 
 import stepanneal as sa
 
+# At this length scale every kernel entry rounds to 1 and the jitter is lost
+# in rounding, so the field's covariance is exactly all ones (rank one).
+RANK_ONE = sa.TokenProcessSpec(grid_height=8, grid_width=8, length_scale=1e10,
+                               jitter=1e-18)
+
 
 class TestJointCovariance:
     def test_single_token(self):
@@ -45,7 +50,7 @@ class TestJointCovariance:
 
 class TestConditional:
     def test_empty_observation_is_marginal(self, spec, cov):
-        cond = sa.conditional(spec, [], [2, 7], cov=cov)
+        cond = sa.conditional(spec, [], [2, 7])
         np.testing.assert_allclose(cond.mean, np.zeros((2, 4)))
         np.testing.assert_allclose(cond.covariance, cov[np.ix_([2, 7], [2, 7])])
         # With a nonzero mean field the empty prefix leaves the targets' own
@@ -82,21 +87,21 @@ class TestConditional:
         dof = design.shape[1]
         se = np.sqrt(np.var(resid, ddof=dof) * np.diag(np.linalg.inv(design.T @ design)))
 
-        solver = sa.conditional_solver(spec, obs_pos, [target], cov=cov)
+        solver = sa.conditional_solver(spec, obs_pos, [target])
         assert np.all(np.abs(beta[1:] - solver.weights[0]) <= 3.0 * se[1:])
         exact_var = solver.covariance[0, 0]
         mc_var = np.var(resid, ddof=dof)
         assert abs(mc_var - exact_var) <= 3.0 * exact_var * np.sqrt(2.0 / n)
 
-    def test_conditioning_tightens_nested_sets(self, spec, cov):
+    def test_conditioning_tightens_nested_sets(self, spec):
         rng = np.random.default_rng(7)
         for _ in range(20):
             perm = rng.permutation(spec.token_count)
             targets = list(perm[:2])
             small = list(perm[2:6])
             big = list(perm[2:11])
-            t_small = np.trace(sa.conditional_solver(spec, small, targets, cov=cov).covariance)
-            t_big = np.trace(sa.conditional_solver(spec, big, targets, cov=cov).covariance)
+            t_small = np.trace(sa.conditional_solver(spec, small, targets).covariance)
+            t_big = np.trace(sa.conditional_solver(spec, big, targets).covariance)
             assert t_big <= t_small + 1e-9
 
     def test_position_validation(self, spec):
@@ -107,10 +112,10 @@ class TestConditional:
         with pytest.raises(ValueError, match="out of range"):
             sa.conditional_solver(spec, [1], [99])
 
-    def test_singular_observed_block(self, spec):
-        bad = np.ones((spec.token_count, spec.token_count))
+    def test_singular_observed_block(self):
+        np.testing.assert_array_equal(sa.joint_covariance(RANK_ONE), np.ones((64, 64)))
         with pytest.raises(sa.NumericalError):
-            sa.conditional_solver(spec, [0, 1, 2], [5], cov=bad)
+            sa.conditional_solver(RANK_ONE, [0, 1, 2], [5])
 
     def test_fields_and_spectrum_are_read_only(self, aniso_cond):
         # Conditionals are shared across workers, so the cached spectrum is
@@ -156,8 +161,8 @@ class TestConditional:
         with pytest.raises(ValueError, match="covariance: must be symmetric"):
             self._cond(diagonal)
 
-    def test_batched_means_match_loop(self, spec, cov):
-        solver = sa.conditional_solver(spec, [0, 5, 9], [2, 3], cov=cov)
+    def test_batched_means_match_loop(self, spec):
+        solver = sa.conditional_solver(spec, [0, 5, 9], [2, 3])
         rng = np.random.default_rng(3)
         values = rng.standard_normal((7, 3, 4))
         batched = solver.mean(spec, values)
@@ -178,7 +183,7 @@ class TestConditioningPlan:
     def test_matches_from_scratch(self, field, seed):
         spec, cov = field
         order = sa.random_order(spec, spec.token_count, seed=seed)
-        plan = sa.conditioning_plan(spec, order, cov)
+        plan = sa.conditioning_plan(spec, order)
         factor = plan.factor
         # Both solvers are backward stable: each meets W Sigma_oo = Sigma_to
         # to a few ulps.  Their weights may therefore differ by up to about
@@ -187,7 +192,7 @@ class TestConditioningPlan:
         weight_tol = np.linalg.cond(cov) * np.finfo(float).eps
         observed = []
         for k, group in enumerate(order.groups()):
-            scratch = sa.conditional_solver(spec, observed, group, cov=cov)
+            scratch = sa.conditional_solver(spec, observed, group)
             np.testing.assert_allclose(plan.covariance(k), scratch.covariance,
                                        rtol=0, atol=1e-10)
             a = len(observed)
@@ -207,14 +212,14 @@ class TestConditioningPlan:
         # Prefix values drawn from the field itself, as generation sees them.
         spec, cov = field
         order = sa.random_order(spec, 16, seed=4)
-        plan = sa.conditioning_plan(spec, order, cov)
+        plan = sa.conditioning_plan(spec, order)
         z = np.random.default_rng(5).standard_normal((3, spec.token_count, 2))
         values = np.linalg.cholesky(cov) @ z
         whitened = np.empty((spec.token_count, 3, 2))
         observed = []
         for k, group in enumerate(order.groups()):
             cond = plan.conditional(k, whitened)
-            exact = sa.conditional_solver(spec, observed, group, cov=cov)
+            exact = sa.conditional_solver(spec, observed, group)
             assert cond.target_positions == group
             np.testing.assert_allclose(
                 cond.mean, exact.mean(spec, values[:, observed, :]),
@@ -233,7 +238,7 @@ class TestConditioningPlan:
     def test_factor_is_cholesky_of_permuted_covariance(self, field):
         spec, cov = field
         order = sa.random_order(spec, 16, seed=3)
-        plan = sa.conditioning_plan(spec, order, cov)
+        plan = sa.conditioning_plan(spec, order)
         perm = list(order.permutation)
         np.testing.assert_array_equal(np.triu(plan.factor, 1), 0.0)
         np.testing.assert_allclose(plan.factor @ plan.factor.T,
@@ -243,19 +248,18 @@ class TestConditioningPlan:
     def test_factor_is_read_only(self, field):
         # Plans are shared across workers, like conditionals.
         spec, cov = field
-        plan = sa.conditioning_plan(spec, sa.raster_order(spec, 8), cov)
+        plan = sa.conditioning_plan(spec, sa.raster_order(spec, 8))
         for arr in (plan.factor, plan.mean_field, plan.block(2)):
             assert arr.flags.writeable is False
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
     @pytest.mark.parametrize("group_count,step", [(64, 1), (16, 0)])
-    def test_failed_pivot_names_its_step(self, field, group_count, step):
+    def test_failed_pivot_names_its_step(self, group_count, step):
         # On an all-ones covariance the second pivot in generation order is 0.
-        spec, _ = field
-        order = sa.random_order(spec, group_count, seed=1)
+        order = sa.random_order(RANK_ONE, group_count, seed=1)
         with pytest.raises(sa.NumericalError) as exc:
-            sa.conditioning_plan(spec, order, np.ones((64, 64)))
+            sa.conditioning_plan(RANK_ONE, order)
         message = str(exc.value)
         assert message.startswith(f"length_scale/jitter: AR step {step}: ")
         assert f"position {order.permutation[1]} " in message
@@ -297,6 +301,15 @@ class TestSampleConditional:
             sa.sample_conditional(aniso_cond, 4, np.random.default_rng(0))
         assert caplog.records == []
 
+    def test_batched_mean_rejects_size(self):
+        # A batched mean gets one draw per entry; a larger size would be
+        # ignored, so it is refused, naming the argument.
+        cond = sa.ConditionalGaussian(target_positions=(0, 1),
+                                      mean=np.zeros((3, 2, 4)), covariance=np.eye(2))
+        assert sa.sample_conditional(cond, 4, np.random.default_rng(0)).shape == (3, 2, 4)
+        with pytest.raises(ValueError, match="^size: "):
+            sa.sample_conditional(cond, 4, np.random.default_rng(0), size=5)
+
 
 def _gauss_logpdf(x, mean, cov_mat):
     dev = x - mean
@@ -325,10 +338,10 @@ class TestScore:
                                        rtol=1e-12)
 
     @pytest.mark.parametrize("alpha_bar", [0.15, 0.5, 0.9])
-    def test_finite_difference_gradient(self, oracle, spec, cov, alpha_bar):
+    def test_finite_difference_gradient(self, oracle, spec, alpha_bar):
         rng = np.random.default_rng(11)
         obs = [(p, rng.standard_normal(4)) for p in (0, 7, 12)]
-        cond = sa.conditional(spec, obs, [5, 6, 10], cov=cov)
+        cond = sa.conditional(spec, obs, [5, 6, 10])
         x = rng.standard_normal((3, 4))
         score = oracle.score(x, alpha_bar, cond)
         mat = alpha_bar * cond.covariance + (1 - alpha_bar) * np.eye(3)
@@ -400,13 +413,13 @@ class TestVelocity:
             np.testing.assert_allclose(got, (x_t - (1 - t) * mu) / t - mu, atol=1e-10)
             np.testing.assert_allclose(got, eps - mu, atol=1e-9)
 
-    def test_terminal_time_posterior_regression(self, oracle, spec, cov):
+    def test_terminal_time_posterior_regression(self, oracle, spec):
         # At t=1 the state is pure noise: E[x0|x] is constant and
         # E[eps|x] = x, so v(x, 1) = x - mu; confirm against a Monte Carlo
         # regression of (eps - x0) on x1 over 10^6 pairs.
         rng = np.random.default_rng(8)
         obs = [(p, rng.standard_normal(4)) for p in (2, 13)]
-        cond = sa.conditional(spec, obs, [5], cov=cov)
+        cond = sa.conditional(spec, obs, [5])
         n = 1_000_000
         x0 = cond.mean[0, 0] + np.sqrt(cond.covariance[0, 0]) * rng.standard_normal(n)
         eps = rng.standard_normal(n)

@@ -7,6 +7,14 @@ import stepanneal as sa
 
 from conftest import dirac_cond, isotropic_cond
 
+DDPM = sa.SamplerConfig("ddpm")
+DDIM = sa.SamplerConfig("ddim")
+DPM1 = sa.SamplerConfig("dpm_solver", order=1)
+DPM2 = sa.SamplerConfig("dpm_solver", order=2)
+DPM_PP = sa.SamplerConfig("dpm_solver_pp")
+EULER_FLOW = sa.SamplerConfig("euler_flow")
+EULER_SDE = sa.SamplerConfig("euler_maruyama", sde_noise_scale=1.0)
+
 
 def walk_levels(grid):
     lv = grid.levels
@@ -39,35 +47,36 @@ class TestNfeAccounting:
     @pytest.mark.parametrize("steps", [1, 2, 5, 25])
     def test_single_call_samplers(self, linear_schedule, aniso_cond, oracle, steps):
         grid = sa.make_diffusion_grid(linear_schedule, steps, 950)
-        for fn in (sa.ddpm_sample, sa.ddim_sample):
-            _, rec = fn(oracle, aniso_cond, grid, np.random.default_rng(0))
+        for cfg in (DDPM, DDIM):
+            _, rec = sa.sample_with_config(cfg, oracle, aniso_cond, grid,
+                                           np.random.default_rng(0))
             assert rec.nfe == steps == grid.step_count
 
     @pytest.mark.parametrize("steps", [1, 2, 5, 25])
     def test_dpm_orders(self, linear_schedule, aniso_cond, oracle, steps):
         grid = sa.make_diffusion_grid(linear_schedule, steps, 950)
-        _, rec1 = sa.dpm_solver_sample(oracle, aniso_cond, grid,
-                                       np.random.default_rng(0), order=1)
+        _, rec1 = sa.sample_with_config(DPM1, oracle, aniso_cond, grid,
+                                        np.random.default_rng(0))
         assert rec1.nfe == steps
-        _, rec2 = sa.dpm_solver_sample(oracle, aniso_cond, grid,
-                                       np.random.default_rng(0), order=2)
+        _, rec2 = sa.sample_with_config(DPM2, oracle, aniso_cond, grid,
+                                        np.random.default_rng(0))
         assert rec2.nfe == 2 * steps - 1
 
     @pytest.mark.parametrize("steps", [2, 5, 25])
     def test_multistep_one_call_per_step(self, linear_schedule, aniso_cond, oracle, steps):
         grid = sa.make_diffusion_grid(linear_schedule, steps, 950)
-        _, rec = sa.dpm_solver_pp_sample(oracle, aniso_cond, grid,
-                                         np.random.default_rng(0))
+        _, rec = sa.sample_with_config(DPM_PP, oracle, aniso_cond, grid,
+                                       np.random.default_rng(0))
         assert rec.nfe == steps
 
     @pytest.mark.parametrize("steps", [1, 5, 50])
     def test_flow_samplers(self, aniso_cond, oracle, steps):
         grid = sa.make_flow_grid(steps, 1.0)
-        _, rec = sa.euler_flow_sample(oracle, aniso_cond, grid,
-                                      np.random.default_rng(0))
+        _, rec = sa.sample_with_config(EULER_FLOW, oracle, aniso_cond, grid,
+                                       np.random.default_rng(0))
         assert rec.nfe == steps == grid.step_count
-        _, rec = sa.euler_maruyama_sample(oracle, aniso_cond, grid,
-                                          np.random.default_rng(0))
+        _, rec = sa.sample_with_config(EULER_SDE, oracle, aniso_cond, grid,
+                                       np.random.default_rng(0))
         assert rec.nfe == steps
 
     @pytest.mark.parametrize("kind,kwargs", [
@@ -107,7 +116,7 @@ class TestDeterminism:
     ):
         grid = sa.make_diffusion_grid(linear_schedule, 10, 950)
         rng = np.random.default_rng(7)
-        sa.ddim_sample(oracle, aniso_cond, grid, rng, n_samples=3)
+        sa.sample_with_config(DDIM, oracle, aniso_cond, grid, rng, n_samples=3)
         probe = np.random.default_rng(7)
         probe.standard_normal((3, 3, 4))
         assert rng.standard_normal() == probe.standard_normal()
@@ -117,8 +126,8 @@ class TestDdpm:
     def test_dirac_full_grid_hits_mean(self, linear_schedule, oracle):
         cond = dirac_cond(mean=0.7)
         grid = sa.make_diffusion_grid(linear_schedule, 1000, 999)
-        out, _ = sa.ddpm_sample(oracle, cond, grid, np.random.default_rng(0),
-                                n_samples=16)
+        out, _ = sa.sample_with_config(DDPM, oracle, cond, grid,
+                                       np.random.default_rng(0), n_samples=16)
         assert np.max(np.abs(out - 0.7)) < 1e-3
 
     def test_isotropic_moments(self, linear_schedule, oracle):
@@ -129,14 +138,14 @@ class TestDdpm:
         cond = isotropic_cond(mean=0.4, var=1.0)
         n = 20000
         grid = sa.make_diffusion_grid(linear_schedule, 50, 950)
-        out, _ = sa.ddpm_sample(oracle, cond, grid, np.random.default_rng(1),
-                                n_samples=n)
+        out, _ = sa.sample_with_config(DDPM, oracle, cond, grid,
+                                       np.random.default_rng(1), n_samples=n)
         assert abs(out.mean() - 0.4) < 4.0 / np.sqrt(n)
         expected_var = ddpm_chain_variance(grid, 1.0)
         assert abs(out.var(ddof=1) - expected_var) / expected_var < 0.05
         grid_full = sa.make_diffusion_grid(linear_schedule, 951, 950)
-        out_full, _ = sa.ddpm_sample(oracle, cond, grid_full,
-                                     np.random.default_rng(2), n_samples=n)
+        out_full, _ = sa.sample_with_config(DDPM, oracle, cond, grid_full,
+                                            np.random.default_rng(2), n_samples=n)
         assert abs(out_full.var(ddof=1) - 1.0) < 0.05
 
     def test_single_step_is_hand_unrolled_x0_prediction(
@@ -144,8 +153,8 @@ class TestDdpm:
     ):
         grid = sa.make_diffusion_grid(linear_schedule, 1, 999)
         seed = 3
-        out, rec = sa.ddpm_sample(oracle, aniso_cond, grid,
-                                  np.random.default_rng(seed), n_samples=4)
+        out, rec = sa.sample_with_config(DDPM, oracle, aniso_cond, grid,
+                                         np.random.default_rng(seed), n_samples=4)
         assert rec.nfe == 1
         x_start = np.random.default_rng(seed).standard_normal((4, 3, 4))
         a = linear_schedule.alpha_bars[999]
@@ -158,8 +167,9 @@ class TestDdim:
     def test_dirac_x0_predictions_constant(self, linear_schedule, oracle):
         cond = dirac_cond(mean=-0.3)
         grid = sa.make_diffusion_grid(linear_schedule, 20, 950)
-        out, rec = sa.ddim_sample(oracle, cond, grid, np.random.default_rng(0),
-                                  n_samples=6, record_path=True)
+        out, rec = sa.sample_with_config(DDIM, oracle, cond, grid,
+                                         np.random.default_rng(0), n_samples=6,
+                                         record_path=True)
         lv = walk_levels(grid)
         for i in range(len(lv) - 1):
             x0 = oracle.x0(rec.states[i], lv[i], cond)
@@ -170,11 +180,11 @@ class TestDdim:
         # Deterministic map from shared initial noise; the ODE is
         # near-linear so 50 steps land within 2% of the 1000-step run.
         cond = isotropic_cond(mean=2.0, var=1.0)
-        coarse, _ = sa.ddim_sample(
-            oracle, cond, sa.make_diffusion_grid(linear_schedule, 50, 999),
+        coarse, _ = sa.sample_with_config(
+            DDIM, oracle, cond, sa.make_diffusion_grid(linear_schedule, 50, 999),
             np.random.default_rng(3), n_samples=200)
-        fine, _ = sa.ddim_sample(
-            oracle, cond, sa.make_diffusion_grid(linear_schedule, 1000, 999),
+        fine, _ = sa.sample_with_config(
+            DDIM, oracle, cond, sa.make_diffusion_grid(linear_schedule, 1000, 999),
             np.random.default_rng(3), n_samples=200)
         assert np.linalg.norm(coarse - fine) / np.linalg.norm(fine) < 0.02
 
@@ -183,20 +193,19 @@ class TestDdim:
     ):
         n = 20000
         grid = sa.make_diffusion_grid(linear_schedule, 50, 950)
-        a, _ = sa.ddpm_sample(oracle, aniso_cond, grid,
-                              np.random.default_rng(5), n_samples=n)
-        b, _ = sa.ddim_sample(oracle, aniso_cond, grid,
-                              np.random.default_rng(6), eta=1.0, n_samples=n)
+        a, _ = sa.sample_with_config(DDPM, oracle, aniso_cond, grid,
+                                     np.random.default_rng(5), n_samples=n)
+        b, _ = sa.sample_with_config(sa.SamplerConfig("ddim", eta=1.0), oracle,
+                                     aniso_cond, grid, np.random.default_rng(6),
+                                     n_samples=n)
         va, vb = a.var(axis=0, ddof=1), b.var(axis=0, ddof=1)
         assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0))
                       <= 5 * np.sqrt((va + vb) / n))
         assert np.all(np.abs(va - vb) <= 5 * (va + vb) * np.sqrt(2.0 / n))
 
-    def test_negative_eta_rejected(self, linear_schedule, aniso_cond, oracle):
-        grid = sa.make_diffusion_grid(linear_schedule, 5, 950)
+    def test_negative_eta_rejected(self):
         with pytest.raises(ValueError, match="eta"):
-            sa.ddim_sample(oracle, aniso_cond, grid, np.random.default_rng(0),
-                           eta=-0.1)
+            sa.SamplerConfig("ddim", eta=-0.1)
 
     @pytest.mark.parametrize("kind", sa.DIFFUSION_SAMPLERS)
     def test_clamp_bounds_data_prediction(self, linear_schedule, aniso_cond, oracle,
@@ -212,11 +221,10 @@ class TestDpmSolver:
     def test_order_one_equals_ddim(self, linear_schedule, aniso_cond, oracle):
         for steps in (1, 5, 25):
             grid = sa.make_diffusion_grid(linear_schedule, steps, 950)
-            a, _ = sa.dpm_solver_sample(oracle, aniso_cond, grid,
-                                        np.random.default_rng(1), order=1,
-                                        n_samples=50)
-            b, _ = sa.ddim_sample(oracle, aniso_cond, grid,
-                                  np.random.default_rng(1), n_samples=50)
+            a, _ = sa.sample_with_config(DPM1, oracle, aniso_cond, grid,
+                                         np.random.default_rng(1), n_samples=50)
+            b, _ = sa.sample_with_config(DDIM, oracle, aniso_cond, grid,
+                                         np.random.default_rng(1), n_samples=50)
             assert np.max(np.abs(a - b)) < 1e-9
 
     def test_order_two_beats_order_one_at_ten_steps(
@@ -224,21 +232,19 @@ class TestDpmSolver:
     ):
         grid = sa.make_diffusion_grid(linear_schedule, 10, 999)
         n = 20000
-        o1, _ = sa.dpm_solver_sample(oracle, aniso_cond, grid,
-                                     np.random.default_rng(6), order=1,
-                                     n_samples=n)
-        o2, _ = sa.dpm_solver_sample(oracle, aniso_cond, grid,
-                                     np.random.default_rng(6), order=2,
-                                     n_samples=n)
+        o1, _ = sa.sample_with_config(DPM1, oracle, aniso_cond, grid,
+                                      np.random.default_rng(6), n_samples=n)
+        o2, _ = sa.sample_with_config(DPM2, oracle, aniso_cond, grid,
+                                      np.random.default_rng(6), n_samples=n)
         assert sa.w2_to_truth(o2, aniso_cond) < sa.w2_to_truth(o1, aniso_cond)
 
     def test_order_two_25_matches_ddim_50(self, linear_schedule, aniso_cond, oracle):
         n = 20000
-        o2, _ = sa.dpm_solver_sample(
-            oracle, aniso_cond, sa.make_diffusion_grid(linear_schedule, 25, 999),
-            np.random.default_rng(7), order=2, n_samples=n)
-        dd, _ = sa.ddim_sample(
-            oracle, aniso_cond, sa.make_diffusion_grid(linear_schedule, 50, 999),
+        o2, _ = sa.sample_with_config(
+            DPM2, oracle, aniso_cond, sa.make_diffusion_grid(linear_schedule, 25, 999),
+            np.random.default_rng(7), n_samples=n)
+        dd, _ = sa.sample_with_config(
+            DDIM, oracle, aniso_cond, sa.make_diffusion_grid(linear_schedule, 50, 999),
             np.random.default_rng(7), n_samples=n)
         assert sa.w2_to_truth(o2, aniso_cond) <= 1.10 * sa.w2_to_truth(dd, aniso_cond)
 
@@ -247,82 +253,81 @@ class TestDpmSolver:
         # per step doubling while the midpoint solver contracts faster (the
         # order-1 terminal transition caps its asymptotic rate).
         n = 2000
-        fine, _ = sa.ddim_sample(
-            oracle, aniso_cond, sa.make_diffusion_grid(linear_schedule, 999, 999),
+        fine, _ = sa.sample_with_config(
+            DDIM, oracle, aniso_cond, sa.make_diffusion_grid(linear_schedule, 999, 999),
             np.random.default_rng(9), n_samples=n)
 
-        def error(order, steps):
-            out, _ = sa.dpm_solver_sample(
-                oracle, aniso_cond,
+        def error(cfg, steps):
+            out, _ = sa.sample_with_config(
+                cfg, oracle, aniso_cond,
                 sa.make_diffusion_grid(linear_schedule, steps, 999),
-                np.random.default_rng(9), order=order, n_samples=n)
+                np.random.default_rng(9), n_samples=n)
             return float(np.mean(np.linalg.norm((out - fine).reshape(n, -1),
                                                 axis=1)))
 
-        e1 = [error(1, s) for s in (16, 32, 64)]
-        e2 = [error(2, s) for s in (16, 32, 64)]
+        e1 = [error(DPM1, s) for s in (16, 32, 64)]
+        e2 = [error(DPM2, s) for s in (16, 32, 64)]
         for a, b in zip(e1, e1[1:]):
             assert 1.7 < a / b < 2.4
         for a, b in zip(e2, e2[1:]):
             assert a / b > 2.4
         assert all(two < one for one, two in zip(e1, e2))
 
-    def test_order_validation(self, linear_schedule, aniso_cond, oracle):
-        grid = sa.make_diffusion_grid(linear_schedule, 5, 950)
+    def test_order_validation(self):
         with pytest.raises(ValueError, match="order"):
-            sa.dpm_solver_sample(oracle, aniso_cond, grid,
-                                 np.random.default_rng(0), order=3)
+            sa.SamplerConfig("dpm_solver", order=3)
 
 
 class TestDpmSolverPlusPlus:
     def test_dirac_terminal(self, linear_schedule, oracle):
         cond = dirac_cond(mean=1.1)
         grid = sa.make_diffusion_grid(linear_schedule, 25, 950)
-        out, rec = sa.dpm_solver_pp_sample(oracle, cond, grid,
-                                           np.random.default_rng(0),
-                                           n_samples=8, record_path=True)
+        out, rec = sa.sample_with_config(DPM_PP, oracle, cond, grid,
+                                         np.random.default_rng(0),
+                                         n_samples=8, record_path=True)
         lv = walk_levels(grid)
         for i in range(len(lv) - 1):
             x0 = oracle.x0(rec.states[i], lv[i], cond)
             np.testing.assert_allclose(x0, 1.1, atol=1e-9)
         assert np.max(np.abs(out - 1.1)) < 1e-6
 
-    def test_25_steps_close_to_ddim_25(self, spec, cov, oracle, linear_schedule):
+    def test_25_steps_close_to_ddim_25(self, spec, oracle, linear_schedule):
         # Multistep extrapolation on index-uniform grids overshoots tight
         # directions, so parity is asserted at a 10% band on a moderately
         # anisotropic target.
         rng = np.random.default_rng(0)
         obs = [(0, rng.standard_normal(4)), (1, rng.standard_normal(4))]
-        cond = sa.conditional(spec, obs, [14, 15], cov=cov)
+        cond = sa.conditional(spec, obs, [14, 15])
         grid = sa.make_diffusion_grid(linear_schedule, 25, 999)
         n = 20000
-        pp, _ = sa.dpm_solver_pp_sample(oracle, cond, grid,
-                                        np.random.default_rng(6), n_samples=n)
-        dd, _ = sa.ddim_sample(oracle, cond, grid, np.random.default_rng(6),
-                               n_samples=n)
+        pp, _ = sa.sample_with_config(DPM_PP, oracle, cond, grid,
+                                      np.random.default_rng(6), n_samples=n)
+        dd, _ = sa.sample_with_config(DDIM, oracle, cond, grid,
+                                      np.random.default_rng(6), n_samples=n)
         assert sa.w2_to_truth(pp, cond) <= 1.10 * sa.w2_to_truth(dd, cond)
 
     def test_rejects_single_step_grid(self, linear_schedule, aniso_cond, oracle):
         grid = sa.make_diffusion_grid(linear_schedule, 1, 950)
         with pytest.raises(ValueError, match="at least 2"):
-            sa.dpm_solver_pp_sample(oracle, aniso_cond, grid,
-                                    np.random.default_rng(0))
+            sa.sample_with_config(DPM_PP, oracle, aniso_cond, grid,
+                                  np.random.default_rng(0))
 
 
 class TestEulerFlow:
     def test_dirac_exact(self, oracle):
         cond = dirac_cond(mean=0.7)
         for steps in (1, 7, 50):
-            out, _ = sa.euler_flow_sample(oracle, cond,
-                                          sa.make_flow_grid(steps, 1.0),
-                                          np.random.default_rng(0), n_samples=8)
+            out, _ = sa.sample_with_config(EULER_FLOW, oracle, cond,
+                                           sa.make_flow_grid(steps, 1.0),
+                                           np.random.default_rng(0), n_samples=8)
             assert np.max(np.abs(out - 0.7)) < 1e-10
 
     def test_isotropic_moments(self, oracle):
         cond = isotropic_cond(mean=0.25, var=1.0)
         n = 20000
-        out, _ = sa.euler_flow_sample(oracle, cond, sa.make_flow_grid(100, 1.0),
-                                      np.random.default_rng(1), n_samples=n)
+        out, _ = sa.sample_with_config(EULER_FLOW, oracle, cond,
+                                       sa.make_flow_grid(100, 1.0),
+                                       np.random.default_rng(1), n_samples=n)
         assert abs(out.mean() - 0.25) < 4.0 / np.sqrt(n)
         assert abs(out.var(ddof=1) - 1.0) < 0.05
 
@@ -330,14 +335,14 @@ class TestEulerFlow:
         # Terminal error against a fine reference halves when the step count
         # doubles (Richardson-style ratio across three resolutions).
         n = 4000
-        fine, _ = sa.euler_flow_sample(oracle, aniso_cond,
-                                       sa.make_flow_grid(1000, 1.0),
-                                       np.random.default_rng(8), n_samples=n)
+        fine, _ = sa.sample_with_config(EULER_FLOW, oracle, aniso_cond,
+                                        sa.make_flow_grid(1000, 1.0),
+                                        np.random.default_rng(8), n_samples=n)
         errs = []
         for steps in (20, 40, 80):
-            out, _ = sa.euler_flow_sample(oracle, aniso_cond,
-                                          sa.make_flow_grid(steps, 1.0),
-                                          np.random.default_rng(8), n_samples=n)
+            out, _ = sa.sample_with_config(EULER_FLOW, oracle, aniso_cond,
+                                           sa.make_flow_grid(steps, 1.0),
+                                           np.random.default_rng(8), n_samples=n)
             errs.append(np.mean(np.linalg.norm((out - fine).reshape(n, -1), axis=1)))
         for a, b in zip(errs, errs[1:]):
             assert 1.6 < a / b < 2.6
@@ -345,26 +350,26 @@ class TestEulerFlow:
     def test_domain_mismatch(self, linear_schedule, aniso_cond, oracle):
         grid = sa.make_diffusion_grid(linear_schedule, 10, 950)
         with pytest.raises(ValueError, match="flow"):
-            sa.euler_flow_sample(oracle, aniso_cond, grid, np.random.default_rng(0))
+            sa.sample_with_config(EULER_FLOW, oracle, aniso_cond, grid,
+                                  np.random.default_rng(0))
 
 
 class TestEulerMaruyama:
     def test_zero_scale_reduces_to_euler(self, aniso_cond, oracle):
         grid = sa.make_flow_grid(25, 1.0)
-        a, _ = sa.euler_flow_sample(oracle, aniso_cond, grid,
-                                    np.random.default_rng(4), n_samples=6)
-        b, _ = sa.euler_maruyama_sample(oracle, aniso_cond, grid,
-                                        np.random.default_rng(4),
-                                        sde_noise_scale=0.0, n_samples=6)
+        a, _ = sa.sample_with_config(EULER_FLOW, oracle, aniso_cond, grid,
+                                     np.random.default_rng(4), n_samples=6)
+        b, _ = sa.sample_with_config(
+            sa.SamplerConfig("euler_maruyama", sde_noise_scale=0.0), oracle,
+            aniso_cond, grid, np.random.default_rng(4), n_samples=6)
         np.testing.assert_array_equal(a, b)
 
     def test_isotropic_variance(self, oracle):
         cond = isotropic_cond(mean=0.0, var=1.0)
         n = 20000
-        out, _ = sa.euler_maruyama_sample(oracle, cond,
-                                          sa.make_flow_grid(200, 1.0),
-                                          np.random.default_rng(5),
-                                          sde_noise_scale=1.0, n_samples=n)
+        out, _ = sa.sample_with_config(EULER_SDE, oracle, cond,
+                                       sa.make_flow_grid(200, 1.0),
+                                       np.random.default_rng(5), n_samples=n)
         assert abs(out.var(ddof=1) - 1.0) < 0.05
 
     def test_interior_marginals_preserved(self, oracle):
@@ -374,10 +379,9 @@ class TestEulerMaruyama:
             target_positions=(0,), mean=np.full((1, 4), 0.3),
             covariance=np.array([[0.8]]))
         grid = sa.make_flow_grid(200, 1.0)
-        _, rec = sa.euler_maruyama_sample(oracle, cond, grid,
-                                          np.random.default_rng(3),
-                                          sde_noise_scale=1.0, n_samples=20000,
-                                          record_path=True)
+        _, rec = sa.sample_with_config(EULER_SDE, oracle, cond, grid,
+                                       np.random.default_rng(3), n_samples=20000,
+                                       record_path=True)
         for idx in (50, 100, 150):
             t = rec.times[idx]
             truth = (1 - t) ** 2 * 0.8 + t**2
@@ -388,18 +392,16 @@ class TestEulerMaruyama:
         cond = dirac_cond(mean=0.7)
         rms = []
         for steps in (125, 500, 2000):
-            out, _ = sa.euler_maruyama_sample(oracle, cond,
-                                              sa.make_flow_grid(steps, 1.0),
-                                              np.random.default_rng(4),
-                                              sde_noise_scale=1.0, n_samples=500)
+            out, _ = sa.sample_with_config(EULER_SDE, oracle, cond,
+                                           sa.make_flow_grid(steps, 1.0),
+                                           np.random.default_rng(4), n_samples=500)
             rms.append(float(np.sqrt(np.mean((out - 0.7) ** 2))))
         assert rms[1] < 0.5 * rms[0]
         assert rms[2] < 0.5 * rms[1]
 
-    def test_scale_validation(self, aniso_cond, oracle):
+    def test_scale_validation(self):
         with pytest.raises(ValueError, match="sde_noise_scale"):
-            sa.euler_maruyama_sample(oracle, aniso_cond, sa.make_flow_grid(5, 1.0),
-                                     np.random.default_rng(0), sde_noise_scale=-1.0)
+            sa.SamplerConfig("euler_maruyama", sde_noise_scale=-1.0)
 
 
 class TestSamplerConfig:
@@ -424,6 +426,19 @@ class TestSamplerConfig:
             sa.SamplerConfig(kind="ddim", eta=-1.0)
         with pytest.raises(ValueError, match="order"):
             sa.SamplerConfig(kind="dpm_solver", order=3)
+
+    def test_batched_mean_rejects_sample_count(self, linear_schedule, oracle):
+        # A batched mean draws one sample per entry; a larger count would be
+        # ignored, so it is refused, naming the argument.
+        cond = sa.ConditionalGaussian(target_positions=(0, 1),
+                                      mean=np.zeros((3, 2, 4)), covariance=np.eye(2))
+        grid = sa.make_diffusion_grid(linear_schedule, 5, 950)
+        out, _ = sa.sample_with_config(DDIM, oracle, cond, grid,
+                                       np.random.default_rng(0))
+        assert out.shape == (3, 2, 4)
+        with pytest.raises(ValueError, match="^n_samples: "):
+            sa.sample_with_config(DDIM, oracle, cond, grid, np.random.default_rng(0),
+                                  n_samples=5)
 
     def test_dispatch_checks_grid_domain(self, linear_schedule, aniso_cond, oracle):
         cfg = sa.SamplerConfig(kind="euler_flow")
