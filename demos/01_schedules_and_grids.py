@@ -23,6 +23,7 @@ for steps in (5, 10, 50):
     head = ", ".join(map(str, pts[:4]))
     print(f"{steps:3d} steps from index 950: [{head}, ..., {pts[-1]}]  "
           f"(denoiser calls: {grid.step_count})")
+print("(the last point, -1, is the clean state: signal fraction exactly 1)")
 grid = sa.make_flow_grid(4, 1.0)
 print(f"flow grid, 4 intervals: {grid.points}")
 

@@ -79,7 +79,6 @@ from .samplers import (
     sample_with_config,
 )
 from .schedules import (
-    DEFAULT_START_OFFSET,
     DIFFUSION,
     FLOW,
     DiffusionSchedule,

@@ -192,31 +192,39 @@ def build_schedule(cfg: dict):
     raise ValueError(f"schedule_kind: unknown value {kind!r}")
 
 
+# Each field of a SamplerConfig or StepScheduler and the config key it is read from.
+_SAMPLER_KEYS = {"kind": "sampler", "eta": "eta", "order": "solver_order",
+                 "sde_noise_scale": "sde_noise_scale", "clamp": "clamp"}
+_SCHEDULER_KEYS = {"kind": "scheduler_kind", "t_early": "t_early",
+                   "t_late": "t_late", "ar_steps": "ar_steps", "min_steps": "min_steps"}
+
+
+def _from_config(cls, cfg: dict, keys: dict[str, str]):
+    """``cls`` built from the config values that ``keys`` names (field ->
+    config key).  An error about a field is re-raised naming its key."""
+    try:
+        return cls(**{field: cfg[key] for field, key in keys.items()})
+    except ValueError as exc:
+        field, _, detail = str(exc).partition(": ")
+        if field not in keys:
+            raise
+        raise ValueError(f"{keys[field]}: {detail}") from exc
+
+
 def build_sampler_config(cfg: dict) -> SamplerConfig:
-    return SamplerConfig(
-        kind=cfg["sampler"],
-        eta=cfg["eta"],
-        order=cfg["solver_order"],
-        sde_noise_scale=cfg["sde_noise_scale"],
-        clamp=cfg["clamp"],
-    )
+    return _from_config(SamplerConfig, cfg, _SAMPLER_KEYS)
 
 
 def build_scheduler(cfg: dict) -> StepScheduler:
-    return StepScheduler(
-        kind=cfg["scheduler_kind"],
-        t_early=cfg["t_early"],
-        t_late=cfg["t_late"],
-        ar_steps=cfg["ar_steps"],
-        min_steps=cfg["min_steps"],
-    )
+    return _from_config(StepScheduler, cfg, _SCHEDULER_KEYS)
 
 
 def check_minimums(cfg: dict, minimums: dict[str, int]) -> None:
-    """Each key in ``minimums``, both seeds and ``cosine_offset`` at least its
-    minimum (numpy would reject a negative seed only once work has started)."""
+    """Each key in ``minimums``, both seeds, ``cosine_offset`` and the field's
+    height and width at least its minimum (numpy would reject a negative seed
+    only once work has started; the spec names height and width together)."""
     for key, least in {"master_seed": 0, "order_seed": 0, "cosine_offset": 0,
-                       **minimums}.items():
+                       "grid_height": 1, "grid_width": 1, **minimums}.items():
         if cfg[key] < least:
             raise ValueError(f"{key}: must be >= {least}, got {cfg[key]}")
 
@@ -400,11 +408,11 @@ def cmd_sweep(args) -> int:
     for key in ("sweep_t_early", "sweep_t_late"):
         if not cfg[key]:
             raise ValueError(f"{key}: must hold at least one step count")
+    sweep_keys = {**_SCHEDULER_KEYS, "t_early": "sweep_t_early",
+                  "t_late": "sweep_t_late"}
     schedulers = [
-        StepScheduler(
-            kind=cfg["scheduler_kind"], t_early=te, t_late=tl,
-            ar_steps=cfg["ar_steps"], min_steps=cfg["min_steps"],
-        )
+        _from_config(StepScheduler,
+                     {**cfg, "sweep_t_early": te, "sweep_t_late": tl}, sweep_keys)
         for te in cfg["sweep_t_early"]
         for tl in cfg["sweep_t_late"]
     ]

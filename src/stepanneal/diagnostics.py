@@ -184,16 +184,16 @@ def _interpolate_path(
 ) -> tuple[np.ndarray, float]:
     """State linearly interpolated on the recorded path at time ``t``, plus
     the interpolation weight's bracketing segment level (diffusion only)."""
-    times = np.asarray(trajectory.times)
+    times, levels = trajectory.grid.points, trajectory.grid.levels
     states = trajectory.states
     j = int(np.searchsorted(-times, -t, side="right")) - 1
     j = min(max(j, 0), len(times) - 2)
     t_hi, t_lo = times[j], times[j + 1]
     w = (t - t_lo) / (t_hi - t_lo)
     x = w * states[j] + (1.0 - w) * states[j + 1]
-    if trajectory.levels is None:
+    if levels is None:
         return x, float("nan")
-    lv_hi, lv_lo = trajectory.levels[j], trajectory.levels[j + 1]
+    lv_hi, lv_lo = levels[j], levels[j + 1]
     level = float(np.exp(w * np.log(lv_hi) + (1.0 - w) * np.log(lv_lo)))
     return x, min(level, 1.0)
 
@@ -220,7 +220,7 @@ def straightness_flow(
     x1, x0 = trajectory.states[0], trajectory.states[-1]
     chord = x1 - x0
     total = 0.0
-    for t in _stratified_times(float(trajectory.times[0]), t_draws, rng):
+    for t in _stratified_times(float(trajectory.grid.points[0]), t_draws, rng):
         x_t, _ = _interpolate_path(trajectory, float(t))
         v = oracle.velocity(x_t, float(t), cond)
         sq = np.sum((chord - v) ** 2, axis=(-2, -1))
@@ -240,11 +240,11 @@ def straightness_diffusion(
     skipped and counted against the average."""
     if trajectory.states is None:
         raise ValueError("trajectory: endpoints missing; record the path")
-    if trajectory.levels is None:
-        raise ValueError("trajectory: diffusion straightness needs noise levels")
+    if trajectory.grid.levels is None:
+        raise ValueError("trajectory: diffusion straightness needs a diffusion grid")
     x0 = trajectory.states[-1]
     total, used = 0.0, 0
-    for t in _stratified_times(float(trajectory.times[0]), t_draws, rng):
+    for t in _stratified_times(float(trajectory.grid.points[0]), t_draws, rng):
         x_t, level = _interpolate_path(trajectory, float(t))
         score = oracle.score(x_t, level, cond)
         to_clean = (x0 - x_t).reshape(x_t.shape[0], -1)
@@ -281,7 +281,7 @@ def straightness_by_step(
     if batch.trajectories is None or batch.conditionals is None:
         raise ValueError("batch: generate with record_paths=True")
     oracle = ExactDenoiser()
-    flow = batch.trajectories[0].domain != DIFFUSION
+    flow = batch.trajectories[0].grid.domain != DIFFUSION
     fn = straightness_flow if flow else straightness_diffusion
     vals = [
         fn(traj, oracle, cond, t_draws, rng)

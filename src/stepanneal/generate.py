@@ -51,7 +51,6 @@ class SequenceBatch:
     order: GenerationOrder
     step_counts: tuple[int, ...]
     nfe_per_sequence: int
-    master_seed: int
     trajectories: list[TrajectoryRecord] | None = None
     conditionals: list[ConditionalGaussian] | None = None
 
@@ -142,7 +141,6 @@ def simulate_sequences(
         order=order,
         step_counts=tuple(grid.step_count for grid in grids),
         nfe_per_sequence=nfe,
-        master_seed=master_seed,
         trajectories=trajectories,
         conditionals=conditionals,
     )

@@ -16,12 +16,11 @@ the full hop from there with the first stage's prediction as ``prev``),
 DPM-Solver++'s multistep correction as ``c_prev``, and Euler-Maruyama on the
 score-corrected flow SDE (``euler_flow`` is its noise scale 0).
 
-Diffusion samplers call the oracle at every grid index; after the call at
-index 0 the final transition targets the clean state (signal fraction
-exactly 1), where every rule reduces to the data prediction and adds no
-noise.  Flow samplers walk the grid times from the start time down to 0.
-The midpoint solver's terminal hop runs at order 1 (the log-SNR midpoint of
-a hop to zero noise is degenerate).
+Each rule walks the grid as given, one transition per step: the diffusion
+samplers its ``levels``, ending at the clean state (level exactly 1), where
+every rule reduces to the data prediction and adds no noise; the flow
+samplers its times, down to 0.  The midpoint solver's last hop runs at
+order 1 (the log-SNR midpoint of a hop to zero noise is degenerate).
 
 Evaluation counts for a grid with S calls (``grid.step_count == S``):
 
@@ -33,10 +32,6 @@ dpm_solver_pp        S
 euler_flow           S
 euler_maruyama       S
 ===================  =========
-
-In trajectory records, the state reached by the terminal clean transition is
-listed at the virtual time -1 (levels entry 1.0), mirroring how discrete
-reverse chains step past index 0.
 
 Samplers are pure functions of (oracle, conditional, grid, rng stream); give
 concurrent trajectories independent generators and nothing is shared.
@@ -101,25 +96,18 @@ class SamplerConfig:
 class TrajectoryRecord:
     """What one sampler run visited and spent.
 
-    ``times`` are the grid points, ``levels`` the matching signal fractions
-    for diffusion runs.  ``states`` (one array per grid point) are kept only
-    when path recording was requested.  ``nfe`` counts every denoiser
-    evaluation, midpoints included.
+    ``grid`` is the grid walked.  ``states`` (one array per grid point) are
+    kept only when path recording was requested.  ``nfe`` counts every
+    denoiser evaluation, midpoints included.
     """
 
-    domain: str
-    times: np.ndarray
+    grid: TimeGrid
     nfe: int
-    levels: np.ndarray | None = None
     states: list[np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.states is not None and len(self.states) != len(self.times):
+        if self.states is not None and len(self.states) != self.grid.points.size:
             raise ValueError("states: need one state per grid point")
-
-    @property
-    def step_count(self) -> int:
-        return len(self.times) - 1
 
 
 class Transition(NamedTuple):
@@ -143,7 +131,7 @@ def _hops(walk: np.ndarray) -> Iterator[tuple[float, float]]:
 
 
 # Coefficient rules: (config, walk) -> transitions.  A diffusion walk is the
-# level sequence ending at 1.0; a flow walk is the grid times.
+# grid's levels, ending at 1.0; a flow walk is its times.
 
 
 def _ddpm(config: SamplerConfig, levels: np.ndarray) -> Iterator[Transition]:
@@ -250,31 +238,21 @@ def sample_with_config(
     n_samples: int = 1,
     record_path: bool = False,
 ) -> tuple[np.ndarray, TrajectoryRecord]:
-    """Run the configured sampler's rule on ``grid`` (the executor above).
-
-    Diffusion grids ending on schedule index 0 get the terminal transition
-    to the clean state appended.  A batched (3-D) conditional mean runs one
-    sample per batch entry, so ``n_samples`` must then be 1.  Returns the
-    final state and the run's record.
-    """
+    """Run the configured sampler's rule on ``grid`` (the executor above);
+    return the final state and the run's record.  A batched (3-D) conditional
+    mean runs one sample per batch entry, so ``n_samples`` must then be 1."""
     if cond.mean.ndim == 3 and n_samples != 1:
         raise ValueError(f"n_samples: must be 1 with a batched mean, got {n_samples}")
     if grid.domain != config.domain:
         raise ValueError(
             f"grid: {config.kind} requires a {config.domain} grid, got {grid.domain}"
         )
-    times, levels = grid.points, grid.levels
-    if config.domain == DIFFUSION:
-        if levels is None:
-            raise ValueError("grid: missing noise levels; build via make_diffusion_grid")
-        if levels[-1] < 1.0:
-            levels = np.concatenate([levels, [1.0]])
-            times = np.concatenate([times, [-1.0]])
-        predict, walk = oracle.x0, levels
-    else:
-        predict, walk = oracle.velocity, times
-    if len(walk) - 1 < config.min_steps:
+    if grid.step_count < config.min_steps:
         raise ValueError(f"grid: {config.kind} needs at least {config.min_steps} steps")
+    if config.domain == DIFFUSION:
+        predict, walk = oracle.x0, grid.levels
+    else:
+        predict, walk = oracle.velocity, grid.points
     batch = () if cond.mean.ndim == 3 else (n_samples,)
     x = rng.standard_normal(batch + cond.mean.shape)
     states = [x] if record_path else None
@@ -293,5 +271,5 @@ def sample_with_config(
         x, prev = new, pred
         if states is not None and step.recorded:
             states.append(x)
-    return x, TrajectoryRecord(config.domain, times, nfe, levels, states)
+    return x, TrajectoryRecord(grid, nfe, states)
 

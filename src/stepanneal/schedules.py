@@ -7,16 +7,12 @@ products ``alpha_bars[t] = prod_{s<=t} (1 - betas[s])`` on a base grid of
 ``base_step_count`` indices (default 1000).  Index 0 is the *least* noisy
 schedule level, index ``base_step_count - 1`` the noisiest.
 
-A :class:`TimeGrid` is the strictly decreasing sequence of times a reverse
-sampler visits; the final point is always exactly 0.  Flow grids end at
-time 0.0, the clean state, and span ``num_steps`` uniform intervals.
-Diffusion grids hold ``num_steps`` schedule indices, every one of which is
-a denoiser call site; after the call at index 0 the sampler takes one
-implicit terminal transition to the clean state (signal fraction exactly
-1), so a ``num_steps``-index grid costs exactly ``num_steps`` calls for
-single-evaluation samplers.  The one-step grid is the direct hop
-``[start_index, 0]`` whose final point already *is* the clean state
-(``levels[-1] == 1``), one call.
+A :class:`TimeGrid` is the whole reverse walk: strictly decreasing points
+ending at the clean state, each point but the last a denoiser call site, so
+``S + 1`` points take ``S`` steps and ``S`` calls of a single-evaluation
+sampler.  Flow grids span uniform intervals down to time 0.0.  Diffusion
+grids hold schedule indices, then the clean state at point -1 (signal
+fraction exactly 1); the one-step grid is the hop ``[start_index, -1]``.
 
 All arithmetic is float64.  Constructed objects are immutable and safe to
 share across workers.
@@ -31,9 +27,6 @@ import numpy as np
 
 DIFFUSION = "discrete_diffusion"
 FLOW = "continuous_flow"
-
-#: Default reverse-start index when the initial time offset is enabled.
-DEFAULT_START_OFFSET = 950
 
 #: Highest clip for the per-step noise rate recovered from a cosine profile.
 MAX_BETA = 0.999
@@ -112,14 +105,12 @@ def build_cosine_alpha_bar(
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Strictly decreasing reverse-time grid ending at exactly 0.
+    """Strictly decreasing reverse walk ending at the clean state.
 
-    ``levels`` holds the signal fraction (alpha-bar) at each point for
-    diffusion grids.  ``levels[-1] == 1`` marks a grid whose final point is
-    the clean state itself (the one-step hop); otherwise the final point is
-    schedule index 0 and samplers append the implicit terminal transition to
-    clean.  Flow grids leave ``levels`` as ``None``; their points are
-    already the times.
+    A flow grid's points are the times and end at 0.  A diffusion grid
+    carries ``levels``, the signal fraction (alpha-bar) at each point,
+    strictly increasing within (0, 1] and ending at exactly 1 (the clean
+    state, point -1 on grids built by :func:`make_diffusion_grid`).
     """
 
     domain: str
@@ -129,47 +120,48 @@ class TimeGrid:
     def __post_init__(self):
         if self.domain not in (DIFFUSION, FLOW):
             raise ValueError(f"domain: unknown value {self.domain!r}")
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = _readonly(self.points)
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("points: need at least two grid points")
         if np.any(np.diff(pts) >= 0.0):
             raise ValueError("points: must be strictly decreasing")
-        if pts[-1] != 0.0:
-            raise ValueError("points: final point must be exactly 0")
-        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        if self.levels is not None:
-            lv = _readonly(self.levels)
-            if lv.shape != pts.shape:
-                raise ValueError("levels: must match points in length")
-            if np.any(np.diff(lv) <= 0.0) or np.any(lv <= 0.0) or lv[-1] > 1.0:
-                raise ValueError("levels: must increase strictly within (0, 1]")
-            object.__setattr__(self, "levels", lv)
+        if self.domain == FLOW:
+            if pts[-1] != 0.0:
+                raise ValueError("points: a flow grid must end at time 0")
+            if self.levels is not None:
+                raise ValueError("levels: a flow grid has none; its points are times")
+            return
+        if self.levels is None:
+            raise ValueError("levels: a diffusion grid needs its noise levels")
+        lv = _readonly(self.levels)
+        if lv.shape != pts.shape:
+            raise ValueError("levels: must match points in length")
+        if np.any(np.diff(lv) <= 0.0) or lv[0] <= 0.0 or lv[-1] != 1.0:
+            raise ValueError("levels: must increase strictly within (0, 1] and end at 1")
+        object.__setattr__(self, "levels", lv)
 
     @property
     def step_count(self) -> int:
-        """Denoiser calls a single-evaluation sampler spends on this grid
-        (transitions between points, plus the implicit terminal hop for
-        diffusion grids that end on schedule index 0)."""
-        if self.levels is not None and self.levels[-1] < 1.0:
-            return int(self.points.size)
+        """Steps of the walk: the denoiser calls a single-evaluation sampler
+        spends on it."""
         return int(self.points.size - 1)
 
 
 def make_diffusion_grid(
     schedule: DiffusionSchedule, num_steps: int, start_index: int | None = None
 ) -> TimeGrid:
-    """Subsample ``num_steps`` indices from ``start_index`` down to 0.
+    """Subsample ``num_steps`` indices from ``start_index`` down to 0, then
+    end at the clean state (point -1, level 1).
 
     Spacing is uniform with fractional positions truncated toward zero, so
-    e.g. 5 indices from 999 are ``[999, 749, 499, 249, 0]``.  Every index is
-    a denoiser call site, so the grid costs ``num_steps`` calls.
-    ``num_steps == 1`` is the direct hop ``[start_index, 0]`` (one call,
-    final point clean).
+    e.g. 5 indices from 999 are ``[999, 749, 499, 249, 0, -1]``.  Every index
+    is a denoiser call site, so the grid costs ``num_steps`` calls;
+    ``num_steps == 1`` is the direct hop ``[start_index, -1]``.
 
-    ``start_index`` defaults to the top of the base grid; pass
-    ``DEFAULT_START_OFFSET`` to skip the noisiest levels.  It must be at
-    least 1: a grid starting at index 0 would have no step to take.
+    ``start_index`` defaults to the top of the base grid.  It must be at
+    least 1: samplers start from standard normal noise, which a walk from
+    index 0, the least noisy level, would hop straight to the clean state.
     """
     base = schedule.base_step_count
     if start_index is None:
@@ -178,17 +170,13 @@ def make_diffusion_grid(
         raise ValueError(f"start_index: must lie in [1, {base}), got {start_index}")
     if not 1 <= num_steps <= start_index + 1:
         raise ValueError("num_steps: must lie in [1, start_index + 1]")
-    if num_steps == 1:
-        points = np.array([start_index, 0], dtype=np.float64)
-        levels = np.array([schedule.alpha_bars[start_index], 1.0])
-    else:
-        points = np.floor(np.linspace(start_index, 0.0, num_steps))
-        levels = schedule.alpha_bars[points.astype(int)]
-    if np.any(np.diff(points) >= 0.0):
+    indices = np.floor(np.linspace(start_index, 0.0, num_steps))
+    if np.any(np.diff(indices) >= 0.0):
         raise ValueError(
             "num_steps: rounding produced duplicate indices; use fewer steps"
         )
-    return TimeGrid(domain=DIFFUSION, points=points, levels=levels)
+    levels = np.append(schedule.alpha_bars[indices.astype(int)], 1.0)
+    return TimeGrid(DIFFUSION, np.append(indices, -1.0), levels)
 
 
 def make_flow_grid(num_steps: int, start_time: float = 1.0) -> TimeGrid:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,65 @@ from stepanneal import (
     cli, conditioning_plan, generate, process, simulate_sequences, step_grids,
 )
 from stepanneal.cli import main
+
+
+# One bad value per config key but out_dir: (config, the start of the error
+# after "error: " or "error: AR step k: ", the commands that read the key).
+_LINEAR = {"schedule_kind": "linear"}
+_ALL = ("simulate", "diagnose", "sweep", "oracle-check")
+_RUNS = ("simulate", "diagnose", "sweep")
+BAD_CONFIG = {
+    "grid_height": ({"grid_height": 0}, "grid_height: must be >= 1, got 0", _ALL),
+    "grid_width": ({"grid_width": 0}, "grid_width: must be >= 1, got 0", _ALL),
+    "token_dim": ({"token_dim": 0}, "token_dim: ", _ALL),
+    "kernel": ({"kernel": "bogus"}, "kernel: ", _ALL),
+    "length_scale": ({"length_scale": -1.0}, "length_scale: ", _ALL),
+    "marginal_std": ({"marginal_std": 0.0}, "marginal_std: ", _ALL),
+    "jitter": ({"jitter": -1.0}, "jitter: ", _ALL),
+    "order_kind": ({**_LINEAR, "order_kind": "bogus"}, "order_kind: ", _RUNS),
+    "order_seed": ({**_LINEAR, "order_seed": -1},
+                   "order_seed: must be >= 0, got -1", _ALL),
+    "ar_steps": ({"ar_steps": 100}, "ar_steps: must lie in [1, 16], got 100", _RUNS),
+    "schedule_kind": ({"schedule_kind": "bogus"}, "schedule_kind: ", _ALL),
+    "base_step_count": ({**_LINEAR, "base_step_count": 1}, "base_step_count: ", _ALL),
+    "beta_start": ({**_LINEAR, "beta_start": 0.0}, "beta_start: ", _ALL),
+    "beta_end": ({**_LINEAR, "beta_end": 1.5}, "beta_end: ", _ALL),
+    "cosine_offset": ({"schedule_kind": "cosine", "cosine_offset": -0.1},
+                      "cosine_offset: must be >= 0, got -0.1", _ALL),
+    "start_index": ({**_LINEAR, "start_index": 0},
+                    "start_index: must lie in [1, 1000), got 0", _ALL),
+    "flow_start_time": ({"sampler": "euler_flow", "flow_start_time": 1.5},
+                        "flow_start_time: ", _RUNS),
+    "sampler": ({**_LINEAR, "sampler": "bogus"},
+                "sampler: unknown sampler 'bogus'", _RUNS),
+    "eta": ({**_LINEAR, "eta": -1.0}, "eta: ", _RUNS),
+    "solver_order": ({**_LINEAR, "sampler": "dpm_solver", "solver_order": 3},
+                     "solver_order: must be 1 or 2", _RUNS),
+    "sde_noise_scale": ({"sampler": "euler_maruyama", "sde_noise_scale": -1.0},
+                        "sde_noise_scale: ", _RUNS),
+    "clamp": ({"sampler": "euler_flow", "clamp": 1.0}, "clamp: ", _RUNS),
+    "scheduler_kind": ({**_LINEAR, "scheduler_kind": "bogus"},
+                       "scheduler_kind: unknown scheduler 'bogus'", _RUNS),
+    "t_early": ({**_LINEAR, "t_early": 0}, "t_early: ", ("simulate", "diagnose")),
+    "t_late": ({**_LINEAR, "t_late": 0}, "t_late: ", ("simulate", "diagnose")),
+    "min_steps": ({**_LINEAR, "min_steps": 0}, "min_steps: ", _RUNS),
+    "n_sequences": ({**_LINEAR, "n_sequences": 0}, "n_sequences: ",
+                    ("simulate", "diagnose")),
+    "master_seed": ({**_LINEAR, "master_seed": -1},
+                    "master_seed: must be >= 0, got -1", _ALL),
+    "draws_per_step": ({**_LINEAR, "draws_per_step": 1}, "draws_per_step: ",
+                       ("diagnose", "sweep")),
+    "t_draws": ({**_LINEAR, "t_draws": 0}, "t_draws: ", ("diagnose",)),
+    "probe_sequences": ({**_LINEAR, "probe_sequences": 0}, "probe_sequences: ",
+                        ("diagnose",)),
+    "floor_repeats": ({**_LINEAR, "floor_repeats": 0}, "floor_repeats: ", ("sweep",)),
+    "joint_sequences": ({**_LINEAR, "joint_sequences": -3}, "joint_sequences: ",
+                        ("sweep",)),
+    "mc_samples": ({"mc_samples": 5}, "mc_samples: ", ("oracle-check",)),
+    "sweep_t_early": ({**_LINEAR, "sweep_t_early": [0]}, "sweep_t_early: ",
+                      ("sweep",)),
+    "sweep_t_late": ({**_LINEAR, "sweep_t_late": [0]}, "sweep_t_late: ", ("sweep",)),
+}
 
 
 def run_cli(capsys, *argv):
@@ -234,36 +294,27 @@ class TestSimulateCommand:
         assert "schedule_kind" in err
 
     def test_unknown_config_key_fails(self, capsys, tmp_path):
-        # An unknown key, a known key with a value of the wrong type, a value
-        # out of range (a negative seed included), an empty sweep list, a
-        # policy that some AR step's grid rejects, a grid start at index 0, a
-        # clamp on a flow sampler (which has no data prediction to clip) and a
-        # flow start time out of range all fail, naming the key, before any
-        # output is written.
+        # Every config key has a bad value that fails, naming the key, before
+        # any output is written, on every command that reads the key.  So do
+        # an unknown key, a value of the wrong type, an empty sweep list, a
+        # grid start at index 0, a policy that some AR step's grid rejects
+        # and a clamp on a flow sampler (which has no data prediction to
+        # clip).
+        assert set(BAD_CONFIG) == set(cli.DEFAULT_CONFIG) - {"out_dir"}
         config = tmp_path / "cfg.json"
         out_dir = tmp_path / "out"
         multistep = {"schedule_kind": "linear", "sampler": "dpm_solver_pp",
                      "scheduler_kind": "two_stage", "t_late": 1,
                      "sweep_t_late": [5, 1]}
         simulate = ("simulate",)
+        cases = []
+        for key, (user, message, commands) in BAD_CONFIG.items():
+            assert message.startswith(f"{key}: ")
+            cases.append((user, re.compile(
+                rf"error: (?:AR step \d+: )?{re.escape(message)}"), commands))
         for user, message, commands in (
             ({"no_such_key": 1}, "no_such_key", simulate),
             ({"grid_height": "4"}, "error: grid_height: ", simulate),
-            ({"schedule_kind": "linear", "n_sequences": 0},
-             "error: n_sequences: ", ("simulate", "diagnose")),
-            ({"schedule_kind": "linear", "draws_per_step": 1},
-             "error: draws_per_step: ", ("diagnose", "sweep")),
-            ({"schedule_kind": "linear", "joint_sequences": -3},
-             "error: joint_sequences: ", ("sweep",)),
-            ({"schedule_kind": "linear", "master_seed": -1},
-             "error: master_seed: must be >= 0, got -1",
-             ("simulate", "diagnose", "sweep", "oracle-check")),
-            ({"schedule_kind": "linear", "order_seed": -1},
-             "error: order_seed: must be >= 0, got -1",
-             ("simulate", "diagnose", "sweep")),
-            ({"schedule_kind": "cosine", "cosine_offset": -0.1},
-             "error: cosine_offset: must be >= 0, got -0.1",
-             ("simulate", "diagnose", "sweep")),
             ({"schedule_kind": "linear", "sweep_t_early": []},
              "error: sweep_t_early: ", ("sweep",)),
             ({"schedule_kind": "linear", "sweep_t_late": []},
@@ -271,22 +322,18 @@ class TestSimulateCommand:
             ({"schedule_kind": "linear", "start_index": 0},
              "error: AR step 0: start_index: must lie in [1, ",
              ("simulate", "diagnose", "sweep")),
-            ({"ar_steps": 100}, "error: ar_steps: must lie in [1, 16], got 100",
-             ("simulate", "diagnose", "sweep")),
             (multistep, "error: AR step 8: grid: ",
-             ("simulate", "diagnose", "sweep")),
-            ({"sampler": "euler_flow", "clamp": 1.0}, "error: clamp: ",
              ("simulate", "diagnose", "sweep")),
             ({"sampler": "euler_maruyama", "clamp": 1.0}, "error: clamp: ",
              simulate),
-            ({"sampler": "euler_flow", "flow_start_time": 1.5},
-             "error: flow_start_time: ", ("simulate", "diagnose", "sweep")),
         ):
+            cases.append((user, re.compile(re.escape(message)), commands))
+        for user, message, commands in cases:
             config.write_text(json.dumps({**user, "out_dir": str(out_dir)}))
             for command in commands:
                 code, _, err = run_cli(capsys, command, "--config", str(config))
-                assert code == 1
-                assert message in err
+                assert code == 1, (user, command)
+                assert message.search(err), (user, command, err)
                 assert not out_dir.exists()
 
     def test_singular_covariance_fails_before_output(self, capsys, tmp_path):

@@ -161,7 +161,7 @@ class TestSimulateSequences:
         values = np.stack([first, -first])
         order = sa.GenerationOrder(permutation=(2, 0, 1), group_sizes=(1, 2))
         batch = sa.SequenceBatch(values=values, order=order, step_counts=(1, 1),
-                                 nfe_per_sequence=2, master_seed=0)
+                                 nfe_per_sequence=2)
         step_of = {0: 1, 1: 1, 2: 0}
         expected = "".join(
             ",".join((str(s), str(step_of[p]), str(p), str(j),

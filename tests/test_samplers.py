@@ -16,19 +16,12 @@ EULER_FLOW = sa.SamplerConfig("euler_flow")
 EULER_SDE = sa.SamplerConfig("euler_maruyama", sde_noise_scale=1.0)
 
 
-def walk_levels(grid):
-    lv = grid.levels
-    if lv[-1] < 1.0:
-        lv = np.concatenate([lv, [1.0]])
-    return lv
-
-
 def ddpm_chain_variance(grid, v):
     """Closed-form variance of the ancestral chain on a scalar conditional:
     the exact-oracle updates are affine, so the output law follows from
     composing the per-transition coefficients (independent of the sampler
     implementation)."""
-    lv = walk_levels(grid)
+    lv = grid.levels
     var = 1.0  # starting noise
     for i in range(len(lv) - 1):
         a_t, a_s = lv[i], lv[i + 1]
@@ -90,8 +83,22 @@ class TestNfeAccounting:
         _, rec = sa.sample_with_config(cfg, oracle, aniso_cond, grid,
                                        np.random.default_rng(0), n_samples=2,
                                        record_path=True)
-        assert len(rec.states) == len(rec.times) == grid.step_count + 1
+        assert len(rec.states) == len(rec.grid.points) == grid.step_count + 1
         assert rec.nfe == cfg.calls(grid.step_count)
+
+
+    @pytest.mark.parametrize("steps", [1, 5])
+    @pytest.mark.parametrize("cfg", [DDPM, DPM2])
+    def test_record_keeps_its_grid(self, linear_schedule, aniso_cond, oracle,
+                                   cfg, steps):
+        # The record holds the grid it walked, one state per grid point,
+        # for the hop as for a longer grid.
+        grid = sa.make_diffusion_grid(linear_schedule, steps, 950)
+        _, rec = sa.sample_with_config(cfg, oracle, aniso_cond, grid,
+                                       np.random.default_rng(0),
+                                       record_path=True)
+        assert rec.grid is grid
+        assert len(rec.states) == grid.step_count + 1
 
 
 class TestDeterminism:
@@ -170,7 +177,7 @@ class TestDdim:
         out, rec = sa.sample_with_config(DDIM, oracle, cond, grid,
                                          np.random.default_rng(0), n_samples=6,
                                          record_path=True)
-        lv = walk_levels(grid)
+        lv = grid.levels
         for i in range(len(lv) - 1):
             x0 = oracle.x0(rec.states[i], lv[i], cond)
             np.testing.assert_allclose(x0, -0.3, atol=1e-9)
@@ -285,7 +292,7 @@ class TestDpmSolverPlusPlus:
         out, rec = sa.sample_with_config(DPM_PP, oracle, cond, grid,
                                          np.random.default_rng(0),
                                          n_samples=8, record_path=True)
-        lv = walk_levels(grid)
+        lv = grid.levels
         for i in range(len(lv) - 1):
             x0 = oracle.x0(rec.states[i], lv[i], cond)
             np.testing.assert_allclose(x0, 1.1, atol=1e-9)
@@ -383,7 +390,7 @@ class TestEulerMaruyama:
                                        np.random.default_rng(3), n_samples=20000,
                                        record_path=True)
         for idx in (50, 100, 150):
-            t = rec.times[idx]
+            t = rec.grid.points[idx]
             truth = (1 - t) ** 2 * 0.8 + t**2
             emp = float(rec.states[idx].var(ddof=1))
             assert abs(emp - truth) / truth < 0.05

@@ -99,30 +99,36 @@ class TestCosineAlphaBar:
 class TestDiffusionGrid:
     def test_five_indices_from_999(self, linear_schedule):
         grid = sa.make_diffusion_grid(linear_schedule, 5, 999)
-        np.testing.assert_array_equal(grid.points, [999, 749, 499, 249, 0])
+        np.testing.assert_array_equal(grid.points, [999, 749, 499, 249, 0, -1])
         assert grid.step_count == 5
 
     def test_single_step_hop(self, linear_schedule):
         grid = sa.make_diffusion_grid(linear_schedule, 1, 950)
-        np.testing.assert_array_equal(grid.points, [950, 0])
+        np.testing.assert_array_equal(grid.points, [950, -1])
         assert grid.step_count == 1
         assert grid.levels[-1] == 1.0
 
     def test_two_step_grid_is_distinct_from_hop(self, linear_schedule):
+        # One rule for every step count: the indices, then the clean state.
         grid = sa.make_diffusion_grid(linear_schedule, 2, 950)
-        np.testing.assert_array_equal(grid.points, [950, 0])
+        hop = sa.make_diffusion_grid(linear_schedule, 1, 950)
+        np.testing.assert_array_equal(grid.points, [950, 0, -1])
+        np.testing.assert_array_equal(hop.points, [950, -1])
         assert grid.step_count == 2
-        assert grid.levels[-1] == linear_schedule.alpha_bars[0]
+        ab = linear_schedule.alpha_bars
+        np.testing.assert_array_equal(grid.levels, [ab[950], ab[0], 1.0])
+        np.testing.assert_array_equal(hop.levels, [ab[950], 1.0])
 
     def test_fifty_from_offset(self, linear_schedule):
         grid = sa.make_diffusion_grid(linear_schedule, 50, 950)
-        assert grid.points.size == 50
+        assert grid.points.size == 51
         assert np.all(np.diff(grid.points) < 0)
-        assert grid.points[-1] == 0
+        assert grid.points[-2] == 0
+        assert grid.points[-1] == -1
 
     def test_full_resolution_identity(self, linear_schedule):
         grid = sa.make_diffusion_grid(linear_schedule, 951, 950)
-        np.testing.assert_array_equal(grid.points, np.arange(950, -1, -1))
+        np.testing.assert_array_equal(grid.points, np.arange(950, -2, -1))
 
     def test_default_start_is_top_of_grid(self, linear_schedule):
         grid = sa.make_diffusion_grid(linear_schedule, 10)
@@ -135,8 +141,8 @@ class TestDiffusionGrid:
 
     @pytest.mark.parametrize("num_steps", [1, 2])
     def test_start_index_zero_names_start_index(self, linear_schedule, num_steps):
-        # No grid can start at index 0 (the one-step hop would be [0, 0]);
-        # the error names start_index, whatever the step count.
+        # No grid starts at index 0, the least noisy level; the error names
+        # start_index, whatever the step count.
         with pytest.raises(ValueError,
                            match=r"^start_index: must lie in \[1, 1000\), got 0$"):
             sa.make_diffusion_grid(linear_schedule, num_steps, 0)
@@ -145,10 +151,36 @@ class TestDiffusionGrid:
     def test_grids_strictly_decreasing_and_terminate_at_zero(
         self, linear_schedule, num_steps
     ):
+        # The last index is 0; the walk then ends at the clean state.
         grid = sa.make_diffusion_grid(linear_schedule, num_steps, 950)
         assert np.all(np.diff(grid.points) < 0)
-        assert grid.points[-1] == 0.0
+        assert grid.points[-2] == 0.0
+        assert grid.points[-1] == -1.0
         assert np.all(np.diff(grid.levels) > 0)
+        assert grid.levels[-1] == 1.0
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize("points,levels", [
+        ([10.0, 0.0, -1.0], None),
+        ([10.0, 0.0], [0.2, 0.9]),
+        ([10.0, 0.0, -1.0], [0.2, 0.5, 1.5]),
+    ])
+    def test_diffusion_levels_must_end_clean(self, points, levels):
+        # A diffusion grid states its whole walk: levels present, increasing
+        # within (0, 1] and ending at exactly 1.
+        with pytest.raises(ValueError, match=r"^levels: "):
+            sa.TimeGrid(sa.DIFFUSION, points, levels)
+
+    def test_flow_grid_ends_at_time_zero(self):
+        with pytest.raises(ValueError, match=r"^points: "):
+            sa.TimeGrid(sa.FLOW, [1.0, 0.5])
+        with pytest.raises(ValueError, match=r"^levels: "):
+            sa.TimeGrid(sa.FLOW, [1.0, 0.0], [0.5, 1.0])
+
+    def test_step_count_is_points_minus_one(self):
+        assert sa.TimeGrid(sa.DIFFUSION, [5.0, 0.0, -1.0], [0.1, 0.9, 1.0]).step_count == 2
+        assert sa.TimeGrid(sa.FLOW, [1.0, 0.5, 0.0]).step_count == 2
 
 
 class TestFlowGrid:
