@@ -19,7 +19,7 @@ print(f"field: {spec.grid_height}x{spec.grid_width} grid, rbf kernel, "
 print("\n=== Conditionals tighten as tokens are observed ===")
 rng = np.random.default_rng(0)
 reference = sa.sample_conditional(
-    sa.conditional(spec, [], list(range(16))), spec.token_dim, rng)[0]
+    sa.conditional(spec, [], list(range(16))), rng)[0]
 target = [15]
 for n_obs in (0, 2, 5, 9, 14):
     observed = [(p, reference[p]) for p in range(n_obs)]

@@ -31,7 +31,7 @@ configs = [
 ]
 steps_list = (5, 10, 25, 50, 200)
 draws = 8000
-floor = sa.w2_floor(cond, spec.token_dim, draws, np.random.default_rng(1))
+floor = sa.w2_floor(cond, draws, np.random.default_rng(1))
 print(f"W2 to exact truth at {draws} draws (floor {floor:.4f})\n")
 print(f"{'sampler':16s}" + "".join(f"{s:>9d}" for s in steps_list))
 for name, cfg in configs:

@@ -19,16 +19,7 @@ from .annealing import (
     steps_at,
     total_nfe,
 )
-from .denoiser import (
-    BiasedDenoiser,
-    ExactDenoiser,
-    eps_from_score,
-    eps_from_velocity,
-    flow_score_from_velocity,
-    score_from_eps,
-    velocity_from_eps,
-    velocity_from_flow_score,
-)
+from .denoiser import BiasedDenoiser, ExactDenoiser
 from .diagnostics import (
     ProbeReport,
     StraightnessReport,

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .annealing import StepScheduler, schedule_table, total_nfe
+from .annealing import SCHEDULER_KINDS, StepScheduler, schedule_table, total_nfe
 from .denoiser import BiasedDenoiser, ExactDenoiser
 from .diagnostics import (
     probe_error,
@@ -41,7 +41,7 @@ from .process import (
     random_order,
     raster_order,
 )
-from .samplers import SamplerConfig, sample_with_config
+from .samplers import SAMPLER_KINDS, SamplerConfig, sample_with_config
 from .schedules import (
     DIFFUSION,
     TimeGrid,
@@ -583,8 +583,7 @@ def _add_override_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--master-seed", dest="master_seed", type=int, default=None)
     p.add_argument("--n-sequences", dest="n_sequences", type=int, default=None)
     p.add_argument("--ar-steps", dest="ar_steps", type=int, default=None)
-    p.add_argument("--sampler", default=None, choices=[
-        "ddpm", "ddim", "dpm_solver", "dpm_solver_pp", "euler_flow", "euler_maruyama"])
+    p.add_argument("--sampler", default=None, choices=SAMPLER_KINDS)
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--solver-order", dest="solver_order", type=int, default=None)
     p.add_argument("--sde-noise-scale", dest="sde_noise_scale", type=float, default=None)
@@ -592,7 +591,7 @@ def _add_override_flags(p: argparse.ArgumentParser) -> None:
                    choices=["linear", "cosine"])
     p.add_argument("--start-index", dest="start_index", type=int, default=None)
     p.add_argument("--scheduler-kind", dest="scheduler_kind", default=None,
-                   choices=["constant", "two_stage", "linear", "cosine"])
+                   choices=SCHEDULER_KINDS)
     p.add_argument("--t-early", dest="t_early", type=int, default=None)
     p.add_argument("--t-late", dest="t_late", type=int, default=None)
     p.add_argument("--draws-per-step", dest="draws_per_step", type=int, default=None)
@@ -611,8 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("schedule", help="print the (k, T(k)) table as CSV")
-    p.add_argument("--kind", required=True,
-                   choices=["constant", "two_stage", "linear", "cosine"])
+    p.add_argument("--kind", required=True, choices=SCHEDULER_KINDS)
     p.add_argument("--t-early", dest="t_early", type=int, required=True)
     p.add_argument("--t-late", dest="t_late", type=int, default=None)
     p.add_argument("--ar-steps", dest="ar_steps", type=int, required=True)

@@ -1,7 +1,7 @@
-"""Denoiser interface and conversions between its three parameterizations.
+"""The exact denoiser: noise prediction (eps), score and velocity of the
+closed-form conditional Gaussian process for a given conditional context.
 
-A denoiser exposes noise prediction (eps), score, and velocity for a given
-conditional context.  The three are interchangeable:
+The three parameterizations are related by
 
 * diffusion level ``a`` (alpha-bar):  ``eps = -sqrt(1 - a) * score``
 * flow time ``t``:                    ``eps = -t * score``
@@ -33,50 +33,6 @@ import math
 import numpy as np
 
 from .process import ConditionalGaussian, NumericalError
-
-_LIMIT_EPS = 1e-12
-
-
-# -- conversions (diffusion domain, level = alpha-bar) ----------------------
-
-
-def eps_from_score(score: np.ndarray, alpha_bar: float) -> np.ndarray:
-    return -np.sqrt(1.0 - alpha_bar) * np.asarray(score)
-
-
-def score_from_eps(eps: np.ndarray, alpha_bar: float) -> np.ndarray:
-    if 1.0 - alpha_bar < _LIMIT_EPS:
-        raise ValueError("alpha_bar: score conversion undefined at alpha_bar = 1")
-    return -np.asarray(eps) / np.sqrt(1.0 - alpha_bar)
-
-
-# -- conversions (flow domain, time t in [0, 1]) ----------------------------
-
-
-def velocity_from_flow_score(
-    score: np.ndarray, x_t: np.ndarray, t: float
-) -> np.ndarray:
-    if 1.0 - t < _LIMIT_EPS:
-        raise ValueError("t: velocity conversion undefined at t = 1")
-    return -(np.asarray(x_t) + t * np.asarray(score)) / (1.0 - t)
-
-
-def flow_score_from_velocity(
-    velocity: np.ndarray, x_t: np.ndarray, t: float
-) -> np.ndarray:
-    if t < _LIMIT_EPS:
-        raise ValueError("t: score conversion undefined at t = 0")
-    return -(np.asarray(x_t) + (1.0 - t) * np.asarray(velocity)) / t
-
-
-def eps_from_velocity(velocity: np.ndarray, x_t: np.ndarray, t: float) -> np.ndarray:
-    return np.asarray(x_t) + (1.0 - t) * np.asarray(velocity)
-
-
-def velocity_from_eps(eps: np.ndarray, x_t: np.ndarray, t: float) -> np.ndarray:
-    if 1.0 - t < _LIMIT_EPS:
-        raise ValueError("t: velocity conversion undefined at t = 1")
-    return (np.asarray(eps) - np.asarray(x_t)) / (1.0 - t)
 
 
 def _diffusion_channel(
@@ -135,14 +91,12 @@ class ExactDenoiser:
     """Denoiser backed by the closed-form conditional Gaussian process.
 
     Every method takes the conditional context explicitly and accepts states
-    of shape (m, d) or (batch, m, d).  ``native_parameterization`` is
-    "score"; the other outputs are exact posterior means from the same
-    channel solve rather than chained conversions, so all conversion
-    identities can be cross-checked against this class.  No method calls
-    another, so each call is one denoiser evaluation.
+    of shape (m, d) or (batch, m, d).  Every output is an exact posterior
+    mean from the same channel solve rather than a chained conversion, so
+    the conversion identities of the module docstring can be cross-checked
+    against this class.  No method calls another, so each call is one
+    denoiser evaluation.
     """
-
-    native_parameterization = "score"
 
     def epsilon(
         self, x: np.ndarray, alpha_bar: float, cond: ConditionalGaussian
@@ -176,13 +130,10 @@ class ExactDenoiser:
     def velocity_and_flow_score(
         self, x: np.ndarray, t: float, cond: ConditionalGaussian
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Both flow quantities from one call (one denoiser evaluation): the
-        velocity through the score conversion, or from the posterior where
-        that conversion divides by ``1 - t = 0``."""
-        score = _channel_solve(cond, x, *_flow_channel(t), -1.0)
-        if 1.0 - t < _LIMIT_EPS:
-            return _posterior_velocity(cond, x, t), score
-        return velocity_from_flow_score(score, x, t), score
+        """Both flow quantities from one call (one denoiser evaluation).  No
+        package code calls it; ``bench/spans.py`` traces it."""
+        return (_posterior_velocity(cond, x, t),
+                _channel_solve(cond, x, *_flow_channel(t), -1.0))
 
 
 class BiasedDenoiser(ExactDenoiser):
@@ -199,4 +150,4 @@ class BiasedDenoiser(ExactDenoiser):
         return super().score(x, alpha_bar, cond) + self.score_bias
 
     def epsilon(self, x, alpha_bar, cond):
-        return eps_from_score(self.score(x, alpha_bar, cond), alpha_bar)
+        return -math.sqrt(1.0 - alpha_bar) * self.score(x, alpha_bar, cond)

@@ -119,16 +119,19 @@ def w2_to_truth(draws: np.ndarray, cond: ConditionalGaussian) -> float:
 
 def w2_floor(
     cond: ConditionalGaussian,
-    token_dim: int,
     n_draws: int,
     rng: np.random.Generator,
     repeats: int = 8,
 ) -> float:
     """Expected W2 of *exact* n_draws-sized samples against their own truth:
     the resolution limit of the empirical comparison."""
+    if n_draws < 2:
+        raise ValueError("n_draws: must be >= 2")
+    if repeats < 1:
+        raise ValueError("repeats: must be >= 1")
     values = []
     for _ in range(repeats):
-        draws = sample_conditional(cond, token_dim, rng, size=n_draws)
+        draws = sample_conditional(cond, rng, size=n_draws)
         values.append(w2_to_truth(draws, cond))
     return float(np.mean(values))
 
@@ -199,10 +202,16 @@ def _interpolate_path(
 
 
 def _stratified_times(
-    t_max: float, t_draws: int, rng: np.random.Generator
+    grid: TimeGrid, t_draws: int, rng: np.random.Generator
 ) -> np.ndarray:
+    """One uniform time in each of ``t_draws`` equal strata of the whole
+    walk, from the grid's start ``points[0]`` down to its clean end
+    ``points[-1]``."""
+    if t_draws < 1:
+        raise ValueError("t_draws: must be >= 1")
+    t_end, t_start = float(grid.points[-1]), float(grid.points[0])
     u = rng.random(t_draws)
-    return (np.arange(t_draws) + u) / t_draws * t_max
+    return t_end + (np.arange(t_draws) + u) / t_draws * (t_start - t_end)
 
 
 def straightness_flow(
@@ -220,7 +229,7 @@ def straightness_flow(
     x1, x0 = trajectory.states[0], trajectory.states[-1]
     chord = x1 - x0
     total = 0.0
-    for t in _stratified_times(float(trajectory.grid.points[0]), t_draws, rng):
+    for t in _stratified_times(trajectory.grid, t_draws, rng):
         x_t, _ = _interpolate_path(trajectory, float(t))
         v = oracle.velocity(x_t, float(t), cond)
         sq = np.sum((chord - v) ** 2, axis=(-2, -1))
@@ -244,7 +253,7 @@ def straightness_diffusion(
         raise ValueError("trajectory: diffusion straightness needs a diffusion grid")
     x0 = trajectory.states[-1]
     total, used = 0.0, 0
-    for t in _stratified_times(float(trajectory.grid.points[0]), t_draws, rng):
+    for t in _stratified_times(trajectory.grid, t_draws, rng):
         x_t, level = _interpolate_path(trajectory, float(t))
         score = oracle.score(x_t, level, cond)
         to_clean = (x0 - x_t).reshape(x_t.shape[0], -1)
@@ -455,7 +464,7 @@ def quality_sweep(
     rng = np.random.default_rng(sweep_seed)
     conds = _reference_conditionals(plan, prefix_seed)
     floors = [
-        w2_floor(cond, spec.token_dim, draws_per_step, rng, repeats=floor_repeats)
+        w2_floor(cond, draws_per_step, rng, repeats=floor_repeats)
         for cond in conds
     ]
 

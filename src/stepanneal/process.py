@@ -22,7 +22,6 @@ safe to share across concurrent workers.
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,9 +29,6 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf
-
-
-logger = logging.getLogger("stepanneal")
 
 
 class NumericalError(RuntimeError):
@@ -397,23 +393,15 @@ def conditional(
 
 
 def sample_conditional(
-    cond: ConditionalGaussian, token_dim: int, rng: np.random.Generator, size: int = 1
+    cond: ConditionalGaussian, rng: np.random.Generator, size: int = 1
 ) -> np.ndarray:
-    """Exact draws from the conditional, shape (size, m, d); a batched
-    (3-D) mean gets one draw per batch entry, so ``size`` must then be 1."""
-    m = cond.size
+    """Exact draws ``mean + U diag(sqrt(max(lam, 0))) z`` from the
+    conditional's cached spectrum, shape (size, m, d), whether its covariance
+    is positive definite or singular; a batched (3-D) mean gets one draw per
+    batch entry, so ``size`` must then be 1."""
     if cond.mean.ndim == 3 and size != 1:
         raise ValueError(f"size: must be 1 with a batched mean, got {size}")
-    try:
-        chol = np.linalg.cholesky(cond.covariance)
-    except np.linalg.LinAlgError:
-        vals, vecs = cond.spectrum
-        logger.warning(
-            "sample_conditional: Cholesky failed on a %dx%d conditional "
-            "covariance (smallest eigenvalue %.3e); drawing through eigh",
-            m, m, vals[0],
-        )
-        chol = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    lam, vecs = cond.spectrum
     draws = cond.mean.shape[0] if cond.mean.ndim == 3 else size
-    z = rng.standard_normal((draws, m, token_dim))
-    return cond.mean + chol @ z
+    z = rng.standard_normal((draws, cond.size, cond.mean.shape[-1]))
+    return cond.mean + (vecs * np.sqrt(np.clip(lam, 0.0, None))) @ z

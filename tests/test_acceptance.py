@@ -172,7 +172,7 @@ def test_criterion_4_sampler_convergence(spec, cov, linear_schedule, oracle,
     }
     steps_list = (5, 10, 25, 50, 200)
     draws = 8000
-    floor = sa.w2_floor(aniso_cond, 4, draws, np.random.default_rng(99), repeats=6)
+    floor = sa.w2_floor(aniso_cond, draws, np.random.default_rng(99), repeats=6)
     failures = []
     for name, cfg in configs.items():
         values = []

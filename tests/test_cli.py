@@ -152,6 +152,20 @@ def test_override_flags_are_config_keys():
     assert cli._overrides(args) == {**dict.fromkeys(dests), "eta": 0.5, "out_dir": "x"}
 
 
+def test_choices_come_from_the_library():
+    # Every sampler and scheduler kind the library knows parses, so a kind
+    # added to the library needs no second list in the CLI.
+    parser = cli.build_parser()
+    for kind in stepanneal.SAMPLER_KINDS:
+        assert parser.parse_args(["simulate", "--sampler", kind]).sampler == kind
+    for kind in stepanneal.SCHEDULER_KINDS:
+        args = parser.parse_args(["sweep", "--scheduler-kind", kind])
+        assert args.scheduler_kind == kind
+        args = parser.parse_args(["schedule", "--kind", kind, "--t-early", "4",
+                                  "--ar-steps", "3"])
+        assert args.kind == kind
+
+
 @pytest.mark.parametrize("command, policies", [
     ("simulate", 1), ("diagnose", 1), ("sweep", 2),
 ])

@@ -63,9 +63,9 @@ class TestW2Gaussian:
     def test_fit_and_floor(self):
         cond = isotropic_cond(mean=0.3, var=2.0)
         rng = np.random.default_rng(2)
-        draws = sa.sample_conditional(cond, 4, rng, size=4000)
+        draws = sa.sample_conditional(cond, rng, size=4000)
         w2 = sa.w2_to_truth(draws, cond)
-        floor = sa.w2_floor(cond, 4, 4000, rng, repeats=6)
+        floor = sa.w2_floor(cond, 4000, rng, repeats=6)
         assert w2 < 3 * floor
 
 
@@ -95,7 +95,7 @@ class TestStraightnessFlow:
     def test_late_step_straighter_than_early(self, spec, oracle):
         rng = np.random.default_rng(5)
         reference = sa.sample_conditional(
-            sa.conditional(spec, [], list(range(16))), 4, rng)[0]
+            sa.conditional(spec, [], list(range(16))), rng)[0]
         observed = [(p, reference[p]) for p in range(14)]
         targets = [14, 15]
         early = sa.conditional(spec, [], targets)
@@ -140,6 +140,53 @@ class TestStraightnessDiffusion:
         value = sa.straightness_diffusion(rec, oracle, cond, 256,
                                           np.random.default_rng(4))
         assert value > 1 - 1e-3
+
+
+    def test_probes_reach_the_clean_end(self, linear_schedule, aniso_cond, oracle):
+        # The walk's last hop runs from index 0 to the clean state at -1, so
+        # some probed level must lie above alpha_bars[0].
+        grid = sa.make_diffusion_grid(linear_schedule, 2, 950)
+        np.testing.assert_array_equal(grid.points, [950, 0, -1])
+        _, rec = sa.sample_with_config(DDPM, oracle, aniso_cond, grid,
+                                       np.random.default_rng(1), n_samples=8,
+                                       record_path=True)
+        levels = []
+
+        class Spy(sa.ExactDenoiser):
+            def score(self, x, alpha_bar, cond):
+                levels.append(alpha_bar)
+                return super().score(x, alpha_bar, cond)
+
+        sa.straightness_diffusion(rec, Spy(), aniso_cond, 951,
+                                  np.random.default_rng(2))
+        assert len(levels) == 951
+        assert max(levels) > linear_schedule.alpha_bars[0]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda c, t, r: sa.w2_floor(c, 64, r, repeats=0), "repeats: must be >= 1"),
+    (lambda c, t, r: sa.w2_floor(c, 1, r), "n_draws: must be >= 2"),
+    (lambda c, t, r: sa.straightness_flow(t["flow"], sa.ExactDenoiser(), c, 0, r),
+     "t_draws: must be >= 1"),
+    (lambda c, t, r: sa.straightness_diffusion(t["diffusion"], sa.ExactDenoiser(),
+                                               c, 0, r),
+     "t_draws: must be >= 1"),
+], ids=["w2_floor_repeats", "w2_floor_n_draws", "flow_t_draws",
+        "diffusion_t_draws"])
+def test_counts_that_give_nan_are_refused(linear_schedule, aniso_cond, oracle,
+                                          call, message):
+    trajectories = {}
+    for name, cfg, grid in (
+        ("flow", EULER_FLOW, sa.make_flow_grid(5, 1.0)),
+        ("diffusion", DDPM, sa.make_diffusion_grid(linear_schedule, 5, 950)),
+    ):
+        _, trajectories[name] = sa.sample_with_config(
+            cfg, oracle, aniso_cond, grid, np.random.default_rng(0), n_samples=4,
+            record_path=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(aniso_cond, trajectories, np.random.default_rng(0))
 
 
 class TestSamplingVariance:

@@ -1,10 +1,14 @@
-"""The demos and the README's python blocks use only names the package has.
+"""The demos and the README's python blocks use only names the package has,
+and the fast demos run to completion.
 
-The scripts are parsed, not run (the longer demos take half a minute).
+Demos 03 and 04 take several seconds each, so they are only parsed.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +45,14 @@ def test_every_sa_name_exists(name):
     }
     assert used
     assert sorted(n for n in used if not hasattr(sa, n)) == []
+
+
+@pytest.mark.parametrize("demo", ["01_schedules_and_grids.py", "02_exact_oracle.py",
+                                  "05_annealing_tradeoff.py"])
+def test_fast_demo_runs(demo):
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
