@@ -72,6 +72,7 @@ from .samplers import (
 from .schedules import (
     DIFFUSION,
     FLOW,
+    SCHEDULE_KINDS,
     DiffusionSchedule,
     TimeGrid,
     build_cosine_alpha_bar,

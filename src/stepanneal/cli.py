@@ -44,6 +44,7 @@ from .process import (
 from .samplers import SAMPLER_KINDS, SamplerConfig, sample_with_config
 from .schedules import (
     DIFFUSION,
+    SCHEDULE_KINDS,
     TimeGrid,
     build_cosine_alpha_bar,
     build_linear_beta,
@@ -180,8 +181,8 @@ def build_schedule(cfg: dict):
     kind = cfg["schedule_kind"]
     if kind is None:
         raise ValueError(
-            "schedule_kind: a diffusion run must name its noise schedule "
-            "('linear' or 'cosine')"
+            "schedule_kind: a diffusion run must name its noise schedule, "
+            f"one of {', '.join(SCHEDULE_KINDS)}"
         )
     if kind == "linear":
         return build_linear_beta(
@@ -189,7 +190,8 @@ def build_schedule(cfg: dict):
         )
     if kind == "cosine":
         return build_cosine_alpha_bar(cfg["base_step_count"], cfg["cosine_offset"])
-    raise ValueError(f"schedule_kind: unknown value {kind!r}")
+    raise ValueError(f"schedule_kind: unknown value {kind!r}; "
+                     f"expected one of {', '.join(SCHEDULE_KINDS)}")
 
 
 # Each field of a SamplerConfig or StepScheduler and the config key it is read from.
@@ -588,7 +590,7 @@ def _add_override_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--solver-order", dest="solver_order", type=int, default=None)
     p.add_argument("--sde-noise-scale", dest="sde_noise_scale", type=float, default=None)
     p.add_argument("--schedule-kind", dest="schedule_kind", default=None,
-                   choices=["linear", "cosine"])
+                   choices=SCHEDULE_KINDS)
     p.add_argument("--start-index", dest="start_index", type=int, default=None)
     p.add_argument("--scheduler-kind", dest="scheduler_kind", default=None,
                    choices=SCHEDULER_KINDS)

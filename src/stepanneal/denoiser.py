@@ -19,7 +19,11 @@ conditional's cached spectrum ``Sigma = U diag(lam) U^T`` the channel solve
 ``y = (s^2 Sigma + sigma^2 I)^-1 (x - s mu)`` is ``y = U r`` with
 ``r = U^T (x - s mu) / (s^2 lam + sigma^2)``, elementwise in the eigenbasis.
 Every output is one back-rotation of a rescaled ``r``: ``score = -U r``,
-``E[eps|x] = sigma U r`` and ``E[x0|x] = mu + U (s lam r)``.
+``E[eps|x] = sigma U r`` and ``E[x0|x] = mu + U (s lam r)``.  On the
+conditional's eigen view (:attr:`ConditionalGaussian.eigen`, whose spectrum
+carries no rotation) states are already eigen-coordinates, and a call is the
+elementwise ``(gain / (s^2 lam + sigma^2)) (x - s mu)`` with no rotation at
+all; the samplers call the oracle on that view.
 
 Samplers call an oracle with the conditional context passed through, so the
 exact-process oracle below stays stateless; call counting lives in the
@@ -64,9 +68,11 @@ def _channel_solve(
     shape (..., m, d).  ``r`` is the channel solve in the eigenbasis
     (``y = U r``, ``Sigma y = U (lam r)``), so every output is one rotation
     in, a per-eigenvalue ``gain`` (a scalar or an (m,) array) and one
-    rotation back.  A channel whose smallest ``s^2 lam + sigma^2`` is zero to
-    rounding (at most ``m`` ulps of the largest, the ``matrix_rank`` cut) is
-    singular."""
+    rotation back.  On an eigen view (``U`` is ``None``) the state is
+    already in the eigenbasis and the solve is the elementwise
+    ``(gain / denom) (x - s mu)``.  A channel whose smallest
+    ``s^2 lam + sigma^2`` is zero to rounding (at most ``m`` ulps of the
+    largest, the ``matrix_rank`` cut) is singular."""
     lam, vecs = cond.spectrum
     denom = signal_var * lam + noise_var
     if denom[0] <= denom[-1] * lam.size * np.finfo(np.float64).eps:
@@ -74,8 +80,11 @@ def _channel_solve(
             f"marginal covariance is singular: eigenvalues of "
             f"s^2 Sigma + sigma^2 I span {denom[0]:.3e} to {denom[-1]:.3e}"
         )
+    scale = (gain / denom)[:, None]
+    if vecs is None:
+        return scale * (x - math.sqrt(signal_var) * cond.mean)
     dev = np.asarray(x, dtype=np.float64) - math.sqrt(signal_var) * cond.mean
-    return vecs @ ((gain / denom)[:, None] * (vecs.T @ dev))
+    return vecs @ (scale * (vecs.T @ dev))
 
 
 def _posterior_velocity(

@@ -194,12 +194,25 @@ class ConditionalGaussian:
         return len(self.target_positions)
 
     @cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray | None]:
         """Eigenvalues ``lam`` (ascending) and orthonormal eigenvectors ``U``
         with ``covariance = U diag(lam) U^T``: one ``eigh`` on first use,
-        cached and read-only like the other fields."""
+        cached and read-only like the other fields.  ``U`` is ``None`` on an
+        :attr:`eigen` view, whose covariance is already ``diag(lam)``."""
         lam, vecs = np.linalg.eigh(self.covariance)
         return _readonly(lam), _readonly(vecs)
+
+    @cached_property
+    def eigen(self) -> ConditionalGaussian:
+        """This conditional in its own eigen-coordinates ``z = U^T x``: mean
+        ``U^T mu`` (batched means included) and covariance ``diag(lam)``.
+        Its spectrum is ``(lam, None)``, so no ``eigh`` runs on it and the
+        exact denoiser's channel solve on it is elementwise."""
+        lam, vecs = self.spectrum
+        view = ConditionalGaussian(self.target_positions, vecs.T @ self.mean,
+                                   np.diag(lam))
+        view.__dict__["spectrum"] = (lam, None)  # seeds the cached property
+        return view
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,6 +16,15 @@ the full hop from there with the first stage's prediction as ``prev``),
 DPM-Solver++'s multistep correction as ``c_prev``, and Euler-Maruyama on the
 score-corrected flow SDE (``euler_flow`` is its noise scale 0).
 
+The executor walks in the conditional's eigen-coordinates ``U^T x``
+(``Sigma = U diag(lam) U^T``): the updates are linear with isotropic noise,
+so they commute with the orthogonal ``U``.  It draws the start noise and
+every ``xi`` there (the same law), calls the oracle on the conditional's
+:attr:`~stepanneal.process.ConditionalGaussian.eigen` view, where an exact
+call is a per-eigenvalue scale, and rotates the final and recorded states
+back once each.  ``clamp`` clips in the token basis (rotate out, clip,
+rotate back).
+
 Each rule walks the grid as given, one transition per step: the diffusion
 samplers its ``levels``, ending at the clean state (level exactly 1), where
 every rule reduces to the data prediction and adds no noise; the flow
@@ -253,16 +262,18 @@ def sample_with_config(
         predict, walk = oracle.x0, grid.levels
     else:
         predict, walk = oracle.velocity, grid.points
+    vecs = cond.spectrum[1]
+    eigen = cond.eigen
     batch = () if cond.mean.ndim == 3 else (n_samples,)
     x = rng.standard_normal(batch + cond.mean.shape)
     states = [x] if record_path else None
     prev = None
     nfe = 0
     for step in _RULES[config.kind](config, walk):
-        pred = predict(x, step.at, cond)
+        pred = predict(x, step.at, eigen)
         nfe += 1
         if config.clamp is not None:
-            pred = np.clip(pred, -config.clamp, config.clamp)
+            pred = vecs.T @ np.clip(vecs @ pred, -config.clamp, config.clamp)
         new = step.c_x * x + step.c_pred * pred
         if step.c_prev:
             new += step.c_prev * prev
@@ -271,5 +282,7 @@ def sample_with_config(
         x, prev = new, pred
         if states is not None and step.recorded:
             states.append(x)
-    return x, TrajectoryRecord(grid, nfe, states)
+    if states is not None:
+        states = [vecs @ state for state in states]
+    return vecs @ x, TrajectoryRecord(grid, nfe, states)
 

@@ -103,6 +103,10 @@ def build_cosine_alpha_bar(
     )
 
 
+#: The noise schedules a run can name, one builder each.
+SCHEDULE_KINDS = ("linear", "cosine")
+
+
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Strictly decreasing reverse walk ending at the clean state.

@@ -153,11 +153,21 @@ def test_override_flags_are_config_keys():
 
 
 def test_choices_come_from_the_library():
-    # Every sampler and scheduler kind the library knows parses, so a kind
-    # added to the library needs no second list in the CLI.
+    # Every sampler, scheduler and noise-schedule kind the library knows
+    # parses, so a kind added to the library needs no second list in the CLI.
     parser = cli.build_parser()
     for kind in stepanneal.SAMPLER_KINDS:
         assert parser.parse_args(["simulate", "--sampler", kind]).sampler == kind
+    for kind in stepanneal.SCHEDULE_KINDS:
+        args = parser.parse_args(["simulate", "--schedule-kind", kind])
+        assert args.schedule_kind == kind
+        cfg = {**cli.DEFAULT_CONFIG, "schedule_kind": kind}
+        assert cli.build_schedule(cfg).kind == kind
+    # A missing or unknown schedule kind is refused, listing the kinds.
+    listed = re.escape(", ".join(stepanneal.SCHEDULE_KINDS))
+    for bad in (None, "bogus"):
+        with pytest.raises(ValueError, match=f"^schedule_kind: .*{listed}"):
+            cli.build_schedule({**cli.DEFAULT_CONFIG, "schedule_kind": bad})
     for kind in stepanneal.SCHEDULER_KINDS:
         args = parser.parse_args(["sweep", "--scheduler-kind", kind])
         assert args.scheduler_kind == kind

@@ -173,6 +173,42 @@ class TestSingularChannel:
         assert np.all(np.isfinite(oracle.x0(x, 0.9, cond)))
 
 
+class TestEigenView:
+    # The samplers call the oracle on the conditional's eigen view, where the
+    # channel solve is elementwise: every output must be the token-basis
+    # output rotated into the eigenbasis.
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_outputs_rotate_with_the_state(self, aniso_cond, oracle, x, batched):
+        cond = aniso_cond
+        if batched:
+            cond = sa.ConditionalGaussian(cond.target_positions,
+                                          cond.mean + x[:, :1], cond.covariance)
+        lam, vecs = cond.spectrum
+        view = cond.eigen
+        assert view.spectrum[0] is lam and view.spectrum[1] is None
+        np.testing.assert_array_equal(view.covariance, np.diag(lam))
+        np.testing.assert_allclose(vecs @ view.mean, cond.mean, rtol=0, atol=1e-12)
+        z = vecs.T @ x
+        for method, at in [("epsilon", 0.35), ("score", 0.35), ("x0", 0.0),
+                           ("x0", 0.35), ("velocity", 0.0), ("velocity", 0.4),
+                           ("velocity", 1.0), ("flow_score", 0.4),
+                           ("velocity_and_flow_score", 0.4)]:
+            want = getattr(oracle, method)(x, at, cond)
+            got = getattr(oracle, method)(z, at, view)
+            if not isinstance(want, tuple):
+                want, got = (want,), (got,)
+            for w, g in zip(want, got):
+                np.testing.assert_allclose(vecs @ g, w, rtol=0, atol=1e-12)
+
+    def test_singular_view_is_refused(self, oracle):
+        cond = sa.ConditionalGaussian(target_positions=(0, 1),
+                                      mean=np.full((2, 4), 0.3),
+                                      covariance=np.outer([1.0, 2.0], [1.0, 2.0]))
+        x = np.random.default_rng(8).standard_normal((3, 2, 4))
+        with pytest.raises(sa.NumericalError, match="singular"):
+            oracle.x0(x, 1.0, cond.eigen)
+
+
 class TestBiasedDenoiser:
     def test_bias_breaks_gradient_identity(self, aniso_cond):
         biased = sa.BiasedDenoiser(0.5)

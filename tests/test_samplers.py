@@ -129,6 +129,87 @@ class TestDeterminism:
         assert rng.standard_normal() == probe.standard_normal()
 
 
+class _RecordingRng:
+    """A seeded generator that keeps every standard normal draw it makes."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), []
+
+    def standard_normal(self, shape):
+        self.draws.append(self.rng.standard_normal(shape))
+        return self.draws[-1]
+
+
+class _ReplayRng:
+    """An rng stand-in that hands out the given draws in order."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def standard_normal(self, shape):
+        draw = next(self.draws)
+        assert draw.shape == tuple(shape)
+        return draw
+
+
+def token_basis_reference(config, oracle, cond, grid, rng):
+    """The executor written in the token basis, with every oracle call on
+    ``cond`` itself and the clip applied to the token-basis prediction;
+    returns the final state and the recorded states."""
+    if config.domain == sa.DIFFUSION:
+        predict, walk = oracle.x0, grid.levels
+    else:
+        predict, walk = oracle.velocity, grid.points
+    x = rng.standard_normal(cond.mean.shape)
+    states, prev = [x], None
+    for step in sa.samplers._RULES[config.kind](config, walk):
+        pred = predict(x, step.at, cond)
+        if config.clamp is not None:
+            pred = np.clip(pred, -config.clamp, config.clamp)
+        new = step.c_x * x + step.c_pred * pred
+        if step.c_prev:
+            new = new + step.c_prev * prev
+        if step.noise_std > 0.0:
+            new = new + step.noise_std * rng.standard_normal(x.shape)
+        x, prev = new, pred
+        if step.recorded:
+            states.append(x)
+    return x, states
+
+
+class TestEigenbasisWalk:
+    @pytest.mark.parametrize("cfg", [
+        DDPM, sa.SamplerConfig("ddim", eta=0.5), DPM1, DPM2, DPM_PP, EULER_FLOW,
+        EULER_SDE,
+        sa.SamplerConfig("ddpm", clamp=0.3), sa.SamplerConfig("ddim", clamp=0.3),
+        sa.SamplerConfig("dpm_solver", order=2, clamp=0.3),
+        sa.SamplerConfig("dpm_solver_pp", clamp=0.3),
+    ])
+    def test_matches_token_basis_reference(self, linear_schedule, aniso_cond,
+                                           oracle, cfg):
+        # The executor walks in the conditional's eigen-coordinates; with its
+        # draws rotated into the token basis (U z), the token-basis walk
+        # must give the same states.
+        cond = sa.ConditionalGaussian(
+            target_positions=aniso_cond.target_positions,
+            mean=aniso_cond.mean + np.linspace(-1.0, 1.0, 5)[:, None, None],
+            covariance=aniso_cond.covariance)
+        grid = (sa.make_diffusion_grid(linear_schedule, 6, 950)
+                if cfg.domain == sa.DIFFUSION else sa.make_flow_grid(6, 1.0))
+        rng = _RecordingRng(11)
+        out, rec = sa.sample_with_config(cfg, oracle, cond, grid, rng,
+                                         record_path=True)
+        vecs = cond.spectrum[1]
+        ref, ref_states = token_basis_reference(
+            cfg, oracle, cond, grid, _ReplayRng([vecs @ z for z in rng.draws]))
+        assert out.shape == (5, 3, 4)
+        np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-12)
+        assert len(rec.states) == len(ref_states)
+        for state, ref_state in zip(rec.states, ref_states):
+            np.testing.assert_allclose(state, ref_state, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(rec.states[-1], out)
+
+
 class TestDdpm:
     def test_dirac_full_grid_hits_mean(self, linear_schedule, oracle):
         cond = dirac_cond(mean=0.7)
@@ -163,7 +244,10 @@ class TestDdpm:
         out, rec = sa.sample_with_config(DDPM, oracle, aniso_cond, grid,
                                          np.random.default_rng(seed), n_samples=4)
         assert rec.nfe == 1
-        x_start = np.random.default_rng(seed).standard_normal((4, 3, 4))
+        # The executor draws its start noise in the conditional's
+        # eigen-coordinates; in the token basis it is U z.
+        vecs = aniso_cond.spectrum[1]
+        x_start = vecs @ np.random.default_rng(seed).standard_normal((4, 3, 4))
         a = linear_schedule.alpha_bars[999]
         eps = oracle.epsilon(x_start, a, aniso_cond)
         x0_prediction = (x_start - np.sqrt(1 - a) * eps) / np.sqrt(a)
