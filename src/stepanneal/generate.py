@@ -72,10 +72,6 @@ def step_grids(
     for k in range(scheduler.ar_steps):
         try:
             t_k = steps_at(scheduler, k)
-            if t_k < config.min_steps:
-                raise ValueError(
-                    f"grid: {config.kind} needs at least {config.min_steps} steps"
-                )
             if config.domain == DIFFUSION:
                 if schedule is None:
                     raise ValueError("schedule: diffusion samplers need a noise schedule")

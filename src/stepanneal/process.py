@@ -207,8 +207,11 @@ class ConditionalGaussian:
         """This conditional in its own eigen-coordinates ``z = U^T x``: mean
         ``U^T mu`` (batched means included) and covariance ``diag(lam)``.
         Its spectrum is ``(lam, None)``, so no ``eigh`` runs on it and the
-        exact denoiser's channel solve on it is elementwise."""
+        exact denoiser's channel solve on it is elementwise; its own
+        ``eigen`` is itself."""
         lam, vecs = self.spectrum
+        if vecs is None:  # already a view
+            return self
         view = ConditionalGaussian(self.target_positions, vecs.T @ self.mean,
                                    np.diag(lam))
         view.__dict__["spectrum"] = (lam, None)  # seeds the cached property
@@ -415,6 +418,8 @@ def sample_conditional(
     if cond.mean.ndim == 3 and size != 1:
         raise ValueError(f"size: must be 1 with a batched mean, got {size}")
     lam, vecs = cond.spectrum
+    if vecs is None:  # an eigen view: its eigenbasis is the identity
+        vecs = np.eye(cond.size)
     draws = cond.mean.shape[0] if cond.mean.ndim == 3 else size
     z = rng.standard_normal((draws, cond.size, cond.mean.shape[-1]))
     return cond.mean + (vecs * np.sqrt(np.clip(lam, 0.0, None))) @ z

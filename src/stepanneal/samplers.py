@@ -1,4 +1,5 @@
-"""Reverse-process samplers: six coefficient rules run by one executor.
+"""Reverse-process samplers: six samplers from four closed forms, run by
+one executor.
 
 Each sampler is a rule yielding one :class:`Transition` per oracle call.
 The executor (:func:`sample_with_config`) starts from standard normal noise
@@ -8,13 +9,21 @@ and per transition makes exactly one call on the current state ``x``:
 the flow samplers.  It then sets
 ``x <- c_x x + c_pred pred + c_prev prev + noise_std xi``, with ``pred``
 that call's output, ``prev`` the prediction made just before it and ``xi``
-fresh standard normal noise (drawn only when ``noise_std > 0``).  Each rule
-builds its coefficients from its own closed form: the DDPM posterior, the
-DDIM eta rule, DPM-Solver's noise-prediction exponential integrator (order
-2: a first-order hop to the log-SNR midpoint, its state not recorded, then
-the full hop from there with the first stage's prediction as ``prev``),
-DPM-Solver++'s multistep correction as ``c_prev``, and Euler-Maruyama on the
-score-corrected flow SDE (``euler_flow`` is its noise scale 0).
+fresh standard normal noise (drawn only when ``noise_std > 0``).  The rules
+share four closed forms:
+
+- DDIM's eta hop, the one first-order diffusion transition.  ``ddpm`` is
+  its eta 1 (the DDPM posterior step); DPM-Solver-1 and every first-order
+  step of DPM-Solver and DPM-Solver++ are its eta 0.
+- DPM-Solver-2's midpoint stage: an eta-0 hop to the log-SNR midpoint, its
+  state not recorded, then the eta-0 hop from there applied to the blend of
+  its prediction and the first stage's (``prev``) that makes the pair the
+  noise-prediction exponential integrator's full hop.
+- DPM-Solver++'s multistep correction: the eta-0 hop applied to
+  ``pred + (pred - prev) / (2 r)``, so its first and terminal transitions
+  are plain DDIM hops and it runs on a grid of any length.
+- Euler-Maruyama on the score-corrected flow SDE (``euler_flow`` is its
+  noise scale 0).
 
 The executor walks in the conditional's eigen-coordinates ``U^T x``
 (``Sigma = U diag(lam) U^T``): the updates are linear with isotropic noise,
@@ -79,6 +88,10 @@ class SamplerConfig:
             raise ValueError("eta: must be >= 0")
         if self.order not in (1, 2):
             raise ValueError("order: must be 1 or 2")
+        if self.eta != 0.0 and self.kind != "ddim":
+            raise ValueError(f"eta: only ddim reads it, not {self.kind}")
+        if self.order != 1 and self.kind != "dpm_solver":
+            raise ValueError(f"order: only dpm_solver reads it, not {self.kind}")
         if self.sde_noise_scale < 0.0:
             raise ValueError("sde_noise_scale: must be >= 0")
         if self.clamp is not None and self.clamp <= 0.0:
@@ -89,11 +102,6 @@ class SamplerConfig:
     @property
     def domain(self) -> str:
         return DIFFUSION if self.kind in DIFFUSION_SAMPLERS else FLOW
-
-    @property
-    def min_steps(self) -> int:
-        """Fewest grid steps the sampler runs on (2 for the multistep solver)."""
-        return 2 if self.kind == "dpm_solver_pp" else 1
 
     def calls(self, steps: int) -> int:
         """Denoiser calls of one run on a ``steps``-step grid (the table above)."""
@@ -143,76 +151,56 @@ def _hops(walk: np.ndarray) -> Iterator[tuple[float, float]]:
 # grid's levels, ending at 1.0; a flow walk is its times.
 
 
-def _ddpm(config: SamplerConfig, levels: np.ndarray) -> Iterator[Transition]:
-    for a_t, a_s in _hops(levels):
-        beta_eff = 1.0 - a_t / a_s
-        yield Transition(
-            a_t,
-            c_x=math.sqrt(a_t / a_s) * (1.0 - a_s) / (1.0 - a_t),
-            c_pred=math.sqrt(a_s) * beta_eff / (1.0 - a_t),
-            noise_std=math.sqrt(beta_eff * (1.0 - a_s) / (1.0 - a_t)),
-        )
+def _ddim_step(a_t: float, a_s: float, eta: float) -> tuple[float, float, float]:
+    """``(c_x, c_pred, noise_std)`` of DDIM's hop from level ``a_t`` to
+    ``a_s``: ``x' = sqrt(a_s) pred + direction eps + sigma xi`` with
+    ``eps = (x - sqrt(a_t) pred) / sqrt(1 - a_t)``.  At eta 1 it is the DDPM
+    posterior step; at eta 0, DPM-Solver's first-order step."""
+    sigma2 = (eta**2) * ((1.0 - a_s) / (1.0 - a_t)) * (1.0 - a_t / a_s)
+    sigma2 = min(sigma2, 1.0 - a_s)
+    direction = math.sqrt(max(1.0 - a_s - sigma2, 0.0))
+    c_x = direction / math.sqrt(1.0 - a_t)
+    return c_x, math.sqrt(a_s) - c_x * math.sqrt(a_t), math.sqrt(sigma2)
 
 
 def _ddim(config: SamplerConfig, levels: np.ndarray) -> Iterator[Transition]:
+    eta = 1.0 if config.kind == "ddpm" else config.eta
     for a_t, a_s in _hops(levels):
-        sigma2 = (config.eta**2) * ((1.0 - a_s) / (1.0 - a_t)) * (1.0 - a_t / a_s)
-        sigma2 = min(sigma2, 1.0 - a_s)
-        direction = math.sqrt(max(1.0 - a_s - sigma2, 0.0))
-        # x' = sqrt(a_s) pred + direction eps, eps = (x - sqrt(a_t) pred) / sqrt(1-a_t)
-        c_x = direction / math.sqrt(1.0 - a_t)
-        yield Transition(a_t, c_x, math.sqrt(a_s) - c_x * math.sqrt(a_t),
-                         noise_std=math.sqrt(sigma2))
-
-
-def _dpm_first_order(a_t: float, a_s: float) -> tuple[float, float]:
-    """``(c_x, c_pred)`` of ``x' = (alpha_s/alpha_t) x - sigma_s (e^h - 1) eps``
-    with ``eps = (x - alpha_t pred) / sigma_t``, h the log-SNR increment."""
-    alpha_t, sigma_t = math.sqrt(a_t), math.sqrt(1.0 - a_t)
-    alpha_s, sigma_s = math.sqrt(a_s), math.sqrt(1.0 - a_s)
-    if a_s == 1.0:
-        # sigma_s * e^h written as alpha_s * sigma_t / alpha_t: finite even at
-        # the clean target where h diverges.
-        k = alpha_s * sigma_t / alpha_t - sigma_s
-    else:
-        k = sigma_s * math.expm1(_log_snr(a_s) - _log_snr(a_t))
-    return alpha_s / alpha_t - k / sigma_t, k * alpha_t / sigma_t
+        c_x, c_pred, noise_std = _ddim_step(a_t, a_s, eta)
+        yield Transition(a_t, c_x, c_pred, noise_std=noise_std)
 
 
 def _dpm_solver(config: SamplerConfig, levels: np.ndarray) -> Iterator[Transition]:
     for a_t, a_s in _hops(levels):
         if config.order == 1 or a_s == 1.0:
-            yield Transition(a_t, *_dpm_first_order(a_t, a_s))
+            c_x, c_pred, _ = _ddim_step(a_t, a_s, 0.0)
+            yield Transition(a_t, c_x, c_pred)
             continue
         lam_t = _log_snr(a_t)
         h = _log_snr(a_s) - lam_t
         a_mid = 1.0 / (1.0 + math.exp(-2.0 * (lam_t + 0.5 * h)))
-        c_x1, c_pred1 = _dpm_first_order(a_t, a_mid)
+        c_x1, c_pred1, _ = _ddim_step(a_t, a_mid, 0.0)
         yield Transition(a_t, c_x1, c_pred1, recorded=False)
-        # x' = (alpha_s/alpha_t) x - sigma_s (e^h - 1) eps(u), from the midpoint
-        # state u = c_x1 x + c_pred1 prev: x = (u - c_pred1 prev) / c_x1 and
-        # eps(u) = (u - alpha_mid pred) / sigma_mid.
-        back = math.sqrt(a_s / a_t) / c_x1
-        k = math.sqrt(1.0 - a_s) * math.expm1(h) / math.sqrt(1.0 - a_mid)
-        yield Transition(a_mid, back - k, k * math.sqrt(a_mid), -back * c_pred1)
+        # x' = (alpha_s/alpha_t) x - sigma_s (e^h - 1) eps(u), eps(u) =
+        # (u - alpha_mid pred) / sigma_mid, in terms of the midpoint state
+        # u = c_x1 x + c_pred1 prev: the eta-0 hop from u applied to a blend of
+        # pred and prev whose weight on pred is sigma_s (e^h - 1) alpha_mid /
+        # sigma_mid.  Computing x's coefficient as the hop's sigma_s /
+        # sigma_mid avoids cancelling two terms of order alpha_s / alpha_t.
+        c_x, c_hop, _ = _ddim_step(a_mid, a_s, 0.0)
+        c_pred = math.sqrt((1.0 - a_s) * a_mid / (1.0 - a_mid)) * math.expm1(h)
+        yield Transition(a_mid, c_x, c_pred, c_hop - c_pred)
 
 
 def _dpm_solver_pp(config: SamplerConfig, levels: np.ndarray) -> Iterator[Transition]:
     h_prev = None
     for a_t, a_s in _hops(levels):
-        alpha_t, sigma_t = math.sqrt(a_t), math.sqrt(1.0 - a_t)
-        alpha_s, sigma_s = math.sqrt(a_s), math.sqrt(1.0 - a_s)
-        # e^{-h} = (sigma_s/alpha_s)/(sigma_t/alpha_t): zero at the clean target.
-        c_pred = -alpha_s * ((sigma_s * alpha_t) / (alpha_s * sigma_t) - 1.0)
+        c_x, c_pred, _ = _ddim_step(a_t, a_s, 0.0)
         h = _log_snr(a_s) - _log_snr(a_t) if a_s < 1.0 else None
-        if h is None or h_prev is None:
-            yield Transition(a_t, sigma_s / sigma_t, c_pred)
-        else:
-            # pred + (pred - prev) / (2 r), r = h_prev / h: the multistep
-            # correction, dropped on the first and terminal transitions.
-            half_d = 0.5 * h / h_prev
-            yield Transition(a_t, sigma_s / sigma_t, c_pred * (1.0 + half_d),
-                             -c_pred * half_d)
+        # The hop applied to pred + (pred - prev) / (2 r), r = h_prev / h: the
+        # multistep correction, dropped on the first and terminal transitions.
+        half_d = 0.0 if h is None or h_prev is None else 0.5 * h / h_prev
+        yield Transition(a_t, c_x, c_pred * (1.0 + half_d), -c_pred * half_d)
         h_prev = h
 
 
@@ -233,7 +221,7 @@ def _euler_maruyama(config: SamplerConfig, times: np.ndarray) -> Iterator[Transi
         )
 
 
-_RULES = {"ddpm": _ddpm, "ddim": _ddim, "dpm_solver": _dpm_solver,
+_RULES = {"ddpm": _ddim, "ddim": _ddim, "dpm_solver": _dpm_solver,
           "dpm_solver_pp": _dpm_solver_pp, "euler_flow": _euler_maruyama,
           "euler_maruyama": _euler_maruyama}
 
@@ -256,13 +244,13 @@ def sample_with_config(
         raise ValueError(
             f"grid: {config.kind} requires a {config.domain} grid, got {grid.domain}"
         )
-    if grid.step_count < config.min_steps:
-        raise ValueError(f"grid: {config.kind} needs at least {config.min_steps} steps")
     if config.domain == DIFFUSION:
         predict, walk = oracle.x0, grid.levels
     else:
         predict, walk = oracle.velocity, grid.points
     vecs = cond.spectrum[1]
+    if vecs is None:  # an eigen view walks in its own coordinates
+        vecs = np.eye(cond.size)
     eigen = cond.eigen
     batch = () if cond.mean.ndim == 3 else (n_samples,)
     x = rng.standard_normal(batch + cond.mean.shape)

@@ -327,9 +327,8 @@ class TestSimulateCommand:
         assert set(BAD_CONFIG) == set(cli.DEFAULT_CONFIG) - {"out_dir"}
         config = tmp_path / "cfg.json"
         out_dir = tmp_path / "out"
-        multistep = {"schedule_kind": "linear", "sampler": "dpm_solver_pp",
-                     "scheduler_kind": "two_stage", "t_late": 1,
-                     "sweep_t_late": [5, 1]}
+        too_long = {"schedule_kind": "linear", "scheduler_kind": "two_stage",
+                    "t_late": 952, "sweep_t_late": [5, 952]}
         simulate = ("simulate",)
         cases = []
         for key, (user, message, commands) in BAD_CONFIG.items():
@@ -346,8 +345,12 @@ class TestSimulateCommand:
             ({"schedule_kind": "linear", "start_index": 0},
              "error: AR step 0: start_index: must lie in [1, ",
              ("simulate", "diagnose", "sweep")),
-            (multistep, "error: AR step 8: grid: ",
+            (too_long, "error: AR step 8: num_steps: must lie in [1, start_index + 1]",
              ("simulate", "diagnose", "sweep")),
+            ({**_LINEAR, "sampler": "ddpm", "eta": 0.5},
+             "error: eta: only ddim reads it, not ddpm", _RUNS),
+            ({**_LINEAR, "sampler": "ddim", "solver_order": 2},
+             "error: solver_order: only dpm_solver reads it, not ddim", _RUNS),
             ({"sampler": "euler_maruyama", "clamp": 1.0}, "error: clamp: ",
              simulate),
         ):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -34,6 +35,167 @@ def ddpm_chain_variance(grid, v):
         btilde = beta_eff * (1 - a_s) / (1 - a_t)
         var = coef**2 * var + btilde
     return var
+
+
+def at_50_digits(fn):
+    """``fn`` evaluated in 50-digit decimal arithmetic on the float levels it
+    is given (``None`` passes through), its results returned as floats: a
+    reference far more precise than the float64 rules it checks."""
+    def reference(*levels):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            return tuple(float(v) for v in fn(
+                *(None if a is None else Decimal(float(a)) for a in levels)))
+    return reference
+
+
+def log_snr(a):
+    return (a / (1 - a)).ln() / 2
+
+
+def _dpm_solver_1(a_t, a_s):
+    # Lu et al. 2022 (DPM-Solver), eq. 3.7: x_s = (alpha_s / alpha_t) x -
+    # sigma_s (e^h - 1) eps, eps = (x - alpha_t x0) / sigma_t, h the log-SNR
+    # increment.  At the clean target sigma_s e^h = alpha_s sigma_t / alpha_t
+    # and the map is x_s = x0.
+    if a_s == 1:
+        return 0, 1
+    alpha_t, sigma_t = a_t.sqrt(), (1 - a_t).sqrt()
+    k = (1 - a_s).sqrt() * ((log_snr(a_s) - log_snr(a_t)).exp() - 1)
+    return a_s.sqrt() / alpha_t - k / sigma_t, k * alpha_t / sigma_t
+
+
+dpm_solver_1 = at_50_digits(_dpm_solver_1)  # (c_x, c_pred)
+
+
+@at_50_digits
+def ddpm_posterior(a_t, a_s):
+    """Ho et al. 2020, eqs. 6-7, between grid levels: q(x_s | x_t, x0) has
+    mean ``sqrt(a_s) b / (1 - a_t) x0 + sqrt(a_t / a_s) (1 - a_s) / (1 - a_t)
+    x_t`` and variance ``b (1 - a_s) / (1 - a_t)``, with ``b = 1 - a_t / a_s``.
+    Returns ``(c_x, c_pred, noise_std)``."""
+    b = 1 - a_t / a_s
+    return ((a_t / a_s).sqrt() * (1 - a_s) / (1 - a_t), a_s.sqrt() * b / (1 - a_t),
+            (b * (1 - a_s) / (1 - a_t)).sqrt())
+
+
+@at_50_digits
+def dpm_solver_2(a_t, a_s):
+    """Lu et al. 2022, DPM-Solver-2 (r1 = 1/2): ``u`` is DPM-Solver-1 from t
+    to the log-SNR midpoint m, then ``x_s = (alpha_s / alpha_t) x - sigma_s
+    (e^h - 1) eps(u)`` with ``eps(u) = (u - alpha_m pred(u)) / sigma_m``.
+    Returns ``a_m``, the first stage's ``(c_x, c_pred)`` and the map's
+    coefficients on ``x``, ``pred(x)`` and ``pred(u)``."""
+    lam_t, lam_s = log_snr(a_t), log_snr(a_s)
+    a_m = 1 / (1 + (-(lam_t + lam_s)).exp())
+    c_x1, c_pred1 = _dpm_solver_1(a_t, a_m)
+    k = (1 - a_s).sqrt() * ((lam_s - lam_t).exp() - 1) / (1 - a_m).sqrt()
+    return (a_m, c_x1, c_pred1, (a_s / a_t).sqrt() - k * c_x1, -k * c_pred1,
+            k * a_m.sqrt())
+
+
+@at_50_digits
+def dpm_solver_pp(a_prev, a_t, a_s):
+    """Lu et al. 2022b, DPM-Solver++(2M): ``x_s = (sigma_s / sigma_t) x -
+    alpha_s (e^-h - 1) D`` with ``D = (1 + 1/(2r)) pred - prev / (2r)``,
+    ``r = h_prev / h``; ``D = pred`` on the first transition (``a_prev`` is
+    None) and the terminal one, where ``e^-h = 0``.  Returns
+    ``(c_x, c_pred, c_prev)``."""
+    c_x = (1 - a_s).sqrt() / (1 - a_t).sqrt()
+    if a_s == 1:
+        return c_x, 1, 0
+    h = log_snr(a_s) - log_snr(a_t)
+    c_pred = -a_s.sqrt() * ((-h).exp() - 1)
+    if a_prev is None:
+        return c_x, c_pred, 0
+    w = h / (2 * (log_snr(a_t) - log_snr(a_prev)))
+    return c_x, c_pred * (1 + w), -c_pred * w
+
+
+def transitions(config, grid):
+    return list(sa.samplers._RULES[config.kind](config, grid.levels))
+
+
+# Every diffusion rule's transitions against the references above, on both
+# schedules, from two start indices, over short to full-length grids (None
+# is start_index + 1, every base index).
+REFERENCE_GRIDS = pytest.mark.parametrize("kind,start,steps", [
+    (kind, start, steps) for kind in ("linear", "cosine") for start in (950, 999)
+    for steps in (1, 5, 50, None)])
+
+
+def reference_grid(kind, start, steps):
+    schedule = sa.build_linear_beta() if kind == "linear" else sa.build_cosine_alpha_bar()
+    return sa.make_diffusion_grid(schedule, start + 1 if steps is None else steps, start)
+
+
+class TestCoefficientReferences:
+    @REFERENCE_GRIDS
+    def test_ddpm_is_the_posterior_step(self, kind, start, steps):
+        grid = reference_grid(kind, start, steps)
+        hops = list(zip(grid.levels[:-1], grid.levels[1:]))
+        for config in (DDPM, sa.SamplerConfig("ddim", eta=1.0)):
+            steps_ = transitions(config, grid)
+            assert len(steps_) == len(hops)
+            for step, (a_t, a_s) in zip(steps_, hops):
+                assert step.at == a_t and step.c_prev == 0.0 and step.recorded
+                np.testing.assert_allclose((step.c_x, step.c_pred, step.noise_std),
+                                           ddpm_posterior(a_t, a_s), rtol=0, atol=1e-12)
+
+    @REFERENCE_GRIDS
+    def test_first_order_is_the_exponential_integrator(self, kind, start, steps):
+        # DDIM at eta 0, DPM-Solver-1 and DPM-Solver++'s first-order step are
+        # one map: the eps-form and x0-form integrators agree.
+        grid = reference_grid(kind, start, steps)
+        hops = list(zip(grid.levels[:-1], grid.levels[1:]))
+        for config in (DDIM, DPM1):
+            steps_ = transitions(config, grid)
+            assert len(steps_) == len(hops)
+            for step, (a_t, a_s) in zip(steps_, hops):
+                assert step.at == a_t and step.c_prev == 0.0 and step.noise_std == 0.0
+                np.testing.assert_allclose((step.c_x, step.c_pred),
+                                           dpm_solver_1(a_t, a_s), rtol=0, atol=1e-12)
+                np.testing.assert_allclose((step.c_x, step.c_pred, 0.0),
+                                           dpm_solver_pp(None, a_t, a_s),
+                                           rtol=0, atol=1e-12)
+
+    @REFERENCE_GRIDS
+    def test_dpm2_midpoint_and_terminal_hops(self, kind, start, steps):
+        # The executor forms x_s from the midpoint state u, pred(u) and
+        # prev = pred(x); composed with u = c_x1 x + c_pred1 pred(x) it must
+        # be DPM-Solver-2's map.  The hop to the clean target is order 1.
+        grid = reference_grid(kind, start, steps)
+        hops = list(zip(grid.levels[:-1], grid.levels[1:]))
+        steps_ = iter(transitions(DPM2, grid))
+        for a_t, a_s in hops[:-1]:
+            first, second = next(steps_), next(steps_)
+            a_m, c_x1, c_pred1, on_x, on_prev, on_pred = dpm_solver_2(a_t, a_s)
+            assert first.at == a_t and not first.recorded and first.noise_std == 0.0
+            np.testing.assert_allclose((first.c_x, first.c_pred), (c_x1, c_pred1),
+                                       rtol=0, atol=1e-12)
+            assert second.recorded and second.noise_std == 0.0
+            np.testing.assert_allclose(second.at, a_m, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(
+                (second.c_x * first.c_x, second.c_x * first.c_pred + second.c_prev,
+                 second.c_pred), (on_x, on_prev, on_pred), rtol=0, atol=1e-12)
+        terminal = next(steps_)
+        assert terminal.at == hops[-1][0] and terminal.recorded
+        np.testing.assert_allclose((terminal.c_x, terminal.c_pred, terminal.c_prev),
+                                   dpm_solver_1(*hops[-1]) + (0.0,), rtol=0, atol=1e-12)
+        assert next(steps_, None) is None
+
+    @REFERENCE_GRIDS
+    def test_dpm_pp_multistep_correction(self, kind, start, steps):
+        grid = reference_grid(kind, start, steps)
+        levels = grid.levels
+        steps_ = transitions(DPM_PP, grid)
+        assert len(steps_) == len(levels) - 1
+        for i, step in enumerate(steps_):
+            a_prev = levels[i - 1] if i > 0 else None
+            assert step.at == levels[i] and step.noise_std == 0.0
+            np.testing.assert_allclose(
+                (step.c_x, step.c_pred, step.c_prev),
+                dpm_solver_pp(a_prev, levels[i], levels[i + 1]), rtol=0, atol=1e-12)
 
 
 class TestNfeAccounting:
@@ -208,6 +370,29 @@ class TestEigenbasisWalk:
         for state, ref_state in zip(rec.states, ref_states):
             np.testing.assert_allclose(state, ref_state, rtol=0.0, atol=1e-12)
         np.testing.assert_array_equal(rec.states[-1], out)
+
+
+class TestEigenView:
+    @pytest.mark.parametrize("view", [False, True], ids=["conditional", "view"])
+    def test_is_a_usable_conditional(self, linear_schedule, aniso_cond, oracle, view):
+        # A conditional's eigen view is a conditional like any other: its own
+        # view is itself, and its draws, rotated by U, are the token-basis
+        # draws of the same seed.
+        cond = aniso_cond.eigen if view else aniso_cond
+        rotate = aniso_cond.spectrum[1] if view else np.eye(aniso_cond.size)
+        assert cond.eigen.eigen is cond.eigen
+        assert (cond.eigen is cond) == view
+        np.testing.assert_allclose(
+            rotate @ sa.sample_conditional(cond, np.random.default_rng(4), 6),
+            sa.sample_conditional(aniso_cond, np.random.default_rng(4), 6),
+            rtol=0.0, atol=1e-12)
+        grid = sa.make_diffusion_grid(linear_schedule, 5, 950)
+        for cfg in (DDPM, DPM2):
+            out, _ = sa.sample_with_config(cfg, oracle, cond, grid,
+                                           np.random.default_rng(5), n_samples=6)
+            ref, _ = sa.sample_with_config(cfg, oracle, aniso_cond, grid,
+                                           np.random.default_rng(5), n_samples=6)
+            np.testing.assert_allclose(rotate @ out, ref, rtol=0.0, atol=1e-12)
 
 
 class TestDdpm:
@@ -397,11 +582,18 @@ class TestDpmSolverPlusPlus:
                                       np.random.default_rng(6), n_samples=n)
         assert sa.w2_to_truth(pp, cond) <= 1.10 * sa.w2_to_truth(dd, cond)
 
-    def test_rejects_single_step_grid(self, linear_schedule, aniso_cond, oracle):
-        grid = sa.make_diffusion_grid(linear_schedule, 1, 950)
-        with pytest.raises(ValueError, match="at least 2"):
-            sa.sample_with_config(DPM_PP, oracle, aniso_cond, grid,
-                                  np.random.default_rng(0))
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_short_grids_are_ddim(self, linear_schedule, aniso_cond, oracle, steps):
+        # The multistep correction needs two earlier hops and is dropped on
+        # the terminal one, so on one or two steps every transition is the
+        # plain eta-0 hop.
+        grid = sa.make_diffusion_grid(linear_schedule, steps, 950)
+        pp, rec = sa.sample_with_config(DPM_PP, oracle, aniso_cond, grid,
+                                        np.random.default_rng(2), n_samples=5)
+        dd, _ = sa.sample_with_config(DDIM, oracle, aniso_cond, grid,
+                                      np.random.default_rng(2), n_samples=5)
+        assert rec.nfe == steps
+        np.testing.assert_array_equal(pp, dd)
 
 
 class TestEulerFlow:
@@ -517,6 +709,14 @@ class TestSamplerConfig:
             sa.SamplerConfig(kind="ddim", eta=-1.0)
         with pytest.raises(ValueError, match="order"):
             sa.SamplerConfig(kind="dpm_solver", order=3)
+        # A knob the sampler does not read is refused, not ignored.
+        for kind in set(sa.SAMPLER_KINDS) - {"ddim"}:
+            with pytest.raises(ValueError, match=f"^eta: only ddim reads it, not {kind}$"):
+                sa.SamplerConfig(kind=kind, eta=0.5)
+        for kind in set(sa.SAMPLER_KINDS) - {"dpm_solver"}:
+            with pytest.raises(ValueError,
+                               match=f"^order: only dpm_solver reads it, not {kind}$"):
+                sa.SamplerConfig(kind=kind, order=2)
 
     def test_batched_mean_rejects_sample_count(self, linear_schedule, oracle):
         # A batched mean draws one sample per entry; a larger count would be
