@@ -8,10 +8,11 @@ Four policies over K autoregressive steps, parameterized by ``t_early`` and
 * linear:    ``T(k) = round(t_early + (t_late - t_early) * k / K)``
 * cosine:    ``T(k) = round(t_late + (t_early - t_late) * (cos(k pi / K) + 1) / 2)``
 
-``k`` is 0-indexed over the K steps, rounding is half away from zero, and
-results are clamped to ``min_steps``.  The linear rule is evaluated
-literally, so ``T(K - 1)`` generally stops one rounding unit short of
-``t_late`` (the exact endpoint sits at ``k = K``, outside the domain).
+``k`` is 0-indexed over the K steps and rounding is half away from zero, so
+every rule's T(k) lies between ``t_early`` and ``t_late``.  The linear rule
+is evaluated literally, so ``T(K - 1)`` generally stops one rounding unit
+short of ``t_late`` (the exact endpoint sits at ``k = K``, outside the
+domain).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ class StepScheduler:
     t_early: int
     t_late: int
     ar_steps: int
-    min_steps: int = 1
 
     def __post_init__(self):
         if self.kind not in SCHEDULER_KINDS:
@@ -46,8 +46,6 @@ class StepScheduler:
             raise ValueError("t_late: must be a positive integer")
         if self.ar_steps < 1:
             raise ValueError("ar_steps: must be a positive integer")
-        if self.min_steps < 1:
-            raise ValueError("min_steps: must be a positive integer")
 
 
 def constant_scheduler(t: int, ar_steps: int) -> StepScheduler:
@@ -61,14 +59,13 @@ def steps_at(scheduler: StepScheduler, k: int) -> int:
         raise ValueError(f"k: must lie in [0, {K})")
     te, tl = scheduler.t_early, scheduler.t_late
     if scheduler.kind == "constant":
-        value = te
-    elif scheduler.kind == "two_stage":
-        value = te if k < K / 2 else tl
-    elif scheduler.kind == "linear":
-        value = _round_half_away(te + (tl - te) * k / K)
-    else:  # cosine
-        value = _round_half_away(tl + (te - tl) * 0.5 * (math.cos(k * math.pi / K) + 1.0))
-    return max(value, scheduler.min_steps)
+        return te
+    if scheduler.kind == "two_stage":
+        return te if k < K / 2 else tl
+    if scheduler.kind == "linear":
+        return _round_half_away(te + (tl - te) * k / K)
+    # cosine
+    return _round_half_away(tl + (te - tl) * 0.5 * (math.cos(k * math.pi / K) + 1.0))
 
 
 def schedule_table(scheduler: StepScheduler) -> list[tuple[int, int]]:

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # Callers hand in the generation order's conditioning plan and grids built by
-# ``generate.step_grids``.  ``steps_at``, ``conditional_solver`` and the two
-# grid functions stay bound here, unused, because bench/spans.py traces the
-# layers by rebinding these names here.
+# ``generate.step_grids``.  ``steps_at``, ``total_nfe``, ``conditional_solver``
+# and the two grid functions stay bound here, unused, because bench/spans.py
+# traces the layers by rebinding these names here.
 from .annealing import StepScheduler, steps_at, total_nfe  # noqa: F401
 from .denoiser import ExactDenoiser
 from .generate import SequenceBatch, check_grid_count, simulate_sequences
@@ -446,6 +446,8 @@ def quality_sweep(
     """Per-AR-step empirical-vs-exact W2 for each annealing policy, given as
     ``(scheduler, grids)``: the scheduler labels the rows, its grids (from
     :func:`~stepanneal.generate.step_grids`) are what the sampler walks.
+    A row's ``nfe`` is the calls its sampler run made, and a summary's
+    ``total_nfe`` the sum over the policy's rows.
 
     A reference prefix is drawn exactly from the process (one per AR step,
     shared by every policy), so the per-step distance isolates sampler
@@ -473,14 +475,16 @@ def quality_sweep(
     for scheduler, grids in policies:
         label = scheduler_label(scheduler)
         w2s = []
+        nfe = 0
         for k, (cond, grid) in enumerate(zip(conds, grids)):
             cell_rng = np.random.default_rng([sweep_seed, 1 + k])
-            draws, _ = sample_with_config(
+            draws, record = sample_with_config(
                 sampler_config, oracle, cond, grid, cell_rng,
                 n_samples=draws_per_step,
             )
             w2 = w2_to_truth(draws, cond)
             w2s.append(w2)
+            nfe += record.nfe
             rows.append(
                 SweepRow(
                     label=label,
@@ -488,7 +492,7 @@ def quality_sweep(
                     t_early=scheduler.t_early,
                     t_late=scheduler.t_late,
                     ar_step=k,
-                    nfe=sampler_config.calls(grid.step_count),
+                    nfe=record.nfe,
                     w2=w2,
                     w2_floor=floors[k],
                 )
@@ -512,7 +516,7 @@ def quality_sweep(
                 kind=scheduler.kind,
                 t_early=scheduler.t_early,
                 t_late=scheduler.t_late,
-                total_nfe=total_nfe(scheduler, sampler_config.calls),
+                total_nfe=nfe,
                 aggregate_w2=float(np.mean(w2s)),
                 mean_floor=float(np.mean(floors)),
                 joint_moment_error=joint_err,

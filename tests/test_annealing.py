@@ -5,9 +5,8 @@ import pytest
 import stepanneal as sa
 
 
-def make(kind, te, tl, K, min_steps=1):
-    return sa.StepScheduler(kind=kind, t_early=te, t_late=tl, ar_steps=K,
-                            min_steps=min_steps)
+def make(kind, te, tl, K):
+    return sa.StepScheduler(kind=kind, t_early=te, t_late=tl, ar_steps=K)
 
 
 class TestStepsAt:
@@ -33,12 +32,17 @@ class TestStepsAt:
         sched = make("constant", 50, 50, 16)
         assert [sa.steps_at(sched, k) for k in range(16)] == [50] * 16
 
-    def test_min_steps_clamp(self):
-        unclamped = make("linear", 50, 1, 8)
-        assert sa.steps_at(unclamped, 7) == 7
-        clamped = make("linear", 50, 1, 8, min_steps=10)
-        values = [sa.steps_at(clamped, k) for k in range(8)]
-        assert min(values) == 10
+    def test_linear_to_one_stops_short(self):
+        assert sa.steps_at(make("linear", 50, 1, 8), 7) == 7
+
+    @pytest.mark.parametrize("kind", sa.SCHEDULER_KINDS)
+    def test_values_lie_between_t_early_and_t_late(self, kind):
+        # So T(k) >= 1 for every valid policy, with no clamp.
+        for K in (1, 2, 3, 7, 16, 33):
+            for te in range(1, 41):
+                for tl in range(1, 41):
+                    table = sa.schedule_table(make(kind, te, tl, K))
+                    assert all(min(te, tl) <= t <= max(te, tl) for _, t in table)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError, match="k"):

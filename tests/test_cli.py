@@ -33,14 +33,15 @@ BAD_CONFIG = {
     "order_seed": ({**_LINEAR, "order_seed": -1},
                    "order_seed: must be >= 0, got -1", _ALL),
     "ar_steps": ({"ar_steps": 100}, "ar_steps: must lie in [1, 16], got 100", _RUNS),
-    "schedule_kind": ({"schedule_kind": "bogus"}, "schedule_kind: ", _ALL),
-    "base_step_count": ({**_LINEAR, "base_step_count": 1}, "base_step_count: ", _ALL),
-    "beta_start": ({**_LINEAR, "beta_start": 0.0}, "beta_start: ", _ALL),
-    "beta_end": ({**_LINEAR, "beta_end": 1.5}, "beta_end: ", _ALL),
+    "schedule_kind": ({"schedule_kind": "bogus"}, "schedule_kind: ", _RUNS),
+    "base_step_count": ({**_LINEAR, "base_step_count": 1}, "base_step_count: ",
+                        _RUNS),
+    "beta_start": ({**_LINEAR, "beta_start": 0.0}, "beta_start: ", _RUNS),
+    "beta_end": ({**_LINEAR, "beta_end": 1.5}, "beta_end: ", _RUNS),
     "cosine_offset": ({"schedule_kind": "cosine", "cosine_offset": -0.1},
                       "cosine_offset: must be >= 0, got -0.1", _ALL),
     "start_index": ({**_LINEAR, "start_index": 0},
-                    "start_index: must lie in [1, 1000), got 0", _ALL),
+                    "start_index: must lie in [1, 1000), got 0", _RUNS),
     "flow_start_time": ({"sampler": "euler_flow", "flow_start_time": 1.5},
                         "flow_start_time: ", _RUNS),
     "sampler": ({**_LINEAR, "sampler": "bogus"},
@@ -52,10 +53,12 @@ BAD_CONFIG = {
                         "sde_noise_scale: ", _RUNS),
     "clamp": ({"sampler": "euler_flow", "clamp": 1.0}, "clamp: ", _RUNS),
     "scheduler_kind": ({**_LINEAR, "scheduler_kind": "bogus"},
-                       "scheduler_kind: unknown scheduler 'bogus'", _RUNS),
-    "t_early": ({**_LINEAR, "t_early": 0}, "t_early: ", ("simulate", "diagnose")),
-    "t_late": ({**_LINEAR, "t_late": 0}, "t_late: ", ("simulate", "diagnose")),
-    "min_steps": ({**_LINEAR, "min_steps": 0}, "min_steps: ", _RUNS),
+                       "scheduler_kind: unknown scheduler 'bogus'",
+                       ("schedule", *_RUNS)),
+    "t_early": ({**_LINEAR, "t_early": 0}, "t_early: ",
+                ("schedule", "simulate", "diagnose")),
+    "t_late": ({**_LINEAR, "t_late": 0}, "t_late: ",
+               ("schedule", "simulate", "diagnose")),
     "n_sequences": ({**_LINEAR, "n_sequences": 0}, "n_sequences: ",
                     ("simulate", "diagnose")),
     "master_seed": ({**_LINEAR, "master_seed": -1},
@@ -171,9 +174,8 @@ def test_choices_come_from_the_library():
     for kind in stepanneal.SCHEDULER_KINDS:
         args = parser.parse_args(["sweep", "--scheduler-kind", kind])
         assert args.scheduler_kind == kind
-        args = parser.parse_args(["schedule", "--kind", kind, "--t-early", "4",
-                                  "--ar-steps", "3"])
-        assert args.kind == kind
+        args = parser.parse_args(["schedule", "--scheduler-kind", kind])
+        assert args.scheduler_kind == kind
 
 
 @pytest.mark.parametrize("command, policies", [
@@ -211,7 +213,7 @@ def test_each_policy_builds_its_grids_once(capsys, tmp_path, monkeypatch,
 
 class TestScheduleCommand:
     def test_two_stage_table(self, capsys):
-        code, out, _ = run_cli(capsys, "schedule", "--kind", "two_stage",
+        code, out, _ = run_cli(capsys, "schedule", "--scheduler-kind", "two_stage",
                                "--t-early", "50", "--t-late", "5",
                                "--ar-steps", "64")
         assert code == 0
@@ -221,23 +223,37 @@ class TestScheduleCommand:
         assert values == [50] * 32 + [5] * 32
 
     def test_constant_table(self, capsys):
-        code, out, _ = run_cli(capsys, "schedule", "--kind", "constant",
+        code, out, _ = run_cli(capsys, "schedule", "--scheduler-kind", "constant",
                                "--t-early", "50", "--ar-steps", "4")
         assert code == 0
         values = [int(r.split(",")[1]) for r in out.strip().splitlines()[1:]]
         assert values == [50, 50, 50, 50]
 
     def test_linear_first_row(self, capsys):
-        code, out, _ = run_cli(capsys, "schedule", "--kind", "linear",
+        code, out, _ = run_cli(capsys, "schedule", "--scheduler-kind", "linear",
                                "--t-early", "25", "--t-late", "5",
                                "--ar-steps", "32")
         assert code == 0
         assert out.strip().splitlines()[1] == "0,25"
 
+    def test_config_sets_the_policy(self, capsys, tmp_path):
+        # Keys left out of the config and the flags take their defaults
+        # (t_late 5); a flag overrides the config.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"scheduler_kind": "two_stage",
+                                      "t_early": 30, "ar_steps": 6}))
+        code, out, _ = run_cli(capsys, "schedule", "--config", str(config))
+        assert code == 0
+        values = [int(r.split(",")[1]) for r in out.strip().splitlines()[1:]]
+        assert values == [30, 30, 30, 5, 5, 5]
+        code, out, _ = run_cli(capsys, "schedule", "--config", str(config),
+                               "--t-late", "9")
+        assert code == 0
+        assert out.strip().splitlines()[-1] == "5,9"
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
-            main(["schedule", "--kind", "bogus", "--t-early", "50",
-                  "--ar-steps", "4"])
+            main(["schedule", "--scheduler-kind", "bogus"])
         assert exc.value.code == 2
 
 
@@ -337,6 +353,8 @@ class TestSimulateCommand:
                 rf"error: (?:AR step \d+: )?{re.escape(message)}"), commands))
         for user, message, commands in (
             ({"no_such_key": 1}, "no_such_key", simulate),
+            ({"min_steps": 1}, "error: config: unknown keys ['min_steps']",
+             ("schedule", *_RUNS)),
             ({"grid_height": "4"}, "error: grid_height: ", simulate),
             ({"schedule_kind": "linear", "sweep_t_early": []},
              "error: sweep_t_early: ", ("sweep",)),
@@ -519,9 +537,22 @@ class TestOracleCheckCommand:
         config, _ = base_config
         code, out, _ = run_cli(capsys, "oracle-check", "--config", str(config))
         assert code == 0
-        assert "[PASS] score finite-difference" in out
-        assert "[PASS] dpm order-1 equals ddim eta=0" in out
-        assert "[PASS] ddim eta=1 matches ddpm moments" in out
+        checks = [line for line in out.splitlines() if line.startswith("[")]
+        assert [re.sub(r" \(.*\)$", "", line) for line in checks] == [
+            "[PASS] score finite-difference",
+            "[PASS] conditional moments vs MC regression",
+            "[PASS] conditioning tightens",
+        ]
+        assert "all checks passed" in out
+
+    def test_reads_no_noise_schedule_key(self, capsys, base_config):
+        # No check runs a sampler, so a grid start or a schedule that a
+        # diffusion run would refuse does not matter here.
+        config, _ = base_config
+        cfg = json.loads(config.read_text())
+        config.write_text(json.dumps({**cfg, "start_index": 0, "schedule_kind": None}))
+        code, out, _ = run_cli(capsys, "oracle-check", "--config", str(config))
+        assert code == 0
         assert "all checks passed" in out
 
     def test_corrupted_score_fails(self, capsys, base_config):
@@ -552,18 +583,4 @@ class TestOracleCheckCommand:
         code, out, err = run_cli(capsys, "oracle-check", "--config", str(config))
         assert code == 1
         assert "error: grid_height/grid_width: oracle-check needs at least 9" in err
-        assert "[FAIL]" not in out
-
-    def test_bad_grid_fails_before_any_check(self, capsys, base_config, monkeypatch):
-        # The cross-sampler grid is built first, so a bad start_index stops
-        # the run before the conditionals and the Monte Carlo regression.
-        config, _ = base_config
-        cfg = json.loads(config.read_text())
-        config.write_text(json.dumps({**cfg, "start_index": 0}))
-        calls = []
-        monkeypatch.setattr(cli, "conditional", lambda *a, **k: calls.append(a))
-        code, out, err = run_cli(capsys, "oracle-check", "--config", str(config))
-        assert code == 1
-        assert "error: start_index: must lie in [1, 1000), got 0" in err
-        assert calls == []
         assert "[FAIL]" not in out

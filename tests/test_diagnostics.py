@@ -328,6 +328,23 @@ class TestQualitySweep:
         totals = [sa.total_nfe(k) for k in ks]
         assert all(b > a for a, b in zip(totals, totals[1:]))
 
+    @pytest.mark.parametrize("cfg, calls", [
+        (sa.SamplerConfig(kind="ddim"), 10),
+        (sa.SamplerConfig(kind="dpm_solver", order=2), 19),
+    ])
+    def test_nfe_counts_the_grids_walked(self, spec, linear_schedule, cfg, calls):
+        # The scheduler only labels a policy: constant-10 grids under a
+        # constant-50 label report the calls the 10-step runs made.
+        order = sa.random_order(spec, 4, seed=0)
+        grids = sa.step_grids(cfg, sa.constant_scheduler(10, 4), linear_schedule, 950)
+        rows, [summary] = sa.quality_sweep(
+            sa.conditioning_plan(spec, order), cfg,
+            [(sa.constant_scheduler(50, 4), grids)], (0, 1),
+            draws_per_step=8, floor_repeats=1)
+        assert summary.label == "constant_50"
+        assert [r.nfe for r in rows] == [calls] * 4
+        assert summary.total_nfe == calls * 4
+
     def test_joint_moment_error_reported(self, sweep):
         _, summaries = sweep
         assert all(np.isfinite(s.joint_moment_error) for s in summaries)

@@ -1,5 +1,6 @@
 """The demos and the README's python blocks use only names the package has,
-and the fast demos run to completion.
+the README's ``stepanneal`` command lines parse, and the fast demos run to
+completion.
 
 Demos 03 and 04 take several seconds each, so they are only parsed.
 """
@@ -7,6 +8,7 @@ Demos 03 and 04 take several seconds each, so they are only parsed.
 import ast
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,19 +16,26 @@ from pathlib import Path
 import pytest
 
 import stepanneal as sa
+from stepanneal import cli
 
 ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 
 
 def _sources():
     for path in sorted((ROOT / "demos").glob("*.py")):
         yield path.name, path.read_text()
-    readme = (ROOT / "README.md").read_text()
-    for i, block in enumerate(re.findall(r"```python\n(.*?)```", readme, re.S)):
+    for i, block in enumerate(re.findall(r"```python\n(.*?)```", README, re.S)):
         yield f"README.md#{i}", block
 
 
 SOURCES = dict(_sources())
+COMMANDS = [
+    line.split("#")[0].strip()
+    for block in re.findall(r"```bash\n(.*?)```", README, re.S)
+    for line in block.splitlines()
+    if line.startswith("stepanneal ")
+]
 
 
 def test_sources_found():
@@ -45,6 +54,17 @@ def test_every_sa_name_exists(name):
     }
     assert used
     assert sorted(n for n in used if not hasattr(sa, n)) == []
+
+
+def test_commands_found():
+    assert {line.split()[1] for line in COMMANDS} == {
+        "schedule", "simulate", "diagnose", "sweep", "oracle-check"}
+
+
+@pytest.mark.parametrize("line", COMMANDS)
+def test_readme_command_parses(line):
+    # A renamed or removed flag makes argparse exit here.
+    cli.build_parser().parse_args(shlex.split(line)[1:])
 
 
 @pytest.mark.parametrize("demo", ["01_schedules_and_grids.py", "02_exact_oracle.py",
