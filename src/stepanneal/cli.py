@@ -546,12 +546,21 @@ def cmd_oracle_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_override_flags(p: argparse.ArgumentParser) -> None:
+def _add_policy_flags(p: argparse.ArgumentParser) -> None:
+    """The config file and the annealing-policy overrides: every command."""
     p.add_argument("--config", default=None, help="JSON config file")
+    p.add_argument("--ar-steps", dest="ar_steps", type=int, default=None)
+    p.add_argument("--scheduler-kind", dest="scheduler_kind", default=None,
+                   choices=SCHEDULER_KINDS)
+    p.add_argument("--t-early", dest="t_early", type=int, default=None)
+    p.add_argument("--t-late", dest="t_late", type=int, default=None)
+
+
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The run overrides: every command but ``schedule``, which reads none."""
     p.add_argument("--out-dir", dest="out_dir", default=None)
     p.add_argument("--master-seed", dest="master_seed", type=int, default=None)
     p.add_argument("--n-sequences", dest="n_sequences", type=int, default=None)
-    p.add_argument("--ar-steps", dest="ar_steps", type=int, default=None)
     p.add_argument("--sampler", default=None, choices=SAMPLER_KINDS)
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--solver-order", dest="solver_order", type=int, default=None)
@@ -559,10 +568,6 @@ def _add_override_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--schedule-kind", dest="schedule_kind", default=None,
                    choices=SCHEDULE_KINDS)
     p.add_argument("--start-index", dest="start_index", type=int, default=None)
-    p.add_argument("--scheduler-kind", dest="scheduler_kind", default=None,
-                   choices=SCHEDULER_KINDS)
-    p.add_argument("--t-early", dest="t_early", type=int, default=None)
-    p.add_argument("--t-late", dest="t_late", type=int, default=None)
     p.add_argument("--draws-per-step", dest="draws_per_step", type=int, default=None)
 
 
@@ -579,23 +584,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("schedule", help="print the (k, T(k)) table as CSV")
-    _add_override_flags(p)
+    _add_policy_flags(p)
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("simulate", help="generate sequences; write token CSV")
-    _add_override_flags(p)
+    _add_policy_flags(p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("diagnose", help="straightness/variance/probe CSVs")
-    _add_override_flags(p)
+    _add_policy_flags(p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("sweep", help="quality sweep across annealing policies")
-    _add_override_flags(p)
+    _add_policy_flags(p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("oracle-check", help="validate the exact oracle")
-    _add_override_flags(p)
+    _add_policy_flags(p)
+    _add_run_flags(p)
     p.add_argument("--corrupt-score", action="store_true",
                    help="negative control: inject a score bias (must fail)")
     p.set_defaults(func=cmd_oracle_check)

@@ -148,7 +148,8 @@ def test_override_flags_are_config_keys():
     # Only dests that are config keys become overrides, so a misspelt dest
     # would be dropped silently.
     parser = argparse.ArgumentParser()
-    cli._add_override_flags(parser)
+    cli._add_policy_flags(parser)
+    cli._add_run_flags(parser)
     dests = {action.dest for action in parser._actions} - {"help", "config"}
     assert dests <= set(cli.DEFAULT_CONFIG)
     args = parser.parse_args(["--eta", "0.5", "--out-dir", "x"])
@@ -254,6 +255,17 @@ class TestScheduleCommand:
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["schedule", "--scheduler-kind", "bogus"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", [
+        ["--eta", "0.5"], ["--sampler", "ddpm"], ["--n-sequences", "0"],
+        ["--out-dir", "x"], ["--master-seed", "1"], ["--start-index", "950"],
+    ])
+    def test_run_flags_are_usage_errors(self, flag):
+        # schedule reads only the policy keys, so it takes no run flag that
+        # it would then ignore.
+        with pytest.raises(SystemExit) as exc:
+            main(["schedule", *flag])
         assert exc.value.code == 2
 
 
