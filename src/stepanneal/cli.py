@@ -78,7 +78,6 @@ DEFAULT_CONFIG = {
     "eta": 0.0,
     "solver_order": 1,
     "sde_noise_scale": 1.0,
-    "clamp": None,
     # annealing policy
     "scheduler_kind": "linear",
     "t_early": 50,
@@ -102,9 +101,7 @@ DEFAULT_CONFIG = {
 
 # Keys that may be null, with the type of their other values (a null
 # start_index starts at the top of the base grid).
-_NULLABLE = {
-    "schedule_kind": str, "clamp": float, "out_dir": str, "start_index": int,
-}
+_NULLABLE = {"schedule_kind": str, "out_dir": str, "start_index": int}
 
 
 def _is_a(value, kind: type) -> bool:
@@ -152,6 +149,11 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+def _check_at_least(cfg: dict, key: str, least: int) -> None:
+    if cfg[key] < least:
+        raise ValueError(f"{key}: must be >= {least}, got {cfg[key]}")
+
+
 def build_spec(cfg: dict) -> TokenProcessSpec:
     return TokenProcessSpec(
         grid_height=cfg["grid_height"],
@@ -171,6 +173,7 @@ def build_order(cfg: dict, spec: TokenProcessSpec):
     if cfg["order_kind"] == "raster":
         return raster_order(spec, cfg["ar_steps"])
     if cfg["order_kind"] == "random":
+        _check_at_least(cfg, "order_seed", 0)
         return random_order(spec, cfg["ar_steps"], cfg["order_seed"])
     raise ValueError(f"order_kind: unknown value {cfg['order_kind']!r}")
 
@@ -187,6 +190,7 @@ def build_schedule(cfg: dict):
             cfg["base_step_count"], cfg["beta_start"], cfg["beta_end"]
         )
     if kind == "cosine":
+        _check_at_least(cfg, "cosine_offset", 0)
         return build_cosine_alpha_bar(cfg["base_step_count"], cfg["cosine_offset"])
     raise ValueError(f"schedule_kind: unknown value {kind!r}; "
                      f"expected one of {', '.join(SCHEDULE_KINDS)}")
@@ -194,7 +198,7 @@ def build_schedule(cfg: dict):
 
 # Each field of a SamplerConfig or StepScheduler and the config key it is read from.
 _SAMPLER_KEYS = {"kind": "sampler", "eta": "eta", "order": "solver_order",
-                 "sde_noise_scale": "sde_noise_scale", "clamp": "clamp"}
+                 "sde_noise_scale": "sde_noise_scale"}
 _SCHEDULER_KEYS = {"kind": "scheduler_kind", "t_early": "t_early",
                    "t_late": "t_late", "ar_steps": "ar_steps"}
 
@@ -220,13 +224,12 @@ def build_scheduler(cfg: dict) -> StepScheduler:
 
 
 def check_minimums(cfg: dict, minimums: dict[str, int]) -> None:
-    """Each key in ``minimums``, both seeds, ``cosine_offset`` and the field's
-    height and width at least its minimum (numpy would reject a negative seed
-    only once work has started; the spec names height and width together)."""
-    for key, least in {"master_seed": 0, "order_seed": 0, "cosine_offset": 0,
-                       "grid_height": 1, "grid_width": 1, **minimums}.items():
-        if cfg[key] < least:
-            raise ValueError(f"{key}: must be >= {least}, got {cfg[key]}")
+    """Each key in ``minimums``, ``master_seed`` and the field's height and
+    width at least its minimum (numpy would reject a negative seed only once
+    work has started; the spec names height and width together)."""
+    for key, least in {"master_seed": 0, "grid_height": 1, "grid_width": 1,
+                       **minimums}.items():
+        _check_at_least(cfg, key, least)
 
 
 def check_run(
@@ -546,29 +549,41 @@ def cmd_oracle_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    """The config file and the annealing-policy overrides: every command."""
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--ar-steps", dest="ar_steps", type=int, default=None)
-    p.add_argument("--scheduler-kind", dest="scheduler_kind", default=None,
-                   choices=SCHEDULER_KINDS)
-    p.add_argument("--t-early", dest="t_early", type=int, default=None)
-    p.add_argument("--t-late", dest="t_late", type=int, default=None)
+# Each override flag's config key and argparse settings; the flag is "--"
+# and the key with dashes.
+_FLAGS = {
+    "ar_steps": {"type": int},
+    "scheduler_kind": {"choices": SCHEDULER_KINDS},
+    "t_early": {"type": int},
+    "t_late": {"type": int},
+    "out_dir": {},
+    "master_seed": {"type": int},
+    "n_sequences": {"type": int},
+    "sampler": {"choices": SAMPLER_KINDS},
+    "eta": {"type": float},
+    "solver_order": {"type": int},
+    "sde_noise_scale": {"type": float},
+    "schedule_kind": {"choices": SCHEDULE_KINDS},
+    "start_index": {"type": int},
+    "draws_per_step": {"type": int},
+}
 
+_POLICY = ("ar_steps", "scheduler_kind", "t_early", "t_late")
+_SAMPLING = ("out_dir", "master_seed", "sampler", "eta", "solver_order",
+             "sde_noise_scale", "schedule_kind", "start_index")
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    """The run overrides: every command but ``schedule``, which reads none."""
-    p.add_argument("--out-dir", dest="out_dir", default=None)
-    p.add_argument("--master-seed", dest="master_seed", type=int, default=None)
-    p.add_argument("--n-sequences", dest="n_sequences", type=int, default=None)
-    p.add_argument("--sampler", default=None, choices=SAMPLER_KINDS)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--solver-order", dest="solver_order", type=int, default=None)
-    p.add_argument("--sde-noise-scale", dest="sde_noise_scale", type=float, default=None)
-    p.add_argument("--schedule-kind", dest="schedule_kind", default=None,
-                   choices=SCHEDULE_KINDS)
-    p.add_argument("--start-index", dest="start_index", type=int, default=None)
-    p.add_argument("--draws-per-step", dest="draws_per_step", type=int, default=None)
+# Each command: its function, its help and the override keys it reads.
+# bench/child.py passes --config and --out-dir to simulate, diagnose and sweep.
+_COMMANDS = {
+    "schedule": (cmd_schedule, "print the (k, T(k)) table as CSV", _POLICY),
+    "simulate": (cmd_simulate, "generate sequences; write token CSV",
+                 _POLICY + _SAMPLING + ("n_sequences",)),
+    "diagnose": (cmd_diagnose, "straightness/variance/probe CSVs",
+                 _POLICY + _SAMPLING + ("n_sequences", "draws_per_step")),
+    "sweep": (cmd_sweep, "quality sweep across annealing policies",
+              ("ar_steps", "scheduler_kind") + _SAMPLING + ("draws_per_step",)),
+    "oracle-check": (cmd_oracle_check, "validate the exact oracle", ("master_seed",)),
+}
 
 
 def _overrides(args) -> dict:
@@ -582,33 +597,15 @@ def build_parser() -> argparse.ArgumentParser:
         "Gaussian token process",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("schedule", help="print the (k, T(k)) table as CSV")
-    _add_policy_flags(p)
-    p.set_defaults(func=cmd_schedule)
-
-    p = sub.add_parser("simulate", help="generate sequences; write token CSV")
-    _add_policy_flags(p)
-    _add_run_flags(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("diagnose", help="straightness/variance/probe CSVs")
-    _add_policy_flags(p)
-    _add_run_flags(p)
-    p.set_defaults(func=cmd_diagnose)
-
-    p = sub.add_parser("sweep", help="quality sweep across annealing policies")
-    _add_policy_flags(p)
-    _add_run_flags(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("oracle-check", help="validate the exact oracle")
-    _add_policy_flags(p)
-    _add_run_flags(p)
-    p.add_argument("--corrupt-score", action="store_true",
-                   help="negative control: inject a score bias (must fail)")
-    p.set_defaults(func=cmd_oracle_check)
-
+    for name, (func, help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        p.add_argument("--config", default=None, help="JSON config file")
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
+        if name == "oracle-check":
+            p.add_argument("--corrupt-score", action="store_true",
+                           help="negative control: inject a score bias (must fail)")
     return parser
 
 

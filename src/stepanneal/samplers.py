@@ -4,9 +4,8 @@ one executor.
 Each sampler is a rule yielding one :class:`Transition` per oracle call.
 The executor (:func:`sample_with_config`) starts from standard normal noise
 and per transition makes exactly one call on the current state ``x``:
-``oracle.x0(x, level)`` for the diffusion samplers (clipped to
-``[-clamp, clamp]`` when ``clamp`` is set) or ``oracle.velocity(x, t)`` for
-the flow samplers.  It then sets
+``oracle.x0(x, level)`` for the diffusion samplers or
+``oracle.velocity(x, t)`` for the flow samplers.  It then sets
 ``x <- c_x x + c_pred pred + c_prev prev + noise_std xi``, with ``pred``
 that call's output, ``prev`` the prediction made just before it and ``xi``
 fresh standard normal noise (drawn only when ``noise_std > 0``).  The rules
@@ -31,8 +30,7 @@ so they commute with the orthogonal ``U``.  It draws the start noise and
 every ``xi`` there (the same law), calls the oracle on the conditional's
 :attr:`~stepanneal.process.ConditionalGaussian.eigen` view, where an exact
 call is a per-eigenvalue scale, and rotates the final and recorded states
-back once each.  ``clamp`` clips in the token basis (rotate out, clip,
-rotate back).
+back once each.
 
 Each rule walks the grid as given, one transition per step: the diffusion
 samplers its ``levels``, ending at the clean state (level exactly 1), where
@@ -79,7 +77,6 @@ class SamplerConfig:
     eta: float = 0.0
     order: int = 1
     sde_noise_scale: float = 1.0
-    clamp: float | None = None
 
     def __post_init__(self):
         if self.kind not in SAMPLER_KINDS:
@@ -94,10 +91,9 @@ class SamplerConfig:
             raise ValueError(f"order: only dpm_solver reads it, not {self.kind}")
         if self.sde_noise_scale < 0.0:
             raise ValueError("sde_noise_scale: must be >= 0")
-        if self.clamp is not None and self.clamp <= 0.0:
-            raise ValueError("clamp: must be positive when set")
-        if self.clamp is not None and self.kind in FLOW_SAMPLERS:
-            raise ValueError(f"clamp: {self.kind} has no data prediction to clip")
+        if self.sde_noise_scale != 1.0 and self.kind != "euler_maruyama":
+            raise ValueError(
+                f"sde_noise_scale: only euler_maruyama reads it, not {self.kind}")
 
     @property
     def domain(self) -> str:
@@ -260,8 +256,6 @@ def sample_with_config(
     for step in _RULES[config.kind](config, walk):
         pred = predict(x, step.at, eigen)
         nfe += 1
-        if config.clamp is not None:
-            pred = vecs.T @ np.clip(vecs @ pred, -config.clamp, config.clamp)
         new = step.c_x * x + step.c_pred * pred
         if step.c_prev:
             new += step.c_prev * prev

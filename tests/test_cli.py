@@ -31,7 +31,7 @@ BAD_CONFIG = {
     "jitter": ({"jitter": -1.0}, "jitter: ", _ALL),
     "order_kind": ({**_LINEAR, "order_kind": "bogus"}, "order_kind: ", _RUNS),
     "order_seed": ({**_LINEAR, "order_seed": -1},
-                   "order_seed: must be >= 0, got -1", _ALL),
+                   "order_seed: must be >= 0, got -1", _RUNS),
     "ar_steps": ({"ar_steps": 100}, "ar_steps: must lie in [1, 16], got 100", _RUNS),
     "schedule_kind": ({"schedule_kind": "bogus"}, "schedule_kind: ", _RUNS),
     "base_step_count": ({**_LINEAR, "base_step_count": 1}, "base_step_count: ",
@@ -39,7 +39,7 @@ BAD_CONFIG = {
     "beta_start": ({**_LINEAR, "beta_start": 0.0}, "beta_start: ", _RUNS),
     "beta_end": ({**_LINEAR, "beta_end": 1.5}, "beta_end: ", _RUNS),
     "cosine_offset": ({"schedule_kind": "cosine", "cosine_offset": -0.1},
-                      "cosine_offset: must be >= 0, got -0.1", _ALL),
+                      "cosine_offset: must be >= 0, got -0.1", _RUNS),
     "start_index": ({**_LINEAR, "start_index": 0},
                     "start_index: must lie in [1, 1000), got 0", _RUNS),
     "flow_start_time": ({"sampler": "euler_flow", "flow_start_time": 1.5},
@@ -51,7 +51,6 @@ BAD_CONFIG = {
                      "solver_order: must be 1 or 2", _RUNS),
     "sde_noise_scale": ({"sampler": "euler_maruyama", "sde_noise_scale": -1.0},
                         "sde_noise_scale: ", _RUNS),
-    "clamp": ({"sampler": "euler_flow", "clamp": 1.0}, "clamp: ", _RUNS),
     "scheduler_kind": ({**_LINEAR, "scheduler_kind": "bogus"},
                        "scheduler_kind: unknown scheduler 'bogus'",
                        ("schedule", *_RUNS)),
@@ -76,6 +75,13 @@ BAD_CONFIG = {
                       ("sweep",)),
     "sweep_t_late": ({**_LINEAR, "sweep_t_late": [0]}, "sweep_t_late: ", ("sweep",)),
 }
+# A second bad value for a key whose first one a command that reads the key
+# accepts: schedule builds no field, so no ar_steps is too large for it.
+MORE_BAD_CONFIG = {
+    "ar_steps": ({"ar_steps": 0}, "ar_steps: must be a positive integer",
+                 ("schedule",)),
+}
+BAD_ROWS = [*BAD_CONFIG.items(), *MORE_BAD_CONFIG.items()]
 
 
 def run_cli(capsys, *argv):
@@ -145,15 +151,44 @@ def test_benchmark_child_runs_one_pass(tmp_path):
 
 
 def test_override_flags_are_config_keys():
-    # Only dests that are config keys become overrides, so a misspelt dest
-    # would be dropped silently.
-    parser = argparse.ArgumentParser()
-    cli._add_policy_flags(parser)
-    cli._add_run_flags(parser)
-    dests = {action.dest for action in parser._actions} - {"help", "config"}
-    assert dests <= set(cli.DEFAULT_CONFIG)
-    args = parser.parse_args(["--eta", "0.5", "--out-dir", "x"])
-    assert cli._overrides(args) == {**dict.fromkeys(dests), "eta": 0.5, "out_dir": "x"}
+    # Only dests that are config keys become overrides, so a misspelt key
+    # would be dropped silently.  Every flag in the table is some command's.
+    assert set(cli._FLAGS) <= set(cli.DEFAULT_CONFIG)
+    assert {key for _, _, keys in cli._COMMANDS.values() for key in keys} == set(
+        cli._FLAGS)
+    args = cli.build_parser().parse_args(["simulate", "--eta", "0.5", "--out-dir", "x"])
+    keys = cli._COMMANDS["simulate"][2]
+    assert cli._overrides(args) == {**dict.fromkeys(keys), "eta": 0.5, "out_dir": "x"}
+
+
+def test_each_command_takes_the_flags_it_reads():
+    # A command takes a key's override flag exactly when it reads the key,
+    # as a bad value of the key failing on that command shows.  out_dir has
+    # no bad value; the commands that write files read it.
+    readers = {"out_dir": set(_RUNS)}
+    for key, (_, _, commands) in BAD_ROWS:
+        readers.setdefault(key, set()).update(commands)
+    parser = cli.build_parser()
+    [commands] = [action.choices for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    assert set(commands) == {"schedule", *_ALL}
+    for command, sub in commands.items():
+        dests = {action.dest for action in sub._actions} - {
+            "help", "config", "corrupt_score"}
+        assert dests == {key for key in cli._FLAGS if command in readers[key]}, command
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle-check", "--ar-steps", "3"], ["oracle-check", "--out-dir", "x"],
+    ["oracle-check", "--sampler", "ddpm"], ["oracle-check", "--start-index", "0"],
+    ["sweep", "--t-early", "7"], ["sweep", "--t-late", "3"],
+    ["sweep", "--n-sequences", "99"], ["simulate", "--draws-per-step", "5"],
+], ids=" ".join)
+def test_unread_flags_are_usage_errors(argv):
+    # A flag that the command would ignore is refused, not accepted.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_choices_come_from_the_library():
@@ -350,8 +385,7 @@ class TestSimulateCommand:
         # any output is written, on every command that reads the key.  So do
         # an unknown key, a value of the wrong type, an empty sweep list, a
         # grid start at index 0, a policy that some AR step's grid rejects
-        # and a clamp on a flow sampler (which has no data prediction to
-        # clip).
+        # and a sampler knob that the sampler does not read.
         assert set(BAD_CONFIG) == set(cli.DEFAULT_CONFIG) - {"out_dir"}
         config = tmp_path / "cfg.json"
         out_dir = tmp_path / "out"
@@ -359,7 +393,7 @@ class TestSimulateCommand:
                     "t_late": 952, "sweep_t_late": [5, 952]}
         simulate = ("simulate",)
         cases = []
-        for key, (user, message, commands) in BAD_CONFIG.items():
+        for key, (user, message, commands) in BAD_ROWS:
             assert message.startswith(f"{key}: ")
             cases.append((user, re.compile(
                 rf"error: (?:AR step \d+: )?{re.escape(message)}"), commands))
@@ -367,6 +401,8 @@ class TestSimulateCommand:
             ({"no_such_key": 1}, "no_such_key", simulate),
             ({"min_steps": 1}, "error: config: unknown keys ['min_steps']",
              ("schedule", *_RUNS)),
+            ({"clamp": 1.0}, "error: config: unknown keys ['clamp']",
+             ("schedule", *_ALL)),
             ({"grid_height": "4"}, "error: grid_height: ", simulate),
             ({"schedule_kind": "linear", "sweep_t_early": []},
              "error: sweep_t_early: ", ("sweep",)),
@@ -381,7 +417,10 @@ class TestSimulateCommand:
              "error: eta: only ddim reads it, not ddpm", _RUNS),
             ({**_LINEAR, "sampler": "ddim", "solver_order": 2},
              "error: solver_order: only dpm_solver reads it, not ddim", _RUNS),
-            ({"sampler": "euler_maruyama", "clamp": 1.0}, "error: clamp: ",
+            ({**_LINEAR, "sampler": "ddim", "sde_noise_scale": 0.25},
+             "error: sde_noise_scale: only euler_maruyama reads it, not ddim", _RUNS),
+            ({"sampler": "euler_flow", "sde_noise_scale": 3.0},
+             "error: sde_noise_scale: only euler_maruyama reads it, not euler_flow",
              simulate),
         ):
             cases.append((user, re.compile(re.escape(message)), commands))
@@ -558,11 +597,14 @@ class TestOracleCheckCommand:
         assert "all checks passed" in out
 
     def test_reads_no_noise_schedule_key(self, capsys, base_config):
-        # No check runs a sampler, so a grid start or a schedule that a
-        # diffusion run would refuse does not matter here.
+        # No check runs a sampler or builds a generation order, so a grid
+        # start, a schedule or an order seed that a diffusion run would refuse
+        # does not matter here.
         config, _ = base_config
         cfg = json.loads(config.read_text())
-        config.write_text(json.dumps({**cfg, "start_index": 0, "schedule_kind": None}))
+        config.write_text(json.dumps({
+            **cfg, "start_index": 0, "schedule_kind": None, "cosine_offset": -0.1,
+            "order_seed": -1}))
         code, out, _ = run_cli(capsys, "oracle-check", "--config", str(config))
         assert code == 0
         assert "all checks passed" in out

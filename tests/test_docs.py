@@ -1,6 +1,6 @@
 """The demos and the README's python blocks use only names the package has,
-the README's ``stepanneal`` command lines parse, and the fast demos run to
-completion.
+the README's ``stepanneal`` command lines parse, its config-key paragraph
+names every config key, and the fast demos run to completion.
 
 Demos 03 and 04 take several seconds each, so they are only parsed.
 """
@@ -65,6 +65,15 @@ def test_commands_found():
 def test_readme_command_parses(line):
     # A renamed or removed flag makes argparse exit here.
     cli.build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_readme_lists_every_config_key():
+    # The README's config-key paragraph names every DEFAULT_CONFIG key and no
+    # other, so a removed key cannot stay in the docs.
+    para = re.search(r"The config keys .*?\n\n", README, re.S).group(0)
+    names = {name.strip() for span in re.findall(r"`([^`]*/[^`]*)`", para)
+             for name in span.split("/")}
+    assert names == set(cli.DEFAULT_CONFIG)
 
 
 @pytest.mark.parametrize("demo", ["01_schedules_and_grids.py", "02_exact_oracle.py",

@@ -316,8 +316,7 @@ class _ReplayRng:
 
 def token_basis_reference(config, oracle, cond, grid, rng):
     """The executor written in the token basis, with every oracle call on
-    ``cond`` itself and the clip applied to the token-basis prediction;
-    returns the final state and the recorded states."""
+    ``cond`` itself; returns the final state and the recorded states."""
     if config.domain == sa.DIFFUSION:
         predict, walk = oracle.x0, grid.levels
     else:
@@ -326,8 +325,6 @@ def token_basis_reference(config, oracle, cond, grid, rng):
     states, prev = [x], None
     for step in sa.samplers._RULES[config.kind](config, walk):
         pred = predict(x, step.at, cond)
-        if config.clamp is not None:
-            pred = np.clip(pred, -config.clamp, config.clamp)
         new = step.c_x * x + step.c_pred * pred
         if step.c_prev:
             new = new + step.c_prev * prev
@@ -343,9 +340,6 @@ class TestEigenbasisWalk:
     @pytest.mark.parametrize("cfg", [
         DDPM, sa.SamplerConfig("ddim", eta=0.5), DPM1, DPM2, DPM_PP, EULER_FLOW,
         EULER_SDE,
-        sa.SamplerConfig("ddpm", clamp=0.3), sa.SamplerConfig("ddim", clamp=0.3),
-        sa.SamplerConfig("dpm_solver", order=2, clamp=0.3),
-        sa.SamplerConfig("dpm_solver_pp", clamp=0.3),
     ])
     def test_matches_token_basis_reference(self, linear_schedule, aniso_cond,
                                            oracle, cfg):
@@ -482,15 +476,6 @@ class TestDdim:
     def test_negative_eta_rejected(self):
         with pytest.raises(ValueError, match="eta"):
             sa.SamplerConfig("ddim", eta=-0.1)
-
-    @pytest.mark.parametrize("kind", sa.DIFFUSION_SAMPLERS)
-    def test_clamp_bounds_data_prediction(self, linear_schedule, aniso_cond, oracle,
-                                          kind):
-        grid = sa.make_diffusion_grid(linear_schedule, 10, 950)
-        out, _ = sa.sample_with_config(sa.SamplerConfig(kind=kind, clamp=1e-9),
-                                       oracle, aniso_cond, grid,
-                                       np.random.default_rng(0), n_samples=50)
-        assert np.max(np.abs(out)) < 1e-6
 
 
 class TestDpmSolver:
@@ -702,9 +687,6 @@ class TestSamplerConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="kind"):
             sa.SamplerConfig(kind="heun")
-        for kind in sa.FLOW_SAMPLERS:
-            with pytest.raises(ValueError, match="^clamp: "):
-                sa.SamplerConfig(kind=kind, clamp=1.0)
         with pytest.raises(ValueError, match="eta"):
             sa.SamplerConfig(kind="ddim", eta=-1.0)
         with pytest.raises(ValueError, match="order"):
@@ -717,6 +699,11 @@ class TestSamplerConfig:
             with pytest.raises(ValueError,
                                match=f"^order: only dpm_solver reads it, not {kind}$"):
                 sa.SamplerConfig(kind=kind, order=2)
+        for kind in set(sa.SAMPLER_KINDS) - {"euler_maruyama"}:
+            with pytest.raises(
+                    ValueError,
+                    match=f"^sde_noise_scale: only euler_maruyama reads it, not {kind}$"):
+                sa.SamplerConfig(kind=kind, sde_noise_scale=0.5)
 
     def test_batched_mean_rejects_sample_count(self, linear_schedule, oracle):
         # A batched mean draws one sample per entry; a larger count would be
