@@ -38,6 +38,8 @@ import numpy as np
 
 from .process import ConditionalGaussian, NumericalError
 
+_EPS = float(np.finfo(np.float64).eps)
+
 
 def _diffusion_channel(
     alpha_bar: float, allow_zero: bool = False
@@ -75,7 +77,7 @@ def _channel_solve(
     largest, the ``matrix_rank`` cut) is singular."""
     lam, vecs = cond.spectrum
     denom = signal_var * lam + noise_var
-    if denom[0] <= denom[-1] * lam.size * np.finfo(np.float64).eps:
+    if denom[0] <= denom[-1] * lam.size * _EPS:
         raise NumericalError(
             f"marginal covariance is singular: eigenvalues of "
             f"s^2 Sigma + sigma^2 I span {denom[0]:.3e} to {denom[-1]:.3e}"

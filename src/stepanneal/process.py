@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf
 
 
 class NumericalError(RuntimeError):
@@ -88,17 +86,24 @@ class TokenProcessSpec:
     def covariance(self) -> np.ndarray:
         """Dense n x n position covariance, jitter included on the diagonal:
         built on first use, then cached and read-only like the fields.
-        :func:`conditioning_plan` checks it positive definite."""
-        pos = self.positions()
-        d_row = pos[:, None, 0] - pos[None, :, 0]
-        d_col = pos[:, None, 1] - pos[None, :, 1]
+        :func:`conditioning_plan` checks it positive definite.  The kernel
+        depends only on the offsets ``|d_row|, |d_col|``, so it is evaluated
+        once on the H x W table of offsets and gathered."""
+        h, w, n = self.grid_height, self.grid_width, self.token_count
+        d_row = np.arange(h, dtype=np.float64)[:, None]
+        d_col = np.arange(w, dtype=np.float64)[None, :]
         dist2 = d_row * d_row + d_col * d_col
         s2 = self.marginal_std**2
         if self.kernel == "rbf":
-            cov = s2 * np.exp(-dist2 / (2.0 * self.length_scale**2))
+            table = s2 * np.exp(-dist2 / (2.0 * self.length_scale**2))
         else:  # ar1: exponential decay in grid distance
-            cov = s2 * np.exp(-np.sqrt(dist2) / self.length_scale)
-        cov.flat[:: self.token_count + 1] += self.jitter
+            table = s2 * np.exp(-np.sqrt(dist2) / self.length_scale)
+        lag_row = np.abs(np.subtract.outer(np.arange(h), np.arange(h)))
+        lag_col = np.abs(np.subtract.outer(np.arange(w), np.arange(w)))
+        # Entry ((r1, c1), (r2, c2)) is table[|r1 - r2|, |c1 - c2|]: gather a
+        # table row per row pair, then its column lags, as (r1, r2, c1, c2).
+        cov = table[lag_row][:, :, lag_col].transpose(0, 2, 1, 3).reshape(n, n)
+        cov.flat[:: n + 1] += self.jitter
         return _readonly(cov)
 
 
@@ -278,9 +283,7 @@ class ConditioningPlan:
         if innovation.ndim == 3:
             innovation = innovation.transpose(1, 0, 2)
         m = innovation.shape[0]
-        flat = solve_triangular(
-            self.block(k), innovation.reshape(m, -1), lower=True, check_finite=False
-        )
+        flat = np.linalg.solve(self.block(k), innovation.reshape(m, -1))
         return flat.reshape(innovation.shape)
 
 
@@ -298,26 +301,44 @@ def conditioning_plan(
                          f"the grid has {n}")
     perm = np.asarray(order.permutation)
     permuted = joint_covariance(spec)[np.ix_(perm, perm)]
-    # The permuted covariance is symmetric, so its transpose is the same
-    # matrix in Fortran order: LAPACK factors it in place as U^T U, and the
-    # same buffer read in C order is L = U^T.
-    upper, info = dpotrf(permuted.T, lower=0, clean=1, overwrite_a=1)
     offsets = tuple(np.cumsum((0,) + order.group_sizes).tolist())
-    if info > 0:
-        row = info - 1
+    try:
+        factor = np.linalg.cholesky(permuted)
+    except np.linalg.LinAlgError:
+        pivot = _failed_pivot(permuted)
+        row = pivot - 1
         k = bisect_right(offsets, row) - 1
         raise NumericalError(
             f"length_scale/jitter: AR step {k}: the joint covariance is not "
-            f"positive definite at position {perm[row]} (pivot {info} of {n} "
+            f"positive definite at position {perm[row]} (pivot {pivot} of {n} "
             f"in generation order); raise jitter or shorten length_scale"
-        )
+        ) from None
     return ConditioningPlan(
         spec=spec,
         order=order,
         mean_field=_readonly(spec.mean_field[perm]),
-        factor=_readonly(upper.T),
+        factor=_readonly(factor),
         offsets=offsets,
     )
+
+
+def _failed_pivot(cov: np.ndarray) -> int:
+    """The 1-based index of a pivot of ``cov``'s Cholesky factorisation that
+    is not positive, for a ``cov`` whose factorisation fails: by bisection,
+    the size of a leading block that fails while the block one row smaller
+    factors.  Pivot i depends only on the leading i x i block, so in exact
+    arithmetic this is the first failed pivot; where the field is singular
+    only to rounding, the pivot that rounding fails first can move by a few
+    rows between factorisations of different sizes."""
+    good, bad = 0, cov.shape[0]  # leading blocks of these sizes pass / fail
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            np.linalg.cholesky(cov[:mid, :mid])
+            good = mid
+        except np.linalg.LinAlgError:
+            bad = mid
+    return bad
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,10 +399,8 @@ def conditional_solver(
         factor = np.linalg.cholesky(cov[np.ix_(obs_idx, obs_idx)])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"observed block is not positive definite: {exc}") from exc
-    b = solve_triangular(
-        factor, cov[np.ix_(obs_idx, tgt_idx)], lower=True, check_finite=False
-    )
-    weights = solve_triangular(factor, b, lower=True, trans="T", check_finite=False).T
+    b = np.linalg.solve(factor, cov[np.ix_(obs_idx, tgt_idx)])
+    weights = np.linalg.solve(factor.T, b).T
     cond_cov = cov[np.ix_(tgt_idx, tgt_idx)] - b.T @ b
     return ConditionalSolver(
         observed_positions=tuple(obs_idx.tolist()),

@@ -2,13 +2,44 @@
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 import stepanneal as sa
+from stepanneal import process
 
 # At this length scale every kernel entry rounds to 1 and the jitter is lost
 # in rounding, so the field's covariance is exactly all ones (rank one).
 RANK_ONE = sa.TokenProcessSpec(grid_height=8, grid_width=8, length_scale=1e10,
                                jitter=1e-18)
+
+
+def dense_covariance(spec):
+    """The covariance from every pair's grid distance, as the spec built it
+    before it gathered from a table of grid offsets: the reference."""
+    pos = spec.positions()
+    d_row = pos[:, None, 0] - pos[None, :, 0]
+    d_col = pos[:, None, 1] - pos[None, :, 1]
+    dist2 = d_row * d_row + d_col * d_col
+    s2 = spec.marginal_std**2
+    if spec.kernel == "rbf":
+        cov = s2 * np.exp(-dist2 / (2.0 * spec.length_scale**2))
+    else:
+        cov = s2 * np.exp(-np.sqrt(dist2) / spec.length_scale)
+    cov.flat[:: spec.token_count + 1] += spec.jitter
+    return cov
+
+
+def indefinite_at(pivot, n, seed):
+    """``A = U D U^T`` with U unit lower triangular and D = 1 but for
+    ``D[pivot - 1] = -1``: Cholesky pivot ``pivot`` (1-based) is -1 and every
+    pivot before it is 1, so the factorisation fails there and by a clear
+    margin, not to rounding."""
+    rng = np.random.default_rng(seed)
+    unit = np.eye(n) + np.tril(0.3 * rng.standard_normal((n, n)), -1)
+    d = np.ones(n)
+    d[pivot - 1] = -1.0
+    cov = (unit * d) @ unit.T
+    return 0.5 * (cov + cov.T)
 
 
 class TestJointCovariance:
@@ -37,6 +68,18 @@ class TestJointCovariance:
                                    length_scale=1.5)
         cov = sa.joint_covariance(spec)
         assert abs(cov[0, 2] - np.exp(-2.0 / 1.5)) < 1e-12
+
+    @pytest.mark.parametrize("kernel", ["rbf", "ar1"])
+    @pytest.mark.parametrize("height,width", [(4, 4), (8, 8), (32, 32), (3, 7)])
+    def test_offset_table_matches_dense_formula(self, kernel, height, width):
+        # The kernel is evaluated once per grid offset and gathered; every
+        # entry is the same float operations on the same (integer) squared
+        # distance as the dense pairwise formula, so the bytes agree.
+        spec = sa.TokenProcessSpec(grid_height=height, grid_width=width,
+                                   kernel=kernel, length_scale=2.5,
+                                   marginal_std=1.3)
+        cov = sa.joint_covariance(spec)
+        assert cov.tobytes() == dense_covariance(spec).tobytes()
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="kernel"):
@@ -234,15 +277,40 @@ class TestConditioningPlan:
                                        plan.conditional(k, whitened).mean[1],
                                        rtol=0, atol=1e-14)
 
-    def test_factor_is_cholesky_of_permuted_covariance(self, field):
-        spec, cov = field
-        order = sa.random_order(spec, 16, seed=3)
+    @pytest.mark.parametrize("side,group_count", [(8, 16), (32, 256)])
+    def test_factor_is_cholesky_of_permuted_covariance(self, side, group_count):
+        # Groups of 4 on the 8 x 8 field and on the 32 x 32 one (n = 1024).
+        spec = sa.TokenProcessSpec(grid_height=side, grid_width=side)
+        order = sa.random_order(spec, group_count, seed=3)
         plan = sa.conditioning_plan(spec, order)
         perm = list(order.permutation)
         np.testing.assert_array_equal(np.triu(plan.factor, 1), 0.0)
         np.testing.assert_allclose(plan.factor @ plan.factor.T,
-                                   cov[np.ix_(perm, perm)], rtol=0, atol=1e-12)
-        assert plan.offsets == tuple(range(0, 65, 4))
+                                   sa.joint_covariance(spec)[np.ix_(perm, perm)],
+                                   rtol=0, atol=1e-12)
+        assert plan.offsets == tuple(range(0, spec.token_count + 1, 4))
+
+    @pytest.mark.parametrize("pivot", [2, 37, 63, 64])
+    def test_bisected_pivot_matches_lapack(self, pivot):
+        cov = indefinite_at(pivot, 64, seed=pivot)
+        _, info = dpotrf(cov, lower=1)
+        assert info == pivot
+        assert process._failed_pivot(cov) == pivot
+
+    def test_deep_failed_pivot_names_its_step(self, field, monkeypatch):
+        # A covariance whose factorisation first fails at pivot 43 of 64 in
+        # generation order: AR step 10 of 16 groups of 4.
+        spec, _ = field
+        order = sa.random_order(spec, 16, seed=3)
+        perm = list(order.permutation)
+        cov = np.empty((64, 64))
+        cov[np.ix_(perm, perm)] = indefinite_at(43, 64, seed=0)
+        monkeypatch.setattr(process, "joint_covariance", lambda _: cov)
+        with pytest.raises(sa.NumericalError) as exc:
+            sa.conditioning_plan(spec, order)
+        assert str(exc.value).startswith(
+            f"length_scale/jitter: AR step 10: the joint covariance is not "
+            f"positive definite at position {perm[42]} (pivot 43 of 64 ")
 
     def test_factor_is_read_only(self, field):
         # Plans are shared across workers, like conditionals.
