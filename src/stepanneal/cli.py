@@ -111,7 +111,8 @@ def _is_a(value, kind: type) -> bool:
 
 
 def _check_type(key: str, value) -> None:
-    """Reject a config value whose type differs from its default's."""
+    """Reject a config value whose type differs from its default's, and a
+    float that is not finite (``json`` reads NaN, Infinity and 1e400)."""
     default = DEFAULT_CONFIG[key]
     if value is None and key in _NULLABLE:
         return
@@ -124,21 +125,25 @@ def _check_type(key: str, value) -> None:
         ok, expected = _is_a(value, kind), kind.__name__
     if not ok:
         raise ValueError(f"{key}: expected {expected}, got {value!r}")
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ValueError(f"{key}: must be finite, got {value!r}")
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
-    cfg = dict(DEFAULT_CONFIG)
+    user = {}
     if path is not None:
         with open(path) as fh:
             user = json.load(fh)
-        unknown = set(user) - set(cfg)
+        if not isinstance(user, dict):
+            raise ValueError(f"config: expected a JSON object, got "
+                             f"{json.dumps(user)[:40]}")
+        unknown = set(user) - set(DEFAULT_CONFIG)
         if unknown:
             raise ValueError(f"config: unknown keys {sorted(unknown)}")
-        for key, value in user.items():
-            _check_type(key, value)
-        cfg.update(user)
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
-    return cfg
+    user.update({k: v for k, v in overrides.items() if v is not None})
+    for key, value in user.items():
+        _check_type(key, value)
+    return {**DEFAULT_CONFIG, **user}
 
 
 def config_hash(cfg: dict) -> str:
@@ -469,9 +474,6 @@ def cmd_oracle_check(args) -> int:
             f"(8 observed and 1 target), got {height}x{width}"
         )
     spec = build_spec(cfg)
-    # One AR step in natural order: the factor of the covariance itself,
-    # for the Monte Carlo draws below, and the positive-definiteness check.
-    chol = conditioning_plan(spec, raster_order(spec, 1)).factor
     rng = np.random.default_rng(cfg["master_seed"])
     oracle = BiasedDenoiser(0.5) if args.corrupt_score else ExactDenoiser()
     checks: list[tuple[str, bool, str]] = []
@@ -480,7 +482,10 @@ def cmd_oracle_check(args) -> int:
     targets = [p for p in range(spec.token_count) if p not in obs_pos][:3]
     obs_vals = rng.standard_normal((len(obs_pos), spec.token_dim))
     observed = list(zip(obs_pos, obs_vals))
-    cond = conditional(spec, observed, targets)
+    # The plan of the order (observed, targets, rest) that every conditional
+    # is read from; its factorisation is the positive-definiteness check.
+    solver = conditional_solver(spec, obs_pos, targets)
+    cond = solver.conditional(spec, obs_vals)
 
     # Finite differences against the analytic log-density gradient.
     a = 0.35
@@ -504,14 +509,16 @@ def cmd_oracle_check(args) -> int:
     rel = float(np.max(np.abs(score - fd)) / np.max(np.abs(fd)))
     checks.append(("score finite-difference", rel < 1e-5, f"rel err {rel:.2e}"))
 
-    # Monte Carlo regression for the conditional moments.
+    # Monte Carlo regression of the first target on the observed positions,
+    # from joint draws of those 9 positions alone.
     n_mc = int(cfg["mc_samples"])
-    draws = rng.standard_normal((n_mc, spec.token_count)) @ chol.T
-    y = draws[:, targets[0]]
-    design = np.column_stack([np.ones(n_mc), draws[:, obs_pos]])
+    nine = obs_pos + targets[:1]
+    chol = np.linalg.cholesky(spec.covariance[np.ix_(nine, nine)])
+    draws = rng.standard_normal((n_mc, len(nine))) @ chol.T
+    y = draws[:, -1]
+    design = np.column_stack([np.ones(n_mc), draws[:, :-1]])
     beta, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ beta
-    solver = conditional_solver(spec, obs_pos, [targets[0]])
     exact_var = float(solver.covariance[0, 0])
     xtx_inv = np.linalg.inv(design.T @ design)
     se = np.sqrt(np.var(resid, ddof=design.shape[1]) * np.diag(xtx_inv))

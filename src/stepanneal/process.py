@@ -59,12 +59,12 @@ class TokenProcessSpec:
             raise ValueError("token_dim: must be positive")
         if self.kernel not in ("rbf", "ar1"):
             raise ValueError(f"kernel: unknown kind {self.kernel!r}")
-        if self.length_scale <= 0.0:
-            raise ValueError("length_scale: must be positive")
-        if self.marginal_std <= 0.0:
-            raise ValueError("marginal_std: must be positive")
-        if self.jitter <= 0.0:
-            raise ValueError("jitter: must be positive")
+        if not 0.0 < self.length_scale < np.inf:  # NaN fails too
+            raise ValueError("length_scale: must be positive and finite")
+        if not 0.0 < self.marginal_std < np.inf:
+            raise ValueError("marginal_std: must be positive and finite")
+        if not 0.0 < self.jitter < np.inf:
+            raise ValueError("jitter: must be positive and finite")
         mean = self.mean_field
         if mean is None:
             mean = np.zeros(self.token_count)
@@ -343,12 +343,11 @@ def _failed_pivot(cov: np.ndarray) -> int:
 
 @dataclass(frozen=True, eq=False)
 class ConditionalSolver:
-    """One conditioning step solved from scratch: the regression weights from
-    observed onto target positions and the (prefix-independent) conditional
-    covariance.  Means for many prefixes can then be formed by matrix
-    products.  Generation conditions through a :class:`ConditioningPlan`
-    instead; this one-shot form serves :func:`conditional` and
-    ``oracle-check``."""
+    """The targets' conditional on the observed positions: the regression
+    weights from observed onto target positions and the (prefix-independent)
+    conditional covariance, so means for many prefixes are matrix products.
+    It is one step of a conditioning plan (:func:`conditional_solver`), kept
+    under this name for the benchmark's hooks (``bench/spans.py``)."""
 
     observed_positions: tuple[int, ...]
     target_positions: tuple[int, ...]
@@ -359,12 +358,10 @@ class ConditionalSolver:
         """Conditional mean for observed token values of shape (o, d) or
         (batch, o, d).  With no observed positions (o = 0) the product is
         zeros and the mean is the targets' mean field."""
-        obs_idx = np.asarray(self.observed_positions, dtype=int)
-        tgt_idx = np.asarray(self.target_positions, dtype=int)
-        mu_t = spec.mean_field[tgt_idx][:, None]
-        mu_o = spec.mean_field[obs_idx][:, None]
+        mu = spec.mean_field[:, None]
         observed_values = np.asarray(observed_values, dtype=np.float64)
-        return mu_t + self.weights @ (observed_values - mu_o)
+        return (mu[list(self.target_positions)]
+                + self.weights @ (observed_values - mu[list(self.observed_positions)]))
 
     def conditional(
         self, spec: TokenProcessSpec, observed_values: np.ndarray
@@ -379,12 +376,13 @@ class ConditionalSolver:
 def conditional_solver(
     spec: TokenProcessSpec, observed_positions, target_positions
 ) -> ConditionalSolver:
-    """Schur-complement conditioning of the targets on the observed positions.
+    """The conditioning plan of the order (observed, targets, the rest), read
+    at the targets' step and kept under this name for ``bench/spans.py``.
 
-    With L the lower Cholesky factor of the observed block and
-    ``B = L^-1 Sigma_ot`` (one triangular solve), the weights are
-    ``(L^-T B)^T`` (a second one) and the conditional covariance is
-    ``Sigma_tt - B^T B``: no explicit inverse."""
+    With ``L`` the plan's factor, the weights are ``L_to L_oo^-1`` (one solve
+    against the observed block) and the covariance is ``L_tt L_tt^T``.  The
+    plan factors the whole field, n^3 / 3 flops, and is its
+    positive-definiteness check."""
     obs_idx = np.asarray(observed_positions, dtype=int).reshape(-1)
     tgt_idx = np.asarray(target_positions, dtype=int).reshape(-1)
     all_idx = np.concatenate([obs_idx, tgt_idx])
@@ -394,19 +392,19 @@ def conditional_solver(
         raise ValueError("positions: duplicates are not allowed")
     if all_idx.size and not 0 <= all_idx.min() <= all_idx.max() < spec.token_count:
         raise ValueError("positions: out of range for this grid")
-    cov = joint_covariance(spec)
-    try:
-        factor = np.linalg.cholesky(cov[np.ix_(obs_idx, obs_idx)])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"observed block is not positive definite: {exc}") from exc
-    b = np.linalg.solve(factor, cov[np.ix_(obs_idx, tgt_idx)])
-    weights = np.linalg.solve(factor.T, b).T
-    cond_cov = cov[np.ix_(tgt_idx, tgt_idx)] - b.T @ b
+    if not tgt_idx.size:
+        raise ValueError("target_positions: need at least one")
+    rest = np.setdiff1d(np.arange(spec.token_count), all_idx)
+    groups = [g for g in (obs_idx, tgt_idx, rest) if g.size]
+    plan = conditioning_plan(spec, GenerationOrder(
+        permutation=tuple(np.concatenate(groups).tolist()),
+        group_sizes=tuple(g.size for g in groups)))
+    o, step, factor = obs_idx.size, int(obs_idx.size > 0), plan.factor
     return ConditionalSolver(
         observed_positions=tuple(obs_idx.tolist()),
         target_positions=tuple(tgt_idx.tolist()),
-        weights=weights,
-        covariance=0.5 * (cond_cov + cond_cov.T),
+        weights=np.linalg.solve(factor[:o, :o].T, factor[plan.rows(step), :o].T).T,
+        covariance=plan.covariance(step),
     )
 
 
@@ -415,15 +413,10 @@ def conditional(
 ) -> ConditionalGaussian:
     """Exact conditional of the targets given ``observed`` (position, value)
     pairs; with no observations this is the unconditional marginal."""
-    obs_pos = [p for p, _ in observed]
-    solver = conditional_solver(spec, obs_pos, targets)
-    if observed:
-        values = np.stack(
-            [np.broadcast_to(np.asarray(v, dtype=np.float64), (spec.token_dim,))
-             for _, v in observed]
-        )
-    else:
-        values = np.zeros((0, spec.token_dim))
+    values = np.empty((len(observed), spec.token_dim))
+    for row, (_, value) in zip(values, observed):
+        row[...] = value  # a scalar value broadcasts over the token dims
+    solver = conditional_solver(spec, [p for p, _ in observed], targets)
     return solver.conditional(spec, values)
 
 

@@ -81,7 +81,7 @@ class SamplerConfig:
     def __post_init__(self):
         if self.kind not in SAMPLER_KINDS:
             raise ValueError(f"kind: unknown sampler {self.kind!r}")
-        if self.eta < 0.0:
+        if not self.eta >= 0.0:  # NaN fails too
             raise ValueError("eta: must be >= 0")
         if self.order not in (1, 2):
             raise ValueError("order: must be 1 or 2")
@@ -89,7 +89,7 @@ class SamplerConfig:
             raise ValueError(f"eta: only ddim reads it, not {self.kind}")
         if self.order != 1 and self.kind != "dpm_solver":
             raise ValueError(f"order: only dpm_solver reads it, not {self.kind}")
-        if self.sde_noise_scale < 0.0:
+        if not self.sde_noise_scale >= 0.0:
             raise ValueError("sde_noise_scale: must be >= 0")
         if self.sde_noise_scale != 1.0 and self.kind != "euler_maruyama":
             raise ValueError(

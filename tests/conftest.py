@@ -4,6 +4,26 @@ import pytest
 import stepanneal as sa
 
 
+def schur_solver(spec, observed, targets):
+    """The targets' conditional on the observed positions by the Schur
+    complement, independently of the package's conditioning plan: the
+    reference.  With L the Cholesky factor of the observed block and
+    ``B = L^-1 Sigma_ot``, the weights are ``(L^-T B)^T`` and the covariance
+    is ``Sigma_tt - B^T B``."""
+    obs = np.asarray(observed, dtype=int).reshape(-1)
+    tgt = np.asarray(targets, dtype=int).reshape(-1)
+    cov = sa.joint_covariance(spec)
+    factor = np.linalg.cholesky(cov[np.ix_(obs, obs)])
+    b = np.linalg.solve(factor, cov[np.ix_(obs, tgt)])
+    cond_cov = cov[np.ix_(tgt, tgt)] - b.T @ b
+    return sa.ConditionalSolver(
+        observed_positions=tuple(obs.tolist()),
+        target_positions=tuple(tgt.tolist()),
+        weights=np.linalg.solve(factor.T, b).T,
+        covariance=0.5 * (cond_cov + cond_cov.T),
+    )
+
+
 @pytest.fixture(scope="session")
 def spec():
     return sa.TokenProcessSpec()

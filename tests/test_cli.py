@@ -1,13 +1,17 @@
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import stepanneal
 from stepanneal import (
@@ -435,6 +439,46 @@ class TestSimulateCommand:
                 assert message.search(err), (user, command, err)
                 assert not out_dir.exists()
 
+    def test_non_finite_value_fails_before_output(self, capsys, tmp_path):
+        # json reads NaN and Infinity, and 1e400 as inf; NaN passes every
+        # minimum.  Each is refused, from the file or a flag, naming its key,
+        # before any output exists.
+        config = tmp_path / "cfg.json"
+        out_dir = tmp_path / "out"
+        ddim = '"sampler": "ddim", "schedule_kind": "linear"'
+        sde = '"sampler": "euler_maruyama"'
+        for body, flags, key in (
+            (f'{ddim}, "eta": NaN', (), "eta"),
+            (ddim, ("--eta", "nan"), "eta"),
+            (f'{sde}, "sde_noise_scale": NaN', (), "sde_noise_scale"),
+            (sde, ("--sde-noise-scale", "inf"), "sde_noise_scale"),
+            (f'{ddim}, "length_scale": NaN', (), "length_scale"),
+            (f'{ddim}, "marginal_std": NaN', (), "marginal_std"),
+            (f'{ddim}, "jitter": Infinity', (), "jitter"),
+            (f'{ddim}, "jitter": 1e400', (), "jitter"),
+            ('"schedule_kind": "cosine", "cosine_offset": NaN', (), "cosine_offset"),
+        ):
+            config.write_text(f'{{{body}, "out_dir": {json.dumps(str(out_dir))}}}')
+            code, out, err = run_cli(capsys, "simulate", "--config", str(config),
+                                     *flags)
+            assert code == 1, (body, flags)
+            assert err.startswith(f"error: {key}: must be finite, got "), err
+            assert out == ""
+            assert not out_dir.exists()
+
+    @pytest.mark.parametrize("text", ["[]", "null", '"abc"', "4"])
+    def test_config_that_is_not_an_object_fails(self, capsys, tmp_path,
+                                                monkeypatch, text):
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "out"))
+        for command in ("schedule", *_ALL):
+            code, out, err = run_cli(capsys, command, "--config", str(config))
+            assert code == 1
+            assert err == f"error: config: expected a JSON object, got {text}\n"
+            assert out == ""
+            assert not (tmp_path / "out").exists()
+
     def test_singular_covariance_fails_before_output(self, capsys, tmp_path):
         # A near-constant field with almost no jitter is not positive
         # definite; every command stops before writing, naming both keys.
@@ -586,6 +630,52 @@ def test_reported_nfe_equals_spent(capsys, tmp_path, monkeypatch, sampler, order
     assert sum(int(r[4]) for r in summaries) == spent[0]
 
 
+# Values of each config key's type that is not its type (for a float key:
+# also NaN and the infinities), drawn for the property test below.
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_TEXT = st.text(max_size=4)
+
+
+@st.composite
+def _bad_setting(draw):
+    key = draw(st.sampled_from(sorted(cli.DEFAULT_CONFIG)))
+    kind = cli._NULLABLE.get(key, type(cli.DEFAULT_CONFIG[key]))
+    other = [st.booleans(), st.dictionaries(_TEXT, st.integers(), min_size=1,
+                                            max_size=1)]
+    if key not in cli._NULLABLE:
+        other.append(st.none())
+    if kind is not str:
+        other += [_TEXT, st.lists(_TEXT, min_size=1, max_size=2)]
+    if kind is not float:
+        other.append(st.floats(allow_nan=False, allow_infinity=False))
+    if kind in (str, list):  # an int is a valid float
+        other.append(st.integers(-10**6, 10**6))
+    if kind is list:  # a list of int: a float in it is wrong too
+        other.append(st.lists(st.floats(), min_size=1, max_size=2))
+    return key, draw(st.one_of(_NON_FINITE, *other))
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(setting=_bad_setting())
+def test_bad_setting_fails_every_command_first(capsys, tmp_path, monkeypatch,
+                                               setting):
+    # One config key set to a value of the wrong type, or to a float that is
+    # not finite, makes every command exit 1, naming the key, before any
+    # output directory exists.
+    key, value = setting
+    out_dir = tmp_path / "out"
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(out_dir))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"out_dir": str(out_dir), key: value}))
+    for command in ("schedule", *_ALL):
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert code == 1, (command, key, value)
+        assert err.startswith(f"error: {key}: "), (command, err)
+        assert out == ""
+        assert not out_dir.exists()
+
+
 class TestOracleCheckCommand:
     def test_passes_on_default_spec(self, capsys, base_config):
         config, _ = base_config
@@ -598,6 +688,38 @@ class TestOracleCheckCommand:
             "[PASS] conditioning tightens",
         ]
         assert "all checks passed" in out
+
+    def test_factors_the_field_twice(self, capsys, base_config, monkeypatch):
+        # The plan of (observed, targets, rest) gives the checked conditional
+        # and the exact regression; a second plan gives the conditional on
+        # fewer positions.  The Monte Carlo draws factor only the 9 positions
+        # the regression reads.
+        shapes = []
+
+        def counted(a):
+            shapes.append(a.shape)
+            return cholesky(a)
+
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        config, _ = base_config
+        assert run_cli(capsys, "oracle-check", "--config", str(config))[0] == 0
+        assert sorted(shapes) == [(9, 9), (16, 16), (16, 16)]
+
+    def test_big_field_draws_only_the_regressed_positions(self, capsys, tmp_path):
+        # On the 32 x 32 field, 10^5 draws of all 1024 positions would take
+        # 0.8 GB alone; the 9 regressed positions take 7 MB.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"grid_height": 32, "grid_width": 32,
+                                      "mc_samples": 100_000}))
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "oracle-check", "--config", str(config))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, out
+        assert peak < 100 * 2**20
 
     def test_reads_no_noise_schedule_key(self, capsys, base_config):
         # No check runs a sampler or builds a generation order, so a grid

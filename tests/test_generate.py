@@ -3,6 +3,8 @@ import pytest
 
 import stepanneal as sa
 
+from conftest import schur_solver
+
 
 @pytest.fixture(scope="module")
 def setup(spec, linear_schedule):
@@ -113,7 +115,7 @@ class TestSimulateSequences:
                                       record_paths=True)
         observed = []
         for group, cond in zip(order.groups(), batch.conditionals):
-            exact = sa.conditional_solver(spec, observed, group)
+            exact = schur_solver(spec, observed, group)
             np.testing.assert_allclose(cond.covariance, exact.covariance,
                                        rtol=0, atol=1e-10)
             np.testing.assert_allclose(

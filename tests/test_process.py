@@ -7,6 +7,8 @@ from scipy.linalg.lapack import dpotrf
 import stepanneal as sa
 from stepanneal import process
 
+from conftest import schur_solver
+
 # At this length scale every kernel entry rounds to 1 and the jitter is lost
 # in rounding, so the field's covariance is exactly all ones (rank one).
 RANK_ONE = sa.TokenProcessSpec(grid_height=8, grid_width=8, length_scale=1e10,
@@ -88,6 +90,11 @@ class TestJointCovariance:
             sa.TokenProcessSpec(length_scale=0.0)
         with pytest.raises(ValueError, match="mean_field"):
             sa.TokenProcessSpec(mean_field=np.zeros(3))
+        for key in ("length_scale", "marginal_std", "jitter"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError,
+                                   match=f"^{key}: must be positive and finite$"):
+                    sa.TokenProcessSpec(**{key: bad})
 
 
 class TestConditional:
@@ -153,11 +160,49 @@ class TestConditional:
             sa.conditional_solver(spec, [1, 1], [3])
         with pytest.raises(ValueError, match="out of range"):
             sa.conditional_solver(spec, [1], [99])
+        with pytest.raises(ValueError, match="target_positions: need at least one"):
+            sa.conditional_solver(spec, [1], [])
 
     def test_singular_observed_block(self):
+        # The solver's plan is the positive-definiteness check, so its error
+        # is the plan's, naming the keys.
         np.testing.assert_array_equal(sa.joint_covariance(RANK_ONE), np.ones((64, 64)))
-        with pytest.raises(sa.NumericalError):
+        with pytest.raises(sa.NumericalError,
+                           match="^length_scale/jitter: AR step 0: "):
             sa.conditional_solver(RANK_ONE, [0, 1, 2], [5])
+
+    @pytest.mark.parametrize("kernel", ["rbf", "ar1"])
+    @pytest.mark.parametrize("side", [4, 8])
+    def test_solver_matches_schur_reference(self, kernel, side):
+        # The solver reads the plan of (observed, targets, rest); the Schur
+        # complement is an independent factorisation of the same law.
+        n = side * side
+        spec = sa.TokenProcessSpec(grid_height=side, grid_width=side, kernel=kernel,
+                                   mean_field=np.linspace(-1.0, 2.0, n))
+        cov = sa.joint_covariance(spec)
+        rng = np.random.default_rng(side)
+        values = (spec.mean_field[:, None]
+                  + np.linalg.cholesky(cov) @ rng.standard_normal((3, n, 2)))
+        # As in TestConditioningPlan: the weights agree to cond(Sigma) * eps.
+        weight_tol = np.linalg.cond(cov) * np.finfo(float).eps
+        perm = rng.permutation(n)
+        splits = [(perm[:o], perm[o : o + m]) for o, m in
+                  [(1, 1), (3, 2), (n // 2, 3), (n - 5, 4)]]
+        splits += [(perm[:0], perm[:3]),  # no observations
+                   (perm[: n - 3], perm[n - 3 :])]  # no rest group
+        for observed, targets in splits:
+            solver = sa.conditional_solver(spec, observed, targets)
+            ref = schur_solver(spec, observed, targets)
+            assert solver.observed_positions == ref.observed_positions
+            assert solver.target_positions == ref.target_positions
+            np.testing.assert_allclose(solver.covariance, ref.covariance,
+                                       rtol=0, atol=1e-10)
+            gap = np.linalg.norm(solver.weights - ref.weights)
+            assert gap <= weight_tol * max(np.linalg.norm(ref.weights), 1.0)
+            obs_values = values[:, observed, :]
+            np.testing.assert_allclose(solver.mean(spec, obs_values),
+                                       ref.mean(spec, obs_values),
+                                       rtol=0, atol=1e-10)
 
     def test_fields_and_spectrum_are_read_only(self, aniso_cond):
         # Conditionals are shared across workers, so the cached spectrum is
@@ -234,7 +279,7 @@ class TestConditioningPlan:
         weight_tol = np.linalg.cond(cov) * np.finfo(float).eps
         observed = []
         for k, group in enumerate(order.groups()):
-            scratch = sa.conditional_solver(spec, observed, group)
+            scratch = schur_solver(spec, observed, group)
             np.testing.assert_allclose(plan.covariance(k), scratch.covariance,
                                        rtol=0, atol=1e-10)
             a = len(observed)
@@ -261,7 +306,7 @@ class TestConditioningPlan:
         observed = []
         for k, group in enumerate(order.groups()):
             cond = plan.conditional(k, whitened)
-            exact = sa.conditional_solver(spec, observed, group)
+            exact = schur_solver(spec, observed, group)
             assert cond.target_positions == group
             np.testing.assert_allclose(
                 cond.mean, exact.mean(spec, values[:, observed, :]),

@@ -691,6 +691,11 @@ class TestSamplerConfig:
             sa.SamplerConfig(kind="ddim", eta=-1.0)
         with pytest.raises(ValueError, match="order"):
             sa.SamplerConfig(kind="dpm_solver", order=3)
+        # NaN fails each comparison, so it is refused, not let through.
+        with pytest.raises(ValueError, match="^eta: must be >= 0$"):
+            sa.SamplerConfig(kind="ddim", eta=float("nan"))
+        with pytest.raises(ValueError, match="^sde_noise_scale: must be >= 0$"):
+            sa.SamplerConfig(kind="euler_maruyama", sde_noise_scale=float("nan"))
         # A knob the sampler does not read is refused, not ignored.
         for kind in set(sa.SAMPLER_KINDS) - {"ddim"}:
             with pytest.raises(ValueError, match=f"^eta: only ddim reads it, not {kind}$"):
