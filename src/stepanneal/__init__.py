@@ -26,8 +26,6 @@ from .diagnostics import (
     SweepRow,
     SweepSummary,
     VarianceReport,
-    conditional_moments,
-    gaussian_fit,
     probe_error,
     quality_sweep,
     sampling_variance,

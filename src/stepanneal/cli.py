@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from collections.abc import Sequence
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -435,22 +436,13 @@ def cmd_sweep(args) -> int:
     write_csv(
         out / "sweep.csv", digest,
         ["scheduler", "kind", "t_early", "t_late", "ar_step", "nfe", "w2", "w2_floor"],
-        [
-            (r.label, r.kind, r.t_early, r.t_late, r.ar_step, r.nfe,
-             float(r.w2), float(r.w2_floor))
-            for r in rows
-        ],
+        map(astuple, rows),
     )
     write_csv(
         out / "sweep_summary.csv", digest,
         ["scheduler", "kind", "t_early", "t_late", "total_nfe", "aggregate_w2",
          "mean_floor", "joint_moment_error"],
-        [
-            (s.label, s.kind, s.t_early, s.t_late, s.total_nfe,
-             float(s.aggregate_w2), float(s.mean_floor),
-             float(s.joint_moment_error))
-            for s in summaries
-        ],
+        map(astuple, summaries),
     )
     for s in summaries:
         print(

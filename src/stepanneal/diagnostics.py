@@ -92,29 +92,17 @@ def w2_gaussian(
     return float(np.sqrt(max(w2sq, 0.0)))
 
 
-def gaussian_fit(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Moment fit over draws of shape (N, D) (N > D recommended)."""
-    draws = np.asarray(draws, dtype=np.float64)
-    mean = draws.mean(axis=0)
-    cov = np.cov(draws, rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov)
-    return mean, 0.5 * (cov + cov.T)
-
-
-def conditional_moments(cond: ConditionalGaussian) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten a conditional (m positions x d i.i.d. dims) to a single
-    Gaussian: mean (m*d,), covariance ``kron(Sigma, I_d)``."""
+def w2_to_truth(draws: np.ndarray, cond: ConditionalGaussian) -> float:
+    """W2 between the moment fit of (N, m, d) draws and the exact conditional,
+    flattened to one Gaussian: mean (m*d,), covariance ``kron(Sigma, I_d)``
+    (the d token dimensions are i.i.d.)."""
     if cond.mean.ndim != 2:
         raise ValueError("cond: needs an unbatched (m, d) mean")
+    flat = draws.reshape(draws.shape[0], -1)
+    fit_cov = np.atleast_2d(np.cov(flat, rowvar=False, ddof=1))
     d = cond.mean.shape[-1]
-    return cond.mean.ravel(), np.kron(cond.covariance, np.eye(d))
-
-
-def w2_to_truth(draws: np.ndarray, cond: ConditionalGaussian) -> float:
-    """W2 between the moment fit of (N, m, d) draws and the exact conditional."""
-    mean, cov = conditional_moments(cond)
-    fit_mean, fit_cov = gaussian_fit(draws.reshape(draws.shape[0], -1))
-    return w2_gaussian(fit_mean, fit_cov, mean, cov)
+    return w2_gaussian(flat.mean(axis=0), fit_cov, cond.mean.ravel(),
+                       np.kron(cond.covariance, np.eye(d)))
 
 
 def w2_floor(
@@ -182,36 +170,35 @@ def spearman(x, y) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _interpolate_path(
-    trajectory: TrajectoryRecord, t: float
-) -> tuple[np.ndarray, float]:
-    """State linearly interpolated on the recorded path at time ``t``, plus
-    the interpolation weight's bracketing segment level (diffusion only)."""
-    times, levels = trajectory.grid.points, trajectory.grid.levels
-    states = trajectory.states
-    j = int(np.searchsorted(-times, -t, side="right")) - 1
-    j = min(max(j, 0), len(times) - 2)
-    t_hi, t_lo = times[j], times[j + 1]
-    w = (t - t_lo) / (t_hi - t_lo)
-    x = w * states[j] + (1.0 - w) * states[j + 1]
-    if levels is None:
-        return x, float("nan")
-    lv_hi, lv_lo = levels[j], levels[j + 1]
-    level = float(np.exp(w * np.log(lv_hi) + (1.0 - w) * np.log(lv_lo)))
-    return x, min(level, 1.0)
-
-
-def _stratified_times(
-    grid: TimeGrid, t_draws: int, rng: np.random.Generator
-) -> np.ndarray:
-    """One uniform time in each of ``t_draws`` equal strata of the whole
-    walk, from the grid's start ``points[0]`` down to its clean end
-    ``points[-1]``."""
+def _path_probes(
+    trajectory: TrajectoryRecord,
+    t_draws: int,
+    rng: np.random.Generator,
+    diffusion: bool = False,
+):
+    """The recorded path probed at one uniform time in each of ``t_draws``
+    equal strata of the whole walk, from the grid's start ``points[0]`` down
+    to its clean end ``points[-1]``.  The checks run at the call; the probes
+    follow lazily as ``(t, x_t, j, w)``, ``x_t = w states[j] + (1 - w)
+    states[j+1]`` on the grid segment ``j`` that brackets ``t``."""
+    if trajectory.states is None:
+        raise ValueError("trajectory: endpoints missing; record the path")
+    if diffusion and trajectory.grid.levels is None:
+        raise ValueError("trajectory: diffusion straightness needs a diffusion grid")
     if t_draws < 1:
         raise ValueError("t_draws: must be >= 1")
-    t_end, t_start = float(grid.points[-1]), float(grid.points[0])
+    times, states = trajectory.grid.points, trajectory.states
+    t_end, t_start = float(times[-1]), float(times[0])
     u = rng.random(t_draws)
-    return t_end + (np.arange(t_draws) + u) / t_draws * (t_start - t_end)
+    probes = t_end + (np.arange(t_draws) + u) / t_draws * (t_start - t_end)
+
+    def interpolate(t: float):
+        j = int(np.searchsorted(-times, -t, side="right")) - 1
+        j = min(max(j, 0), len(times) - 2)
+        w = (t - times[j + 1]) / (times[j] - times[j + 1])
+        return t, w * states[j] + (1.0 - w) * states[j + 1], j, w
+
+    return (interpolate(float(t)) for t in probes)
 
 
 def straightness_flow(
@@ -224,16 +211,12 @@ def straightness_flow(
     """Monte Carlo estimate of the squared deviation of the field from the
     straight chord noise -> data, averaged over uniform times (and over the
     trajectory batch).  0 for a perfectly straight path."""
-    if trajectory.states is None:
-        raise ValueError("trajectory: endpoints missing; record the path")
-    x1, x0 = trajectory.states[0], trajectory.states[-1]
-    chord = x1 - x0
+    probes = _path_probes(trajectory, t_draws, rng)
+    chord = trajectory.states[0] - trajectory.states[-1]
     total = 0.0
-    for t in _stratified_times(trajectory.grid, t_draws, rng):
-        x_t, _ = _interpolate_path(trajectory, float(t))
-        v = oracle.velocity(x_t, float(t), cond)
-        sq = np.sum((chord - v) ** 2, axis=(-2, -1))
-        total += float(np.mean(sq))
+    for t, x_t, _, _ in probes:
+        v = oracle.velocity(x_t, t, cond)
+        total += float(np.mean(np.sum((chord - v) ** 2, axis=(-2, -1))))
     return total / t_draws
 
 
@@ -245,17 +228,15 @@ def straightness_diffusion(
     rng: np.random.Generator,
 ) -> float:
     """Mean cosine between the direction to the clean token and the marginal
-    score along the recorded path (1 = straight).  Zero-norm draws are
-    skipped and counted against the average."""
-    if trajectory.states is None:
-        raise ValueError("trajectory: endpoints missing; record the path")
-    if trajectory.grid.levels is None:
-        raise ValueError("trajectory: diffusion straightness needs a diffusion grid")
-    x0 = trajectory.states[-1]
+    score along the recorded path (1 = straight).  Zero-norm draws are left
+    out of the average (``nan`` if none is left).  A probe's level interpolates
+    the bracketing segment's levels geometrically, with the probe's weight."""
+    probes = _path_probes(trajectory, t_draws, rng, diffusion=True)
+    x0, lv = trajectory.states[-1], trajectory.grid.levels
     total, used = 0.0, 0
-    for t in _stratified_times(trajectory.grid, t_draws, rng):
-        x_t, level = _interpolate_path(trajectory, float(t))
-        score = oracle.score(x_t, level, cond)
+    for _, x_t, j, w in probes:
+        level = float(np.exp(w * np.log(lv[j]) + (1.0 - w) * np.log(lv[j + 1])))
+        score = oracle.score(x_t, min(level, 1.0), cond)
         to_clean = (x0 - x_t).reshape(x_t.shape[0], -1)
         s = score.reshape(x_t.shape[0], -1)
         nu = np.linalg.norm(to_clean, axis=1)
@@ -318,25 +299,17 @@ class VarianceReport:
     exact_per_dim: np.ndarray  # (K,)
     draws_per_step: int
 
-    def __post_init__(self):
-        if np.any(self.empirical < 0.0):
-            raise ValueError("empirical: variances must be nonnegative")
-
 
 def _reference_conditionals(
     plan: ConditioningPlan, prefix_seed: int
 ) -> list[ConditionalGaussian]:
     """Every AR step's conditional given one frozen reference prefix, drawn
     exactly from the process with its own stream: the prefix's whitened
-    innovations are its standard normal draws."""
-    token_dim = plan.spec.token_dim
-    prefix_rng = np.random.default_rng(prefix_seed)
-    whitened = np.empty((plan.spec.token_count, token_dim))
-    conds = []
-    for k in range(plan.order.step_count):
-        conds.append(plan.conditional(k, whitened))
-        whitened[plan.rows(k)] = prefix_rng.standard_normal((conds[k].size, token_dim))
-    return conds
+    innovations are its standard normal draws, one (n, d) block."""
+    spec = plan.spec
+    whitened = np.random.default_rng(prefix_seed).standard_normal(
+        (spec.token_count, spec.token_dim))
+    return [plan.conditional(k, whitened) for k in range(plan.order.step_count)]
 
 
 def sampling_variance(
@@ -469,6 +442,7 @@ def quality_sweep(
         w2_floor(cond, draws_per_step, rng, repeats=floor_repeats)
         for cond in conds
     ]
+    mean_floor = float(np.mean(floors))
 
     rows: list[SweepRow] = []
     summaries: list[SweepSummary] = []
@@ -518,7 +492,7 @@ def quality_sweep(
                 t_late=scheduler.t_late,
                 total_nfe=nfe,
                 aggregate_w2=float(np.mean(w2s)),
-                mean_floor=float(np.mean(floors)),
+                mean_floor=mean_floor,
                 joint_moment_error=joint_err,
             )
         )

@@ -1,4 +1,6 @@
 import argparse
+import ast
+import importlib.util
 import json
 import math
 import os
@@ -133,6 +135,46 @@ def test_benchmark_hooks_bind():
                             env=package_env(), capture_output=True, text=True,
                             timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_unread_imports_are_benchmark_hooks():
+    # A module keeps an import that it never reads only because
+    # bench/spans.py's install rebinds that name on it to trace a layer.  A
+    # recorder that patches nothing lists those rebinds; an unread import
+    # missing from the list is dead, and this names it.  The package's
+    # __init__ imports its public names to export them, not to read them.
+    root = Path(__file__).resolve().parent.parent
+    loader = importlib.util.spec_from_file_location("spans",
+                                                    root / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spans)
+    hooks = set()
+
+    class Recorder(spans.Tracer):
+        def patch(self, owner, attr, name, size=None):
+            hooks.add((owner.__name__, attr))
+
+    spans.install(Recorder())
+    assert ("stepanneal.diagnostics", "w2_to_truth") in hooks
+    dead = {}
+    for path in sorted(Path(stepanneal.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        module = f"stepanneal.{path.stem}"
+        unread = imported - read - {attr for owner, attr in hooks if owner == module}
+        if unread:
+            dead[module] = sorted(unread)
+    assert dead == {}
 
 
 def test_benchmark_child_runs_one_pass(tmp_path):
@@ -674,6 +716,71 @@ def test_bad_setting_fails_every_command_first(capsys, tmp_path, monkeypatch,
         assert err.startswith(f"error: {key}: "), (command, err)
         assert out == ""
         assert not out_dir.exists()
+
+
+@st.composite
+def _valid_config(draw):
+    # A small valid config: every sampler with only the knobs it reads, the
+    # noise schedule keys on diffusion samplers only, T(k) <= 8 and a start
+    # index whose grid holds 8 distinct indices.
+    height, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    sampler = draw(st.sampled_from(stepanneal.SAMPLER_KINDS))
+    cfg = {
+        "grid_height": height, "grid_width": width,
+        "token_dim": draw(st.integers(1, 3)),
+        "kernel": draw(st.sampled_from(["rbf", "ar1"])),
+        "length_scale": draw(st.floats(0.3, 2.0)),
+        "marginal_std": draw(st.floats(0.1, 3.0)),
+        "order_kind": draw(st.sampled_from(["raster", "random"])),
+        "ar_steps": draw(st.integers(1, height * width)),
+        "sampler": sampler,
+        "scheduler_kind": draw(st.sampled_from(stepanneal.SCHEDULER_KINDS)),
+        "t_early": draw(st.integers(1, 8)),
+        "t_late": draw(st.integers(1, 8)),
+        "n_sequences": draw(st.integers(1, 3)),
+        "master_seed": draw(st.integers(0, 2**32 - 1)),
+    }
+    if cfg["order_kind"] == "random":
+        cfg["order_seed"] = draw(st.integers(0, 2**32 - 1))
+    if sampler == "ddim":
+        cfg["eta"] = draw(st.floats(0.0, 1.0))
+    if sampler == "dpm_solver":
+        cfg["solver_order"] = draw(st.sampled_from([1, 2]))
+    if sampler == "euler_maruyama":
+        cfg["sde_noise_scale"] = draw(st.floats(0.0, 2.0))
+    if sampler in stepanneal.FLOW_SAMPLERS:
+        cfg["flow_start_time"] = draw(st.floats(0.05, 1.0))
+        return cfg
+    base = draw(st.integers(9, 1000))
+    cfg["base_step_count"] = base
+    cfg["start_index"] = draw(st.none() | st.integers(8, base - 1))
+    cfg["schedule_kind"] = draw(st.sampled_from(stepanneal.SCHEDULE_KINDS))
+    if cfg["schedule_kind"] == "linear":
+        cfg["beta_start"] = draw(st.floats(1e-5, 1e-3))
+        cfg["beta_end"] = draw(st.floats(1e-3, 0.05))
+    else:
+        cfg["cosine_offset"] = draw(st.floats(0.0, 0.05))
+    return cfg
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_valid_config())
+def test_valid_config_simulates(capsys, tmp_path, cfg):
+    # Any valid small config runs, and summary.json's NFE per sequence is
+    # the calls table summed over the policy's T(k): one call per step, 2T - 1
+    # for the order-2 midpoint solver.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**cfg, "out_dir": str(tmp_path / "out")}))
+    code, _, err = run_cli(capsys, "simulate", "--config", str(config))
+    assert code == 0, err
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    scheduler = cli.build_scheduler({**cli.DEFAULT_CONFIG, **cfg})
+    steps = [t for _, t in stepanneal.schedule_table(scheduler)]
+    midpoint = cfg["sampler"] == "dpm_solver" and cfg["solver_order"] == 2
+    assert summary["step_counts"] == steps
+    assert summary["nfe_per_sequence"] == sum(2 * t - 1 if midpoint else t
+                                              for t in steps)
 
 
 class TestOracleCheckCommand:

@@ -437,3 +437,131 @@ class TestStraightnessReport:
         assert rep.per_step.shape == (4,)
         assert np.all(rep.per_step >= -1) and np.all(rep.per_step <= 1)
         assert -1.0 <= rep.spearman_to_step <= 1.0
+
+
+# The forms that the diagnostics compute in one place now, kept as the
+# references the folded code must reproduce exactly.
+
+
+def prefix_by_step(plan, prefix_seed):
+    """The frozen prefix drawn one AR step at a time, each step's whitened
+    innovations drawn after its conditional is formed."""
+    d = plan.spec.token_dim
+    rng = np.random.default_rng(prefix_seed)
+    whitened = np.empty((plan.spec.token_count, d))
+    conds = []
+    for k in range(plan.order.step_count):
+        conds.append(plan.conditional(k, whitened))
+        whitened[plan.rows(k)] = rng.standard_normal((conds[k].size, d))
+    return conds
+
+
+def w2_by_moments(draws, cond):
+    """W2 of the draws' moment fit against ``N(mean, kron(Sigma, I_d))``."""
+    flat = draws.reshape(draws.shape[0], -1)
+    fit_cov = np.atleast_2d(np.cov(flat, rowvar=False, ddof=1))
+    d = cond.mean.shape[-1]
+    return sa.w2_gaussian(flat.mean(axis=0), 0.5 * (fit_cov + fit_cov.T),
+                          cond.mean.ravel(), np.kron(cond.covariance, np.eye(d)))
+
+
+def straightness_by_probe(trajectory, oracle, cond, t_draws, rng):
+    """Both straightness metrics probed one stratified time at a time, with
+    the interpolated level of a flow path a placeholder."""
+    times, levels, states = (trajectory.grid.points, trajectory.grid.levels,
+                             trajectory.states)
+    t_end, t_start = float(times[-1]), float(times[0])
+    total, used = 0.0, 0
+    u = rng.random(t_draws)
+    for t in t_end + (np.arange(t_draws) + u) / t_draws * (t_start - t_end):
+        t = float(t)
+        j = min(max(int(np.searchsorted(-times, -t, side="right")) - 1, 0),
+                len(times) - 2)
+        w = (t - times[j + 1]) / (times[j] - times[j + 1])
+        x_t = w * states[j] + (1.0 - w) * states[j + 1]
+        if levels is None:
+            v = oracle.velocity(x_t, t, cond)
+            total += float(np.mean(np.sum((states[0] - states[-1] - v) ** 2,
+                                          axis=(-2, -1))))
+            continue
+        level = float(np.exp(w * np.log(levels[j]) + (1.0 - w) * np.log(levels[j + 1])))
+        s = oracle.score(x_t, min(level, 1.0), cond).reshape(x_t.shape[0], -1)
+        to_clean = (states[-1] - x_t).reshape(x_t.shape[0], -1)
+        nu, ns = np.linalg.norm(to_clean, axis=1), np.linalg.norm(s, axis=1)
+        keep = (nu > 1e-300) & (ns > 1e-300)
+        total += float(np.sum(np.sum(to_clean[keep] * s[keep], axis=1)
+                              / (nu[keep] * ns[keep])))
+        used += int(np.sum(keep))
+    return total / t_draws if levels is None else total / used
+
+
+class TestFoldReferences:
+    @pytest.mark.parametrize("height, width, dim, steps, kind", [
+        (4, 4, 4, 16, "random"), (4, 4, 4, 5, "raster"), (3, 2, 1, 1, "random"),
+        (2, 3, 3, 4, "random"),
+    ])
+    def test_one_block_prefix_equals_the_per_step_draws(self, height, width, dim,
+                                                        steps, kind):
+        spec = sa.TokenProcessSpec(grid_height=height, grid_width=width,
+                                   token_dim=dim)
+        order = (sa.random_order(spec, steps, seed=3) if kind == "random"
+                 else sa.raster_order(spec, steps))
+        plan = sa.conditioning_plan(spec, order)
+        got = sa.diagnostics._reference_conditionals(plan, 17)
+        want = prefix_by_step(plan, 17)
+        assert len(got) == len(want) == steps
+        for a, b in zip(got, want):
+            assert a.target_positions == b.target_positions
+            np.testing.assert_array_equal(a.mean, b.mean)
+            np.testing.assert_array_equal(a.covariance, b.covariance)
+
+    @pytest.mark.parametrize("draws", [3, 8, 200])
+    def test_w2_to_truth_is_the_moment_fit_against_the_kron_law(self, aniso_cond,
+                                                               draws):
+        # 3 and 8 draws of 12 coordinates give a singular fit.
+        rng = np.random.default_rng(draws)
+        for cond in (aniso_cond, isotropic_cond(0.4, 2.0, dim=1),
+                     dirac_cond(0.7, dim=3)):
+            sample = sa.sample_conditional(cond, rng, size=draws)
+            assert sa.w2_to_truth(sample, cond) == w2_by_moments(sample, cond)
+
+    def test_w2_to_truth_refuses_a_batched_mean(self, aniso_cond):
+        batched = sa.ConditionalGaussian(aniso_cond.target_positions,
+                                         np.stack([aniso_cond.mean] * 2),
+                                         aniso_cond.covariance)
+        draws = np.zeros((4,) + aniso_cond.mean.shape)
+        with pytest.raises(ValueError,
+                           match=r"^cond: needs an unbatched \(m, d\) mean$"):
+            sa.w2_to_truth(draws, batched)
+
+    @pytest.mark.parametrize("sampler", ["euler_flow", "ddpm", "ddim"])
+    @pytest.mark.parametrize("steps", [1, 7])
+    def test_straightness_equals_the_per_probe_loop(self, linear_schedule,
+                                                    aniso_cond, oracle, sampler,
+                                                    steps):
+        cfg = sa.SamplerConfig(sampler)
+        flow = cfg.domain == sa.FLOW
+        grid = (sa.make_flow_grid(steps, 0.9) if flow
+                else sa.make_diffusion_grid(linear_schedule, steps, 950))
+        _, rec = sa.sample_with_config(cfg, oracle, aniso_cond, grid,
+                                       np.random.default_rng(5), n_samples=16,
+                                       record_path=True)
+        fn = sa.straightness_flow if flow else sa.straightness_diffusion
+        got = fn(rec, oracle, aniso_cond, 40, np.random.default_rng(6))
+        assert got == straightness_by_probe(rec, oracle, aniso_cond, 40,
+                                            np.random.default_rng(6))
+
+    def test_straightness_errors_keep_their_order(self, aniso_cond, oracle):
+        rng = np.random.default_rng(0)
+        grid = sa.make_flow_grid(4, 1.0)
+        _, bare = sa.sample_with_config(EULER_FLOW, oracle, aniso_cond, grid, rng,
+                                        n_samples=2)
+        _, rec = sa.sample_with_config(EULER_FLOW, oracle, aniso_cond, grid, rng,
+                                       n_samples=2, record_path=True)
+        for fn in (sa.straightness_flow, sa.straightness_diffusion):
+            with pytest.raises(ValueError, match="endpoints missing"):
+                fn(bare, oracle, aniso_cond, 0, rng)
+        with pytest.raises(ValueError, match="needs a diffusion grid"):
+            sa.straightness_diffusion(rec, oracle, aniso_cond, 0, rng)
+        with pytest.raises(ValueError, match="t_draws"):
+            sa.straightness_flow(rec, oracle, aniso_cond, 0, rng)
