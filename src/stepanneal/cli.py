@@ -26,6 +26,7 @@ import numpy as np
 from .annealing import SCHEDULER_KINDS, StepScheduler, schedule_table, total_nfe
 from .denoiser import BiasedDenoiser, ExactDenoiser
 from .diagnostics import (
+    check_joint_draws,
     probe_error,
     quality_sweep,
     sampling_variance,
@@ -36,7 +37,6 @@ from .generate import batch_to_csv_rows, simulate_sequences, step_grids
 from .process import (
     ConditioningPlan,
     TokenProcessSpec,
-    conditional,
     conditional_solver,
     conditioning_plan,
     random_order,
@@ -155,32 +155,44 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _check_at_least(cfg: dict, key: str, least: int) -> None:
-    if cfg[key] < least:
-        raise ValueError(f"{key}: must be >= {least}, got {cfg[key]}")
+# Each constructor's parameters and the config keys they are read from
+# (parameter -> config key), for :func:`_from_config`.
+_SPEC_KEYS = {key: key for key in ("grid_height", "grid_width", "token_dim", "kernel",
+                                   "length_scale", "marginal_std", "jitter")}
+_RASTER_KEYS = {"group_count": "ar_steps"}
+_RANDOM_KEYS = {**_RASTER_KEYS, "seed": "order_seed"}
+_LINEAR_KEYS = {key: key for key in ("base_step_count", "beta_start", "beta_end")}
+_COSINE_KEYS = {"base_step_count": "base_step_count", "small_offset": "cosine_offset"}
+_SAMPLER_KEYS = {"kind": "sampler", "eta": "eta", "order": "solver_order",
+                 "sde_noise_scale": "sde_noise_scale"}
+_SCHEDULER_KEYS = {"kind": "scheduler_kind", "t_early": "t_early",
+                   "t_late": "t_late", "ar_steps": "ar_steps"}
+# sweep's policies, each read from a config with one value of each list set.
+_SWEEP_KEYS = {**_SCHEDULER_KEYS, "t_early": "sweep_t_early", "t_late": "sweep_t_late"}
+
+
+def _from_config(build, cfg: dict, keys: dict[str, str], *args):
+    """``build(*args, ...)`` with each parameter in ``keys`` set to the
+    config value of its key.  An error about a parameter is re-raised naming
+    its key."""
+    try:
+        return build(*args, **{field: cfg[key] for field, key in keys.items()})
+    except ValueError as exc:
+        field, _, detail = str(exc).partition(": ")
+        if field not in keys:
+            raise
+        raise ValueError(f"{keys[field]}: {detail}") from exc
 
 
 def build_spec(cfg: dict) -> TokenProcessSpec:
-    return TokenProcessSpec(
-        grid_height=cfg["grid_height"],
-        grid_width=cfg["grid_width"],
-        token_dim=cfg["token_dim"],
-        kernel=cfg["kernel"],
-        length_scale=cfg["length_scale"],
-        marginal_std=cfg["marginal_std"],
-        jitter=cfg["jitter"],
-    )
+    return _from_config(TokenProcessSpec, cfg, _SPEC_KEYS)
 
 
 def build_order(cfg: dict, spec: TokenProcessSpec):
-    n = spec.token_count
-    if not 1 <= cfg["ar_steps"] <= n:
-        raise ValueError(f"ar_steps: must lie in [1, {n}], got {cfg['ar_steps']}")
     if cfg["order_kind"] == "raster":
-        return raster_order(spec, cfg["ar_steps"])
+        return _from_config(raster_order, cfg, _RASTER_KEYS, spec)
     if cfg["order_kind"] == "random":
-        _check_at_least(cfg, "order_seed", 0)
-        return random_order(spec, cfg["ar_steps"], cfg["order_seed"])
+        return _from_config(random_order, cfg, _RANDOM_KEYS, spec)
     raise ValueError(f"order_kind: unknown value {cfg['order_kind']!r}")
 
 
@@ -192,33 +204,11 @@ def build_schedule(cfg: dict):
             f"one of {', '.join(SCHEDULE_KINDS)}"
         )
     if kind == "linear":
-        return build_linear_beta(
-            cfg["base_step_count"], cfg["beta_start"], cfg["beta_end"]
-        )
+        return _from_config(build_linear_beta, cfg, _LINEAR_KEYS)
     if kind == "cosine":
-        _check_at_least(cfg, "cosine_offset", 0)
-        return build_cosine_alpha_bar(cfg["base_step_count"], cfg["cosine_offset"])
+        return _from_config(build_cosine_alpha_bar, cfg, _COSINE_KEYS)
     raise ValueError(f"schedule_kind: unknown value {kind!r}; "
                      f"expected one of {', '.join(SCHEDULE_KINDS)}")
-
-
-# Each field of a SamplerConfig or StepScheduler and the config key it is read from.
-_SAMPLER_KEYS = {"kind": "sampler", "eta": "eta", "order": "solver_order",
-                 "sde_noise_scale": "sde_noise_scale"}
-_SCHEDULER_KEYS = {"kind": "scheduler_kind", "t_early": "t_early",
-                   "t_late": "t_late", "ar_steps": "ar_steps"}
-
-
-def _from_config(cls, cfg: dict, keys: dict[str, str]):
-    """``cls`` built from the config values that ``keys`` names (field ->
-    config key).  An error about a field is re-raised naming its key."""
-    try:
-        return cls(**{field: cfg[key] for field, key in keys.items()})
-    except ValueError as exc:
-        field, _, detail = str(exc).partition(": ")
-        if field not in keys:
-            raise
-        raise ValueError(f"{keys[field]}: {detail}") from exc
 
 
 def build_sampler_config(cfg: dict) -> SamplerConfig:
@@ -235,37 +225,44 @@ def check_minimums(cfg: dict, minimums: dict[str, int]) -> None:
     work has started; the spec names height and width together)."""
     for key, least in {"master_seed": 0, "grid_height": 1, "grid_width": 1,
                        **minimums}.items():
-        _check_at_least(cfg, key, least)
+        if cfg[key] < least:
+            raise ValueError(f"{key}: must be >= {least}, got {cfg[key]}")
 
 
-def check_run(
+def _write_json(path: Path, data: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def start_run(
     cfg: dict,
     minimums: dict[str, int],
     sampler_config: SamplerConfig,
     schedulers: Sequence[StepScheduler],
-) -> tuple[ConditioningPlan, list[list[TimeGrid]]]:
+) -> tuple[ConditioningPlan, list[list[TimeGrid]], Path, str]:
     """Every check that must pass before anything is written, in order: the
     minimums (:func:`check_minimums`), the spec and the generation order,
     the field's positive definiteness, and every AR step's grid under every
-    policy.  Returns the order's conditioning plan, whose factorisation is
-    that positive-definiteness check, and each policy's grids: the only plan
-    and grids the command builds."""
+    policy.  Then create the output directory and echo the config into it.
+    Returns the order's conditioning plan, whose factorisation is that
+    positive-definiteness check, each policy's grids (the only plan and
+    grids the command builds), the output directory and the config hash."""
     check_minimums(cfg, minimums)
     spec = build_spec(cfg)
     plan = conditioning_plan(spec, build_order(cfg, spec))
     schedule = build_schedule(cfg) if sampler_config.domain == DIFFUSION else None
-    return plan, [
+    grids = [
         step_grids(sampler_config, scheduler, schedule,
                    cfg["start_index"], cfg["flow_start_time"])
         for scheduler in schedulers
     ]
-
-
-def resolve_out_dir(cfg: dict) -> Path:
-    out = cfg["out_dir"] or os.environ.get(OUT_DIR_ENV) or "stepanneal_out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    out = Path(cfg["out_dir"] or os.environ.get(OUT_DIR_ENV) or "stepanneal_out")
+    out.mkdir(parents=True, exist_ok=True)
+    digest = config_hash(cfg)
+    _write_json(out / "effective_config.json", {
+        "config_hash": digest, **{k: v for k, v in cfg.items() if k != "out_dir"}})
+    return plan, grids, out, digest
 
 
 def write_csv(path: Path, digest: str, header: list[str], rows) -> None:
@@ -279,35 +276,24 @@ def write_csv(path: Path, digest: str, header: list[str], rows) -> None:
             fh.write(row if isinstance(row, str) else ",".join(map(str, row)) + "\n")
 
 
-def echo_config(cfg: dict, out: Path) -> str:
-    digest = config_hash(cfg)
-    echoed = {k: v for k, v in cfg.items() if k != "out_dir"}
-    with open(out / "effective_config.json", "w") as fh:
-        json.dump({"config_hash": digest, **echoed}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return digest
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_schedule(args) -> int:
-    scheduler = build_scheduler(load_config(args.config, _overrides(args)))
+def cmd_schedule(cfg: dict, args) -> int:
+    scheduler = build_scheduler(cfg)
     print("k,T")
     for k, t in schedule_table(scheduler):
         print(f"{k},{t}")
     return 0
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
+def cmd_simulate(cfg: dict, args) -> int:
     sampler_config = build_sampler_config(cfg)
     scheduler = build_scheduler(cfg)
-    plan, [grids] = check_run(cfg, {"n_sequences": 1}, sampler_config, [scheduler])
-    out = resolve_out_dir(cfg)
-    digest = echo_config(cfg, out)
+    plan, [grids], out, digest = start_run(
+        cfg, {"n_sequences": 1}, sampler_config, [scheduler])
     started = time.perf_counter()
     batch = simulate_sequences(
         plan, sampler_config, grids,
@@ -320,17 +306,14 @@ def cmd_simulate(args) -> int:
         ["seq_id", "ar_step", "position", "dim", "value"],
         batch_to_csv_rows(batch),
     )
-    summary = {
+    _write_json(out / "summary.json", {
         "config_hash": digest,
         "n_sequences": cfg["n_sequences"],
         "step_counts": list(batch.step_counts),
         "nfe_per_sequence": batch.nfe_per_sequence,
         "total_nfe": batch.nfe_per_sequence * cfg["n_sequences"],
         "scheduled_nfe_per_sequence": total_nfe(scheduler, sampler_config.calls),
-    }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     print(
         f"simulate: {cfg['n_sequences']} sequences, "
         f"NFE/sequence {batch.nfe_per_sequence}, wall {elapsed:.2f}s -> {out}"
@@ -338,15 +321,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_diagnose(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
+def cmd_diagnose(cfg: dict, args) -> int:
     sampler_config = build_sampler_config(cfg)
     scheduler = build_scheduler(cfg)
-    plan, [grids] = check_run(cfg, {
+    plan, [grids], out, digest = start_run(cfg, {
         "n_sequences": 1, "t_draws": 1, "draws_per_step": 2, "probe_sequences": 1,
     }, sampler_config, [scheduler])
-    out = resolve_out_dir(cfg)
-    digest = echo_config(cfg, out)
     started = time.perf_counter()
     seed = cfg["master_seed"]
 
@@ -405,25 +385,21 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
+def cmd_sweep(cfg: dict, args) -> int:
     sampler_config = build_sampler_config(cfg)
     for key in ("sweep_t_early", "sweep_t_late"):
         if not cfg[key]:
             raise ValueError(f"{key}: must hold at least one step count")
-    sweep_keys = {**_SCHEDULER_KEYS, "t_early": "sweep_t_early",
-                  "t_late": "sweep_t_late"}
     schedulers = [
         _from_config(StepScheduler,
-                     {**cfg, "sweep_t_early": te, "sweep_t_late": tl}, sweep_keys)
+                     {**cfg, "sweep_t_early": te, "sweep_t_late": tl}, _SWEEP_KEYS)
         for te in cfg["sweep_t_early"]
         for tl in cfg["sweep_t_late"]
     ]
-    plan, grids = check_run(
+    check_joint_draws(cfg["joint_sequences"], cfg["token_dim"])
+    plan, grids, out, digest = start_run(
         cfg, {"draws_per_step": 2, "floor_repeats": 1, "joint_sequences": 0},
         sampler_config, schedulers)
-    out = resolve_out_dir(cfg)
-    digest = echo_config(cfg, out)
     started = time.perf_counter()
     rows, summaries = quality_sweep(
         plan, sampler_config, list(zip(schedulers, grids)),
@@ -453,8 +429,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_oracle_check(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
+def cmd_oracle_check(cfg: dict, args) -> int:
     # The regression below fits 9 parameters (intercept and 8 observed
     # positions) and needs a residual degree of freedom; its target is a
     # ninth position.
@@ -473,13 +448,13 @@ def cmd_oracle_check(args) -> int:
     obs_pos = list(rng.permutation(spec.token_count)[:8])
     targets = [p for p in range(spec.token_count) if p not in obs_pos][:3]
     obs_vals = rng.standard_normal((len(obs_pos), spec.token_dim))
-    observed = list(zip(obs_pos, obs_vals))
     # The plan of the order (observed, targets, rest) that every conditional
     # is read from; its factorisation is the positive-definiteness check.
     solver = conditional_solver(spec, obs_pos, targets)
     cond = solver.conditional(spec, obs_vals)
 
-    # Finite differences against the analytic log-density gradient.
+    # Central differences along each basis step against the analytic
+    # log-density gradient.
     a = 0.35
     x = rng.standard_normal((len(targets), spec.token_dim))
     score = oracle.score(x, a, cond)
@@ -491,13 +466,9 @@ def cmd_oracle_check(args) -> int:
         return -0.5 * float(np.sum(dev * (inv @ dev)))
 
     h = 1e-4
-    fd = np.zeros_like(x)
-    for i in range(x.shape[0]):
-        for j in range(x.shape[1]):
-            up, dn = x.copy(), x.copy()
-            up[i, j] += h
-            dn[i, j] -= h
-            fd[i, j] = (logpdf(up) - logpdf(dn)) / (2 * h)
+    steps = h * np.eye(x.size).reshape(x.size, *x.shape)
+    fd = np.array([logpdf(x + e) - logpdf(x - e) for e in steps])
+    fd = fd.reshape(x.shape) / (2 * h)
     rel = float(np.max(np.abs(score - fd)) / np.max(np.abs(fd)))
     checks.append(("score finite-difference", rel < 1e-5, f"rel err {rel:.2e}"))
 
@@ -525,11 +496,8 @@ def cmd_oracle_check(args) -> int:
     )
 
     # Conditioning never increases uncertainty.
-    small = conditional(spec, observed[:4], targets)
-    tightens = (
-        float(np.trace(cond.covariance))
-        <= float(np.trace(small.covariance)) + 1e-9
-    )
+    small = conditional_solver(spec, obs_pos[:4], targets)
+    tightens = bool(np.trace(cond.covariance) <= np.trace(small.covariance) + 1e-9)
     checks.append(("conditioning tightens", tightens, ""))
 
     failed = [name for name, ok, _ in checks if not ok]
@@ -612,7 +580,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(load_config(args.config, _overrides(args)), args)
     except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

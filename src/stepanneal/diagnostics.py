@@ -406,6 +406,13 @@ def scheduler_label(s: StepScheduler) -> str:
     return f"{s.kind}_{s.t_early}_{s.t_late}"
 
 
+def check_joint_draws(joint_sequences: int, token_dim: int) -> None:
+    """One joint draw has no covariance: ``nan``, the column's "off" value."""
+    if joint_sequences * token_dim == 1:
+        raise ValueError("joint_sequences: a joint-moment run needs at least 2 "
+                         "draws (joint_sequences x token_dim), got 1")
+
+
 def quality_sweep(
     plan: ConditioningPlan,
     sampler_config: SamplerConfig,
@@ -431,6 +438,7 @@ def quality_sweep(
     also runs that many full sequences end to end and reports the relative
     Frobenius error of the empirical joint covariance.
     """
+    check_joint_draws(joint_sequences, plan.spec.token_dim)
     for _, grids in policies:
         check_grid_count(grids, plan.order)
     prefix_seed, sweep_seed = seeds

@@ -152,10 +152,12 @@ def random_order(
     spec: TokenProcessSpec, group_count: int, seed: int
 ) -> GenerationOrder:
     """Seeded uniform-random permutation with near-equal group sizes."""
+    group_sizes = _split_sizes(spec.token_count, group_count)
+    if seed < 0:
+        raise ValueError(f"seed: must be >= 0, got {seed}")
     perm = np.random.default_rng(seed).permutation(spec.token_count)
     return GenerationOrder(
-        permutation=tuple(int(p) for p in perm),
-        group_sizes=_split_sizes(spec.token_count, group_count),
+        permutation=tuple(int(p) for p in perm), group_sizes=group_sizes
     )
 
 

@@ -92,7 +92,7 @@ def build_cosine_alpha_bar(
     if base_step_count < 2:
         raise ValueError("base_step_count: must be >= 2")
     if small_offset < 0.0:
-        raise ValueError("small_offset: must be >= 0")
+        raise ValueError(f"small_offset: must be >= 0, got {small_offset}")
     n, s = base_step_count, small_offset
     u = np.arange(n + 1, dtype=np.float64)
     profile = np.cos(((u / n + s) / (1.0 + s)) * (math.pi / 2.0)) ** 2

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -195,6 +196,41 @@ def test_benchmark_child_runs_one_pass(tmp_path):
     assert result.returncode == 0, result.stderr
     record = json.loads(result.stdout.splitlines()[-1])
     assert record["exit_codes"] == [0]
+
+
+def test_key_tables_name_constructor_parameters():
+    # Every table that cli feeds a constructor through _from_config maps
+    # parameters of that constructor to config keys, so a renamed parameter
+    # or key fails here rather than on the first run that reads it.
+    tables = {
+        "_SPEC_KEYS": stepanneal.TokenProcessSpec,
+        "_RASTER_KEYS": stepanneal.raster_order,
+        "_RANDOM_KEYS": stepanneal.random_order,
+        "_LINEAR_KEYS": stepanneal.build_linear_beta,
+        "_COSINE_KEYS": stepanneal.build_cosine_alpha_bar,
+        "_SAMPLER_KEYS": stepanneal.SamplerConfig,
+        "_SCHEDULER_KEYS": stepanneal.StepScheduler,
+        "_SWEEP_KEYS": stepanneal.StepScheduler,
+    }
+    assert set(tables) == {name for name in vars(cli) if name.endswith("_KEYS")}
+    for name, build in tables.items():
+        keys = getattr(cli, name)
+        assert set(keys) <= set(inspect.signature(build).parameters), name
+        assert set(keys.values()) <= set(cli.DEFAULT_CONFIG), name
+
+
+def test_library_checks_the_cli_remaps():
+    # The CLI leaves these range checks to the library and only renames the
+    # parameter to its config key (BAD_CONFIG checks the remapped messages).
+    spec = stepanneal.TokenProcessSpec()
+    with pytest.raises(ValueError, match=r"^seed: must be >= 0, got -1$"):
+        stepanneal.random_order(spec, 4, -1)
+    with pytest.raises(ValueError, match=r"^small_offset: must be >= 0, got -0\.1$"):
+        stepanneal.build_cosine_alpha_bar(small_offset=-0.1)
+    # The order's kind is read before the library sees ar_steps.
+    with pytest.raises(ValueError, match="^order_kind: unknown value 'bogus'$"):
+        cli.build_order({**cli.DEFAULT_CONFIG, "order_kind": "bogus", "ar_steps": 100},
+                        spec)
 
 
 def test_override_flags_are_config_keys():
@@ -457,6 +493,9 @@ class TestSimulateCommand:
              "error: sweep_t_early: ", ("sweep",)),
             ({"schedule_kind": "linear", "sweep_t_late": []},
              "error: sweep_t_late: ", ("sweep",)),
+            ({**_LINEAR, "token_dim": 1, "joint_sequences": 1},
+             "error: joint_sequences: a joint-moment run needs at least 2 draws",
+             ("sweep",)),
             ({"schedule_kind": "linear", "start_index": 0},
              "error: AR step 0: start_index: must lie in [1, ",
              ("simulate", "diagnose", "sweep")),

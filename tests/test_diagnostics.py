@@ -350,6 +350,29 @@ class TestQualitySweep:
         assert all(np.isfinite(s.joint_moment_error) for s in summaries)
         assert summaries[0].joint_moment_error < 0.25
 
+    def test_one_joint_draw_rejected(self, linear_schedule):
+        # One sequence of one dimension is one joint draw, whose empirical
+        # covariance is nan: the value the column holds when the run is off.
+        # Two draws, from two sequences or two dimensions, give a number.
+        cfg = sa.SamplerConfig(kind="ddim")
+        pol = sa.constant_scheduler(4, 2)
+        grids = sa.step_grids(cfg, pol, linear_schedule, 950)
+        for dim, sequences in ((1, 1), (1, 2), (2, 1)):
+            spec = sa.TokenProcessSpec(grid_height=2, grid_width=2, token_dim=dim)
+            plan = sa.conditioning_plan(spec, sa.raster_order(spec, 2))
+
+            def sweep():
+                return sa.quality_sweep(plan, cfg, [(pol, grids)], (0, 1),
+                                        draws_per_step=8, floor_repeats=1,
+                                        joint_sequences=sequences)
+
+            if dim * sequences == 1:
+                with pytest.raises(ValueError, match="^joint_sequences: "):
+                    sweep()
+            else:
+                [summary] = sweep()[1]
+                assert np.isfinite(summary.joint_moment_error)
+
     def test_mismatched_ar_steps_rejected(self, spec, linear_schedule):
         order = sa.random_order(spec, 16, seed=0)
         cfg = sa.SamplerConfig(kind="ddim")

@@ -1,6 +1,7 @@
 """The demos and the README's python blocks use only names the package has,
 the README's ``stepanneal`` command lines parse, its config-key paragraph
-names every config key, and the fast demos run to completion.
+names every config key, and the README's python blocks and the fast demos
+run to completion.
 
 Demos 03 and 04 take several seconds each, so they are only parsed.
 """
@@ -76,12 +77,28 @@ def test_readme_lists_every_config_key():
     assert names == set(cli.DEFAULT_CONFIG)
 
 
-@pytest.mark.parametrize("demo", ["01_schedules_and_grids.py", "02_exact_oracle.py",
-                                  "05_annealing_tradeoff.py"])
-def test_fast_demo_runs(demo):
+def _run_python(*args):
+    """Run ``python *args`` with this checkout's package first on PYTHONPATH;
+    returns its stdout after checking that it exits 0."""
     src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+    result = subprocess.run([sys.executable, *args], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(SOURCES) if n.startswith("README")])
+def test_readme_block_runs(name):
+    out = _run_python("-c", SOURCES[name])
+    if name == "README.md#0":
+        # The quick start prints what its comments promise: 463 calls per
+        # sequence, reported and spent.
+        assert out.splitlines()[:2] == ["(8, 16, 4) 463", "463"]
+
+
+@pytest.mark.parametrize("demo", ["01_schedules_and_grids.py", "02_exact_oracle.py",
+                                  "05_annealing_tradeoff.py"])
+def test_fast_demo_runs(demo):
+    _run_python(str(ROOT / "demos" / demo))

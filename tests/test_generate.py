@@ -88,6 +88,13 @@ class TestGenerateSequence:
         with pytest.raises(RuntimeError, match="AR step 0"):
             _one(spec, order, cfg, pol, linear_schedule, seed=0, start_index=950)
 
+    def test_missing_schedule_fails_before_any_step(self, setup):
+        # A diffusion sampler without a noise schedule is a bad argument, not
+        # a failure of AR step 0.
+        _, cfg, pol = setup
+        with pytest.raises(ValueError, match="^schedule: diffusion samplers need a"):
+            sa.step_grids(cfg, pol, None)
+
     def test_scheduler_order_mismatch(self, spec, linear_schedule, setup):
         order, cfg, _ = setup
         pol = sa.constant_scheduler(10, 8)
