@@ -46,6 +46,8 @@ class StepScheduler:
             raise ValueError("t_late: must be a positive integer")
         if self.ar_steps < 1:
             raise ValueError("ar_steps: must be a positive integer")
+        if self.kind == "constant":  # its rule reads no t_late
+            object.__setattr__(self, "t_late", self.t_early)
 
 
 def constant_scheduler(t: int, ar_steps: int) -> StepScheduler:

@@ -375,9 +375,9 @@ def cmd_diagnose(cfg: dict, args) -> int:
     )
     elapsed = time.perf_counter() - started
     steps = np.arange(plan.order.step_count)
-    rho_var = spearman(steps, variance.empirical.mean(axis=1))
-    print(f"straightness Spearman(step, value) = {straight.spearman_to_step:+.3f}")
-    print(f"variance Spearman(step, value) = {rho_var:+.3f}")
+    for name, per_step in (("straightness", straight.per_step),
+                           ("variance", variance.empirical.mean(axis=1))):
+        print(f"{name} Spearman(step, value) = {spearman(steps, per_step):+.3f}")
     print(
         f"probe MSE first step {probe.mse[0]:.4f} -> last step {probe.mse[-1]:.4f}"
     )
@@ -390,12 +390,13 @@ def cmd_sweep(cfg: dict, args) -> int:
     for key in ("sweep_t_early", "sweep_t_late"):
         if not cfg[key]:
             raise ValueError(f"{key}: must hold at least one step count")
-    schedulers = [
+    # Each distinct policy once (a constant policy's t_late is its t_early).
+    schedulers = list(dict.fromkeys(
         _from_config(StepScheduler,
                      {**cfg, "sweep_t_early": te, "sweep_t_late": tl}, _SWEEP_KEYS)
         for te in cfg["sweep_t_early"]
         for tl in cfg["sweep_t_late"]
-    ]
+    ))
     check_joint_draws(cfg["joint_sequences"], cfg["token_dim"])
     plan, grids, out, digest = start_run(
         cfg, {"draws_per_step": 2, "floor_repeats": 1, "joint_sequences": 0},
@@ -516,24 +517,10 @@ def cmd_oracle_check(cfg: dict, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Each override flag's config key and argparse settings; the flag is "--"
-# and the key with dashes.
-_FLAGS = {
-    "ar_steps": {"type": int},
-    "scheduler_kind": {"choices": SCHEDULER_KINDS},
-    "t_early": {"type": int},
-    "t_late": {"type": int},
-    "out_dir": {},
-    "master_seed": {"type": int},
-    "n_sequences": {"type": int},
-    "sampler": {"choices": SAMPLER_KINDS},
-    "eta": {"type": float},
-    "solver_order": {"type": int},
-    "sde_noise_scale": {"type": float},
-    "schedule_kind": {"choices": SCHEDULE_KINDS},
-    "start_index": {"type": int},
-    "draws_per_step": {"type": int},
-}
+# An override flag is "--" and its config key with dashes, typed like the
+# key's default; these keys' flags also take only the listed values.
+_CHOICES = {"scheduler_kind": SCHEDULER_KINDS, "sampler": SAMPLER_KINDS,
+            "schedule_kind": SCHEDULE_KINDS}
 
 _POLICY = ("ar_steps", "scheduler_kind", "t_early", "t_late")
 _SAMPLING = ("out_dir", "master_seed", "sampler", "eta", "solver_order",
@@ -569,7 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         p.add_argument("--config", default=None, help="JSON config file")
         for key in keys:
-            p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
+            p.add_argument("--" + key.replace("_", "-"), choices=_CHOICES.get(key),
+                           type=_NULLABLE.get(key, type(DEFAULT_CONFIG[key])))
         if name == "oracle-check":
             p.add_argument("--corrupt-score", action="store_true",
                            help="negative control: inject a score bias (must fail)")

@@ -259,10 +259,6 @@ class StraightnessReport:
     t_draws: int
     n_trajectories: int
 
-    @property
-    def spearman_to_step(self) -> float:
-        return spearman(np.arange(self.per_step.size), self.per_step)
-
 
 def straightness_by_step(
     batch: SequenceBatch, t_draws: int, rng: np.random.Generator

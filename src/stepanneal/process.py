@@ -28,15 +28,11 @@ from functools import cached_property
 
 import numpy as np
 
+from .schedules import _readonly
+
 
 class NumericalError(RuntimeError):
     """Raised when a covariance factorization fails beyond repair."""
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,11 +72,6 @@ class TokenProcessSpec:
     @property
     def token_count(self) -> int:
         return self.grid_height * self.grid_width
-
-    def positions(self) -> np.ndarray:
-        """(n, 2) array of (row, col) coordinates in position order."""
-        rows, cols = np.divmod(np.arange(self.token_count), self.grid_width)
-        return np.stack([rows, cols], axis=1).astype(np.float64)
 
     @cached_property
     def covariance(self) -> np.ndarray:

@@ -32,6 +32,15 @@ class TestStepsAt:
         sched = make("constant", 50, 50, 16)
         assert [sa.steps_at(sched, k) for k in range(16)] == [50] * 16
 
+    def test_constant_policy_is_stated_once(self):
+        # The constant rule reads no t_late, so a constant policy holds
+        # t_late = t_early and equals (and hashes like) every other way of
+        # stating it; sweep runs it once.
+        sched = make("constant", 50, 5, 16)
+        assert sched == sa.constant_scheduler(50, 16) == make("constant", 50, 25, 16)
+        assert hash(sched) == hash(sa.constant_scheduler(50, 16))
+        assert sched.t_late == 50
+
     def test_linear_to_one_stops_short(self):
         assert sa.steps_at(make("linear", 50, 1, 8), 7) == 7
 

@@ -235,10 +235,10 @@ def test_library_checks_the_cli_remaps():
 
 def test_override_flags_are_config_keys():
     # Only dests that are config keys become overrides, so a misspelt key
-    # would be dropped silently.  Every flag in the table is some command's.
-    assert set(cli._FLAGS) <= set(cli.DEFAULT_CONFIG)
-    assert {key for _, _, keys in cli._COMMANDS.values() for key in keys} == set(
-        cli._FLAGS)
+    # would be dropped silently.  Every key with choices is some command's.
+    flags = {key for _, _, keys in cli._COMMANDS.values() for key in keys}
+    assert flags <= set(cli.DEFAULT_CONFIG)
+    assert set(cli._CHOICES) <= flags
     args = cli.build_parser().parse_args(["simulate", "--eta", "0.5", "--out-dir", "x"])
     keys = cli._COMMANDS["simulate"][2]
     assert cli._overrides(args) == {**dict.fromkeys(keys), "eta": 0.5, "out_dir": "x"}
@@ -255,10 +255,34 @@ def test_each_command_takes_the_flags_it_reads():
     [commands] = [action.choices for action in parser._actions
                   if isinstance(action, argparse._SubParsersAction)]
     assert set(commands) == {"schedule", *_ALL}
+    flags = {key for _, _, keys in cli._COMMANDS.values() for key in keys}
     for command, sub in commands.items():
         dests = {action.dest for action in sub._actions} - {
             "help", "config", "corrupt_score"}
-        assert dests == {key for key in cli._FLAGS if command in readers[key]}, command
+        assert dests == {key for key in flags if command in readers[key]}, command
+
+
+def test_flags_parse_to_their_config_types():
+    # Each override flag's type is its config key's: a valid value ("3" for
+    # --start-index, "0.5" for --eta, "x" for --out-dir) parses to that type
+    # and passes the config check; a key whose default is null names its
+    # type in _NULLABLE; a key with choices refuses any other value.
+    parser = cli.build_parser()
+    samples = {int: "3", float: "0.5", str: "x"}
+    for command, (_, _, keys) in cli._COMMANDS.items():
+        for key in keys:
+            kind = cli._NULLABLE.get(key, type(cli.DEFAULT_CONFIG[key]))
+            text = cli._CHOICES[key][0] if key in cli._CHOICES else samples[kind]
+            value = vars(parser.parse_args(
+                [command, "--" + key.replace("_", "-"), text]))[key]
+            assert type(value) is kind, (command, key)
+            cli._check_type(key, value)
+            if cli.DEFAULT_CONFIG[key] is None:
+                assert key in cli._NULLABLE, key
+    for key in cli._CHOICES:
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--" + key.replace("_", "-"), "bogus"])
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -668,6 +692,44 @@ class TestSweepCommand:
         assert totals == sorted(totals)
         assert all(b > a for a, b in zip(totals, totals[1:]))
 
+    def test_constant_policy_runs_once(self, capsys, tmp_path):
+        # A constant rule reads no t_late, so the default sweep_t_late list
+        # states one policy, run once with t_late = t_early.  Common random
+        # numbers make its rows those of the same T(k) = 50 under any label:
+        # here a two-stage 50 -> 50 policy swept alone.
+        def sweep(name, *argv):
+            out = tmp_path / name
+            code, _, err = run_cli(capsys, "sweep", "--schedule-kind", "linear",
+                                   "--out-dir", str(out), *argv)
+            assert code == 0, err
+            return (read_csv(out / "sweep.csv")[1],
+                    read_csv(out / "sweep_summary.csv")[1])
+
+        rows, summaries = sweep("constant", "--scheduler-kind", "constant")
+        assert [s[:5] for s in summaries] == [
+            ["constant_50", "constant", "50", "50", "800"]]
+        assert len(rows) == 16
+        assert all(r[:4] == ["constant_50", "constant", "50", "50"] for r in rows)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"sweep_t_late": [50]}))
+        same_rows, same_summaries = sweep("two_stage", "--config", str(config),
+                                          "--scheduler-kind", "two_stage")
+        assert [r[4:] for r in rows] == [r[4:] for r in same_rows]
+        assert summaries[0][4:] == same_summaries[0][4:]
+
+    def test_repeated_list_entry_runs_once(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "schedule_kind": "linear", "draws_per_step": 8, "floor_repeats": 1,
+            "sweep_t_early": [50, 50], "sweep_t_late": [5, 5],
+            "out_dir": str(tmp_path / "out"),
+        }))
+        assert run_cli(capsys, "sweep", "--config", str(config))[0] == 0
+        _, summaries = read_csv(tmp_path / "out" / "sweep_summary.csv")
+        assert [s[:4] for s in summaries] == [["linear_50_5", "linear", "50", "5"]]
+        _, rows = read_csv(tmp_path / "out" / "sweep.csv")
+        assert len(rows) == 16
+
 
 @pytest.mark.parametrize("sampler,order", [
     ("ddpm", 1), ("ddim", 1), ("dpm_solver", 1), ("dpm_solver", 2),
@@ -820,6 +882,40 @@ def test_valid_config_simulates(capsys, tmp_path, cfg):
     assert summary["step_counts"] == steps
     assert summary["nfe_per_sequence"] == sum(2 * t - 1 if midpoint else t
                                               for t in steps)
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_valid_config(),
+       t_early=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+       t_late=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+       kind=st.sampled_from(stepanneal.SCHEDULER_KINDS))
+def test_valid_config_sweeps(capsys, tmp_path, cfg, t_early, t_late, kind):
+    # Any valid small sweep runs each distinct policy once (a constant policy
+    # with t_late = t_early), with ar_steps rows each, and its total NFE is
+    # the calls table summed over the policy's T(k).
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        **cfg, "scheduler_kind": kind, "sweep_t_early": t_early,
+        "sweep_t_late": t_late, "draws_per_step": 2, "floor_repeats": 1,
+        "out_dir": str(tmp_path / "out"),
+    }))
+    code, _, err = run_cli(capsys, "sweep", "--config", str(config))
+    assert code == 0, err
+    _, rows = read_csv(tmp_path / "out" / "sweep.csv")
+    _, summaries = read_csv(tmp_path / "out" / "sweep_summary.csv")
+    policies = {(te, te if kind == "constant" else tl)
+                for te in t_early for tl in t_late}
+    assert sorted((int(s[2]), int(s[3])) for s in summaries) == sorted(policies)
+    assert len({s[0] for s in summaries}) == len(summaries)
+    assert len(rows) == len(summaries) * cfg["ar_steps"]
+    midpoint = cfg["sampler"] == "dpm_solver" and cfg["solver_order"] == 2
+    for s in summaries:
+        assert s[1] == kind
+        scheduler = stepanneal.StepScheduler(kind, int(s[2]), int(s[3]),
+                                             cfg["ar_steps"])
+        steps = [t for _, t in stepanneal.schedule_table(scheduler)]
+        assert int(s[4]) == sum(2 * t - 1 if midpoint else t for t in steps)
 
 
 class TestOracleCheckCommand:

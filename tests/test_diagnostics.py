@@ -430,11 +430,11 @@ class TestSpearman:
             sa.spearman([1.0, 2.0, 3.0], [1.0, 2.0])
 
     def test_spearman_to_step_with_ties(self):
+        # diagnose ranks each per-step series against its AR step this way.
         per_step = np.array([0.3, 0.1, 0.1, 0.5, 0.3, 0.0, 0.5])
-        rep = sa.StraightnessReport(metric="flow", per_step=per_step,
-                                    t_draws=8, n_trajectories=4)
-        ref = scipy_spearman(np.arange(per_step.size), per_step)
-        assert abs(rep.spearman_to_step - ref) <= 1e-12
+        steps = np.arange(per_step.size)
+        ref = scipy_spearman(steps, per_step)
+        assert abs(sa.spearman(steps, per_step) - ref) <= 1e-12
 
 
 class TestStraightnessReport:
@@ -459,7 +459,7 @@ class TestStraightnessReport:
         assert rep.metric == "diffusion"
         assert rep.per_step.shape == (4,)
         assert np.all(rep.per_step >= -1) and np.all(rep.per_step <= 1)
-        assert -1.0 <= rep.spearman_to_step <= 1.0
+        assert -1.0 <= sa.spearman(np.arange(4), rep.per_step) <= 1.0
 
 
 # The forms that the diagnostics compute in one place now, kept as the

@@ -18,9 +18,9 @@ RANK_ONE = sa.TokenProcessSpec(grid_height=8, grid_width=8, length_scale=1e10,
 def dense_covariance(spec):
     """The covariance from every pair's grid distance, as the spec built it
     before it gathered from a table of grid offsets: the reference."""
-    pos = spec.positions()
-    d_row = pos[:, None, 0] - pos[None, :, 0]
-    d_col = pos[:, None, 1] - pos[None, :, 1]
+    rows, cols = np.divmod(np.arange(spec.token_count), spec.grid_width)
+    d_row = (rows[:, None] - rows[None, :]).astype(np.float64)
+    d_col = (cols[:, None] - cols[None, :]).astype(np.float64)
     dist2 = d_row * d_row + d_col * d_col
     s2 = spec.marginal_std**2
     if spec.kernel == "rbf":
@@ -56,7 +56,8 @@ class TestJointCovariance:
         assert abs(cov[0, 1] - 1.0) < 1e-9
 
     def test_rbf_matches_elementwise_formula(self, spec, cov):
-        pos = spec.positions()
+        pos = np.stack(np.divmod(np.arange(spec.token_count), spec.grid_width),
+                       axis=1).astype(np.float64)
         for i in range(spec.token_count):
             for j in range(spec.token_count):
                 d2 = np.sum((pos[i] - pos[j]) ** 2)
