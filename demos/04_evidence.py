@@ -18,13 +18,14 @@ grids = sa.step_grids(sampler, policy, schedule, start_index=950)
 plans = [sa.conditioning_plan(spec, sa.random_order(spec, 16, seed=s))
          for s in range(32)]
 
-probe = np.mean(
-    [sa.probe_error(plan, range(8)).exact_per_dim for plan in plans], axis=0)
+# The Bayes predictor's expected squared error is the exact conditional
+# variance per dimension, tr(Sigma_k) / m_k.
+probe = np.mean([sa.exact_variance(plan) for plan in plans], axis=0)
 
 variance = np.zeros(16)
 for i, plan in enumerate(plans):
-    rep = sa.sampling_variance(plan, sampler, grids, 100, (1000 + i, 2000 + i))
-    variance += rep.empirical.mean(axis=1)
+    draws_var = sa.sampling_variance(plan, sampler, grids, 100, (1000 + i, 2000 + i))
+    variance += draws_var.mean(axis=1)
 variance /= len(plans)
 
 straight = np.zeros(16)
@@ -33,7 +34,7 @@ for i, plan in enumerate(plans):
     batch = sa.simulate_sequences(plan, sampler, grids,
                                   n_sequences=16, master_seed=500 + i,
                                   record_paths=True)
-    straight += sa.straightness_by_step(batch, 64, rng).per_step
+    straight += sa.straightness_by_step(batch, 64, rng)
 straight /= len(plans)
 
 print("AR step | Bayes-predictor MSE | sampling variance | path straightness")

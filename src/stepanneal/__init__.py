@@ -16,20 +16,16 @@ from .annealing import (
     StepScheduler,
     constant_scheduler,
     schedule_table,
+    scheduler_label,
     steps_at,
     total_nfe,
 )
 from .denoiser import BiasedDenoiser, ExactDenoiser
 from .diagnostics import (
-    ProbeReport,
-    StraightnessReport,
-    SweepRow,
-    SweepSummary,
-    VarianceReport,
+    exact_variance,
     probe_error,
     quality_sweep,
     sampling_variance,
-    scheduler_label,
     spearman,
     straightness_by_step,
     straightness_diffusion,

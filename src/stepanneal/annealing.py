@@ -50,6 +50,13 @@ class StepScheduler:
             object.__setattr__(self, "t_late", self.t_early)
 
 
+def scheduler_label(s: StepScheduler) -> str:
+    """The policy's name in ``sweep``'s tables, e.g. ``linear_50_5``."""
+    if s.kind == "constant":
+        return f"constant_{s.t_early}"
+    return f"{s.kind}_{s.t_early}_{s.t_late}"
+
+
 def constant_scheduler(t: int, ar_steps: int) -> StepScheduler:
     return StepScheduler(kind="constant", t_early=t, t_late=t, ar_steps=ar_steps)
 

@@ -22,11 +22,13 @@ seeds.  The per-step runners (:func:`sampling_variance`, :func:`probe_error`,
 :func:`quality_sweep`) take the generation order's
 :class:`~stepanneal.process.ConditioningPlan`, built once per command, and
 condition every AR step through it; none of them factors the covariance.
+Sampling runs take their grids, one per AR step (a policy is its grids, so
+any per-step allocation can be swept).  Each function returns the arrays it
+measured, indexed by AR step (and policy or dimension); the exact
+per-dimension variance they are read against is :func:`exact_variance`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +36,7 @@ import numpy as np
 # ``generate.step_grids``.  ``steps_at``, ``total_nfe``, ``conditional_solver``
 # and the two grid functions stay bound here, unused, because bench/spans.py
 # traces the layers by rebinding these names here.
-from .annealing import StepScheduler, steps_at, total_nfe  # noqa: F401
+from .annealing import steps_at, total_nfe  # noqa: F401
 from .denoiser import ExactDenoiser
 from .generate import SequenceBatch, check_grid_count, simulate_sequences
 from .process import (
@@ -250,35 +252,21 @@ def straightness_diffusion(
     return total / used if used else float("nan")
 
 
-@dataclass(eq=False)
-class StraightnessReport:
-    """Per-AR-step straightness averages."""
-
-    metric: str  # "flow" | "diffusion"
-    per_step: np.ndarray
-    t_draws: int
-    n_trajectories: int
-
-
 def straightness_by_step(
     batch: SequenceBatch, t_draws: int, rng: np.random.Generator
-) -> StraightnessReport:
-    """Straightness per AR step over a batch generated with recorded paths."""
+) -> np.ndarray:
+    """Straightness per AR step, shape (K,), over a batch generated with
+    recorded paths: :func:`straightness_flow` on flow grids,
+    :func:`straightness_diffusion` on diffusion grids."""
     if batch.trajectories is None or batch.conditionals is None:
         raise ValueError("batch: generate with record_paths=True")
     oracle = ExactDenoiser()
     flow = batch.trajectories[0].grid.domain != DIFFUSION
     fn = straightness_flow if flow else straightness_diffusion
-    vals = [
+    return np.asarray([
         fn(traj, oracle, cond, t_draws, rng)
         for traj, cond in zip(batch.trajectories, batch.conditionals)
-    ]
-    return StraightnessReport(
-        metric="flow" if flow else "diffusion",
-        per_step=np.asarray(vals),
-        t_draws=t_draws,
-        n_trajectories=batch.values.shape[0],
-    )
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +274,14 @@ def straightness_by_step(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class VarianceReport:
-    """Per-AR-step, per-dimension variance of repeated next-token draws,
-    with the exact conditional variance (trace / group size) alongside."""
-
-    empirical: np.ndarray  # (K, d)
-    exact_per_dim: np.ndarray  # (K,)
-    draws_per_step: int
+def exact_variance(plan: ConditioningPlan) -> np.ndarray:
+    """Each AR step's exact per-dimension conditional variance, shape (K,):
+    ``tr(Sigma_k) / m_k``.  It is what :func:`sampling_variance` estimates
+    and what :func:`probe_error`'s mean squared error has as expectation."""
+    return np.asarray([
+        float(np.trace(plan.covariance(k))) / size
+        for k, size in enumerate(plan.order.group_sizes)
+    ])
 
 
 def _reference_conditionals(
@@ -314,92 +302,46 @@ def sampling_variance(
     grids: list[TimeGrid],
     draws_per_step: int,
     seeds: tuple[int, int],
-) -> VarianceReport:
+) -> np.ndarray:
     """Freeze a reference prefix, then at each AR step k redraw the next
-    group ``draws_per_step`` times through the sampler on ``grids[k]``."""
+    group ``draws_per_step`` times through the sampler on ``grids[k]``.
+    Returns the draws' per-dimension variance, shape (K, d), averaged over
+    the group's positions."""
     if draws_per_step < 2:
         raise ValueError("draws_per_step: must be >= 2")
     check_grid_count(grids, plan.order)
     prefix_seed, redraw_seed = seeds
     oracle = ExactDenoiser()
     redraw_rng = np.random.default_rng(redraw_seed)
-    empirical, exact = [], []
+    empirical = []
     for cond, grid in zip(_reference_conditionals(plan, prefix_seed), grids):
         draws, _ = sample_with_config(
             sampler_config, oracle, cond, grid, redraw_rng, n_samples=draws_per_step
         )
         empirical.append(draws.var(axis=0, ddof=1).mean(axis=0))  # (d,)
-        exact.append(float(np.trace(cond.covariance)) / cond.size)
-    return VarianceReport(
-        empirical=np.asarray(empirical),
-        exact_per_dim=np.asarray(exact),
-        draws_per_step=draws_per_step,
-    )
+    return np.asarray(empirical)
 
 
-@dataclass(eq=False)
-class ProbeReport:
-    """Squared error of the conditional-mean (Bayes) predictor per AR step;
-    its expectation is the conditional trace / group size."""
-
-    mse: np.ndarray  # (K,)
-    exact_per_dim: np.ndarray  # (K,)
-    n_sequences: int
-
-
-def probe_error(plan: ConditioningPlan, seeds) -> ProbeReport:
-    """Per-step squared error of predicting the sampled group by the
-    conditional mean, averaged over exactly sampled sequences.  An exact draw
-    is ``mean + L_kk z``, so the error is the innovation ``L_kk z`` and the
+def probe_error(plan: ConditioningPlan, seeds) -> np.ndarray:
+    """Per-step squared error, shape (K,), of predicting the sampled group
+    by the conditional mean, averaged over exactly sampled sequences (one
+    per seed); its expectation is :func:`exact_variance`.  An exact draw is
+    ``mean + L_kk z``, so the error is the innovation ``L_kk z`` and the
     means themselves are never formed."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds: need at least one seed")
     rng = np.random.default_rng(seeds)
-    n_seq = len(seeds)
-    mse, exact = [], []
+    mse = []
     for k, size in enumerate(plan.order.group_sizes):
-        z = rng.standard_normal((n_seq, size, plan.spec.token_dim))
+        z = rng.standard_normal((len(seeds), size, plan.spec.token_dim))
         mse.append(float(np.mean((plan.block(k) @ z) ** 2)))
-        exact.append(float(np.trace(plan.covariance(k))) / size)
-    return ProbeReport(
-        mse=np.asarray(mse), exact_per_dim=np.asarray(exact), n_sequences=n_seq
-    )
+    return np.asarray(mse)
 
 
 # ---------------------------------------------------------------------------
 # Quality sweep across annealing policies
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    label: str
-    kind: str
-    t_early: int
-    t_late: int
-    ar_step: int
-    nfe: int
-    w2: float
-    w2_floor: float
-
-
-@dataclass(frozen=True)
-class SweepSummary:
-    label: str
-    kind: str
-    t_early: int
-    t_late: int
-    total_nfe: int
-    aggregate_w2: float
-    mean_floor: float
-    joint_moment_error: float
-
-
-def scheduler_label(s: StepScheduler) -> str:
-    if s.kind == "constant":
-        return f"constant_{s.t_early}"
-    return f"{s.kind}_{s.t_early}_{s.t_late}"
 
 
 def check_joint_draws(joint_sequences: int, token_dim: int) -> None:
@@ -412,18 +354,22 @@ def check_joint_draws(joint_sequences: int, token_dim: int) -> None:
 def quality_sweep(
     plan: ConditioningPlan,
     sampler_config: SamplerConfig,
-    policies: list[tuple[StepScheduler, list[TimeGrid]]],
+    grids_per_policy: list[list[TimeGrid]],
     seeds: tuple[int, int],
     *,
-    draws_per_step: int = 256,
-    floor_repeats: int = 8,
+    draws_per_step: int,
+    floor_repeats: int,
     joint_sequences: int = 0,
-) -> tuple[list[SweepRow], list[SweepSummary]]:
-    """Per-AR-step empirical-vs-exact W2 for each annealing policy, given as
-    ``(scheduler, grids)``: the scheduler labels the rows, its grids (from
-    :func:`~stepanneal.generate.step_grids`) are what the sampler walks.
-    A row's ``nfe`` is the calls its sampler run made, and a summary's
-    ``total_nfe`` the sum over the policy's rows.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-AR-step empirical-vs-exact W2 for each of P annealing policies,
+    each given as its grids (one per AR step, for example from
+    :func:`~stepanneal.generate.step_grids`), which the sampler walks.
+
+    Returns ``(w2, nfe, floors, joint)``: ``w2`` and ``nfe`` have shape
+    (P, K), ``nfe[p, k]`` being the calls policy p's run at step k made;
+    ``floors`` (K,) is each step's Monte Carlo floor (:func:`w2_floor`), and
+    ``joint`` (P,) each policy's joint-moment error, ``nan`` when
+    ``joint_sequences`` is 0.
 
     A reference prefix is drawn exactly from the process (one per AR step,
     shared by every policy), so the per-step distance isolates sampler
@@ -435,47 +381,30 @@ def quality_sweep(
     Frobenius error of the empirical joint covariance.
     """
     check_joint_draws(joint_sequences, plan.spec.token_dim)
-    for _, grids in policies:
+    for grids in grids_per_policy:
         check_grid_count(grids, plan.order)
     prefix_seed, sweep_seed = seeds
     spec = plan.spec
     oracle = ExactDenoiser()
     rng = np.random.default_rng(sweep_seed)
     conds = _reference_conditionals(plan, prefix_seed)
-    floors = [
+    floors = np.asarray([
         w2_floor(cond, draws_per_step, rng, repeats=floor_repeats)
         for cond in conds
-    ]
-    mean_floor = float(np.mean(floors))
+    ])
 
-    rows: list[SweepRow] = []
-    summaries: list[SweepSummary] = []
-    for scheduler, grids in policies:
-        label = scheduler_label(scheduler)
-        w2s = []
-        nfe = 0
+    shape = (len(grids_per_policy), len(conds))
+    w2, nfe = np.empty(shape), np.empty(shape, dtype=int)
+    joint = np.full(shape[0], np.nan)
+    for p, grids in enumerate(grids_per_policy):
         for k, (cond, grid) in enumerate(zip(conds, grids)):
             cell_rng = np.random.default_rng([sweep_seed, 1 + k])
             draws, record = sample_with_config(
                 sampler_config, oracle, cond, grid, cell_rng,
                 n_samples=draws_per_step,
             )
-            w2 = w2_to_truth(draws, cond)
-            w2s.append(w2)
-            nfe += record.nfe
-            rows.append(
-                SweepRow(
-                    label=label,
-                    kind=scheduler.kind,
-                    t_early=scheduler.t_early,
-                    t_late=scheduler.t_late,
-                    ar_step=k,
-                    nfe=record.nfe,
-                    w2=w2,
-                    w2_floor=floors[k],
-                )
-            )
-        joint_err = float("nan")
+            w2[p, k] = w2_to_truth(draws, cond)
+            nfe[p, k] = record.nfe
         if joint_sequences > 0:
             batch = simulate_sequences(
                 plan, sampler_config, grids,
@@ -485,19 +414,5 @@ def quality_sweep(
             flat = batch.values.transpose(0, 2, 1).reshape(-1, spec.token_count)
             emp = np.cov(flat, rowvar=False, ddof=1)
             cov = joint_covariance(spec)
-            joint_err = float(
-                np.linalg.norm(emp - cov) / np.linalg.norm(cov)
-            )
-        summaries.append(
-            SweepSummary(
-                label=label,
-                kind=scheduler.kind,
-                t_early=scheduler.t_early,
-                t_late=scheduler.t_late,
-                total_nfe=nfe,
-                aggregate_w2=float(np.mean(w2s)),
-                mean_floor=mean_floor,
-                joint_moment_error=joint_err,
-            )
-        )
-    return rows, summaries
+            joint[p] = np.linalg.norm(emp - cov) / np.linalg.norm(cov)
+    return w2, nfe, floors, joint

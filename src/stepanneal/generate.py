@@ -49,7 +49,6 @@ class SequenceBatch:
 
     values: np.ndarray  # (S, n, d)
     order: GenerationOrder
-    step_counts: tuple[int, ...]
     nfe_per_sequence: int
     trajectories: list[TrajectoryRecord] | None = None
     conditionals: list[ConditionalGaussian] | None = None
@@ -136,7 +135,6 @@ def simulate_sequences(
     return SequenceBatch(
         values=values,
         order=order,
-        step_counts=tuple(grid.step_count for grid in grids),
         nfe_per_sequence=nfe,
         trajectories=trajectories,
         conditionals=conditionals,

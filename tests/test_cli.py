@@ -489,15 +489,17 @@ class TestSimulateCommand:
         assert code == 1
         assert "schedule_kind" in err
 
-    def test_unknown_config_key_fails(self, capsys, tmp_path):
+    def test_unknown_config_key_fails(self, capsys, tmp_path, monkeypatch):
         # Every config key has a bad value that fails, naming the key, before
         # any output is written, on every command that reads the key.  So do
         # an unknown key, a value of the wrong type, an empty sweep list, a
-        # grid start at index 0, a policy that some AR step's grid rejects
-        # and a sampler knob that the sampler does not read.
+        # grid start at index 0, a policy that some AR step's grid rejects,
+        # a sampler knob that the sampler does not read and a file that is
+        # not valid JSON (given as text; it names the file).
         assert set(BAD_CONFIG) == set(cli.DEFAULT_CONFIG) - {"out_dir"}
         config = tmp_path / "cfg.json"
         out_dir = tmp_path / "out"
+        monkeypatch.setenv(cli.OUT_DIR_ENV, str(out_dir))
         too_long = {"schedule_kind": "linear", "scheduler_kind": "two_stage",
                     "t_late": 952, "sweep_t_late": [5, 952]}
         simulate = ("simulate",)
@@ -534,10 +536,14 @@ class TestSimulateCommand:
             ({"sampler": "euler_flow", "sde_noise_scale": 3.0},
              "error: sde_noise_scale: only euler_maruyama reads it, not euler_flow",
              simulate),
+            ('{"schedule_kind": "linear",',
+             f"error: config: {config}: Expecting property name enclosed in "
+             "double quotes: ", ("schedule", *_ALL)),
         ):
             cases.append((user, re.compile(re.escape(message)), commands))
         for user, message, commands in cases:
-            config.write_text(json.dumps({**user, "out_dir": str(out_dir)}))
+            config.write_text(user if isinstance(user, str)
+                              else json.dumps({**user, "out_dir": str(out_dir)}))
             for command in commands:
                 code, _, err = run_cli(capsys, command, "--config", str(config))
                 assert code == 1, (user, command)
@@ -670,6 +676,16 @@ class TestDiagnoseCommand:
         header, rows = read_csv(tmp / "out" / "straightness.csv")
         assert len(rows) == 8
         assert "Spearman" in out
+
+    def test_exact_columns_are_one_value(self, capsys, base_config):
+        # variance.csv's exact_variance and probe.csv's exact_mse are the same
+        # exact per-dimension variance tr(Sigma_k) / m_k, one per AR step.
+        config, tmp = base_config
+        assert run_cli(capsys, "diagnose", "--config", str(config))[0] == 0
+        _, var_rows = read_csv(tmp / "out" / "variance.csv")
+        _, probe_rows = read_csv(tmp / "out" / "probe.csv")
+        assert len(probe_rows) == 8
+        assert [r[3] for r in var_rows] == [r[2] for r in probe_rows for _ in range(4)]
 
 
 class TestSweepCommand:
@@ -983,16 +999,18 @@ class TestOracleCheckCommand:
         assert code == 1
         assert "[FAIL] score finite-difference" in out
 
-    @pytest.mark.parametrize("samples", [0, 9])
+    @pytest.mark.parametrize("samples", [0, 999])
     def test_too_few_mc_samples_fails_first(self, capsys, base_config, samples):
-        # The moment regression fits 9 parameters; with fewer than 10 draws
-        # the run must stop before any check, naming the key.
+        # The moment regression fits 9 parameters and checks them with normal
+        # 3-sigma bounds, which need many residual degrees of freedom; with
+        # fewer than 1000 draws the run must stop before any check, naming
+        # the key.
         config, _ = base_config
         cfg = json.loads(config.read_text())
         config.write_text(json.dumps({**cfg, "mc_samples": samples}))
         code, out, err = run_cli(capsys, "oracle-check", "--config", str(config))
         assert code == 1
-        assert f"error: mc_samples: must be >= 10, got {samples}" in err
+        assert f"error: mc_samples: must be >= 1000, got {samples}" in err
         assert "[FAIL]" not in out
 
     def test_too_few_positions_fails_first(self, capsys, base_config):

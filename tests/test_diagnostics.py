@@ -6,7 +6,7 @@ from scipy.stats import spearmanr
 
 import stepanneal as sa
 
-from conftest import dirac_cond, isotropic_cond
+from conftest import dirac_cond, isotropic_cond, schur_solver
 
 DDPM = sa.SamplerConfig("ddpm")
 EULER_FLOW = sa.SamplerConfig("euler_flow")
@@ -194,33 +194,37 @@ class TestSamplingVariance:
         tight = sa.TokenProcessSpec(marginal_std=1e-6, jitter=1e-16)
         order = sa.random_order(tight, 4, seed=0)
         cfg = sa.SamplerConfig(kind="ddim")
-        rep = sa.sampling_variance(
+        empirical = sa.sampling_variance(
             sa.conditioning_plan(tight, order), cfg,
             sa.step_grids(cfg, sa.constant_scheduler(50, 4), linear_schedule, 950),
             50, (1, 2))
-        assert np.all(rep.empirical < 1e-9)
+        assert empirical.shape == (4, tight.token_dim)
+        assert np.all(empirical < 1e-9)
 
     def test_last_step_below_first_step(self, spec, linear_schedule):
         order = sa.random_order(spec, 16, seed=0)
         cfg = sa.SamplerConfig(kind="ddpm")
-        rep = sa.sampling_variance(
-            sa.conditioning_plan(spec, order), cfg,
+        plan = sa.conditioning_plan(spec, order)
+        empirical = sa.sampling_variance(
+            plan, cfg,
             sa.step_grids(cfg, sa.constant_scheduler(50, 16), linear_schedule, 950),
             100, (11, 22))
-        assert rep.empirical[-1].mean() < rep.empirical[0].mean()
-        assert rep.exact_per_dim[-1] < rep.exact_per_dim[0]
+        exact = sa.exact_variance(plan)
+        assert empirical[-1].mean() < empirical[0].mean()
+        assert exact[-1] < exact[0]
 
     def test_accuracy_at_base_resolution(self, spec, linear_schedule):
         # At the base grid the sampler is essentially exact, so the
         # empirical variance sits within the chi-square band of 100 draws.
         order = sa.random_order(spec, 16, seed=0)
         cfg = sa.SamplerConfig(kind="ddim")
-        rep = sa.sampling_variance(
-            sa.conditioning_plan(spec, order), cfg,
+        plan = sa.conditioning_plan(spec, order)
+        empirical = sa.sampling_variance(
+            plan, cfg,
             sa.step_grids(cfg, sa.constant_scheduler(951, 16), linear_schedule, 950),
             100, (11, 22))
-        per_step = rep.empirical.mean(axis=1)
-        rel = np.abs(per_step - rep.exact_per_dim) / rep.exact_per_dim
+        exact = sa.exact_variance(plan)
+        rel = np.abs(empirical.mean(axis=1) - exact) / exact
         assert np.max(rel) < 0.30
 
     def test_draw_count_validation(self, spec, linear_schedule):
@@ -246,24 +250,47 @@ class TestSamplingVariance:
                                  (1, 2))
 
 
+class TestExactVariance:
+    @pytest.mark.parametrize("steps, kind", [(16, "random"), (5, "raster")])
+    def test_is_the_trace_over_the_group_size(self, spec, steps, kind):
+        order = (sa.random_order(spec, steps, seed=2) if kind == "random"
+                 else sa.raster_order(spec, steps))
+        plan = sa.conditioning_plan(spec, order)
+        exact = sa.exact_variance(plan)
+        assert exact.tolist() == [
+            float(np.trace(plan.covariance(k))) / size
+            for k, size in enumerate(order.group_sizes)]
+        # The same traces from the Schur complement of each group on the
+        # groups before it.
+        groups = list(order.groups())
+        for k, group in enumerate(groups):
+            before = [p for g in groups[:k] for p in g]
+            ref = schur_solver(spec, before, group) if before else None
+            cov = (ref.covariance if ref is not None
+                   else sa.joint_covariance(spec)[np.ix_(group, group)])
+            assert exact[k] == pytest.approx(np.trace(cov) / len(group), rel=1e-9)
+
+
 class TestProbeError:
     def test_dirac_process(self):
         tight = sa.TokenProcessSpec(marginal_std=1e-6, jitter=1e-16)
         order = sa.random_order(tight, 4, seed=0)
-        rep = sa.probe_error(sa.conditioning_plan(tight, order), range(32))
-        assert np.all(rep.mse < 1e-9)
+        mse = sa.probe_error(sa.conditioning_plan(tight, order), range(32))
+        assert mse.shape == (4,)
+        assert np.all(mse < 1e-9)
 
     def test_expectation_matches_trace(self, spec):
         order = sa.random_order(spec, 16, seed=0)
-        rep = sa.probe_error(sa.conditioning_plan(spec, order), range(1000))
-        se = rep.exact_per_dim * np.sqrt(2.0 / (1000 * 4))
-        assert np.all(np.abs(rep.mse - rep.exact_per_dim) <= 3 * se)
+        plan = sa.conditioning_plan(spec, order)
+        mse = sa.probe_error(plan, range(1000))
+        exact = sa.exact_variance(plan)
+        se = exact * np.sqrt(2.0 / (1000 * 4))
+        assert np.all(np.abs(mse - exact) <= 3 * se)
 
     def test_order_averaged_traces_strictly_decrease(self, spec):
         orders = [sa.random_order(spec, 16, seed=s) for s in range(32)]
         traces = np.mean(
-            [sa.probe_error(sa.conditioning_plan(spec, o), range(2)).exact_per_dim
-             for o in orders],
+            [sa.exact_variance(sa.conditioning_plan(spec, o)) for o in orders],
             axis=0,
         )
         assert np.all(np.diff(traces) < 0)
@@ -271,6 +298,7 @@ class TestProbeError:
 
 @pytest.fixture(scope="module")
 def sweep(spec, linear_schedule):
+    # Policies: constant_951 (the reference), constant_50, linear_50_5.
     order = sa.random_order(spec, 16, seed=0)
     cfg = sa.SamplerConfig(kind="ddim")
     schedulers = [
@@ -278,31 +306,28 @@ def sweep(spec, linear_schedule):
         sa.constant_scheduler(50, 16),
         sa.StepScheduler(kind="linear", t_early=50, t_late=5, ar_steps=16),
     ]
-    policies = [(s, sa.step_grids(cfg, s, linear_schedule, 950)) for s in schedulers]
-    rows, summaries = sa.quality_sweep(
-        sa.conditioning_plan(spec, order), cfg, policies, (3, 4),
-        draws_per_step=512, joint_sequences=2000)
-    return rows, summaries
+    grids = [sa.step_grids(cfg, s, linear_schedule, 950) for s in schedulers]
+    return sa.quality_sweep(
+        sa.conditioning_plan(spec, order), cfg, grids, (3, 4),
+        draws_per_step=512, floor_repeats=8, joint_sequences=2000)
 
 
 class TestQualitySweep:
     def test_shapes(self, sweep):
-        rows, summaries = sweep
-        assert len(rows) == 3 * 16
-        assert len(summaries) == 3
+        w2, nfe, floors, joint = sweep
+        assert w2.shape == nfe.shape == (3, 16)
+        assert floors.shape == (16,)
+        assert joint.shape == (3,)
 
     def test_reference_row_sits_at_monte_carlo_floor(self, sweep):
-        rows, _ = sweep
-        for r in rows:
-            if r.label == "constant_951":
-                assert r.w2 <= 2.0 * r.w2_floor
+        w2, _, floors, _ = sweep
+        assert np.all(w2[0] <= 2.0 * floors)
 
     def test_equal_step_counts_share_draws(self, sweep):
-        rows, _ = sweep
-        by = {(r.label, r.ar_step): r.w2 for r in rows}
-        # Both policies run T(0) = 50 at the first AR step with the same
-        # stream, so the paired values coincide exactly.
-        assert by[("constant_50", 0)] == by[("linear_50_5", 0)]
+        w2 = sweep[0]
+        # constant_50 and linear_50_5 both run T(0) = 50 at the first AR step
+        # with the same stream, so the paired values coincide exactly.
+        assert w2[1, 0] == w2[2, 0]
 
     def test_early_step_reduction_hurts_where_late_reduction_does_not(
         self, spec, linear_schedule
@@ -314,13 +339,12 @@ class TestQualitySweep:
             sa.StepScheduler(kind="linear", t_early=50, t_late=5, ar_steps=16),
             sa.StepScheduler(kind="linear", t_early=5, t_late=50, ar_steps=16),
         ]
-        policies = [(s, sa.step_grids(cfg, s, linear_schedule, 950))
-                    for s in schedulers]
-        rows, _ = sa.quality_sweep(sa.conditioning_plan(spec, order), cfg, policies,
-                                   (3, 4), draws_per_step=256)
-        step0 = {r.label: r.w2 for r in rows if r.ar_step == 0}
-        assert step0["linear_5_50"] >= 2.0 * step0["constant_50"]
-        assert step0["linear_50_5"] <= 1.2 * step0["constant_50"]
+        grids = [sa.step_grids(cfg, s, linear_schedule, 950) for s in schedulers]
+        w2 = sa.quality_sweep(sa.conditioning_plan(spec, order), cfg, grids,
+                              (3, 4), draws_per_step=256, floor_repeats=8)[0]
+        constant_50, linear_50_5, linear_5_50 = w2[:, 0]
+        assert linear_5_50 >= 2.0 * constant_50
+        assert linear_50_5 <= 1.2 * constant_50
 
     def test_nfe_increases_with_t_late(self, spec, linear_schedule):
         ks = [sa.StepScheduler(kind="linear", t_early=50, t_late=tl, ar_steps=8)
@@ -333,36 +357,53 @@ class TestQualitySweep:
         (sa.SamplerConfig(kind="dpm_solver", order=2), 19),
     ])
     def test_nfe_counts_the_grids_walked(self, spec, linear_schedule, cfg, calls):
-        # The scheduler only labels a policy: constant-10 grids under a
-        # constant-50 label report the calls the 10-step runs made.
+        # A policy is its grids: constant-10 grids report the calls the
+        # 10-step runs made.
         order = sa.random_order(spec, 4, seed=0)
         grids = sa.step_grids(cfg, sa.constant_scheduler(10, 4), linear_schedule, 950)
-        rows, [summary] = sa.quality_sweep(
-            sa.conditioning_plan(spec, order), cfg,
-            [(sa.constant_scheduler(50, 4), grids)], (0, 1),
+        _, nfe, _, joint = sa.quality_sweep(
+            sa.conditioning_plan(spec, order), cfg, [grids], (0, 1),
             draws_per_step=8, floor_repeats=1)
-        assert summary.label == "constant_50"
-        assert [r.nfe for r in rows] == [calls] * 4
-        assert summary.total_nfe == calls * 4
+        assert nfe.tolist() == [[calls] * 4]
+        assert int(nfe.sum()) == calls * 4
+        assert np.isnan(joint).all()
+
+    def test_sweeps_an_allocation_no_scheduler_expresses(self, spec, linear_schedule):
+        # T = (3, 9, 2, 7) is no rule's table; it is swept beside constant-9
+        # as grids.  Each policy's calls are its grids' calls, and at AR step
+        # 1, where both run 9 steps, common random numbers give equal draws.
+        order = sa.random_order(spec, 4, seed=0)
+        cfg = sa.SamplerConfig(kind="dpm_solver", order=2)
+        allocation = [sa.make_diffusion_grid(linear_schedule, t, 950)
+                      for t in (3, 9, 2, 7)]
+        constant = sa.step_grids(cfg, sa.constant_scheduler(9, 4), linear_schedule, 950)
+        w2, nfe, floors, joint = sa.quality_sweep(
+            sa.conditioning_plan(spec, order), cfg, [allocation, constant], (0, 1),
+            draws_per_step=16, floor_repeats=1)
+        for p, grids in enumerate((allocation, constant)):
+            assert nfe[p].tolist() == [cfg.calls(g.step_count) for g in grids]
+        assert nfe[0].tolist() == [5, 17, 3, 13]
+        assert w2[0, 1] == w2[1, 1]
+        assert np.all(w2[0, [0, 2, 3]] != w2[1, [0, 2, 3]])
+        assert floors.shape == (4,) and np.isnan(joint).all()
 
     def test_joint_moment_error_reported(self, sweep):
-        _, summaries = sweep
-        assert all(np.isfinite(s.joint_moment_error) for s in summaries)
-        assert summaries[0].joint_moment_error < 0.25
+        joint = sweep[3]
+        assert np.all(np.isfinite(joint))
+        assert joint[0] < 0.25
 
     def test_one_joint_draw_rejected(self, linear_schedule):
         # One sequence of one dimension is one joint draw, whose empirical
         # covariance is nan: the value the column holds when the run is off.
         # Two draws, from two sequences or two dimensions, give a number.
         cfg = sa.SamplerConfig(kind="ddim")
-        pol = sa.constant_scheduler(4, 2)
-        grids = sa.step_grids(cfg, pol, linear_schedule, 950)
+        grids = sa.step_grids(cfg, sa.constant_scheduler(4, 2), linear_schedule, 950)
         for dim, sequences in ((1, 1), (1, 2), (2, 1)):
             spec = sa.TokenProcessSpec(grid_height=2, grid_width=2, token_dim=dim)
             plan = sa.conditioning_plan(spec, sa.raster_order(spec, 2))
 
             def sweep():
-                return sa.quality_sweep(plan, cfg, [(pol, grids)], (0, 1),
+                return sa.quality_sweep(plan, cfg, [grids], (0, 1),
                                         draws_per_step=8, floor_repeats=1,
                                         joint_sequences=sequences)
 
@@ -370,8 +411,8 @@ class TestQualitySweep:
                 with pytest.raises(ValueError, match="^joint_sequences: "):
                     sweep()
             else:
-                [summary] = sweep()[1]
-                assert np.isfinite(summary.joint_moment_error)
+                [joint] = sweep()[3]
+                assert np.isfinite(joint)
 
     def test_mismatched_ar_steps_rejected(self, spec, linear_schedule):
         order = sa.random_order(spec, 16, seed=0)
@@ -379,8 +420,8 @@ class TestQualitySweep:
         pol = sa.constant_scheduler(10, 8)
         with pytest.raises(ValueError, match="AR step count"):
             sa.quality_sweep(sa.conditioning_plan(spec, order), cfg,
-                             [(pol, sa.step_grids(cfg, pol, linear_schedule))],
-                             (0, 1))
+                             [sa.step_grids(cfg, pol, linear_schedule)],
+                             (0, 1), draws_per_step=8, floor_repeats=1)
 
 
 def scipy_spearman(x, y):
@@ -455,11 +496,15 @@ class TestStraightnessReport:
             sa.conditioning_plan(spec, order), cfg,
             sa.step_grids(cfg, sa.constant_scheduler(20, 4), linear_schedule, 950),
             n_sequences=8, master_seed=0, record_paths=True)
-        rep = sa.straightness_by_step(batch, 32, np.random.default_rng(0))
-        assert rep.metric == "diffusion"
-        assert rep.per_step.shape == (4,)
-        assert np.all(rep.per_step >= -1) and np.all(rep.per_step <= 1)
-        assert -1.0 <= sa.spearman(np.arange(4), rep.per_step) <= 1.0
+        per_step = sa.straightness_by_step(batch, 32, np.random.default_rng(0))
+        # A diffusion batch is scored by the diffusion (cosine) metric.
+        rng = np.random.default_rng(0)
+        assert per_step.tolist() == [
+            sa.straightness_diffusion(traj, sa.ExactDenoiser(), cond, 32, rng)
+            for traj, cond in zip(batch.trajectories, batch.conditionals)]
+        assert per_step.shape == (4,)
+        assert np.all(per_step >= -1) and np.all(per_step <= 1)
+        assert -1.0 <= sa.spearman(np.arange(4), per_step) <= 1.0
 
 
 # The forms that the diagnostics compute in one place now, kept as the

@@ -1,12 +1,13 @@
 """The demos and the README's python blocks use only names the package has,
 the README's ``stepanneal`` command lines parse, its config-key paragraph
-names every config key, and the README's python blocks and the fast demos
-run to completion.
+names every config key, its output-file list gives every CSV's columns, and
+the README's python blocks and the fast demos run to completion.
 
 Demos 03 and 04 take several seconds each, so they are only parsed.
 """
 
 import ast
+import json
 import os
 import re
 import shlex
@@ -75,6 +76,27 @@ def test_readme_lists_every_config_key():
     names = {name.strip() for span in re.findall(r"`([^`]*/[^`]*)`", para)
              for name in span.split("/")}
     assert names == set(cli.DEFAULT_CONFIG)
+
+
+def test_readme_gives_every_csv_header(tmp_path, capsys):
+    # simulate, diagnose and sweep on a tiny config write exactly the CSVs
+    # that "Output files" lists, each with the listed columns on line 2.
+    section = re.search(r"Output files and their columns:\n\n(.*?)\n\n",
+                        README, re.S).group(1)
+    listed = dict(re.findall(r"^\* `(\w+\.csv)` — `([^`]*)`", section, re.M))
+    out = tmp_path / "out"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "schedule_kind": "linear", "ar_steps": 2, "t_early": 3, "t_late": 2,
+        "n_sequences": 2, "draws_per_step": 2, "t_draws": 1, "probe_sequences": 1,
+        "floor_repeats": 1, "sweep_t_early": [3], "sweep_t_late": [2],
+        "out_dir": str(out)}))
+    for command in ("simulate", "diagnose", "sweep"):
+        assert cli.main([command, "--config", str(config)]) == 0, capsys.readouterr()
+    written = {path.name: path.read_text().splitlines()[1]
+               for path in out.glob("*.csv")}
+    assert len(listed) == 6
+    assert written == listed
 
 
 def _run_python(*args):

@@ -33,8 +33,10 @@ class TestGenerateSequence:
 
     def test_step_counts_follow_scheduler(self, spec, linear_schedule, setup):
         order, cfg, pol = setup
+        # The batch keeps no copy of T(k): it walked the grids it was given.
+        grids = sa.step_grids(cfg, pol, linear_schedule, 950)
         seq = _one(spec, order, cfg, pol, linear_schedule, seed=1, start_index=950)
-        assert seq.step_counts == tuple(
+        assert tuple(g.step_count for g in grids) == tuple(
             sa.steps_at(pol, k) for k in range(16))
         assert seq.values.shape == (1, 16, 4)
         assert np.all(np.isfinite(seq.values))
@@ -169,8 +171,7 @@ class TestSimulateSequences:
         first = np.array([-0.0, 1e-05, 1e16, 5e-324, 0.1, 1 / 3]).reshape(3, 2)
         values = np.stack([first, -first])
         order = sa.GenerationOrder(permutation=(2, 0, 1), group_sizes=(1, 2))
-        batch = sa.SequenceBatch(values=values, order=order, step_counts=(1, 1),
-                                 nfe_per_sequence=2)
+        batch = sa.SequenceBatch(values=values, order=order, nfe_per_sequence=2)
         step_of = {0: 1, 1: 1, 2: 0}
         expected = "".join(
             ",".join((str(s), str(step_of[p]), str(p), str(j),
