@@ -11,10 +11,14 @@ generation order, given as its :class:`~stepanneal.process.ConditioningPlan`
 (built once per command; it carries the spec): every step's conditional
 covariance comes from the plan's factor, and each step's batched means are
 one product with the whitened innovations of the groups already drawn.
+``batch_to_csv_rows`` formats a batch as the body of ``tokens.csv`` on every
+CPU the process may run on, in forked workers, with the same bytes at any
+CPU count.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,22 +145,106 @@ def simulate_sequences(
     )
 
 
-def batch_to_csv_rows(batch: SequenceBatch) -> list[str]:
-    """The body of ``tokens.csv`` as one text block per sequence: a line
-    ``seq_id,ar_step,position,dim,value`` per cell, in cell order.  Values
-    are written with ``str``, the shortest repr that round-trips, so
-    ``float()`` of a value gives back ``batch.values`` exactly."""
+def _csv_blocks(template: str, values: np.ndarray, first: int,
+                last: int) -> list[bytes]:
+    """The encoded text blocks of sequences ``first`` to ``last - 1``."""
+    blocks = []
+    for s, seq in enumerate(values[first:last], first):
+        fill = [s] * (2 * seq.size)
+        fill[1::2] = seq.ravel().tolist()
+        blocks.append((template % tuple(fill)).encode())
+    return blocks
+
+
+def _start_worker(produce, *args) -> tuple[int, int]:
+    """Fork a worker that writes the pieces ``produce(*args)`` returns to a
+    pipe, then exits; returns its pid and the pipe's read end.  A worker
+    whose ``produce`` raises writes the error's text instead and exits 1."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        # The worker leaves only by its exit code, whatever happens: it must
+        # never return into the caller's stack, which is the parent's too.
+        code = 1
+        try:
+            os.close(read_end)
+            try:
+                # All of it before the first write: a worker that wrote as it
+                # went would stall on the full pipe until the parent reads.
+                data, code = b"".join(produce(*args)), 0
+            except Exception as exc:
+                data = f"{type(exc).__name__}: {exc}".encode()
+            view = memoryview(data)
+            while view:
+                view = view[os.write(write_end, view):]
+        except BaseException:
+            code = 1
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _reap(pid: int, read_end: int) -> int:
+    """Close a worker's pipe and wait for it; returns its exit code."""
+    os.close(read_end)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def batch_to_csv_rows(batch: SequenceBatch) -> list[bytes]:
+    """The body of ``tokens.csv`` as encoded text pieces, to be written in
+    turn: a line ``seq_id,ar_step,position,dim,value`` per cell, in cell
+    order.  Values are written with ``str``, the shortest repr that
+    round-trips, so ``float()`` of a value gives back ``batch.values``
+    exactly.
+
+    The sequences are split into contiguous ranges, one per CPU this process
+    may run on and never more than there are sequences.  Forked workers
+    format every range but the first and send their text back through
+    pipes while this process formats the first; the pieces are the same
+    bytes whatever the count.  Every worker is reaped before this returns
+    or raises, and a worker's failure is raised here as a ``RuntimeError``
+    naming its sequences."""
     step_of = np.empty(len(batch.order.permutation), dtype=int)
     for k, group in enumerate(batch.order.groups()):
         step_of[list(group)] = k
-    _, n, d = batch.values.shape
+    count, n, d = batch.values.shape
     # One template per order; a sequence fills it with (s, v0, s, v1, ...).
     template = "".join(
         f"%d,{step_of[p]},{p},{j},%s\n" for p in range(n) for j in range(d)
     )
-    blocks = []
-    for s, seq in enumerate(batch.values):
-        fill = [s] * (2 * n * d)
-        fill[1::2] = seq.ravel().tolist()
-        blocks.append(template % tuple(fill))
-    return blocks
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    ranges = max(1, min(cpus, count))
+    bounds = [count * i // ranges for i in range(ranges + 1)]
+    workers = []  # (pid, read end, first, last) of each worker not yet reaped
+    try:
+        for first, last in zip(bounds[1:-1], bounds[2:]):
+            pid, read_end = _start_worker(_csv_blocks, template, batch.values,
+                                          first, last)
+            workers.append((pid, read_end, first, last))
+        rows = _csv_blocks(template, batch.values, 0, bounds[1])
+        while workers:
+            pid, read_end, first, last = workers[0]
+            # Kept as read: joining or decoding a worker's text would hold
+            # it twice.
+            pieces = []
+            while piece := os.read(read_end, 1 << 20):
+                pieces.append(piece)
+            del workers[0]
+            code = _reap(pid, read_end)
+            if code != 0:
+                detail = b"".join(pieces).decode(errors="replace")
+                raise RuntimeError(
+                    f"tokens.csv: formatting sequences {first}-{last - 1} failed "
+                    f"in a worker (exit code {code})"
+                    + (f": {detail}" if detail else ""))
+            rows += pieces
+        return rows
+    finally:
+        for pid, read_end, _, _ in workers:
+            _reap(pid, read_end)

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import importlib.util
 import inspect
 import json
@@ -640,6 +641,44 @@ class TestSimulateCommand:
         values = np.array([float(r[4]) for r in rows]).reshape(batch.values.shape)
         np.testing.assert_array_equal(values, batch.values)
 
+    def test_csv_workers_are_reaped(self, capsys, base_config, monkeypatch):
+        # tokens.csv is formatted in forked workers, one sequence range per
+        # CPU; none outlives the run.
+        config, tmp = base_config
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert run_cli(capsys, "simulate", "--config", str(config))[0] == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(read_csv(tmp / "out" / "tokens.csv")[1]) == 6 * 16 * 4
+
+    @pytest.mark.parametrize("failing", [0, 4])
+    def test_failed_formatting_writes_no_tokens(self, capsys, base_config,
+                                                monkeypatch, failing):
+        # The 6 sequences split 0-1, 2-3 and 4-5.  A worker's failure (range
+        # 4-5) is raised in the CLI naming its sequences; a failure in the
+        # CLI's own range (0-1) is raised as it is.  Either way every worker
+        # is reaped and no tokens.csv is written.
+        config, tmp = base_config
+        blocks = generate._csv_blocks
+
+        def fail_one_range(template, values, first, last):
+            if first == failing:
+                raise ValueError("formatting refused")
+            return blocks(template, values, first, last)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(generate, "_csv_blocks", fail_one_range)
+        code, _, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert code == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert not (tmp / "out" / "tokens.csv").exists()
+        if failing:
+            assert err.startswith("error: tokens.csv: formatting sequences 4-5 failed")
+            assert err.rstrip().endswith("ValueError: formatting refused")
+        else:
+            assert err == "error: formatting refused\n"
+
     def test_env_var_out_dir(self, capsys, tmp_path, monkeypatch):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
@@ -998,6 +1037,25 @@ class TestOracleCheckCommand:
                                "--corrupt-score")
         assert code == 1
         assert "[FAIL] score finite-difference" in out
+
+    def test_weights_off_by_five_hundredths_fail(self, capsys, base_config,
+                                                 monkeypatch):
+        # Negative control of the moment check's Bonferroni bound: exact
+        # weights shifted by 0.05 must still fail at the default 10^6 draws.
+        config, _ = base_config
+        cfg = json.loads(config.read_text())
+        config.write_text(json.dumps({**cfg, "mc_samples": 1000000}))
+        solver = cli.conditional_solver
+
+        def shifted(*args):
+            exact = solver(*args)
+            return dataclasses.replace(exact, weights=exact.weights + 0.05)
+
+        monkeypatch.setattr(cli, "conditional_solver", shifted)
+        code, out, _ = run_cli(capsys, "oracle-check", "--config", str(config))
+        assert code == 1
+        assert "[FAIL] conditional moments vs MC regression" in out
+        assert "[PASS] score finite-difference" in out
 
     @pytest.mark.parametrize("samples", [0, 999])
     def test_too_few_mc_samples_fails_first(self, capsys, base_config, samples):

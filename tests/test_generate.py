@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,24 @@ def setup(spec, linear_schedule):
     cfg = sa.SamplerConfig(kind="ddim", eta=0.0)
     pol = sa.StepScheduler(kind="linear", t_early=50, t_late=5, ar_steps=16)
     return order, cfg, pol
+
+
+def _awkward_batch(count):
+    """A batch of ``count`` sequences of 3 positions in 2 dims whose values
+    are hard to print (signed zero, exponents, the smallest subnormal,
+    non-terminating binary fractions), with the per-row repr text of its
+    body."""
+    first = np.array([-0.0, 1e-05, 1e16, 5e-324, 0.1, 1 / 3]).reshape(3, 2)
+    values = np.stack([(-1.0) ** s * (s // 2 + 1) * first for s in range(count)])
+    order = sa.GenerationOrder(permutation=(2, 0, 1), group_sizes=(1, 2))
+    batch = sa.SequenceBatch(values=values, order=order, nfe_per_sequence=2)
+    step_of = {0: 1, 1: 1, 2: 0}
+    expected = "".join(
+        ",".join((str(s), str(step_of[p]), str(p), str(j),
+                  repr(float(values[s, p, j])))) + "\n"
+        for s in range(count) for p in range(3) for j in range(2)
+    )
+    return batch, expected
 
 
 def _one(spec, order, cfg, pol, schedule=None, *, seed, start_index=None,
@@ -143,16 +163,13 @@ class TestSimulateSequences:
         assert a.values.shape == (8, 16, 4)
 
     def test_csv_rows(self, spec, linear_schedule, setup):
-        # One text block per sequence.  Together they hold a line
-        # seq_id,ar_step,position,dim,value per cell, in cell order, and
-        # the values read back exactly.
+        # The joined pieces hold a line seq_id,ar_step,position,dim,value per
+        # cell, in cell order, and the values read back exactly.
         order, cfg, pol = setup
         batch = sa.simulate_sequences(sa.conditioning_plan(spec, order), cfg,
                                       sa.step_grids(cfg, pol, linear_schedule, 950),
                                       n_sequences=2, master_seed=1)
-        blocks = sa.batch_to_csv_rows(batch)
-        assert len(blocks) == 2
-        lines = "".join(blocks).splitlines()
+        lines = b"".join(sa.batch_to_csv_rows(batch)).decode().splitlines()
         assert len(lines) == 2 * 16 * 4
         groups = order.groups()
         cells = [(s, p, j) for s in range(2) for p in range(16) for j in range(4)]
@@ -168,18 +185,21 @@ class TestSimulateSequences:
         # Values whose text is easy to get wrong: signed zero, exponents,
         # the smallest subnormal and non-terminating binary fractions.  The
         # body must equal the per-row repr formatter it replaced.
-        first = np.array([-0.0, 1e-05, 1e16, 5e-324, 0.1, 1 / 3]).reshape(3, 2)
-        values = np.stack([first, -first])
-        order = sa.GenerationOrder(permutation=(2, 0, 1), group_sizes=(1, 2))
-        batch = sa.SequenceBatch(values=values, order=order, nfe_per_sequence=2)
-        step_of = {0: 1, 1: 1, 2: 0}
-        expected = "".join(
-            ",".join((str(s), str(step_of[p]), str(p), str(j),
-                      repr(float(values[s, p, j])))) + "\n"
-            for s in range(2) for p in range(3) for j in range(2)
-        )
-        assert "".join(sa.batch_to_csv_rows(batch)) == expected
+        batch, expected = _awkward_batch(2)
+        assert b"".join(sa.batch_to_csv_rows(batch)).decode() == expected
         assert "-0.0" in expected and "5e-324" in expected and "1e+16" in expected
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_csv_rows_same_at_any_cpu_count(self, monkeypatch, cpus):
+        # The sequences are split into one range per CPU, formatted in forked
+        # workers; the body is the per-row repr text whatever the split, with
+        # the awkward values in every range, and with more CPUs than
+        # sequences.
+        batch, expected = _awkward_batch(5)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert b"".join(sa.batch_to_csv_rows(batch)).decode() == expected
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_joint_moments_match_process(self, spec, cov, linear_schedule):
         # Full-resolution ancestral generation, one token per AR step:
