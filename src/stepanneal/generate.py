@@ -156,10 +156,14 @@ def _csv_blocks(template: str, values: np.ndarray, first: int,
     return blocks
 
 
-def _start_worker(produce, *args) -> tuple[int, int]:
-    """Fork a worker that writes the pieces ``produce(*args)`` returns to a
-    pipe, then exits; returns its pid and the pipe's read end.  A worker
-    whose ``produce`` raises writes the error's text instead and exits 1."""
+def _start_worker(template: str, values: np.ndarray, first: int, last: int,
+                  running: list[int]) -> tuple[int, int]:
+    """Fork a worker that writes the text of sequences ``first`` to
+    ``last - 1`` to a pipe, then exits; returns its pid and the pipe's read
+    end.  ``running`` holds the read ends of the workers already started,
+    which the worker closes, so that this process is each pipe's only
+    reader.  A worker whose formatting raises writes the error's text
+    instead and exits 1."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -172,11 +176,12 @@ def _start_worker(produce, *args) -> tuple[int, int]:
         # never return into the caller's stack, which is the parent's too.
         code = 1
         try:
-            os.close(read_end)
+            for fd in (read_end, *running):
+                os.close(fd)
             try:
                 # All of it before the first write: a worker that wrote as it
                 # went would stall on the full pipe until the parent reads.
-                data, code = b"".join(produce(*args)), 0
+                data, code = b"".join(_csv_blocks(template, values, first, last)), 0
             except Exception as exc:
                 data = f"{type(exc).__name__}: {exc}".encode()
             view = memoryview(data)
@@ -188,12 +193,6 @@ def _start_worker(produce, *args) -> tuple[int, int]:
             os._exit(code)
     os.close(write_end)
     return pid, read_end
-
-
-def _reap(pid: int, read_end: int) -> int:
-    """Close a worker's pipe and wait for it; returns its exit code."""
-    os.close(read_end)
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def batch_to_csv_rows(batch: SequenceBatch) -> list[bytes]:
@@ -224,8 +223,8 @@ def batch_to_csv_rows(batch: SequenceBatch) -> list[bytes]:
     workers = []  # (pid, read end, first, last) of each worker not yet reaped
     try:
         for first, last in zip(bounds[1:-1], bounds[2:]):
-            pid, read_end = _start_worker(_csv_blocks, template, batch.values,
-                                          first, last)
+            pid, read_end = _start_worker(template, batch.values, first, last,
+                                          [fd for _, fd, _, _ in workers])
             workers.append((pid, read_end, first, last))
         rows = _csv_blocks(template, batch.values, 0, bounds[1])
         while workers:
@@ -236,7 +235,8 @@ def batch_to_csv_rows(batch: SequenceBatch) -> list[bytes]:
             while piece := os.read(read_end, 1 << 20):
                 pieces.append(piece)
             del workers[0]
-            code = _reap(pid, read_end)
+            os.close(read_end)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if code != 0:
                 detail = b"".join(pieces).decode(errors="replace")
                 raise RuntimeError(
@@ -246,5 +246,9 @@ def batch_to_csv_rows(batch: SequenceBatch) -> list[bytes]:
             rows += pieces
         return rows
     finally:
-        for pid, read_end, _, _ in workers:
-            _reap(pid, read_end)
+        # Every pipe loses its reader before any wait, so a worker blocked on
+        # a full pipe fails its write and exits rather than wait for a read.
+        for _, read_end, _, _ in workers:
+            os.close(read_end)
+        for pid, _, _, _ in workers:
+            os.waitpid(pid, 0)

@@ -1,4 +1,8 @@
 import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,41 @@ def _awkward_batch(count):
         for s in range(count) for p in range(3) for j in range(2)
     )
     return batch, expected
+
+
+# Formats 8 sequences of 1024 positions in 4 dims (about 240 KB of text per
+# range, past a 64 KB pipe buffer) in 4 ranges, with the range that starts at
+# sequence argv[1] refusing to format; prints the error, then whether a child
+# of this process is left.
+_FAILING_RANGE = """
+import os, sys
+import numpy as np
+import stepanneal as sa
+from stepanneal import generate
+
+failing, blocks = int(sys.argv[1]), generate._csv_blocks
+
+def fail_one_range(template, values, first, last):
+    if first == failing:
+        raise ValueError("formatting refused")
+    text = blocks(template, values, first, last)
+    assert sum(map(len, text)) > 1 << 16, "range fits a pipe buffer"
+    return text
+
+values = np.random.default_rng(0).standard_normal((8, 1024, 4))
+order = sa.GenerationOrder(permutation=tuple(range(1024)), group_sizes=(1024,))
+batch = sa.SequenceBatch(values=values, order=order, nfe_per_sequence=1)
+os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
+generate._csv_blocks = fail_one_range
+try:
+    sa.batch_to_csv_rows(batch)
+except (ValueError, RuntimeError) as exc:
+    print(exc)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
 
 
 def _one(spec, order, cfg, pol, schedule=None, *, seed, start_index=None,
@@ -200,6 +239,35 @@ class TestSimulateSequences:
         assert b"".join(sa.batch_to_csv_rows(batch)).decode() == expected
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("failing", [0, 2, 4, 6])
+    def test_failed_range_reaps_workers_blocked_on_full_pipes(self, failing):
+        # A failure in this process's range (0) or in a worker's (2, 4, 6)
+        # while the other workers are blocked writing more text than a pipe
+        # holds: every worker must still be reaped.  It runs in its own
+        # session, so a hang is killed whole after the timeout.
+        src = str(Path(sa.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen([sys.executable, "-c", _FAILING_RANGE, str(failing)],
+                                env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail(f"range {failing}: still running after 60 s")
+        assert proc.returncode == 0, err
+        error, left = out.splitlines()
+        if failing:
+            assert error == (f"tokens.csv: formatting sequences {failing}-{failing + 1} "
+                             "failed in a worker (exit code 1): "
+                             "ValueError: formatting refused")
+        else:
+            assert error == "formatting refused"
+        assert left == "no child left"
 
     def test_joint_moments_match_process(self, spec, cov, linear_schedule):
         # Full-resolution ancestral generation, one token per AR step:
