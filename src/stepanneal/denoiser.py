@@ -74,15 +74,19 @@ def _channel_solve(
     already in the eigenbasis and the solve is the elementwise
     ``(gain / denom) (x - s mu)``.  A channel whose smallest
     ``s^2 lam + sigma^2`` is zero to rounding (at most ``m`` ulps of the
-    largest, the ``matrix_rank`` cut) is singular."""
+    largest, the ``matrix_rank`` cut) is singular; on a stacked view
+    (``lam`` of shape (cells, m)) each cell's row is checked alone."""
     lam, vecs = cond.spectrum
     denom = signal_var * lam + noise_var
-    if denom[0] <= denom[-1] * lam.size * _EPS:
-        raise NumericalError(
-            f"marginal covariance is singular: eigenvalues of "
-            f"s^2 Sigma + sigma^2 I span {denom[0]:.3e} to {denom[-1]:.3e}"
-        )
-    scale = (gain / denom)[:, None]
+    m = lam.shape[-1]
+    rows = denom.reshape(-1, m)
+    for low, high in zip(rows[:, 0].tolist(), rows[:, -1].tolist()):
+        if low <= high * m * _EPS:
+            raise NumericalError(
+                f"marginal covariance is singular: eigenvalues of "
+                f"s^2 Sigma + sigma^2 I span {low:.3e} to {high:.3e}"
+            )
+    scale = (gain / denom).reshape(-1, 1)
     if vecs is None:
         return scale * (x - math.sqrt(signal_var) * cond.mean)
     dev = np.asarray(x, dtype=np.float64) - math.sqrt(signal_var) * cond.mean

@@ -30,6 +30,8 @@ per-dimension variance they are read against is :func:`exact_variance`.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 # Callers hand in the generation order's conditioning plan and grids built by
@@ -45,6 +47,7 @@ from .process import (
     conditional_solver,  # noqa: F401
     joint_covariance,
     sample_conditional,
+    stacked_eigen,
 )
 from .samplers import SamplerConfig, TrajectoryRecord, sample_with_config
 from .schedules import DIFFUSION, TimeGrid
@@ -68,12 +71,28 @@ def _check_spd(cov: np.ndarray, name: str) -> np.ndarray:
     cov = np.asarray(cov, dtype=np.float64)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError(f"{name}: must be a square matrix")
-    if not np.allclose(cov, cov.T, atol=1e-9):
+    if not np.isfinite(cov).all():
+        raise ValueError(f"{name}: must be finite")
+    # np.allclose's test (atol 1e-9, rtol 1e-5) written out, as in
+    # ConditionalGaussian.
+    if not (np.abs(cov - cov.T) <= 1e-9 + 1e-5 * np.abs(cov.T)).all():
         raise ValueError(f"{name}: must be symmetric")
     scale = max(float(np.trace(cov)) / cov.shape[0], 1.0)
     if float(np.linalg.eigvalsh(cov)[0]) < -1e-9 * scale:
         raise ValueError(f"{name}: must be positive semi-definite")
     return 0.5 * (cov + cov.T)
+
+
+def _w2(mean1, cov1, mean2, trace2, root2) -> float:
+    """W2 of checked inputs, given the trace and the symmetric root of the
+    second covariance."""
+    inner = root2 @ cov1 @ root2
+    cross = _sym_sqrt(0.5 * (inner + inner.T))
+    w2sq = (
+        float(np.sum((mean1 - mean2) ** 2))
+        + float(np.trace(cov1) + trace2 - 2.0 * np.trace(cross))
+    )
+    return float(np.sqrt(max(w2sq, 0.0)))
 
 
 def w2_gaussian(
@@ -84,27 +103,30 @@ def w2_gaussian(
     mean2 = np.asarray(mean2, dtype=np.float64).ravel()
     cov1 = _check_spd(cov1, "cov1")
     cov2 = _check_spd(cov2, "cov2")
-    root2 = _sym_sqrt(cov2)
-    inner = root2 @ cov1 @ root2
-    cross = _sym_sqrt(0.5 * (inner + inner.T))
-    w2sq = (
-        float(np.sum((mean1 - mean2) ** 2))
-        + float(np.trace(cov1) + np.trace(cov2) - 2.0 * np.trace(cross))
-    )
-    return float(np.sqrt(max(w2sq, 0.0)))
+    return _w2(mean1, cov1, mean2, np.trace(cov2), _sym_sqrt(cov2))
+
+
+# Each conditional's side of w2_to_truth, built on its first call: the sweep
+# scores every conditional once per floor repeat and once per policy.
+# Conditionals are immutable, so an entry is a function of its key alone, and
+# it goes when the conditional does.
+_TRUTHS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def w2_to_truth(draws: np.ndarray, cond: ConditionalGaussian) -> float:
     """W2 between the moment fit of (N, m, d) draws and the exact conditional,
     flattened to one Gaussian: mean (m*d,), covariance ``kron(Sigma, I_d)``
-    (the d token dimensions are i.i.d.)."""
+    (the d token dimensions are i.i.d.).  The exact side is checked and
+    rooted once per conditional."""
     if cond.mean.ndim != 2:
         raise ValueError("cond: needs an unbatched (m, d) mean")
     flat = draws.reshape(draws.shape[0], -1)
-    fit_cov = np.atleast_2d(np.cov(flat, rowvar=False, ddof=1))
-    d = cond.mean.shape[-1]
-    return w2_gaussian(flat.mean(axis=0), fit_cov, cond.mean.ravel(),
-                       np.kron(cond.covariance, np.eye(d)))
+    fit_cov = _check_spd(np.atleast_2d(np.cov(flat, rowvar=False, ddof=1)), "cov1")
+    truth = _TRUTHS.get(cond)
+    if truth is None:
+        cov = _check_spd(np.kron(cond.covariance, np.eye(cond.mean.shape[-1])), "cov2")
+        truth = _TRUTHS[cond] = (cond.mean.ravel(), np.trace(cov), _sym_sqrt(cov))
+    return _w2(flat.mean(axis=0), fit_cov, *truth)
 
 
 def w2_floor(
@@ -180,27 +202,24 @@ def _path_probes(
 ):
     """The recorded path probed at one uniform time in each of ``t_draws``
     equal strata of the whole walk, from the grid's start ``points[0]`` down
-    to its clean end ``points[-1]``.  The checks run at the call; the probes
-    follow lazily as ``(t, x_t, j, w)``, ``x_t = w states[j] + (1 - w)
-    states[j+1]`` on the grid segment ``j`` that brackets ``t``."""
+    to its clean end ``points[-1]``.  Returns ``(t, x_t, j, w)``, one entry
+    per probe: ``x_t = w states[j] + (1 - w) states[j+1]`` on the grid
+    segment ``j`` that brackets ``t``, stacked as (t_draws,) + state shape."""
     if trajectory.states is None:
         raise ValueError("trajectory: endpoints missing; record the path")
     if diffusion and trajectory.grid.levels is None:
         raise ValueError("trajectory: diffusion straightness needs a diffusion grid")
     if t_draws < 1:
         raise ValueError("t_draws: must be >= 1")
-    times, states = trajectory.grid.points, trajectory.states
+    times, states = trajectory.grid.points, np.stack(trajectory.states)
     t_end, t_start = float(times[-1]), float(times[0])
     u = rng.random(t_draws)
-    probes = t_end + (np.arange(t_draws) + u) / t_draws * (t_start - t_end)
-
-    def interpolate(t: float):
-        j = int(np.searchsorted(-times, -t, side="right")) - 1
-        j = min(max(j, 0), len(times) - 2)
-        w = (t - times[j + 1]) / (times[j] - times[j + 1])
-        return t, w * states[j] + (1.0 - w) * states[j + 1], j, w
-
-    return (interpolate(float(t)) for t in probes)
+    t = t_end + (np.arange(t_draws) + u) / t_draws * (t_start - t_end)
+    j = np.searchsorted(-times, -t, side="right") - 1
+    j = np.clip(j, 0, len(times) - 2)
+    w = (t - times[j + 1]) / (times[j] - times[j + 1])
+    w_b = w.reshape((-1,) + (1,) * (states.ndim - 1))
+    return t, w_b * states[j] + (1.0 - w_b) * states[j + 1], j, w
 
 
 def straightness_flow(
@@ -213,12 +232,12 @@ def straightness_flow(
     """Monte Carlo estimate of the squared deviation of the field from the
     straight chord noise -> data, averaged over uniform times (and over the
     trajectory batch).  0 for a perfectly straight path."""
-    probes = _path_probes(trajectory, t_draws, rng)
+    t, x_t, _, _ = _path_probes(trajectory, t_draws, rng)
     chord = trajectory.states[0] - trajectory.states[-1]
+    v = np.stack([oracle.velocity(x, t_i, cond) for x, t_i in zip(x_t, t.tolist())])
     total = 0.0
-    for t, x_t, _, _ in probes:
-        v = oracle.velocity(x_t, t, cond)
-        total += float(np.mean(np.sum((chord - v) ** 2, axis=(-2, -1))))
+    for value in np.mean(np.sum((chord - v) ** 2, axis=(-2, -1)), axis=-1).tolist():
+        total += value
     return total / t_draws
 
 
@@ -233,22 +252,25 @@ def straightness_diffusion(
     score along the recorded path (1 = straight).  Zero-norm draws are left
     out of the average (``nan`` if none is left).  A probe's level interpolates
     the bracketing segment's levels geometrically, with the probe's weight."""
-    probes = _path_probes(trajectory, t_draws, rng, diffusion=True)
+    _, x_t, j, w = _path_probes(trajectory, t_draws, rng, diffusion=True)
     x0, lv = trajectory.states[-1], trajectory.grid.levels
+    scores = []
+    for x, j_i, w_i in zip(x_t, j, w):
+        level = float(np.exp(w_i * np.log(lv[j_i]) + (1.0 - w_i) * np.log(lv[j_i + 1])))
+        scores.append(oracle.score(x, min(level, 1.0), cond))
+    shape = x_t.shape[:2] + (-1,)  # (probe, draw, everything else)
+    to_clean = (x0 - x_t).reshape(shape)
+    s = np.stack(scores).reshape(shape)
+    nu = np.linalg.norm(to_clean, axis=-1)
+    ns = np.linalg.norm(s, axis=-1)
+    keep = (nu > _NORM_EPS) & (ns > _NORM_EPS)
+    cosines = np.divide(np.sum(to_clean * s, axis=-1), nu * ns,
+                        out=np.zeros_like(nu), where=keep)
     total, used = 0.0, 0
-    for _, x_t, j, w in probes:
-        level = float(np.exp(w * np.log(lv[j]) + (1.0 - w) * np.log(lv[j + 1])))
-        score = oracle.score(x_t, min(level, 1.0), cond)
-        to_clean = (x0 - x_t).reshape(x_t.shape[0], -1)
-        s = score.reshape(x_t.shape[0], -1)
-        nu = np.linalg.norm(to_clean, axis=1)
-        ns = np.linalg.norm(s, axis=1)
-        keep = (nu > _NORM_EPS) & (ns > _NORM_EPS)
-        if not np.any(keep):
-            continue
-        cosines = np.sum(to_clean[keep] * s[keep], axis=1) / (nu[keep] * ns[keep])
-        total += float(np.sum(cosines))
-        used += int(np.sum(keep))
+    for row, kept in zip(cosines, keep):
+        if kept.any():
+            total += float(np.sum(row[kept]))
+            used += int(np.sum(kept))
     return total / used if used else float("nan")
 
 
@@ -314,10 +336,14 @@ def sampling_variance(
     oracle = ExactDenoiser()
     redraw_rng = np.random.default_rng(redraw_seed)
     empirical = []
-    for cond, grid in zip(_reference_conditionals(plan, prefix_seed), grids):
-        draws, _ = sample_with_config(
-            sampler_config, oracle, cond, grid, redraw_rng, n_samples=draws_per_step
-        )
+    for k, (cond, grid) in enumerate(zip(_reference_conditionals(plan, prefix_seed),
+                                         grids)):
+        try:
+            draws, _ = sample_with_config(
+                sampler_config, oracle, cond, grid, redraw_rng, n_samples=draws_per_step
+            )
+        except Exception as exc:
+            raise RuntimeError(f"AR step {k}: {exc}") from exc
         empirical.append(draws.var(axis=0, ddof=1).mean(axis=0))  # (d,)
     return np.asarray(empirical)
 
@@ -379,12 +405,19 @@ def quality_sweep(
     policy, not sampling noise.  With ``joint_sequences > 0`` each policy
     also runs that many full sequences end to end and reports the relative
     Frobenius error of the empirical joint covariance.
+
+    The (policy, AR step) cells that walk equal grids with equal group sizes
+    run as one sampler walk over their stacked eigen views
+    (:func:`~stepanneal.process.stacked_eigen`), each cell with its own
+    stream, so every value is the one a walk per cell gives.  A failing walk
+    is raised naming each of its cells' AR step and policy.
     """
     check_joint_draws(joint_sequences, plan.spec.token_dim)
     for grids in grids_per_policy:
         check_grid_count(grids, plan.order)
     prefix_seed, sweep_seed = seeds
     spec = plan.spec
+    sizes = plan.order.group_sizes
     oracle = ExactDenoiser()
     rng = np.random.default_rng(sweep_seed)
     conds = _reference_conditionals(plan, prefix_seed)
@@ -393,19 +426,37 @@ def quality_sweep(
         for cond in conds
     ])
 
+    stacks: dict[tuple, list[tuple[int, int]]] = {}
+    for p, grids in enumerate(grids_per_policy):
+        for k, grid in enumerate(grids):
+            levels = None if grid.levels is None else grid.levels.tobytes()
+            key = (grid.domain, grid.points.tobytes(), levels, sizes[k])
+            stacks.setdefault(key, []).append((p, k))
     shape = (len(grids_per_policy), len(conds))
     w2, nfe = np.empty(shape), np.empty(shape, dtype=int)
-    joint = np.full(shape[0], np.nan)
-    for p, grids in enumerate(grids_per_policy):
-        for k, (cond, grid) in enumerate(zip(conds, grids)):
-            cell_rng = np.random.default_rng([sweep_seed, 1 + k])
+    for (*_, m), cells in stacks.items():
+        p, k = cells[0]
+        try:
             draws, record = sample_with_config(
-                sampler_config, oracle, cond, grid, cell_rng,
+                sampler_config, oracle, stacked_eigen([conds[k] for _, k in cells]),
+                grids_per_policy[p][k],
+                [np.random.default_rng([sweep_seed, 1 + k]) for _, k in cells],
                 n_samples=draws_per_step,
             )
-            w2[p, k] = w2_to_truth(draws, cond)
+        except Exception as exc:
+            named = ", ".join(f"AR step {k} (policy {p})" for p, k in cells)
+            raise RuntimeError(f"{named}: {exc}") from exc
+        for i, (p, k) in enumerate(cells):
+            # Each cell's slice is rotated back as its own contiguous array,
+            # as a walk on that cell alone rotates its result.
+            cell = np.ascontiguousarray(draws[:, i * m:(i + 1) * m])
+            w2[p, k] = w2_to_truth(conds[k].spectrum[1] @ cell, conds[k])
             nfe[p, k] = record.nfe
-        if joint_sequences > 0:
+
+    joint = np.full(shape[0], np.nan)
+    if joint_sequences > 0:
+        cov = joint_covariance(spec)
+        for p, grids in enumerate(grids_per_policy):
             batch = simulate_sequences(
                 plan, sampler_config, grids,
                 n_sequences=joint_sequences,
@@ -413,6 +464,5 @@ def quality_sweep(
             )
             flat = batch.values.transpose(0, 2, 1).reshape(-1, spec.token_count)
             emp = np.cov(flat, rowvar=False, ddof=1)
-            cov = joint_covariance(spec)
             joint[p] = np.linalg.norm(emp - cov) / np.linalg.norm(cov)
     return w2, nfe, floors, joint

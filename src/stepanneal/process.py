@@ -196,7 +196,8 @@ class ConditionalGaussian:
         """Eigenvalues ``lam`` (ascending) and orthonormal eigenvectors ``U``
         with ``covariance = U diag(lam) U^T``: one ``eigh`` on first use,
         cached and read-only like the other fields.  ``U`` is ``None`` on an
-        :attr:`eigen` view, whose covariance is already ``diag(lam)``."""
+        :attr:`eigen` view, whose covariance is already ``diag(lam)``; on a
+        :func:`stacked_eigen` view ``lam`` has one ascending row per cell."""
         lam, vecs = np.linalg.eigh(self.covariance)
         return _readonly(lam), _readonly(vecs)
 
@@ -214,6 +215,27 @@ class ConditionalGaussian:
                                    np.diag(lam))
         view.__dict__["spectrum"] = (lam, None)  # seeds the cached property
         return view
+
+
+def stacked_eigen(conds) -> ConditionalGaussian:
+    """The :attr:`~ConditionalGaussian.eigen` views of conditionals of one
+    size side by side along the position axis, one cell each: the means
+    concatenated and the spectrum ``(lam, None)`` with ``lam`` of shape
+    (cells, m), one row per cell.  An exact oracle call on an eigen view is
+    elementwise, so each cell's slice of a call on the stack equals that
+    call on the cell's own view."""
+    views = [cond.eigen for cond in conds]
+    if len({view.size for view in views}) != 1:
+        raise ValueError("conds: need at least one, all of one size")
+    if len(views) == 1:
+        return views[0]
+    lam = _readonly(np.stack([view.spectrum[0] for view in views]))
+    stack = ConditionalGaussian(
+        sum((view.target_positions for view in views), ()),
+        np.concatenate([view.mean for view in views], axis=-2),
+        np.diag(lam.ravel()))
+    stack.__dict__["spectrum"] = (lam, None)
+    return stack
 
 
 @dataclass(frozen=True, eq=False)

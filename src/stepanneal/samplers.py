@@ -30,7 +30,9 @@ so they commute with the orthogonal ``U``.  It draws the start noise and
 every ``xi`` there (the same law), calls the oracle on the conditional's
 :attr:`~stepanneal.process.ConditionalGaussian.eigen` view, where an exact
 call is a per-eigenvalue scale, and rotates the final and recorded states
-back once each.
+back once each.  Given an eigen view it returns that view's coordinates.
+A stacked view of several conditionals of one size is one walk for all of
+them, every call and transition elementwise, with one noise stream per cell.
 
 Each rule walks the grid as given, one transition per step: the diffusion
 samplers its ``levels``, ending at the clean state (level exactly 1), where
@@ -227,13 +229,18 @@ def sample_with_config(
     oracle,
     cond: ConditionalGaussian,
     grid: TimeGrid,
-    rng: np.random.Generator,
+    rng: np.random.Generator | list[np.random.Generator],
     n_samples: int = 1,
     record_path: bool = False,
 ) -> tuple[np.ndarray, TrajectoryRecord]:
     """Run the configured sampler's rule on ``grid`` (the executor above);
     return the final state and the run's record.  A batched (3-D) conditional
-    mean runs one sample per batch entry, so ``n_samples`` must then be 1."""
+    mean runs one sample per batch entry, so ``n_samples`` must then be 1.
+
+    On an eigen view the states stay in its coordinates.  On a stacked view
+    (:func:`~stepanneal.process.stacked_eigen`) ``rng`` may be one generator
+    per cell: each cell then draws its own start noise and ``xi`` as a run
+    on that cell alone would, so its slice of the result equals that run."""
     if cond.mean.ndim == 3 and n_samples != 1:
         raise ValueError(f"n_samples: must be 1 with a batched mean, got {n_samples}")
     if grid.domain != config.domain:
@@ -244,12 +251,21 @@ def sample_with_config(
         predict, walk = oracle.x0, grid.levels
     else:
         predict, walk = oracle.velocity, grid.points
-    vecs = cond.spectrum[1]
-    if vecs is None:  # an eigen view walks in its own coordinates
-        vecs = np.eye(cond.size)
+    rngs = list(rng) if isinstance(rng, (list, tuple)) else [rng]
+    lam, vecs = cond.spectrum
+    if len(rngs) not in (1, lam.size // lam.shape[-1]):
+        raise ValueError(f"rng: need one generator or one per cell, got {len(rngs)}")
     eigen = cond.eigen
     batch = () if cond.mean.ndim == 3 else (n_samples,)
-    x = rng.standard_normal(batch + cond.mean.shape)
+    shape = batch + cond.mean.shape
+
+    def noise() -> np.ndarray:
+        if len(rngs) == 1:
+            return rngs[0].standard_normal(shape)
+        cell = shape[:-2] + (shape[-2] // len(rngs), shape[-1])
+        return np.concatenate([r.standard_normal(cell) for r in rngs], axis=-2)
+
+    x = noise()
     states = [x] if record_path else None
     prev = None
     nfe = 0
@@ -260,11 +276,13 @@ def sample_with_config(
         if step.c_prev:
             new += step.c_prev * prev
         if step.noise_std > 0.0:
-            new += step.noise_std * rng.standard_normal(x.shape)
+            new += step.noise_std * noise()
         x, prev = new, pred
         if states is not None and step.recorded:
             states.append(x)
-    if states is not None:
-        states = [vecs @ state for state in states]
-    return vecs @ x, TrajectoryRecord(grid, nfe, states)
+    if vecs is not None:
+        x = vecs @ x
+        if states is not None:
+            states = [vecs @ state for state in states]
+    return x, TrajectoryRecord(grid, nfe, states)
 

@@ -125,6 +125,48 @@ def test_cold_import_leaves_out_scipy():
     assert result.stdout.strip() == "[]"
 
 
+# big_field's simulate config at 2 sequences: a 1024 x 1024 Cholesky factor
+# and products that BLAS splits across threads.
+_THREADED_CONFIG = {
+    "grid_height": 32, "grid_width": 32, "ar_steps": 256, "schedule_kind": "linear",
+    "start_index": 950, "sampler": "ddim", "t_early": 50, "t_late": 5,
+    "n_sequences": 2,
+}
+
+
+def simulate_tokens(tmp_path, threads: int, name: str) -> bytes:
+    """tokens.csv of a ``simulate`` subprocess at a BLAS thread count."""
+    config = tmp_path / "threaded.json"
+    config.write_text(json.dumps(_THREADED_CONFIG))
+    env = {**package_env(), **{var: str(threads) for var in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+    out = tmp_path / name
+    result = subprocess.run(
+        [sys.executable, "-m", "stepanneal.cli", "simulate", "--config", str(config),
+         "--out-dir", str(out)], env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return (out / "tokens.csv").read_bytes()
+
+
+def test_one_blas_thread_count_repeats_every_byte(tmp_path):
+    # The determinism contract: on one numpy/BLAS build and BLAS thread
+    # count, a config determines every output byte.
+    assert simulate_tokens(tmp_path, 1, "a") == simulate_tokens(tmp_path, 1, "b")
+
+
+@pytest.mark.skipif(
+    (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+     else os.cpu_count() or 1) < 2, reason="one CPU")
+def test_blas_thread_counts_agree_within_a_bound(tmp_path):
+    # Across thread counts BLAS sums in another order, so the bytes may
+    # differ; every value agrees within 1e-8 (the largest gap measured is
+    # about 1.4e-10), and the rows' keys are the same.
+    one, two = (np.loadtxt(simulate_tokens(tmp_path, t, f"t{t}").decode().splitlines()[2:],
+                           delimiter=",") for t in (1, 2))
+    np.testing.assert_array_equal(one[:, :4], two[:, :4])
+    np.testing.assert_allclose(two[:, 4], one[:, 4], rtol=0.0, atol=1e-8)
+
+
 def test_benchmark_hooks_bind():
     # The benchmark (bench/spans.py) rebinds package names from outside, such
     # as every ExactDenoiser method, velocity_and_flow_score included, which no
@@ -792,15 +834,17 @@ class TestSweepCommand:
 ])
 def test_reported_nfe_equals_spent(capsys, tmp_path, monkeypatch, sampler, order):
     """summary.json, sweep.csv and sweep_summary.csv report the denoiser
-    calls that the run actually made."""
+    evaluations that the run actually made: a call on a stacked view of
+    several conditionals evaluates each of its cells once."""
     from stepanneal.denoiser import ExactDenoiser
 
     spent = [0]
 
     def counted(method):
-        def wrapper(*args, **kwargs):
-            spent[0] += 1
-            return method(*args, **kwargs)
+        def wrapper(self, x, at, cond):
+            lam = cond.spectrum[0]
+            spent[0] += lam.size // lam.shape[-1]
+            return method(self, x, at, cond)
         return wrapper
 
     for name in ("epsilon", "score", "x0", "velocity", "flow_score",

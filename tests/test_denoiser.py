@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import stepanneal as sa
+from stepanneal.process import stacked_eigen
 
 
 # The conversions between the three parameterizations, written out as
@@ -171,6 +172,26 @@ class TestSingularChannel:
             oracle.velocity(x, 0.0, cond)
         # Any noise makes the channel regular again.
         assert np.all(np.isfinite(oracle.x0(x, 0.9, cond)))
+
+
+class TestStackedChannel:
+    def test_each_cell_is_checked_alone(self, oracle):
+        # At level 1 the channel is the covariance itself.  Cells at 1e-3 and
+        # 1e14 are each regular, though no one cut fits both; a rank-one cell
+        # is singular beside a regular one.
+        def cell(cov):
+            return sa.ConditionalGaussian((0, 1), np.full((2, 4), 0.3), cov)
+
+        small, large = cell(1e-3 * np.eye(2)), cell(1e14 * np.eye(2))
+        x = np.random.default_rng(8).standard_normal((3, 4, 4))
+        got = oracle.x0(x, 1.0, stacked_eigen([small, large]))
+        for i, cond in enumerate((small, large)):
+            part = np.ascontiguousarray(x[:, 2 * i:2 * i + 2])
+            np.testing.assert_array_equal(got[:, 2 * i:2 * i + 2],
+                                          oracle.x0(part, 1.0, cond.eigen))
+        rank_one = cell(np.outer([1.0, 2.0], [1.0, 2.0]))
+        with pytest.raises(sa.NumericalError, match=r"to 5\.000e\+00$"):
+            oracle.x0(x, 1.0, stacked_eigen([small, rank_one]))
 
 
 class TestEigenView:

@@ -60,6 +60,16 @@ class TestW2Gaussian:
             sa.w2_gaussian(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]),
                            np.zeros(2), np.eye(2))
 
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["cov1", "cov2"])
+    def test_non_finite_rejected(self, name, bad, entry):
+        broken = np.eye(2)
+        broken[entry] = broken[entry[::-1]] = bad
+        covs = {"cov1": np.eye(2), "cov2": np.eye(2), name: broken}
+        with pytest.raises(ValueError, match=f"^{name}: must be finite$"):
+            sa.w2_gaussian(np.zeros(2), covs["cov1"], np.zeros(2), covs["cov2"])
+
     def test_fit_and_floor(self):
         cond = isotropic_cond(mean=0.3, var=2.0)
         rng = np.random.default_rng(2)
@@ -236,6 +246,17 @@ class TestSamplingVariance:
                 sa.step_grids(cfg, sa.constant_scheduler(10, 4), linear_schedule),
                 1, (1, 2))
 
+    def test_a_failing_step_is_named(self, spec, linear_schedule, monkeypatch):
+        # Only the 7-step grid of AR step 3 visits schedule index 791.
+        grids = [sa.make_diffusion_grid(linear_schedule, t, 950) for t in (3, 9, 2, 7)]
+        monkeypatch.setattr(sa.diagnostics, "ExactDenoiser",
+                            failing_at(grids[3].levels[1]))
+        with pytest.raises(RuntimeError, match="^AR step 3: boom$") as info:
+            sa.sampling_variance(
+                sa.conditioning_plan(spec, sa.random_order(spec, 4, seed=0)),
+                sa.SamplerConfig(kind="ddim"), grids, 8, (1, 2))
+        assert isinstance(info.value.__cause__, sa.NumericalError)
+
     @pytest.mark.parametrize("policy_steps, order_steps", [(4, 16), (16, 4)])
     def test_ar_step_mismatch_rejected(self, spec, linear_schedule,
                                        policy_steps, order_steps):
@@ -294,6 +315,39 @@ class TestProbeError:
             axis=0,
         )
         assert np.all(np.diff(traces) < 0)
+
+
+def failing_at(level):
+    """An exact denoiser class whose x0 raises at one diffusion level."""
+    class Failing(sa.ExactDenoiser):
+        def x0(self, x, alpha_bar, cond):
+            if alpha_bar == level:
+                raise sa.NumericalError("boom")
+            return super().x0(x, alpha_bar, cond)
+    return Failing
+
+
+def per_cell_sweep(plan, cfg, grids_per_policy, seeds, draws, floor_repeats):
+    """quality_sweep's W2, NFE and floors from one sampler walk per
+    (policy, AR step) cell, each on its own conditional with the stream
+    ``[sweep_seed, 1 + k]``: the reference the stacked walks reproduce."""
+    prefix_seed, sweep_seed = seeds
+    whitened = np.random.default_rng(prefix_seed).standard_normal(
+        (plan.spec.token_count, plan.spec.token_dim))
+    conds = [plan.conditional(k, whitened) for k in range(plan.order.step_count)]
+    rng = np.random.default_rng(sweep_seed)
+    floors = [np.mean([w2_by_moments(sa.sample_conditional(cond, rng, size=draws), cond)
+                       for _ in range(floor_repeats)]) for cond in conds]
+    oracle = sa.ExactDenoiser()
+    shape = (len(grids_per_policy), len(conds))
+    w2, nfe = np.empty(shape), np.empty(shape, dtype=int)
+    for p, grids in enumerate(grids_per_policy):
+        for k, (cond, grid) in enumerate(zip(conds, grids)):
+            out, record = sa.sample_with_config(
+                cfg, oracle, cond, grid, np.random.default_rng([sweep_seed, 1 + k]),
+                n_samples=draws)
+            w2[p, k], nfe[p, k] = w2_by_moments(out, cond), record.nfe
+    return w2, nfe, np.asarray(floors)
 
 
 @pytest.fixture(scope="module")
@@ -386,6 +440,57 @@ class TestQualitySweep:
         assert w2[0, 1] == w2[1, 1]
         assert np.all(w2[0, [0, 2, 3]] != w2[1, [0, 2, 3]])
         assert floors.shape == (4,) and np.isnan(joint).all()
+
+    @pytest.mark.parametrize("cfg", [
+        sa.SamplerConfig("ddpm"), sa.SamplerConfig("ddim", eta=0.5),
+        sa.SamplerConfig("dpm_solver"), sa.SamplerConfig("dpm_solver", order=2),
+        sa.SamplerConfig("dpm_solver_pp"), sa.SamplerConfig("euler_flow"),
+        sa.SamplerConfig("euler_maruyama"),
+    ], ids=lambda c: f"{c.kind}-{c.order}")
+    def test_stacked_walks_equal_a_walk_per_cell(self, linear_schedule, monkeypatch,
+                                                 cfg):
+        # 15 positions in 4 AR steps: groups of 4, 4, 4 and 3.  Equal T at
+        # equal group sizes share a walk, across AR steps and policies; the
+        # T = 2 cells of group sizes 4 and 3 do not.  Five walks in all.
+        spec = sa.TokenProcessSpec(grid_height=3, grid_width=5, token_dim=2)
+        plan = sa.conditioning_plan(spec, sa.random_order(spec, 4, seed=1))
+        policies = [(3, 5, 5, 2), (3, 3, 5, 2), (4, 5, 2, 2)]
+        grids = [[sa.make_flow_grid(t, 1.0) if cfg.domain == sa.FLOW
+                  else sa.make_diffusion_grid(linear_schedule, t, 950) for t in ts]
+                 for ts in policies]
+        walks, walk = [], sa.diagnostics.sample_with_config
+
+        def counted(config, oracle, cond, *args, **kwargs):
+            walks.append(cond.size)
+            return walk(config, oracle, cond, *args, **kwargs)
+
+        monkeypatch.setattr(sa.diagnostics, "sample_with_config", counted)
+        w2, nfe, floors, _ = sa.quality_sweep(plan, cfg, grids, (5, 6),
+                                              draws_per_step=32, floor_repeats=2)
+        assert sorted(walks) == [4, 4, 9, 12, 16]  # positions per walk
+        want_w2, want_nfe, want_floors = per_cell_sweep(plan, cfg, grids, (5, 6), 32, 2)
+        np.testing.assert_array_equal(w2, want_w2)
+        np.testing.assert_array_equal(nfe, want_nfe)
+        np.testing.assert_array_equal(floors, want_floors)
+
+    def test_a_failing_walk_names_its_cells(self, spec, linear_schedule, monkeypatch):
+        # Only the 9-step grids visit schedule index 831.  Their walk stacks
+        # AR step 1 of the allocation and every step of constant-9, and names
+        # each of them.
+        cfg = sa.SamplerConfig(kind="ddim")
+        allocation = [sa.make_diffusion_grid(linear_schedule, t, 950)
+                      for t in (3, 9, 2, 7)]
+        constant = sa.step_grids(cfg, sa.constant_scheduler(9, 4), linear_schedule, 950)
+        monkeypatch.setattr(sa.diagnostics, "ExactDenoiser",
+                            failing_at(constant[0].levels[1]))
+        with pytest.raises(RuntimeError) as info:
+            sa.quality_sweep(
+                sa.conditioning_plan(spec, sa.random_order(spec, 4, seed=0)), cfg,
+                [allocation, constant], (0, 1), draws_per_step=8, floor_repeats=1)
+        assert str(info.value) == (
+            "AR step 1 (policy 0), AR step 0 (policy 1), AR step 1 (policy 1), "
+            "AR step 2 (policy 1), AR step 3 (policy 1): boom")
+        assert isinstance(info.value.__cause__, sa.NumericalError)
 
     def test_joint_moment_error_reported(self, sweep):
         joint = sweep[3]

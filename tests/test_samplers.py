@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import stepanneal as sa
+from stepanneal.process import stacked_eigen
 
 from conftest import dirac_cond, isotropic_cond
 
@@ -387,6 +388,50 @@ class TestEigenView:
             ref, _ = sa.sample_with_config(cfg, oracle, aniso_cond, grid,
                                            np.random.default_rng(5), n_samples=6)
             np.testing.assert_allclose(rotate @ out, ref, rtol=0.0, atol=1e-12)
+
+
+class TestStackedView:
+    @pytest.mark.parametrize("cfg", [DDPM, DPM2, DPM_PP, EULER_SDE],
+                             ids=lambda c: c.kind)
+    def test_each_cell_walks_as_if_alone(self, linear_schedule, aniso_cond, oracle,
+                                         cfg):
+        # Three conditionals of one size walked as one stacked view, each with
+        # its own stream: each cell's slice is that cell's own walk on its
+        # eigen view, bit for bit, recorded states included.
+        conds = [
+            aniso_cond,
+            sa.ConditionalGaussian((1, 2, 3), aniso_cond.mean - 0.5,
+                                   0.5 * aniso_cond.covariance + 0.1 * np.eye(3)),
+            sa.ConditionalGaussian((4, 7, 9), aniso_cond.mean[::-1], np.diag([0.2, 1.0, 3.0])),
+        ]
+        grid = (sa.make_diffusion_grid(linear_schedule, 6, 950)
+                if cfg.domain == sa.DIFFUSION else sa.make_flow_grid(6, 1.0))
+        out, rec = sa.sample_with_config(
+            cfg, oracle, stacked_eigen(conds), grid,
+            [np.random.default_rng(seed) for seed in (1, 2, 3)],
+            n_samples=5, record_path=True)
+        assert out.shape == (5, 9, 4)
+        for i, cond in enumerate(conds):
+            cell = slice(3 * i, 3 * i + 3)
+            want, want_rec = sa.sample_with_config(
+                cfg, oracle, cond.eigen, grid, np.random.default_rng(i + 1),
+                n_samples=5, record_path=True)
+            np.testing.assert_array_equal(out[:, cell], want)
+            assert rec.nfe == want_rec.nfe
+            for state, want_state in zip(rec.states, want_rec.states, strict=True):
+                np.testing.assert_array_equal(state[:, cell], want_state)
+
+    def test_refusals(self, linear_schedule, aniso_cond, oracle):
+        with pytest.raises(ValueError, match="^conds: need at least one, all of one size$"):
+            stacked_eigen([aniso_cond, isotropic_cond()])
+        with pytest.raises(ValueError, match="^conds: "):
+            stacked_eigen([])
+        grid = sa.make_diffusion_grid(linear_schedule, 3, 950)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="^rng: need one generator or one per "
+                                             "cell, got 2$"):
+            sa.sample_with_config(DDPM, oracle, stacked_eigen([aniso_cond] * 3), grid,
+                                  [rng, rng])
 
 
 class TestDdpm:
