@@ -3,7 +3,8 @@
 Subcommands: ``schedule``, ``simulate``, ``diagnose``, ``sweep``,
 ``oracle-check``.  CLI flags override config-file values; the effective
 config is echoed into the output directory and its hash is written into a
-header comment of every CSV, so a config determines every output byte.
+header comment of every CSV, so a config determines every output byte on one
+numpy/BLAS build and BLAS thread count.
 Wall-clock timing is printed to stdout only and never written to files.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.

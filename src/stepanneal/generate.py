@@ -5,21 +5,24 @@ reverse grids: one :class:`~stepanneal.schedules.TimeGrid` per AR step k,
 with ``grid.step_count`` = T(k).  Generation takes those grids, so any
 per-step allocation reaches it as grids.  Each AR step k conditions on
 everything generated so far and runs the configured sampler on step k's grid
-with the exact conditional as its denoiser.  Runs are fully determined by the
-seed.  ``simulate_sequences`` vectorizes many sequences through one shared
-generation order, given as its :class:`~stepanneal.process.ConditioningPlan`
-(built once per command; it carries the spec): every step's conditional
-covariance comes from the plan's factor, and each step's batched means are
-one product with the whitened innovations of the groups already drawn.
+with the exact conditional as its denoiser.  On one numpy/BLAS build and BLAS
+thread count, runs are fully determined by the seed.  ``simulate_sequences``
+vectorizes many sequences through one shared generation order, given as its
+:class:`~stepanneal.process.ConditioningPlan` (built once per command; it
+carries the spec): every step's conditional covariance comes from the plan's
+factor, and each step's batched means are one product with the whitened
+innovations of the groups already drawn.
 ``batch_to_csv_rows`` formats a batch as the body of ``tokens.csv`` on every
-CPU the process may run on, in forked workers, with the same bytes at any
-CPU count.
+CPU the process may run on, in forked workers that each write their text to
+an unnamed temporary file, with the same bytes at any CPU count.
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -156,45 +159,6 @@ def _csv_blocks(template: str, values: np.ndarray, first: int,
     return blocks
 
 
-def _start_worker(template: str, values: np.ndarray, first: int, last: int,
-                  running: list[int]) -> tuple[int, int]:
-    """Fork a worker that writes the text of sequences ``first`` to
-    ``last - 1`` to a pipe, then exits; returns its pid and the pipe's read
-    end.  ``running`` holds the read ends of the workers already started,
-    which the worker closes, so that this process is each pipe's only
-    reader.  A worker whose formatting raises writes the error's text
-    instead and exits 1."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        # The worker leaves only by its exit code, whatever happens: it must
-        # never return into the caller's stack, which is the parent's too.
-        code = 1
-        try:
-            for fd in (read_end, *running):
-                os.close(fd)
-            try:
-                # All of it before the first write: a worker that wrote as it
-                # went would stall on the full pipe until the parent reads.
-                data, code = b"".join(_csv_blocks(template, values, first, last)), 0
-            except Exception as exc:
-                data = f"{type(exc).__name__}: {exc}".encode()
-            view = memoryview(data)
-            while view:
-                view = view[os.write(write_end, view):]
-        except BaseException:
-            code = 1
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    return pid, read_end
-
-
 def batch_to_csv_rows(batch: SequenceBatch) -> list[bytes]:
     """The body of ``tokens.csv`` as encoded text pieces, to be written in
     turn: a line ``seq_id,ar_step,position,dim,value`` per cell, in cell
@@ -204,11 +168,11 @@ def batch_to_csv_rows(batch: SequenceBatch) -> list[bytes]:
 
     The sequences are split into contiguous ranges, one per CPU this process
     may run on and never more than there are sequences.  Forked workers
-    format every range but the first and send their text back through
-    pipes while this process formats the first; the pieces are the same
-    bytes whatever the count.  Every worker is reaped before this returns
-    or raises, and a worker's failure is raised here as a ``RuntimeError``
-    naming its sequences."""
+    format every range but the first, each into its own unnamed temporary
+    file in the temp directory (gone once it is closed), while this process
+    formats the first; the pieces are the same bytes whatever the count.
+    Every worker is reaped before this returns or raises, and a worker's
+    failure is raised here as a ``RuntimeError`` naming its sequences."""
     step_of = np.empty(len(batch.order.permutation), dtype=int)
     for k, group in enumerate(batch.order.groups()):
         step_of[list(group)] = k
@@ -220,25 +184,47 @@ def batch_to_csv_rows(batch: SequenceBatch) -> list[bytes]:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     ranges = max(1, min(cpus, count))
     bounds = [count * i // ranges for i in range(ranges + 1)]
-    workers = []  # (pid, read end, first, last) of each worker not yet reaped
+    workers = []  # (pid, text file, first, last) of each worker not yet reaped
     try:
         for first, last in zip(bounds[1:-1], bounds[2:]):
-            pid, read_end = _start_worker(template, batch.values, first, last,
-                                          [fd for _, fd, _, _ in workers])
-            workers.append((pid, read_end, first, last))
+            text = tempfile.TemporaryFile()
+            try:
+                pid = os.fork()
+            except BaseException:
+                text.close()
+                raise
+            if pid == 0:
+                # The worker leaves only by its exit code, whatever happens:
+                # it must never return into the caller's stack, which is the
+                # parent's too.  A failure leaves only the error's text.
+                code = 1
+                try:
+                    try:
+                        text.writelines(_csv_blocks(template, batch.values, first, last))
+                        text.flush()
+                        code = 0
+                    except Exception as exc:
+                        # Past the buffer, which may still hold unwritten text.
+                        os.ftruncate(text.fileno(), 0)
+                        os.pwrite(text.fileno(),
+                                  f"{type(exc).__name__}: {exc}".encode(), 0)
+                finally:
+                    os._exit(code)
+            workers.append((pid, text, first, last))
         rows = _csv_blocks(template, batch.values, 0, bounds[1])
         while workers:
-            pid, read_end, first, last = workers[0]
-            # Kept as read: joining or decoding a worker's text would hold
-            # it twice.
-            pieces = []
-            while piece := os.read(read_end, 1 << 20):
-                pieces.append(piece)
-            del workers[0]
-            os.close(read_end)
+            pid, text, first, last = workers[0]
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[0]
+            with text:
+                text.seek(0)
+                # Kept as read: joining or decoding a worker's text would
+                # hold it twice.
+                pieces = list(iter(partial(text.read, 1 << 20), b""))
             if code != 0:
-                detail = b"".join(pieces).decode(errors="replace")
+                # Only a worker that exited by itself left its error's text;
+                # a killed one may have left part of its range's.
+                detail = b"".join(pieces).decode(errors="replace") if code == 1 else ""
                 raise RuntimeError(
                     f"tokens.csv: formatting sequences {first}-{last - 1} failed "
                     f"in a worker (exit code {code})"
@@ -246,9 +232,6 @@ def batch_to_csv_rows(batch: SequenceBatch) -> list[bytes]:
             rows += pieces
         return rows
     finally:
-        # Every pipe loses its reader before any wait, so a worker blocked on
-        # a full pipe fails its write and exits rather than wait for a read.
-        for _, read_end, _, _ in workers:
-            os.close(read_end)
-        for pid, _, _, _ in workers:
+        for pid, text, _, _ in workers:
+            text.close()
             os.waitpid(pid, 0)

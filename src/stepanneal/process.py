@@ -211,10 +211,24 @@ class ConditionalGaussian:
         lam, vecs = self.spectrum
         if vecs is None:  # already a view
             return self
-        view = ConditionalGaussian(self.target_positions, vecs.T @ self.mean,
-                                   np.diag(lam))
-        view.__dict__["spectrum"] = (lam, None)  # seeds the cached property
+        return _EigenView.of(self.target_positions, vecs.T @ self.mean, lam)
+
+
+class _EigenView(ConditionalGaussian):
+    """An eigen view, built by :meth:`of` from checked parts: its spectrum is
+    ``(lam, None)`` and its covariance ``diag(lam)`` is built only when read,
+    never held, since a stack of M positions would hold M x M of it."""
+
+    @classmethod
+    def of(cls, positions, mean, lam) -> ConditionalGaussian:
+        view = object.__new__(cls)
+        view.__dict__.update(target_positions=positions, mean=_readonly(mean),
+                             spectrum=(lam, None))  # seeds the cached property
         return view
+
+    @property
+    def covariance(self) -> np.ndarray:
+        return np.diag(self.spectrum[0].ravel())
 
 
 def stacked_eigen(conds) -> ConditionalGaussian:
@@ -229,13 +243,10 @@ def stacked_eigen(conds) -> ConditionalGaussian:
         raise ValueError("conds: need at least one, all of one size")
     if len(views) == 1:
         return views[0]
-    lam = _readonly(np.stack([view.spectrum[0] for view in views]))
-    stack = ConditionalGaussian(
-        sum((view.target_positions for view in views), ()),
+    return _EigenView.of(
+        tuple(p for view in views for p in view.target_positions),
         np.concatenate([view.mean for view in views], axis=-2),
-        np.diag(lam.ravel()))
-    stack.__dict__["spectrum"] = (lam, None)
-    return stack
+        _readonly(np.stack([view.spectrum[0] for view in views])))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,12 @@ def schur_solver(spec, observed, targets):
         weights=np.linalg.solve(factor.T, b).T,
         covariance=0.5 * (cond_cov + cond_cov.T),
     )
+
+
+def open_fd_count():
+    """The number of this process's open descriptors, or ``None`` where
+    ``/proc/self/fd`` does not list them."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
 @pytest.fixture(scope="session")

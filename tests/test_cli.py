@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -22,6 +23,8 @@ from stepanneal import (
     cli, conditioning_plan, generate, simulate_sequences, step_grids,
 )
 from stepanneal.cli import main
+
+from conftest import open_fd_count
 
 
 # One bad value per config key but out_dir: (config, the start of the error
@@ -720,6 +723,43 @@ class TestSimulateCommand:
             assert err.rstrip().endswith("ValueError: formatting refused")
         else:
             assert err == "error: formatting refused\n"
+
+    @pytest.mark.parametrize("death", ["raises", "killed"])
+    def test_worker_failing_halfway_writes_no_tokens(self, capsys, base_config,
+                                                     monkeypatch, death):
+        # 30 sequences split 0-9, 10-19 and 20-29.  The worker of 10-19 fails
+        # halfway through its range, after writing about 9 KB of its text,
+        # more than its file's buffer holds: by an error, or killed by
+        # SIGKILL.  The CLI names the sequences and the error or the signal,
+        # with none of that text, writes no tokens.csv, and leaves no child
+        # and no open descriptor.
+        config, tmp = base_config
+        blocks = generate._csv_blocks
+
+        def fail_halfway(template, values, first, last):
+            if first != 10:
+                return blocks(template, values, first, last)
+
+            def halfway():
+                yield from blocks(template, values, first, first + 5)
+                if death == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise ValueError("formatting refused")
+            return halfway()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(generate, "_csv_blocks", fail_halfway)
+        fds = open_fd_count()
+        code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+                               "--n-sequences", "30")
+        assert code == 1
+        assert err == ("error: tokens.csv: formatting sequences 10-19 failed in a "
+                       + ("worker (exit code -9)\n" if death == "killed" else
+                          "worker (exit code 1): ValueError: formatting refused\n"))
+        assert not (tmp / "out" / "tokens.csv").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert open_fd_count() == fds
 
     def test_env_var_out_dir(self, capsys, tmp_path, monkeypatch):
         config = tmp_path / "cfg.json"

@@ -9,7 +9,7 @@ import pytest
 
 import stepanneal as sa
 
-from conftest import schur_solver
+from conftest import open_fd_count, schur_solver
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +39,9 @@ def _awkward_batch(count):
 
 
 # Formats 8 sequences of 1024 positions in 4 dims (about 240 KB of text per
-# range, past a 64 KB pipe buffer) in 4 ranges, with the range that starts at
-# sequence argv[1] refusing to format; prints the error, then whether a child
-# of this process is left.
+# range, more than any OS buffer holds, 64 KB for a pipe) in 4 ranges, with
+# the range that starts at sequence argv[1] refusing to format; prints the
+# error, then whether a child of this process is left.
 _FAILING_RANGE = """
 import os, sys
 import numpy as np
@@ -236,16 +236,42 @@ class TestSimulateSequences:
         # sequences.
         batch, expected = _awkward_batch(5)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        fds = open_fd_count()
         assert b"".join(sa.batch_to_csv_rows(batch)).decode() == expected
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert open_fd_count() == fds
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_failed_fork_reaps_started_workers(self, monkeypatch, failing):
+        # os.fork fails on the worker range given (of 2): the error propagates
+        # as itself, any worker already started is reaped, and no temporary
+        # file stays open, the one made for the failed fork included.
+        batch, _ = _awkward_batch(3)
+        fork, error, forks = os.fork, OSError(11, "fork refused"), []
+
+        def fork_once():
+            forks.append(None)
+            if len(forks) == failing:
+                raise error
+            return fork()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(os, "fork", fork_once)
+        fds = open_fd_count()
+        with pytest.raises(OSError) as info:
+            sa.batch_to_csv_rows(batch)
+        assert info.value is error and len(forks) == failing
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert open_fd_count() == fds
 
     @pytest.mark.parametrize("failing", [0, 2, 4, 6])
     def test_failed_range_reaps_workers_blocked_on_full_pipes(self, failing):
         # A failure in this process's range (0) or in a worker's (2, 4, 6)
-        # while the other workers are blocked writing more text than a pipe
-        # holds: every worker must still be reaped.  It runs in its own
-        # session, so a hang is killed whole after the timeout.
+        # while the other workers write more text than any OS buffer holds:
+        # every worker must still be reaped, and the failure raised.  It runs
+        # in its own session, so a hang is killed whole after the timeout.
         src = str(Path(sa.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -1,3 +1,4 @@
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,31 @@ class TestConditional:
             assert arr.flags.writeable is False
             with pytest.raises(ValueError):
                 arr[0] = 1.0
+
+    def test_stacked_view_holds_no_dense_covariance(self):
+        # A stack of M positions keeps its covariance diag(lam) as lam alone:
+        # 1024 cells of 4 positions (M = 4096) would take 128 MiB as a dense
+        # M x M matrix.  Reading the covariance still builds it.
+        rng = np.random.default_rng(0)
+        conds = []
+        for _ in range(1024):
+            a = rng.standard_normal((4, 4))
+            conds.append(sa.ConditionalGaussian((0, 1, 2, 3), rng.standard_normal((2, 4, 2)),
+                                                a @ a.T + np.eye(4)))
+            conds[-1].eigen  # each cell's own eigh, outside the measurement
+        tracemalloc.start()
+        try:
+            stack = process.stacked_eigen(conds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stack.size == 4096 and stack.spectrum[0].shape == (1024, 4)
+        assert peak < 2**20, peak  # the stacked mean alone is 128 KiB
+        small = process.stacked_eigen(conds[:3])
+        np.testing.assert_array_equal(small.covariance,
+                                      np.diag(small.spectrum[0].ravel()))
+        for arr in (small.mean, small.spectrum[0]):
+            assert arr.flags.writeable is False
 
     @staticmethod
     def _cond(covariance):
