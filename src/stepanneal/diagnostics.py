@@ -23,7 +23,8 @@ seeds.  The per-step runners (:func:`sampling_variance`, :func:`probe_error`,
 :class:`~stepanneal.process.ConditioningPlan`, built once per command, and
 condition every AR step through it; none of them factors the covariance.
 Sampling runs take their grids, one per AR step (a policy is its grids, so
-any per-step allocation can be swept).  Each function returns the arrays it
+any per-step allocation can be swept), and the two that redraw do it in one
+walk, each AR step from its own stream.  Each function returns the arrays it
 measured, indexed by AR step (and policy or dimension); the exact
 per-dimension variance they are read against is :func:`exact_variance`.
 """
@@ -318,6 +319,43 @@ def _reference_conditionals(
     return [plan.conditional(k, whitened) for k in range(plan.order.step_count)]
 
 
+def _redraws(plan: ConditioningPlan, config: SamplerConfig, conds, grids_per_policy,
+             stream_seed: int, draws_per_step: int):
+    """Yield ``(p, k, draws, nfe)`` per (policy p, AR step k) cell: its
+    ``draws_per_step`` redraws of ``conds[k]`` on ``grids_per_policy[p][k]``,
+    rotated back, and the calls its walk made.  Cells are walked, streamed
+    and named on failure as :func:`quality_sweep` describes."""
+    if draws_per_step < 2:
+        raise ValueError("draws_per_step: must be >= 2")
+    for grids in grids_per_policy:
+        check_grid_count(grids, plan.order)
+    stacks: dict[tuple, list[tuple[int, int]]] = {}
+    for p, grids in enumerate(grids_per_policy):
+        for k, (grid, m) in enumerate(zip(grids, plan.order.group_sizes)):
+            levels = None if grid.levels is None else grid.levels.tobytes()
+            key = (grid.domain, grid.points.tobytes(), levels, m)
+            stacks.setdefault(key, []).append((p, k))
+    oracle = ExactDenoiser()
+    policy = " (policy {})" if len(grids_per_policy) > 1 else ""
+    for (*_, m), cells in stacks.items():
+        p, k = cells[0]
+        try:
+            draws, record = sample_with_config(
+                config, oracle, stacked_eigen([conds[k] for _, k in cells]),
+                grids_per_policy[p][k],
+                [np.random.default_rng([stream_seed, 1 + k]) for _, k in cells],
+                n_samples=draws_per_step,
+            )
+        except Exception as exc:
+            named = ", ".join(f"AR step {k}" + policy.format(p) for p, k in cells)
+            raise RuntimeError(f"{named}: {exc}") from exc
+        for i, (p, k) in enumerate(cells):
+            # Each cell's slice is rotated back as its own contiguous array,
+            # as a walk on that cell alone rotates its result.
+            cell = np.ascontiguousarray(draws[:, i * m:(i + 1) * m])
+            yield p, k, conds[k].spectrum[1] @ cell, record.nfe
+
+
 def sampling_variance(
     plan: ConditioningPlan,
     sampler_config: SamplerConfig,
@@ -326,26 +364,17 @@ def sampling_variance(
     seeds: tuple[int, int],
 ) -> np.ndarray:
     """Freeze a reference prefix, then at each AR step k redraw the next
-    group ``draws_per_step`` times through the sampler on ``grids[k]``.
-    Returns the draws' per-dimension variance, shape (K, d), averaged over
-    the group's positions."""
-    if draws_per_step < 2:
-        raise ValueError("draws_per_step: must be >= 2")
-    check_grid_count(grids, plan.order)
+    group ``draws_per_step`` times through the sampler on ``grids[k]``, from
+    the stream ``[redraw_seed, 1 + k]``, as :func:`quality_sweep` redraws one
+    policy.  Returns the draws' per-dimension variance, shape (K, d),
+    averaged over the group's positions: a row depends on its step's grid."""
     prefix_seed, redraw_seed = seeds
-    oracle = ExactDenoiser()
-    redraw_rng = np.random.default_rng(redraw_seed)
-    empirical = []
-    for k, (cond, grid) in enumerate(zip(_reference_conditionals(plan, prefix_seed),
-                                         grids)):
-        try:
-            draws, _ = sample_with_config(
-                sampler_config, oracle, cond, grid, redraw_rng, n_samples=draws_per_step
-            )
-        except Exception as exc:
-            raise RuntimeError(f"AR step {k}: {exc}") from exc
-        empirical.append(draws.var(axis=0, ddof=1).mean(axis=0))  # (d,)
-    return np.asarray(empirical)
+    conds = _reference_conditionals(plan, prefix_seed)
+    variance = np.empty((len(conds), plan.spec.token_dim))
+    for _, k, draws, _ in _redraws(plan, sampler_config, conds, [grids],
+                                   redraw_seed, draws_per_step):
+        variance[k] = draws.var(axis=0, ddof=1).mean(axis=0)
+    return variance
 
 
 def probe_error(plan: ConditioningPlan, seeds) -> np.ndarray:
@@ -399,9 +428,9 @@ def quality_sweep(
 
     A reference prefix is drawn exactly from the process (one per AR step,
     shared by every policy), so the per-step distance isolates sampler
-    discretization error.  Every policy reuses the same random stream at a
-    given AR step (common random numbers): policies that agree on T(k)
-    produce identical draws there, so differences reflect the annealing
+    discretization error.  Every policy redraws AR step k from the stream
+    ``[sweep_seed, 1 + k]`` (common random numbers): policies that agree on
+    T(k) produce identical draws there, so differences reflect the annealing
     policy, not sampling noise.  With ``joint_sequences > 0`` each policy
     also runs that many full sequences end to end and reports the relative
     Frobenius error of the empirical joint covariance.
@@ -410,48 +439,23 @@ def quality_sweep(
     run as one sampler walk over their stacked eigen views
     (:func:`~stepanneal.process.stacked_eigen`), each cell with its own
     stream, so every value is the one a walk per cell gives.  A failing walk
-    is raised naming each of its cells' AR step and policy.
+    is raised naming each of its cells' AR step (and policy, if several);
+    :func:`sampling_variance` redraws one policy this way.
     """
     check_joint_draws(joint_sequences, plan.spec.token_dim)
-    for grids in grids_per_policy:
-        check_grid_count(grids, plan.order)
     prefix_seed, sweep_seed = seeds
     spec = plan.spec
-    sizes = plan.order.group_sizes
-    oracle = ExactDenoiser()
-    rng = np.random.default_rng(sweep_seed)
     conds = _reference_conditionals(plan, prefix_seed)
+    shape = (len(grids_per_policy), len(conds))
+    w2, nfe = np.empty(shape), np.empty(shape, dtype=int)
+    for p, k, draws, calls in _redraws(plan, sampler_config, conds, grids_per_policy,
+                                       sweep_seed, draws_per_step):
+        w2[p, k], nfe[p, k] = w2_to_truth(draws, conds[k]), calls
+    rng = np.random.default_rng(sweep_seed)
     floors = np.asarray([
         w2_floor(cond, draws_per_step, rng, repeats=floor_repeats)
         for cond in conds
     ])
-
-    stacks: dict[tuple, list[tuple[int, int]]] = {}
-    for p, grids in enumerate(grids_per_policy):
-        for k, grid in enumerate(grids):
-            levels = None if grid.levels is None else grid.levels.tobytes()
-            key = (grid.domain, grid.points.tobytes(), levels, sizes[k])
-            stacks.setdefault(key, []).append((p, k))
-    shape = (len(grids_per_policy), len(conds))
-    w2, nfe = np.empty(shape), np.empty(shape, dtype=int)
-    for (*_, m), cells in stacks.items():
-        p, k = cells[0]
-        try:
-            draws, record = sample_with_config(
-                sampler_config, oracle, stacked_eigen([conds[k] for _, k in cells]),
-                grids_per_policy[p][k],
-                [np.random.default_rng([sweep_seed, 1 + k]) for _, k in cells],
-                n_samples=draws_per_step,
-            )
-        except Exception as exc:
-            named = ", ".join(f"AR step {k} (policy {p})" for p, k in cells)
-            raise RuntimeError(f"{named}: {exc}") from exc
-        for i, (p, k) in enumerate(cells):
-            # Each cell's slice is rotated back as its own contiguous array,
-            # as a walk on that cell alone rotates its result.
-            cell = np.ascontiguousarray(draws[:, i * m:(i + 1) * m])
-            w2[p, k] = w2_to_truth(conds[k].spectrum[1] @ cell, conds[k])
-            nfe[p, k] = record.nfe
 
     joint = np.full(shape[0], np.nan)
     if joint_sequences > 0:

@@ -63,7 +63,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .process import ConditionalGaussian
+from .process import ConditionalGaussian, NumericalError
 from .schedules import DIFFUSION, FLOW, TimeGrid
 
 DIFFUSION_SAMPLERS = ("ddpm", "ddim", "dpm_solver", "dpm_solver_pp")
@@ -240,7 +240,8 @@ def sample_with_config(
     On an eigen view the states stay in its coordinates.  On a stacked view
     (:func:`~stepanneal.process.stacked_eigen`) ``rng`` may be one generator
     per cell: each cell then draws its own start noise and ``xi`` as a run
-    on that cell alone would, so its slice of the result equals that run."""
+    on that cell alone would, so its slice of the result equals that run.
+    A walk whose final state is not finite raises :class:`NumericalError`."""
     if cond.mean.ndim == 3 and n_samples != 1:
         raise ValueError(f"n_samples: must be 1 with a batched mean, got {n_samples}")
     if grid.domain != config.domain:
@@ -280,6 +281,9 @@ def sample_with_config(
         x, prev = new, pred
         if states is not None and step.recorded:
             states.append(x)
+    if not np.isfinite(x).all():
+        raise NumericalError(f"{config.kind}: the walk's state is not finite after "
+                             f"{nfe} calls on a {grid.step_count}-step grid")
     if vecs is not None:
         x = vecs @ x
         if states is not None:

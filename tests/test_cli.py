@@ -661,6 +661,21 @@ class TestSimulateCommand:
         assert code == 1
         assert "AR step" in err
 
+    def test_a_walk_that_is_not_finite_fails(self, capsys, tmp_path):
+        # At noise scale 1e3 the default field's Euler-Maruyama walk
+        # overflows at AR step 8, a 28-step grid.  The run stops there,
+        # naming it, and writes no tokens.csv (it used to write nan and inf).
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"sampler": "euler_maruyama",
+                                      "sde_noise_scale": 1e3,
+                                      "out_dir": str(tmp_path / "out")}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert code == 1
+        assert err == ("error: AR step 8: euler_maruyama: the walk's state is not "
+                       "finite after 28 calls on a 28-step grid\n")
+        assert not (tmp_path / "out" / "tokens.csv").exists()
+
     def test_tokens_csv_reads_back_exactly(self, capsys, tmp_path):
         # A small run shaped like the wide_batch benchmark (4x4 field, flow
         # SDE): tokens.csv holds exactly the values of simulate_sequences.

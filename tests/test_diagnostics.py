@@ -257,6 +257,57 @@ class TestSamplingVariance:
                 sa.SamplerConfig(kind="ddim"), grids, 8, (1, 2))
         assert isinstance(info.value.__cause__, sa.NumericalError)
 
+    @pytest.mark.parametrize("cfg", [
+        DDPM, sa.SamplerConfig("dpm_solver", order=2),
+        sa.SamplerConfig("euler_maruyama"),
+    ], ids=lambda c: f"{c.kind}-{c.order}")
+    @pytest.mark.parametrize("steps, walked", [
+        ((7, 7, 7, 7), [16]), ((3, 9, 3, 9), [8, 8]),
+    ])
+    def test_equals_a_walk_per_step(self, spec, linear_schedule, monkeypatch, cfg,
+                                    steps, walked):
+        # A constant policy's four groups of 4 run as one stacked walk, and
+        # T = (3, 9, 3, 9) as two; each step's rows are those of a walk on
+        # that step alone from the stream [redraw_seed, 1 + k].
+        plan = sa.conditioning_plan(spec, sa.random_order(spec, 4, seed=0))
+        grids = [sa.make_flow_grid(t, 1.0) if cfg.domain == sa.FLOW
+                 else sa.make_diffusion_grid(linear_schedule, t, 950) for t in steps]
+        walks, walk = [], sa.diagnostics.sample_with_config
+
+        def counted(config, oracle, cond, *args, **kwargs):
+            walks.append(cond.size)
+            return walk(config, oracle, cond, *args, **kwargs)
+
+        monkeypatch.setattr(sa.diagnostics, "sample_with_config", counted)
+        got = sa.sampling_variance(plan, cfg, grids, 16, (1, 2))
+        assert walks == walked  # positions per walk
+        want = per_step_variance(plan, cfg, grids, 16, (1, 2))
+        np.testing.assert_array_equal(got, want)
+
+    def test_a_step_does_not_depend_on_other_steps_grids(self, spec, linear_schedule):
+        # Common random numbers: allocations that agree on T(k) give equal
+        # rows at step k, whatever the grids of the other steps.
+        plan = sa.conditioning_plan(spec, sa.random_order(spec, 4, seed=0))
+        a, b = (sa.sampling_variance(
+                    plan, DDPM, [sa.make_diffusion_grid(linear_schedule, t, 950)
+                                 for t in steps], 16, (1, 2))
+                for steps in ((10, 10, 10, 10), (20, 10, 10, 10)))
+        np.testing.assert_array_equal(a[1:], b[1:])
+        assert np.all(a[0] != b[0])
+
+    def test_a_failing_stacked_walk_names_its_steps(self, spec, linear_schedule,
+                                                    monkeypatch):
+        # Only the 3-step grids visit schedule index 475; AR steps 0 and 2
+        # share that walk, and one policy's steps are named without it.
+        grids = [sa.make_diffusion_grid(linear_schedule, t, 950) for t in (3, 8, 3, 8)]
+        monkeypatch.setattr(sa.diagnostics, "ExactDenoiser",
+                            failing_at(grids[0].levels[1]))
+        with pytest.raises(RuntimeError, match="^AR step 0, AR step 2: boom$") as info:
+            sa.sampling_variance(
+                sa.conditioning_plan(spec, sa.random_order(spec, 4, seed=0)),
+                sa.SamplerConfig(kind="ddim"), grids, 8, (1, 2))
+        assert isinstance(info.value.__cause__, sa.NumericalError)
+
     @pytest.mark.parametrize("policy_steps, order_steps", [(4, 16), (16, 4)])
     def test_ar_step_mismatch_rejected(self, spec, linear_schedule,
                                        policy_steps, order_steps):
@@ -327,14 +378,34 @@ def failing_at(level):
     return Failing
 
 
+def reference_conds(plan, prefix_seed):
+    """Every AR step's conditional given the frozen prefix of ``prefix_seed``."""
+    whitened = np.random.default_rng(prefix_seed).standard_normal(
+        (plan.spec.token_count, plan.spec.token_dim))
+    return [plan.conditional(k, whitened) for k in range(plan.order.step_count)]
+
+
+def per_step_variance(plan, cfg, grids, draws, seeds):
+    """sampling_variance from one sampler walk per AR step, each on its own
+    conditional with the stream ``[redraw_seed, 1 + k]``: the reference the
+    stacked walks reproduce."""
+    prefix_seed, redraw_seed = seeds
+    oracle = sa.ExactDenoiser()
+    rows = []
+    for k, (cond, grid) in enumerate(zip(reference_conds(plan, prefix_seed), grids)):
+        out, _ = sa.sample_with_config(
+            cfg, oracle, cond, grid, np.random.default_rng([redraw_seed, 1 + k]),
+            n_samples=draws)
+        rows.append(out.var(axis=0, ddof=1).mean(axis=0))
+    return np.asarray(rows)
+
+
 def per_cell_sweep(plan, cfg, grids_per_policy, seeds, draws, floor_repeats):
     """quality_sweep's W2, NFE and floors from one sampler walk per
     (policy, AR step) cell, each on its own conditional with the stream
     ``[sweep_seed, 1 + k]``: the reference the stacked walks reproduce."""
     prefix_seed, sweep_seed = seeds
-    whitened = np.random.default_rng(prefix_seed).standard_normal(
-        (plan.spec.token_count, plan.spec.token_dim))
-    conds = [plan.conditional(k, whitened) for k in range(plan.order.step_count)]
+    conds = reference_conds(plan, prefix_seed)
     rng = np.random.default_rng(sweep_seed)
     floors = [np.mean([w2_by_moments(sa.sample_conditional(cond, rng, size=draws), cond)
                        for _ in range(floor_repeats)]) for cond in conds]
@@ -491,6 +562,15 @@ class TestQualitySweep:
             "AR step 1 (policy 0), AR step 0 (policy 1), AR step 1 (policy 1), "
             "AR step 2 (policy 1), AR step 3 (policy 1): boom")
         assert isinstance(info.value.__cause__, sa.NumericalError)
+
+    def test_one_draw_per_step_rejected(self, spec, linear_schedule):
+        # The walk's own check, before any floor is drawn.
+        cfg = sa.SamplerConfig(kind="ddim")
+        grids = sa.step_grids(cfg, sa.constant_scheduler(4, 4), linear_schedule, 950)
+        with pytest.raises(ValueError, match="^draws_per_step: must be >= 2$"):
+            sa.quality_sweep(
+                sa.conditioning_plan(spec, sa.random_order(spec, 4, seed=0)), cfg,
+                [grids], (0, 1), draws_per_step=1, floor_repeats=1)
 
     def test_joint_moment_error_reported(self, sweep):
         joint = sweep[3]

@@ -774,3 +774,25 @@ class TestSamplerConfig:
         with pytest.raises(ValueError, match="grid"):
             sa.sample_with_config(cfg, oracle, aniso_cond, grid,
                                   np.random.default_rng(0))
+
+    @pytest.mark.parametrize("cfg", [DDIM, EULER_FLOW], ids=lambda c: c.kind)
+    def test_a_state_that_is_not_finite_is_refused(self, linear_schedule, aniso_cond,
+                                                    cfg):
+        # An oracle that returns inf leaves the walk's state infinite; the
+        # executor raises, naming the sampler, its calls and the grid, rather
+        # than return it.
+        class Infinite(sa.ExactDenoiser):
+            def x0(self, x, alpha_bar, cond):
+                return np.full_like(x, np.inf)
+
+            def velocity(self, x, t, cond):
+                return np.full_like(x, np.inf)
+
+        grid = (sa.make_flow_grid(5, 1.0) if cfg.domain == sa.FLOW
+                else sa.make_diffusion_grid(linear_schedule, 5, 950))
+        message = (f"^{cfg.kind}: the walk's state is not finite after 5 calls "
+                   "on a 5-step grid$")
+        with np.errstate(invalid="ignore"), pytest.raises(sa.NumericalError,
+                                                          match=message):
+            sa.sample_with_config(cfg, Infinite(), aniso_cond, grid,
+                                  np.random.default_rng(0), n_samples=3)
