@@ -27,6 +27,9 @@ any per-step allocation can be swept), and the two that redraw do it in one
 walk, each AR step from its own stream.  Each function returns the arrays it
 measured, indexed by AR step (and policy or dimension); the exact
 per-dimension variance they are read against is :func:`exact_variance`.
+Every sampler walk runs in the calling process; with more than one CPU,
+:func:`quality_sweep` draws its Monte Carlo floors in a forked worker
+(:class:`~stepanneal._workers.Worker`) meanwhile.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import numpy as np
 # and the two grid functions stay bound here, unused, because bench/spans.py
 # traces the layers by rebinding these names here.
 from .annealing import steps_at, total_nfe  # noqa: F401
+from ._workers import Worker
 from .denoiser import ExactDenoiser
 from .generate import SequenceBatch, check_grid_count, simulate_sequences
 from .process import (
@@ -399,6 +403,15 @@ def probe_error(plan: ConditioningPlan, seeds) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _floors(conds, draws_per_step: int, floor_repeats: int, sweep_seed: int):
+    """Each conditional's :func:`w2_floor`, drawn in turn from
+    ``default_rng(sweep_seed)``, and that generator as the floors left it."""
+    rng = np.random.default_rng(sweep_seed)
+    floors = [w2_floor(cond, draws_per_step, rng, repeats=floor_repeats)
+              for cond in conds]
+    return np.asarray(floors), rng
+
+
 def check_joint_draws(joint_sequences: int, token_dim: int) -> None:
     """One joint draw has no covariance: ``nan``, the column's "off" value."""
     if joint_sequences * token_dim == 1:
@@ -441,6 +454,15 @@ def quality_sweep(
     stream, so every value is the one a walk per cell gives.  A failing walk
     is raised naming each of its cells' AR step (and policy, if several);
     :func:`sampling_variance` redraws one policy this way.
+
+    The floors are drawn in turn from ``default_rng(sweep_seed)``, and that
+    generator then seeds the joint-moment runs.  With more than one CPU they
+    are drawn in a forked worker while this process walks, and come back
+    with the generator; on one CPU they are drawn after the walks.  Either
+    way the values are the same, a failing walk is raised before a failing
+    floor, and no worker outlives the call.  ``fork`` copies only the
+    calling thread, so a caller with other threads running must not call
+    this on more than one CPU.
     """
     check_joint_draws(joint_sequences, plan.spec.token_dim)
     prefix_seed, sweep_seed = seeds
@@ -448,14 +470,12 @@ def quality_sweep(
     conds = _reference_conditionals(plan, prefix_seed)
     shape = (len(grids_per_policy), len(conds))
     w2, nfe = np.empty(shape), np.empty(shape, dtype=int)
-    for p, k, draws, calls in _redraws(plan, sampler_config, conds, grids_per_policy,
-                                       sweep_seed, draws_per_step):
-        w2[p, k], nfe[p, k] = w2_to_truth(draws, conds[k]), calls
-    rng = np.random.default_rng(sweep_seed)
-    floors = np.asarray([
-        w2_floor(cond, draws_per_step, rng, repeats=floor_repeats)
-        for cond in conds
-    ])
+    with Worker("W2 floors", _floors, conds, draws_per_step, floor_repeats,
+                sweep_seed) as worker:
+        for p, k, draws, calls in _redraws(plan, sampler_config, conds,
+                                           grids_per_policy, sweep_seed, draws_per_step):
+            w2[p, k], nfe[p, k] = w2_to_truth(draws, conds[k]), calls
+        floors, rng = worker.result()
 
     joint = np.full(shape[0], np.nan)
     if joint_sequences > 0:

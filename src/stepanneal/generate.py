@@ -13,19 +13,18 @@ carries the spec): every step's conditional covariance comes from the plan's
 factor, and each step's batched means are one product with the whitened
 innovations of the groups already drawn.
 ``batch_to_csv_rows`` formats a batch as the body of ``tokens.csv`` on every
-CPU the process may run on, in forked workers that each write their text to
-an unnamed temporary file, with the same bytes at any CPU count.
+CPU the process may run on, one sequence range per forked worker
+(:class:`~stepanneal._workers.Worker`, the package's one way of using more
+than one CPU), with the same bytes at any CPU count.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
+from ._workers import Worker, cpu_count
 from .annealing import StepScheduler, steps_at
 from .denoiser import ExactDenoiser
 from .process import (
@@ -168,11 +167,11 @@ def batch_to_csv_rows(batch: SequenceBatch) -> list[bytes]:
 
     The sequences are split into contiguous ranges, one per CPU this process
     may run on and never more than there are sequences.  Forked workers
-    format every range but the first, each into its own unnamed temporary
-    file in the temp directory (gone once it is closed), while this process
-    formats the first; the pieces are the same bytes whatever the count.
-    Every worker is reaped before this returns or raises, and a worker's
-    failure is raised here as a ``RuntimeError`` naming its sequences."""
+    format every range but the first, each into its own temporary file,
+    while this process formats the first; the pieces are the same bytes
+    whatever the count.  Every worker is reaped before this returns or
+    raises, and a worker's failure is raised here as a ``RuntimeError``
+    naming its sequences."""
     step_of = np.empty(len(batch.order.permutation), dtype=int)
     for k, group in enumerate(batch.order.groups()):
         step_of[list(group)] = k
@@ -181,57 +180,18 @@ def batch_to_csv_rows(batch: SequenceBatch) -> list[bytes]:
     template = "".join(
         f"%d,{step_of[p]},{p},{j},%s\n" for p in range(n) for j in range(d)
     )
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    ranges = max(1, min(cpus, count))
+    ranges = max(1, min(cpu_count(), count))
     bounds = [count * i // ranges for i in range(ranges + 1)]
-    workers = []  # (pid, text file, first, last) of each worker not yet reaped
+    workers = []
     try:
         for first, last in zip(bounds[1:-1], bounds[2:]):
-            text = tempfile.TemporaryFile()
-            try:
-                pid = os.fork()
-            except BaseException:
-                text.close()
-                raise
-            if pid == 0:
-                # The worker leaves only by its exit code, whatever happens:
-                # it must never return into the caller's stack, which is the
-                # parent's too.  A failure leaves only the error's text.
-                code = 1
-                try:
-                    try:
-                        text.writelines(_csv_blocks(template, batch.values, first, last))
-                        text.flush()
-                        code = 0
-                    except Exception as exc:
-                        # Past the buffer, which may still hold unwritten text.
-                        os.ftruncate(text.fileno(), 0)
-                        os.pwrite(text.fileno(),
-                                  f"{type(exc).__name__}: {exc}".encode(), 0)
-                finally:
-                    os._exit(code)
-            workers.append((pid, text, first, last))
+            workers.append(Worker(
+                f"tokens.csv: formatting sequences {first}-{last - 1}",
+                _csv_blocks, template, batch.values, first, last, raw=True))
         rows = _csv_blocks(template, batch.values, 0, bounds[1])
-        while workers:
-            pid, text, first, last = workers[0]
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del workers[0]
-            with text:
-                text.seek(0)
-                # Kept as read: joining or decoding a worker's text would
-                # hold it twice.
-                pieces = list(iter(partial(text.read, 1 << 20), b""))
-            if code != 0:
-                # Only a worker that exited by itself left its error's text;
-                # a killed one may have left part of its range's.
-                detail = b"".join(pieces).decode(errors="replace") if code == 1 else ""
-                raise RuntimeError(
-                    f"tokens.csv: formatting sequences {first}-{last - 1} failed "
-                    f"in a worker (exit code {code})"
-                    + (f": {detail}" if detail else ""))
-            rows += pieces
+        for worker in workers:
+            rows += worker.result()
         return rows
     finally:
-        for pid, text, _, _ in workers:
-            text.close()
-            os.waitpid(pid, 0)
+        for worker in workers:
+            worker.close()

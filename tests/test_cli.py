@@ -10,6 +10,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -881,6 +882,147 @@ class TestSweepCommand:
         assert [s[:4] for s in summaries] == [["linear_50_5", "linear", "50", "5"]]
         _, rows = read_csv(tmp_path / "out" / "sweep.csv")
         assert len(rows) == 16
+
+
+def test_outputs_same_at_any_cpu_count(capsys, tmp_path, monkeypatch):
+    # diagnose scores straightness in a worker, and sweep draws its W2 floors
+    # in one, whose generator seeds the joint-moment runs.  Every byte is the
+    # same at 1, 2 and 3 CPUs; on one CPU nothing forks.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "schedule_kind": "linear", "ar_steps": 4, "n_sequences": 8,
+        "draws_per_step": 16, "t_draws": 8, "probe_sequences": 8,
+        "floor_repeats": 2, "joint_sequences": 16, "sweep_t_late": [5, 25],
+    }))
+    fork, forks = os.fork, []
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    outputs = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        out = tmp_path / str(cpus)
+        fds, forks[:] = open_fd_count(), []
+        for command in ("diagnose", "sweep"):
+            code, _, err = run_cli(capsys, command, "--config", str(config),
+                                   "--out-dir", str(out))
+            assert code == 0, err
+        assert len(forks) == (0 if cpus == 1 else 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert open_fd_count() == fds
+        outputs[cpus] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(outputs[1]) == 6
+    assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+    _, summaries = read_csv(out / "sweep_summary.csv")
+    assert all(0.0 < float(s[7]) < 1.0 for s in summaries)
+
+
+# Runs diagnose or sweep (argv[3], in the output directory argv[4]) on
+# argv[2] CPUs with the failures of case argv[1], and prints a JSON object:
+# the exit code, the error text, the files written, whether a child of this
+# process is left and whether every descriptor opened was closed.
+_FAILING_JOB = """
+import contextlib, io, json, os, signal, sys, time
+from stepanneal import cli, diagnostics
+
+case, cpus, command, out = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
+os.sched_getaffinity = lambda pid: set(range(cpus))
+
+def refuse(what, wait=0.0):
+    def refused(*args, **kwargs):
+        time.sleep(wait)
+        raise ValueError(f"{what} refused")
+    return refused
+
+def killed(*args, **kwargs):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+if case in ("straightness", "both"):
+    cli.straightness_by_step = refuse("straightness")
+if case == "killed":
+    cli.straightness_by_step = killed
+if case in ("variance", "both"):
+    cli.sampling_variance = refuse("variance")
+if case == "floor":
+    diagnostics.w2_floor = refuse("floor")
+if case == "walk":
+    # The floors are still running, and would fail, when a walk fails.
+    diagnostics.w2_floor = refuse("floor", wait=30.0)
+    diagnostics.sample_with_config = refuse("walk")
+fds = len(os.listdir("/proc/self/fd"))
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = cli.main([command, "--schedule-kind", "linear", "--ar-steps", "4",
+                     "--draws-per-step", "8", "--out-dir", out])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    child_left = True
+except ChildProcessError:
+    child_left = False
+print(json.dumps({"code": code, "error": err.getvalue(),
+                  "files": sorted(os.listdir(out)), "child_left": child_left,
+                  "fds_closed": len(os.listdir("/proc/self/fd")) == fds}))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+@pytest.mark.parametrize("case,command,error", [
+    ("straightness", "diagnose", "straightness failed in a worker (exit code 1): "
+                                 "ValueError: straightness refused"),
+    ("killed", "diagnose", "straightness failed in a worker (exit code -9)"),
+    ("variance", "diagnose", "variance refused"),
+    ("both", "diagnose", "straightness failed in a worker (exit code 1): "
+                         "ValueError: straightness refused"),
+    ("floor", "sweep", "W2 floors failed in a worker (exit code 1): "
+                       "ValueError: floor refused"),
+    ("walk", "sweep", None),
+])
+def test_failing_job_fails_as_in_sequence(tmp_path, case, command, error):
+    # A job fails in a worker (straightness, its worker killed, a floor), in
+    # this process while a worker runs (sampling_variance, a walk), or in
+    # both.  The run exits 1 with the failure that comes first in the
+    # sequential order, which one CPU runs, and writes the files that order
+    # writes: straightness.csv only when straightness succeeded.  A worker
+    # failure's text is the one-CPU error's, after the job and exit code.
+    # No child and no descriptor is left.  Each run is its own session, so
+    # a hang is killed whole after the timeout.
+    def run(cpus):
+        out = tmp_path / str(cpus)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _FAILING_JOB, case, str(cpus), command, str(out)],
+            env=package_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True)
+        started = time.monotonic()
+        try:
+            stdout, stderr = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail(f"{case} on {cpus} CPUs: still running after 60 s")
+        assert proc.returncode == 0, stderr
+        result = json.loads(stdout.splitlines()[-1])
+        assert result["code"] == 1 and result["error"].startswith("error: ")
+        assert not result["child_left"] and result["fds_closed"]
+        # The walk's failure does not wait for the floors' 30 s.
+        assert time.monotonic() - started < 20.0
+        files = {name: (out / name).read_bytes() for name in result["files"]}
+        return result["error"][len("error: "):].rstrip("\n"), files
+
+    error2, files2 = run(2)
+    if case == "killed":
+        assert files2.keys() == {"effective_config.json"}
+    else:
+        error1, files1 = run(1)
+        assert error2.endswith(error1) and files2 == files1
+    if error is not None:
+        assert error2 == error
+    assert ("straightness.csv" in files2) == (case == "variance")
+    if case == "walk":
+        assert error2.startswith("AR step ") and error2.endswith(": walk refused")
 
 
 @pytest.mark.parametrize("sampler,order", [
