@@ -4,8 +4,8 @@ A :class:`Worker` runs one job in a forked child while the caller goes on
 with its own work.  The child writes the job's result to its own unnamed
 temporary file (gone once it is closed) and leaves by ``os._exit``, so it
 never returns into the caller's stack; the caller reads the result back when
-it asks for it.  With one CPU nothing forks: the job runs in this process,
-where the sequential order puts it.
+it asks for it.  With one CPU nothing forks: the job runs in this process
+when its result is asked for, where each caller's sequential order puts it.
 
 ``fork`` copies only the calling thread, so a caller with other threads
 running (holding locks the child may need) must not start a worker.
@@ -28,11 +28,9 @@ def cpu_count() -> int:
 class Worker:
     """``fn(*args)`` run beside the caller, named ``job`` in its errors.
 
-    ``before`` says whether the sequential order runs the job before the
-    caller's own work: with one CPU it then runs at once, and otherwise (the
-    default) when :meth:`result` is asked for.  A ``raw`` job returns bytes
-    pieces, written as they are and read back as pieces; any other result is
-    pickled.
+    With one CPU the job runs when :meth:`result` is asked for.  A ``raw``
+    job returns bytes pieces, written as they are and read back as pieces;
+    any other result is pickled.
 
     :meth:`result` reaps the worker and returns its result, or raises a
     ``RuntimeError`` naming the job, the exit code and the worker's error
@@ -41,13 +39,10 @@ class Worker:
     leaves no child behind; an ``os.fork`` failure propagates as itself.
     """
 
-    def __init__(self, job: str, fn, *args, before: bool = False, raw: bool = False):
+    def __init__(self, job: str, fn, *args, raw: bool = False):
         self.job, self.raw, self.pid, self.text = job, raw, None, None
         if cpu_count() < 2:
             self._run = partial(fn, *args)
-            if before:
-                value = self._run()
-                self._run = lambda: value
             return
         self.text = tempfile.TemporaryFile()
         try:

@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._workers import Worker
 from .annealing import (
     SCHEDULER_KINDS,
     StepScheduler,
@@ -348,44 +347,25 @@ def cmd_diagnose(cfg: dict, args) -> int:
         master_seed=seed,
         record_paths=True,
     )
-    # Straightness scores the recorded paths in a worker while this process
-    # redraws.  It comes first in the sequential order, so its failure wins
-    # and its table is written first; a later table is written only if the
-    # steps before it ran.
-    straightness = Worker("straightness", straightness_by_step, batch,
-                          cfg["t_draws"], np.random.default_rng([seed, 1]), before=True)
-    tables = []
-    try:
-        exact = exact_variance(plan)
-        variance = sampling_variance(
-            plan, sampler_config, grids,
-            cfg["draws_per_step"], (seed + 101, seed + 202),
-        )
-        tables.append((
-            "variance.csv",
-            ["ar_step", "dim", "empirical_variance", "exact_variance", "draws"],
-            [
-                (k, j, float(v), float(exact[k]), cfg["draws_per_step"])
-                for k, per_dim in enumerate(variance)
-                for j, v in enumerate(per_dim)
-            ],
-        ))
-        mse = probe_error(plan, range(seed + 300, seed + 300 + cfg["probe_sequences"]))
-        tables.append(("probe.csv", ["ar_step", "mse", "exact_mse"],
-                       [(k, float(v), float(exact[k])) for k, v in enumerate(mse)]))
-    finally:
-        straight = straightness.result()
-        metric = "diffusion" if sampler_config.domain == DIFFUSION else "flow"
-        write_csv(
-            out / "straightness.csv", digest,
-            ["ar_step", "metric", "straightness", "n_trajectories", "t_draws"],
-            [
-                (k, metric, float(v), cfg["n_sequences"], cfg["t_draws"])
-                for k, v in enumerate(straight)
-            ],
-        )
-        for name, header, rows in tables:
-            write_csv(out / name, digest, header, rows)
+    straight = straightness_by_step(batch, cfg["t_draws"],
+                                    np.random.default_rng([seed, 1]))
+    metric = "diffusion" if sampler_config.domain == DIFFUSION else "flow"
+    write_csv(out / "straightness.csv", digest,
+              ["ar_step", "metric", "straightness", "n_trajectories", "t_draws"],
+              [(k, metric, float(v), cfg["n_sequences"], cfg["t_draws"])
+               for k, v in enumerate(straight)])
+
+    exact = exact_variance(plan)
+    variance = sampling_variance(plan, sampler_config, grids, cfg["draws_per_step"],
+                                 (seed + 101, seed + 202))
+    write_csv(out / "variance.csv", digest,
+              ["ar_step", "dim", "empirical_variance", "exact_variance", "draws"],
+              [(k, j, float(v), float(exact[k]), cfg["draws_per_step"])
+               for k, per_dim in enumerate(variance) for j, v in enumerate(per_dim)])
+
+    mse = probe_error(plan, range(seed + 300, seed + 300 + cfg["probe_sequences"]))
+    write_csv(out / "probe.csv", digest, ["ar_step", "mse", "exact_mse"],
+              [(k, float(v), float(exact[k])) for k, v in enumerate(mse)])
     elapsed = time.perf_counter() - started
     steps = np.arange(plan.order.step_count)
     for name, per_step in (("straightness", straight),

@@ -41,19 +41,31 @@ from .process import ConditionalGaussian, NumericalError
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _diffusion_channel(
-    alpha_bar: float, allow_zero: bool = False
-) -> tuple[float, float]:
+def _span(level):
+    """The least and greatest of a float, or of a (P,) array (one per probe)."""
+    is_array = isinstance(level, np.ndarray)
+    return (level.min(), level.max()) if is_array else (level, level)
+
+
+def _column(value, lam: np.ndarray):
+    """A float as is; a (P,) array as a (P, 1, ...) column against ``lam``."""
+    is_array = isinstance(value, np.ndarray)
+    return value.reshape((-1,) + (1,) * lam.ndim) if is_array else value
+
+
+def _diffusion_channel(alpha_bar: float | np.ndarray, allow_zero: bool = False):
     """Channel variances ``(s^2, sigma^2) = (a, 1 - a)`` at signal level ``a``;
     the pure-noise level ``a = 0`` only where ``allow_zero``."""
-    if not 0.0 <= alpha_bar <= 1.0 or (alpha_bar == 0.0 and not allow_zero):
+    low, high = _span(alpha_bar)
+    if not 0.0 <= low <= high <= 1.0 or (low == 0.0 and not allow_zero):
         raise ValueError(f"alpha_bar: must lie in {'[' if allow_zero else '('}0, 1]")
     return alpha_bar, 1.0 - alpha_bar
 
 
-def _flow_channel(t: float) -> tuple[float, float]:
+def _flow_channel(t: float | np.ndarray):
     """Channel variances ``(s^2, sigma^2) = ((1 - t)^2, t^2)`` at flow time ``t``."""
-    if not 0.0 <= t <= 1.0:
+    low, high = _span(t)
+    if not 0.0 <= low <= high <= 1.0:
         raise ValueError("t: must lie in [0, 1]")
     return (1.0 - t) ** 2, t**2
 
@@ -61,8 +73,8 @@ def _flow_channel(t: float) -> tuple[float, float]:
 def _channel_solve(
     cond: ConditionalGaussian,
     x: np.ndarray,
-    signal_var: float,
-    noise_var: float,
+    signal_var: float | np.ndarray,
+    noise_var: float | np.ndarray,
     gain: float | np.ndarray,
 ) -> np.ndarray:
     """``U (gain * r)`` with ``r = U^T (x - s mu) / (s^2 lam + sigma^2)``,
@@ -75,8 +87,13 @@ def _channel_solve(
     ``(gain / denom) (x - s mu)``.  A channel whose smallest
     ``s^2 lam + sigma^2`` is zero to rounding (at most ``m`` ulps of the
     largest, the ``matrix_rank`` cut) is singular; on a stacked view
-    (``lam`` of shape (cells, m)) each cell's row is checked alone."""
+    (``lam`` of shape (cells, m)) each cell's row is checked alone.  With
+    (P,) variances (and ``gain`` a scalar or one row per probe) the states
+    are (P, ..., m, d), each probe's slice solved bit for bit as its own."""
     lam, vecs = cond.spectrum
+    probes = isinstance(signal_var, np.ndarray)
+    if probes:
+        signal_var, noise_var = _column(signal_var, lam), _column(noise_var, lam)
     denom = signal_var * lam + noise_var
     m = lam.shape[-1]
     rows = denom.reshape(-1, m)
@@ -86,19 +103,26 @@ def _channel_solve(
                 f"marginal covariance is singular: eigenvalues of "
                 f"s^2 Sigma + sigma^2 I span {low:.3e} to {high:.3e}"
             )
-    scale = (gain / denom).reshape(-1, 1)
+    if probes:
+        ones = (1,) * (np.ndim(x) - 3)
+        scale = (gain / denom).reshape((len(signal_var),) + ones + (-1, 1))
+        root = np.sqrt(signal_var).reshape((-1, 1) + ones + (1,))
+    else:
+        scale, root = (gain / denom).reshape(-1, 1), math.sqrt(signal_var)
     if vecs is None:
-        return scale * (x - math.sqrt(signal_var) * cond.mean)
-    dev = np.asarray(x, dtype=np.float64) - math.sqrt(signal_var) * cond.mean
+        return scale * (x - root * cond.mean)
+    dev = np.asarray(x, dtype=np.float64) - root * cond.mean
     return vecs @ (scale * (vecs.T @ dev))
 
 
 def _posterior_velocity(
-    cond: ConditionalGaussian, x: np.ndarray, t: float
+    cond: ConditionalGaussian, x: np.ndarray, t: float | np.ndarray
 ) -> np.ndarray:
     """``E[eps - x0 | x] = t y - (mu + (1 - t) Sigma y)``, that is
     ``U ((t - (1 - t) lam) r) - mu``."""
-    gain = t - (1.0 - t) * cond.spectrum[0]
+    lam = cond.spectrum[0]
+    column = _column(t, lam)
+    gain = column - (1.0 - column) * lam
     return _channel_solve(cond, x, *_flow_channel(t), gain) - cond.mean
 
 
@@ -109,8 +133,11 @@ class ExactDenoiser:
     of shape (m, d) or (batch, m, d).  Every output is an exact posterior
     mean from the same channel solve rather than a chained conversion, so
     the conversion identities of the module docstring can be cross-checked
-    against this class.  No method calls another, so each call is one
-    denoiser evaluation.
+    against this class.  No method calls another, so a call is one denoiser
+    evaluation per level or time: :meth:`score`, :meth:`flow_score` and
+    :meth:`velocity` also take a (P,) array of them, one per leading probe
+    of a (P, ...) state, each probe bit for bit its own scalar call.  Only
+    the straightness probes, diagnostics not counted as NFE, call them so.
     """
 
     def epsilon(
@@ -121,7 +148,7 @@ class ExactDenoiser:
         return math.sqrt(noise_var) * y
 
     def score(
-        self, x: np.ndarray, alpha_bar: float, cond: ConditionalGaussian
+        self, x: np.ndarray, alpha_bar: float | np.ndarray, cond: ConditionalGaussian
     ) -> np.ndarray:
         return _channel_solve(cond, x, *_diffusion_channel(alpha_bar), -1.0)
 
@@ -133,12 +160,12 @@ class ExactDenoiser:
         return cond.mean + _channel_solve(cond, x, signal_var, noise_var, gain)
 
     def velocity(
-        self, x: np.ndarray, t: float, cond: ConditionalGaussian
+        self, x: np.ndarray, t: float | np.ndarray, cond: ConditionalGaussian
     ) -> np.ndarray:
         return _posterior_velocity(cond, x, t)
 
     def flow_score(
-        self, x: np.ndarray, t: float, cond: ConditionalGaussian
+        self, x: np.ndarray, t: float | np.ndarray, cond: ConditionalGaussian
     ) -> np.ndarray:
         return _channel_solve(cond, x, *_flow_channel(t), -1.0)
 

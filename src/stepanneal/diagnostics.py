@@ -27,9 +27,9 @@ any per-step allocation can be swept), and the two that redraw do it in one
 walk, each AR step from its own stream.  Each function returns the arrays it
 measured, indexed by AR step (and policy or dimension); the exact
 per-dimension variance they are read against is :func:`exact_variance`.
-Every sampler walk runs in the calling process; with more than one CPU,
-:func:`quality_sweep` draws its Monte Carlo floors in a forked worker
-(:class:`~stepanneal._workers.Worker`) meanwhile.
+Straightness scores all of a path's probes in one exact-oracle call.  All
+runs in the calling process but :func:`quality_sweep`'s Monte Carlo floors,
+drawn with more than one CPU in a forked :class:`~stepanneal._workers.Worker`.
 """
 
 from __future__ import annotations
@@ -239,7 +239,7 @@ def straightness_flow(
     trajectory batch).  0 for a perfectly straight path."""
     t, x_t, _, _ = _path_probes(trajectory, t_draws, rng)
     chord = trajectory.states[0] - trajectory.states[-1]
-    v = np.stack([oracle.velocity(x, t_i, cond) for x, t_i in zip(x_t, t.tolist())])
+    v = oracle.velocity(x_t, t, cond)
     total = 0.0
     for value in np.mean(np.sum((chord - v) ** 2, axis=(-2, -1)), axis=-1).tolist():
         total += value
@@ -259,23 +259,21 @@ def straightness_diffusion(
     the bracketing segment's levels geometrically, with the probe's weight."""
     _, x_t, j, w = _path_probes(trajectory, t_draws, rng, diffusion=True)
     x0, lv = trajectory.states[-1], trajectory.grid.levels
-    scores = []
-    for x, j_i, w_i in zip(x_t, j, w):
-        level = float(np.exp(w_i * np.log(lv[j_i]) + (1.0 - w_i) * np.log(lv[j_i + 1])))
-        scores.append(oracle.score(x, min(level, 1.0), cond))
+    level = np.exp(w * np.log(lv[j]) + (1.0 - w) * np.log(lv[j + 1]))
     shape = x_t.shape[:2] + (-1,)  # (probe, draw, everything else)
     to_clean = (x0 - x_t).reshape(shape)
-    s = np.stack(scores).reshape(shape)
+    s = oracle.score(x_t, np.minimum(level, 1.0), cond).reshape(shape)
     nu = np.linalg.norm(to_clean, axis=-1)
     ns = np.linalg.norm(s, axis=-1)
     keep = (nu > _NORM_EPS) & (ns > _NORM_EPS)
     cosines = np.divide(np.sum(to_clean * s, axis=-1), nu * ns,
                         out=np.zeros_like(nu), where=keep)
-    total, used = 0.0, 0
-    for row, kept in zip(cosines, keep):
-        if kept.any():
-            total += float(np.sum(row[kept]))
-            used += int(np.sum(kept))
+    # A row with dropped draws sums only its kept ones, in their order.
+    sums = (np.sum(cosines, axis=-1).tolist() if keep.all()
+            else [float(np.sum(row[kept])) for row, kept in zip(cosines, keep)])
+    total, used = 0.0, int(np.sum(keep))
+    for value in sums:
+        total += value
     return total / used if used else float("nan")
 
 

@@ -885,9 +885,10 @@ class TestSweepCommand:
 
 
 def test_outputs_same_at_any_cpu_count(capsys, tmp_path, monkeypatch):
-    # diagnose scores straightness in a worker, and sweep draws its W2 floors
-    # in one, whose generator seeds the joint-moment runs.  Every byte is the
-    # same at 1, 2 and 3 CPUs; on one CPU nothing forks.
+    # sweep draws its W2 floors in a worker, whose generator seeds the
+    # joint-moment runs; diagnose runs in one process.  Every byte is the
+    # same at 1, 2 and 3 CPUs; diagnose never forks, and on one CPU nothing
+    # does.
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
         "schedule_kind": "linear", "ar_steps": 4, "n_sequences": 8,
@@ -905,12 +906,13 @@ def test_outputs_same_at_any_cpu_count(capsys, tmp_path, monkeypatch):
     for cpus in (1, 2, 3):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         out = tmp_path / str(cpus)
-        fds, forks[:] = open_fd_count(), []
-        for command in ("diagnose", "sweep"):
+        fds = open_fd_count()
+        for command, forked in (("diagnose", 0), ("sweep", int(cpus > 1))):
+            forks[:] = []
             code, _, err = run_cli(capsys, command, "--config", str(config),
                                    "--out-dir", str(out))
             assert code == 0, err
-        assert len(forks) == (0 if cpus == 1 else 2)
+            assert len(forks) == forked, command
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert open_fd_count() == fds
@@ -944,7 +946,7 @@ def killed(*args, **kwargs):
 if case in ("straightness", "both"):
     cli.straightness_by_step = refuse("straightness")
 if case == "killed":
-    cli.straightness_by_step = killed
+    diagnostics.w2_floor = killed
 if case in ("variance", "both"):
     cli.sampling_variance = refuse("variance")
 if case == "floor":
@@ -971,25 +973,24 @@ print(json.dumps({"code": code, "error": err.getvalue(),
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
 @pytest.mark.parametrize("case,command,error", [
-    ("straightness", "diagnose", "straightness failed in a worker (exit code 1): "
-                                 "ValueError: straightness refused"),
-    ("killed", "diagnose", "straightness failed in a worker (exit code -9)"),
+    ("straightness", "diagnose", "straightness refused"),
     ("variance", "diagnose", "variance refused"),
-    ("both", "diagnose", "straightness failed in a worker (exit code 1): "
-                         "ValueError: straightness refused"),
+    ("both", "diagnose", "straightness refused"),
     ("floor", "sweep", "W2 floors failed in a worker (exit code 1): "
                        "ValueError: floor refused"),
+    ("killed", "sweep", "W2 floors failed in a worker (exit code -9)"),
     ("walk", "sweep", None),
 ])
 def test_failing_job_fails_as_in_sequence(tmp_path, case, command, error):
-    # A job fails in a worker (straightness, its worker killed, a floor), in
-    # this process while a worker runs (sampling_variance, a walk), or in
-    # both.  The run exits 1 with the failure that comes first in the
-    # sequential order, which one CPU runs, and writes the files that order
-    # writes: straightness.csv only when straightness succeeded.  A worker
-    # failure's text is the one-CPU error's, after the job and exit code.
-    # No child and no descriptor is left.  Each run is its own session, so
-    # a hang is killed whole after the timeout.
+    # A job fails in a worker (a floor, or the floors' worker killed), in
+    # this process while a worker runs (a walk), or in diagnose, which runs
+    # in one process (straightness, sampling_variance, or both).  The run
+    # exits 1 with the failure that comes first in the sequential order,
+    # which one CPU runs, and writes the files that order writes:
+    # straightness.csv only when straightness succeeded.  A worker failure's
+    # text is the one-CPU error's, after the job and exit code.  No child
+    # and no descriptor is left.  Each run is its own session, so a hang is
+    # killed whole after the timeout.
     def run(cpus):
         out = tmp_path / str(cpus)
         proc = subprocess.Popen(

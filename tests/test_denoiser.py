@@ -230,6 +230,48 @@ class TestEigenView:
             oracle.x0(x, 1.0, cond.eigen)
 
 
+class TestPerProbeLevels:
+    # Straightness probes call the oracle once with one level or time per
+    # leading probe: each probe's slice must be its own scalar call, bit for
+    # bit, on every kind of conditional the probes meet.
+    @pytest.fixture(params=["plain", "batched_mean", "eigen_view"])
+    def cond(self, request, aniso_cond, x):
+        if request.param == "plain":
+            return aniso_cond
+        batched = sa.ConditionalGaussian(aniso_cond.target_positions,
+                                         aniso_cond.mean + x[:, :1],
+                                         aniso_cond.covariance)
+        return batched if request.param == "batched_mean" else batched.eigen
+
+    @pytest.mark.parametrize("method, levels", [
+        ("score", [1.0, 0.999, 0.35, 1e-4, 0.35]),
+        ("velocity", [0.0, 0.4, 1.0, 0.93, 0.4]),
+    ])
+    def test_equals_one_call_per_probe(self, oracle, cond, x, method, levels):
+        states = np.random.default_rng(9).standard_normal((len(levels),) + x.shape)
+        fn = getattr(oracle, method)
+        got = fn(states, np.asarray(levels), cond)
+        want = np.stack([fn(s, level, cond) for s, level in zip(states, levels)])
+        assert got.shape == states.shape
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("method, bad, message", [
+        ("score", 0.0, r"alpha_bar: must lie in \(0, 1\]"),
+        ("score", 1.5, r"alpha_bar: must lie in \(0, 1\]"),
+        ("score", np.nan, r"alpha_bar: must lie in \(0, 1\]"),
+        ("velocity", -0.1, r"t: must lie in \[0, 1\]"),
+        ("velocity", np.nan, r"t: must lie in \[0, 1\]"),
+    ])
+    def test_an_entry_out_of_range_fails_as_its_scalar_call(
+            self, oracle, cond, x, method, bad, message):
+        fn = getattr(oracle, method)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fn(x, bad, cond)
+        states = np.stack([x, x, x])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fn(states, np.array([0.5, bad, 0.5]), cond)
+
+
 class TestBiasedDenoiser:
     def test_bias_breaks_gradient_identity(self, aniso_cond):
         biased = sa.BiasedDenoiser(0.5)

@@ -154,7 +154,8 @@ class TestStraightnessDiffusion:
 
     def test_probes_reach_the_clean_end(self, linear_schedule, aniso_cond, oracle):
         # The walk's last hop runs from index 0 to the clean state at -1, so
-        # some probed level must lie above alpha_bars[0].
+        # some probed level must lie above alpha_bars[0].  The probes' levels
+        # reach the oracle as one array.
         grid = sa.make_diffusion_grid(linear_schedule, 2, 950)
         np.testing.assert_array_equal(grid.points, [950, 0, -1])
         _, rec = sa.sample_with_config(DDPM, oracle, aniso_cond, grid,
@@ -164,7 +165,7 @@ class TestStraightnessDiffusion:
 
         class Spy(sa.ExactDenoiser):
             def score(self, x, alpha_bar, cond):
-                levels.append(alpha_bar)
+                levels.extend(np.ravel(alpha_bar))
                 return super().score(x, alpha_bar, cond)
 
         sa.straightness_diffusion(rec, Spy(), aniso_cond, 951,
