@@ -41,33 +41,30 @@ from .process import ConditionalGaussian, NumericalError
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _span(level):
-    """The least and greatest of a float, or of a (P,) array (one per probe)."""
-    is_array = isinstance(level, np.ndarray)
-    return (level.min(), level.max()) if is_array else (level, level)
-
-
-def _column(value, lam: np.ndarray):
-    """A float as is; a (P,) array as a (P, 1, ...) column against ``lam``."""
-    is_array = isinstance(value, np.ndarray)
-    return value.reshape((-1,) + (1,) * lam.ndim) if is_array else value
-
-
-def _diffusion_channel(alpha_bar: float | np.ndarray, allow_zero: bool = False):
+def _diffusion_channel(
+    alpha_bar: float, allow_zero: bool = False
+) -> tuple[float, float]:
     """Channel variances ``(s^2, sigma^2) = (a, 1 - a)`` at signal level ``a``;
     the pure-noise level ``a = 0`` only where ``allow_zero``."""
-    low, high = _span(alpha_bar)
-    if not 0.0 <= low <= high <= 1.0 or (low == 0.0 and not allow_zero):
+    if not 0.0 <= alpha_bar <= 1.0 or (alpha_bar == 0.0 and not allow_zero):
         raise ValueError(f"alpha_bar: must lie in {'[' if allow_zero else '('}0, 1]")
     return alpha_bar, 1.0 - alpha_bar
 
 
-def _flow_channel(t: float | np.ndarray):
+def _flow_channel(t: float) -> tuple[float, float]:
     """Channel variances ``(s^2, sigma^2) = ((1 - t)^2, t^2)`` at flow time ``t``."""
-    low, high = _span(t)
-    if not 0.0 <= low <= high <= 1.0:
+    if not 0.0 <= t <= 1.0:
         raise ValueError("t: must lie in [0, 1]")
     return (1.0 - t) ** 2, t**2
+
+
+def _per_probe(channel, levels: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``(level, s^2, sigma^2)`` for a (P,) array of levels or times, one per
+    leading probe of the state ``x``, each as an array of shape
+    (P, 1, ..., 1) of ``x``'s rank.  Each probe's row is its own scalar
+    ``channel`` call, so it is checked and rounded as that call."""
+    rows = np.array([(level, *channel(level)) for level in levels.tolist()])
+    return rows.T.reshape((3, -1) + (1,) * (np.ndim(x) - 1))
 
 
 def _channel_solve(
@@ -76,6 +73,7 @@ def _channel_solve(
     signal_var: float | np.ndarray,
     noise_var: float | np.ndarray,
     gain: float | np.ndarray,
+    probes: bool = False,
 ) -> np.ndarray:
     """``U (gain * r)`` with ``r = U^T (x - s mu) / (s^2 lam + sigma^2)``,
     ``s = sqrt(signal_var)`` and ``Sigma = U diag(lam) U^T``, for states of
@@ -88,12 +86,10 @@ def _channel_solve(
     ``s^2 lam + sigma^2`` is zero to rounding (at most ``m`` ulps of the
     largest, the ``matrix_rank`` cut) is singular; on a stacked view
     (``lam`` of shape (cells, m)) each cell's row is checked alone.  With
-    (P,) variances (and ``gain`` a scalar or one row per probe) the states
-    are (P, ..., m, d), each probe's slice solved bit for bit as its own."""
+    ``probes`` the variances (and a ``gain`` that varies by probe) are
+    :func:`_per_probe` arrays, one entry per leading probe of ``x``, and
+    each probe's slice is solved bit for bit as its own scalar call."""
     lam, vecs = cond.spectrum
-    probes = isinstance(signal_var, np.ndarray)
-    if probes:
-        signal_var, noise_var = _column(signal_var, lam), _column(noise_var, lam)
     denom = signal_var * lam + noise_var
     m = lam.shape[-1]
     rows = denom.reshape(-1, m)
@@ -104,9 +100,8 @@ def _channel_solve(
                 f"s^2 Sigma + sigma^2 I span {low:.3e} to {high:.3e}"
             )
     if probes:
-        ones = (1,) * (np.ndim(x) - 3)
-        scale = (gain / denom).reshape((len(signal_var),) + ones + (-1, 1))
-        root = np.sqrt(signal_var).reshape((-1, 1) + ones + (1,))
+        scale = (gain / denom).reshape(denom.shape[:-2] + (-1, 1))
+        root = np.sqrt(signal_var)
     else:
         scale, root = (gain / denom).reshape(-1, 1), math.sqrt(signal_var)
     if vecs is None:
@@ -119,11 +114,15 @@ def _posterior_velocity(
     cond: ConditionalGaussian, x: np.ndarray, t: float | np.ndarray
 ) -> np.ndarray:
     """``E[eps - x0 | x] = t y - (mu + (1 - t) Sigma y)``, that is
-    ``U ((t - (1 - t) lam) r) - mu``."""
-    lam = cond.spectrum[0]
-    column = _column(t, lam)
-    gain = column - (1.0 - column) * lam
-    return _channel_solve(cond, x, *_flow_channel(t), gain) - cond.mean
+    ``U ((t - (1 - t) lam) r) - mu``; ``t`` a float, or a (P,) array with
+    one time per leading probe of ``x``."""
+    probes = isinstance(t, np.ndarray)
+    if probes:
+        t, signal_var, noise_var = _per_probe(_flow_channel, t, x)
+    else:
+        signal_var, noise_var = _flow_channel(t)
+    gain = t - (1.0 - t) * cond.spectrum[0]
+    return _channel_solve(cond, x, signal_var, noise_var, gain, probes) - cond.mean
 
 
 class ExactDenoiser:
@@ -134,10 +133,10 @@ class ExactDenoiser:
     mean from the same channel solve rather than a chained conversion, so
     the conversion identities of the module docstring can be cross-checked
     against this class.  No method calls another, so a call is one denoiser
-    evaluation per level or time: :meth:`score`, :meth:`flow_score` and
-    :meth:`velocity` also take a (P,) array of them, one per leading probe
-    of a (P, ...) state, each probe bit for bit its own scalar call.  Only
-    the straightness probes, diagnostics not counted as NFE, call them so.
+    evaluation per level or time: :meth:`score` and :meth:`velocity` also
+    take a (P,) array of them, one per leading probe of a (P, ...) state,
+    each probe bit for bit its own scalar call.  Only the straightness
+    probes, diagnostics not counted as NFE, call them so.
     """
 
     def epsilon(
@@ -150,6 +149,9 @@ class ExactDenoiser:
     def score(
         self, x: np.ndarray, alpha_bar: float | np.ndarray, cond: ConditionalGaussian
     ) -> np.ndarray:
+        if isinstance(alpha_bar, np.ndarray):
+            _, signal_var, noise_var = _per_probe(_diffusion_channel, alpha_bar, x)
+            return _channel_solve(cond, x, signal_var, noise_var, -1.0, probes=True)
         return _channel_solve(cond, x, *_diffusion_channel(alpha_bar), -1.0)
 
     def x0(
@@ -165,7 +167,7 @@ class ExactDenoiser:
         return _posterior_velocity(cond, x, t)
 
     def flow_score(
-        self, x: np.ndarray, t: float | np.ndarray, cond: ConditionalGaussian
+        self, x: np.ndarray, t: float, cond: ConditionalGaussian
     ) -> np.ndarray:
         return _channel_solve(cond, x, *_flow_channel(t), -1.0)
 

@@ -268,12 +268,9 @@ def straightness_diffusion(
     keep = (nu > _NORM_EPS) & (ns > _NORM_EPS)
     cosines = np.divide(np.sum(to_clean * s, axis=-1), nu * ns,
                         out=np.zeros_like(nu), where=keep)
-    # A row with dropped draws sums only its kept ones, in their order.
-    sums = (np.sum(cosines, axis=-1).tolist() if keep.all()
-            else [float(np.sum(row[kept])) for row, kept in zip(cosines, keep)])
-    total, used = 0.0, int(np.sum(keep))
-    for value in sums:
-        total += value
+    total, used = 0.0, int(keep.sum())
+    for row, kept in zip(cosines, keep):
+        total += float(row[kept].sum())
     return total / used if used else float("nan")
 
 

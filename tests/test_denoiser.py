@@ -234,10 +234,15 @@ class TestPerProbeLevels:
     # Straightness probes call the oracle once with one level or time per
     # leading probe: each probe's slice must be its own scalar call, bit for
     # bit, on every kind of conditional the probes meet.
-    @pytest.fixture(params=["plain", "batched_mean", "eigen_view"])
+    @pytest.fixture(params=["plain", "batched_mean", "eigen_view", "stacked"])
     def cond(self, request, aniso_cond, x):
         if request.param == "plain":
             return aniso_cond
+        if request.param == "stacked":
+            shifted = sa.ConditionalGaussian(aniso_cond.target_positions,
+                                             aniso_cond.mean + 0.5,
+                                             0.3 * aniso_cond.covariance)
+            return stacked_eigen([aniso_cond, shifted])
         batched = sa.ConditionalGaussian(aniso_cond.target_positions,
                                          aniso_cond.mean + x[:, :1],
                                          aniso_cond.covariance)
@@ -248,7 +253,8 @@ class TestPerProbeLevels:
         ("velocity", [0.0, 0.4, 1.0, 0.93, 0.4]),
     ])
     def test_equals_one_call_per_probe(self, oracle, cond, x, method, levels):
-        states = np.random.default_rng(9).standard_normal((len(levels),) + x.shape)
+        shape = (len(levels),) + x.shape[:1] + cond.mean.shape[-2:]
+        states = np.random.default_rng(9).standard_normal(shape)
         fn = getattr(oracle, method)
         got = fn(states, np.asarray(levels), cond)
         want = np.stack([fn(s, level, cond) for s, level in zip(states, levels)])

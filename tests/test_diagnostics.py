@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -804,6 +805,26 @@ class TestFoldReferences:
         got = fn(rec, oracle, aniso_cond, 40, np.random.default_rng(6))
         assert got == straightness_by_probe(rec, oracle, aniso_cond, 40,
                                             np.random.default_rng(6))
+
+    def test_straightness_leaves_out_zero_norm_draws(self, linear_schedule,
+                                                    aniso_cond, oracle):
+        # Draws parked at zero along their whole path have no direction to
+        # their clean token: each probe's sum leaves them out, as the
+        # per-probe loop does, and a path with no draw left reads nan.
+        grid = sa.make_diffusion_grid(linear_schedule, 7, 950)
+        _, rec = sa.sample_with_config(DDPM, oracle, aniso_cond, grid,
+                                       np.random.default_rng(5), n_samples=16,
+                                       record_path=True)
+        parked = (np.arange(16) % 5 == 3)[:, None, None]
+        rec = dataclasses.replace(
+            rec, states=[np.where(parked, 0.0, s) for s in rec.states])
+        got = sa.straightness_diffusion(rec, oracle, aniso_cond, 40,
+                                        np.random.default_rng(6))
+        assert got == straightness_by_probe(rec, oracle, aniso_cond, 40,
+                                            np.random.default_rng(6))
+        still = dataclasses.replace(rec, states=[0.0 * s for s in rec.states])
+        assert np.isnan(sa.straightness_diffusion(still, oracle, aniso_cond, 40,
+                                                  np.random.default_rng(6)))
 
     def test_straightness_errors_keep_their_order(self, aniso_cond, oracle):
         rng = np.random.default_rng(0)
