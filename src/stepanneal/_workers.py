@@ -1,4 +1,5 @@
-"""Forked workers: the package's one way of using more than one CPU.
+"""The package's ways of using more than one CPU: forked workers, and one
+thread that draws a generation's noise ahead.
 
 A :class:`Worker` runs one job in a forked child while the caller goes on
 with its own work.  The child writes the job's result to its own unnamed
@@ -7,17 +8,33 @@ never returns into the caller's stack; the caller reads the result back when
 it asks for it.  With one CPU nothing forks: the job runs in this process
 when its result is asked for, where each caller's sequential order puts it.
 
+A :class:`NoiseStream` hands out one generator's ``standard_normal`` draws,
+drawn ahead in chunks by one thread while numpy fills them without the
+interpreter lock.  Its values are the generator's own, in order, at any CPU
+count; with one CPU, or when its caller does not ask for a thread, it draws
+each block inline when asked.
+
 ``fork`` copies only the calling thread, so a caller with other threads
-running (holding locks the child may need) must not start a worker.
+running (holding locks the child may need) must not start a worker: close
+every noise stream first.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import signal
 import tempfile
+import threading
 from functools import partial
+
+import numpy as np
+
+# A noise thread fills chunks of _NOISE_CHUNK normals (256 KB) and has
+# _NOISE_BUFFERS of them to fill or waiting to be read, so with the one being
+# read a stream holds 1.5 MB of noise whatever the run's size.
+_NOISE_CHUNK, _NOISE_BUFFERS = 1 << 15, 5
 
 
 def cpu_count() -> int:
@@ -99,6 +116,88 @@ class Worker:
             self.text.close()
 
     def __enter__(self) -> Worker:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class NoiseStream:
+    """The ``standard_normal`` draws of ``rng``, drawn ahead by one thread
+    when ``ahead`` is set and the process may run on two CPUs.
+
+    ``standard_normal(shape)`` returns the next values of ``rng``'s stream,
+    exactly what ``rng.standard_normal(shape)`` would return there: the
+    normals of a numpy Generator drawn in pieces equal one draw of their
+    total size.  Drawn ahead, a block is a read-only view of a chunk (a block
+    across chunks, a read-only copy), so an in-place write raises rather
+    than changing later draws, and the thread's failure is raised by the
+    draw that reaches it, then by every later draw.  Otherwise each block is
+    drawn inline.  :meth:`close` (also the context exit) stops and joins the
+    thread; close before forking.
+    """
+
+    def __init__(self, rng: np.random.Generator, ahead: bool):
+        self.rng, self.thread = rng, None
+        if not ahead or cpu_count() < 2:
+            return
+        import queue  # here: importing it costs every command about 1 ms
+
+        # The reader allocates every buffer, so the memory it frees is reused
+        # by its own allocations; buffers the thread allocated would stay in
+        # glibc's per-thread malloc arena (2-3 MB more peak RSS at 8192
+        # sequences).  A buffer is never refilled, as a view of it may live.
+        self.empty, self.full = queue.SimpleQueue(), queue.SimpleQueue()
+        for _ in range(_NOISE_BUFFERS):
+            self.empty.put(np.empty(_NOISE_CHUNK))
+        self.chunk, self.used = np.empty(0), 0
+        self.thread = threading.Thread(target=self._fill, name="stepanneal noise",
+                                       daemon=True)
+        self.thread.start()
+
+    def _fill(self) -> None:
+        try:
+            while (buffer := self.empty.get()) is not None:
+                self.rng.standard_normal(out=buffer)
+                buffer.flags.writeable = False
+                self.full.put(buffer)
+        except Exception as exc:
+            self.full.put(exc)
+
+    def _next_chunk(self) -> None:
+        item = self.full.get()
+        if isinstance(item, Exception):
+            self.full.put(item)  # the thread has ended; later draws fail too
+            raise item
+        self.empty.put(np.empty(_NOISE_CHUNK))
+        self.chunk, self.used = item, 0
+
+    def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
+        if self.thread is None:
+            return self.rng.standard_normal(shape)
+        size = math.prod(shape)
+        if self.used + size <= self.chunk.size:
+            block = self.chunk[self.used:self.used + size]
+            self.used += size
+            return block.reshape(shape)
+        block, filled = np.empty(size), 0
+        while filled < size:
+            if self.used == self.chunk.size:
+                self._next_chunk()
+            take = min(size - filled, self.chunk.size - self.used)
+            block[filled:filled + take] = self.chunk[self.used:self.used + take]
+            filled, self.used = filled + take, self.used + take
+        block.flags.writeable = False
+        return block.reshape(shape)
+
+    def close(self) -> None:
+        """Stop the thread once it has filled the buffers it holds, and
+        join it."""
+        if self.thread is not None:
+            self.empty.put(None)
+            self.thread.join()
+
+    def __enter__(self) -> NoiseStream:
         return self
 
     def __exit__(self, *exc) -> None:

@@ -14,8 +14,12 @@ factor, and each step's batched means are one product with the whitened
 innovations of the groups already drawn.
 ``batch_to_csv_rows`` formats a batch as the body of ``tokens.csv`` on every
 CPU the process may run on, one sequence range per forked worker
-(:class:`~stepanneal._workers.Worker`, the package's one way of using more
-than one CPU), with the same bytes at any CPU count.
+(:class:`~stepanneal._workers.Worker`), with the same bytes at any CPU count.
+``simulate_sequences`` uses a second CPU one other way: when its sampler
+draws noise at its transitions, one thread draws the run's normals ahead
+(:class:`~stepanneal._workers.NoiseStream`), the same values in the same
+order, and it is joined before the call returns or raises, so no fork runs
+beside it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._workers import Worker, cpu_count
+from ._workers import NoiseStream, Worker, cpu_count
 from .annealing import StepScheduler, steps_at
 from .denoiser import ExactDenoiser
 from .process import (
@@ -110,7 +114,9 @@ def simulate_sequences(
     along ``plan.order``, AR step k on ``grids[k]`` (see :func:`step_grids`).
 
     The random stream is ``default_rng([master_seed, n_sequences])``, so a
-    run is bitwise reproducible for a fixed seed and batch size.
+    run is bitwise reproducible for a fixed seed and batch size, at any CPU
+    count: a sampler with ``noisy_transitions`` draws it ahead on a second
+    CPU, and that thread has ended when this returns or raises.
     """
     if n_sequences < 1:
         raise ValueError("n_sequences: must be positive")
@@ -124,20 +130,22 @@ def simulate_sequences(
     trajectories = [] if record_paths else None
     conditionals = [] if record_paths else None
     nfe = 0
-    for k, (group, grid) in enumerate(zip(order.groups(), grids)):
-        try:
-            cond = plan.conditional(k, whitened)
-            sample, record = sample_with_config(
-                sampler_config, oracle, cond, grid, rng, record_path=record_paths
-            )
-        except Exception as exc:
-            raise RuntimeError(f"AR step {k}: {exc}") from exc
-        values[:, list(group), :] = sample
-        whitened[plan.rows(k)] = plan.whiten(k, sample - cond.mean)
-        nfe += record.nfe
-        if record_paths:
-            trajectories.append(record)
-            conditionals.append(cond)
+    with NoiseStream(rng, sampler_config.noisy_transitions) as noise:
+        for k, (group, grid) in enumerate(zip(order.groups(), grids)):
+            try:
+                cond = plan.conditional(k, whitened)
+                sample, record = sample_with_config(
+                    sampler_config, oracle, cond, grid, noise,
+                    record_path=record_paths
+                )
+            except Exception as exc:
+                raise RuntimeError(f"AR step {k}: {exc}") from exc
+            values[:, list(group), :] = sample
+            whitened[plan.rows(k)] = plan.whiten(k, sample - cond.mean)
+            nfe += record.nfe
+            if record_paths:
+                trajectories.append(record)
+                conditionals.append(cond)
     return SequenceBatch(
         values=values,
         order=order,

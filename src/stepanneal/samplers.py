@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Protocol
 
 import numpy as np
 
@@ -105,6 +105,23 @@ class SamplerConfig:
         """Denoiser calls of one run on a ``steps``-step grid (the table above)."""
         midpoint = self.kind == "dpm_solver" and self.order == 2
         return 2 * steps - 1 if midpoint else steps
+
+    @property
+    def noisy_transitions(self) -> bool:
+        """Whether its transitions draw fresh noise ``xi`` on a grid of two
+        or more steps: ``ddpm``, ``ddim`` with eta > 0 and ``euler_maruyama``
+        with a positive noise scale.  Every sampler draws its start noise."""
+        if self.kind == "ddim":
+            return self.eta > 0.0
+        if self.kind == "euler_maruyama":
+            return self.sde_noise_scale > 0.0
+        return self.kind == "ddpm"
+
+
+class NormalSource(Protocol):
+    """A stream of standard normals, drawn like a numpy Generator's."""
+
+    def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray: ...
 
 
 @dataclass(eq=False)
@@ -229,13 +246,16 @@ def sample_with_config(
     oracle,
     cond: ConditionalGaussian,
     grid: TimeGrid,
-    rng: np.random.Generator | list[np.random.Generator],
+    rng: NormalSource | list[np.random.Generator],
     n_samples: int = 1,
     record_path: bool = False,
 ) -> tuple[np.ndarray, TrajectoryRecord]:
     """Run the configured sampler's rule on ``grid`` (the executor above);
     return the final state and the run's record.  A batched (3-D) conditional
     mean runs one sample per batch entry, so ``n_samples`` must then be 1.
+    ``rng`` is any object whose ``standard_normal(shape)`` draws the walk's
+    start noise and every ``xi`` in turn; the executor never writes into a
+    block it draws.
 
     On an eigen view the states stay in its coordinates.  On a stacked view
     (:func:`~stepanneal.process.stacked_eigen`) ``rng`` may be one generator

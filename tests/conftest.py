@@ -1,4 +1,5 @@
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -30,6 +31,19 @@ def open_fd_count():
     """The number of this process's open descriptors, or ``None`` where
     ``/proc/self/fd`` does not list them."""
     return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def count_thread_starts(monkeypatch):
+    """The names of the threads started from now on, in a list that grows
+    until the monkeypatch is undone."""
+    starts, start = [], threading.Thread.start
+
+    def counted(thread):
+        starts.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return starts
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -25,7 +26,7 @@ from stepanneal import (
 )
 from stepanneal.cli import main
 
-from conftest import open_fd_count
+from conftest import count_thread_starts, open_fd_count
 
 
 # One bad value per config key but out_dir: (config, the start of the error
@@ -921,6 +922,44 @@ def test_outputs_same_at_any_cpu_count(capsys, tmp_path, monkeypatch):
     assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
     _, summaries = read_csv(out / "sweep_summary.csv")
     assert all(0.0 < float(s[7]) < 1.0 for s in summaries)
+
+
+@pytest.mark.parametrize("sampler,noisy", [
+    ({"sampler": "ddpm"}, True), ({"sampler": "ddim", "eta": 0.5}, True),
+    ({"sampler": "euler_maruyama"}, True), ({"sampler": "ddim"}, False),
+    ({"sampler": "euler_flow"}, False)])
+def test_simulate_same_at_any_cpu_count(capsys, tmp_path, monkeypatch, sampler,
+                                        noisy):
+    # A sampler that draws noise at its transitions draws it ahead in one
+    # thread per run when it may use two CPUs.  Every byte is the same at 1,
+    # 2 and 3 CPUs; no thread starts on one CPU or for a deterministic
+    # sampler, and none is alive when tokens.csv forks or after the run.
+    # 2000 sequences of 4 values make blocks that straddle the noise chunks.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "schedule_kind": "linear", "ar_steps": 4, "n_sequences": 2000, **sampler}))
+    alive, fork, forks = threading.active_count(), os.fork, []
+
+    def checked_fork():
+        forks.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", checked_fork)
+    starts = count_thread_starts(monkeypatch)
+    outputs = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        out = tmp_path / str(cpus)
+        starts[:], forks[:] = [], []
+        code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+                               "--out-dir", str(out))
+        assert code == 0, err
+        assert len(starts) == int(noisy and cpus > 1)
+        assert forks == [alive] * (cpus - 1)
+        assert threading.active_count() == alive
+        outputs[cpus] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(outputs[1]) == ["effective_config.json", "summary.json", "tokens.csv"]
+    assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
 
 
 # Runs diagnose or sweep (argv[3], in the output directory argv[4]) on

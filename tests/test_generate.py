@@ -1,15 +1,19 @@
+import math
 import os
+import re
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stepanneal as sa
+from stepanneal import _workers
 
-from conftest import open_fd_count, schur_solver
+from conftest import count_thread_starts, open_fd_count, schur_solver
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +75,81 @@ try:
 except ChildProcessError:
     print("no child left")
 """
+
+
+# Runs a 4096-sequence euler_maruyama simulate on 2 CPUs, so its noise is
+# drawn ahead in a thread, with the failure of case argv[1]: the thread's
+# draw of its 40th chunk raises ("producer"), the walk of AR step 3 raises
+# ("walk"), or the caller stops at AR step 3 after waiting long enough for the
+# thread to fill every buffer ("stopped").  Prints the error, the change in
+# the live thread count, then whether a 2-CPU tokens.csv of a later run
+# matches the 1-CPU one and whether a child of this process is left.
+_FAILING_NOISE = """
+import os, sys, threading, time
+import numpy as np
+import stepanneal as sa
+from stepanneal import generate
+
+case = sys.argv[1]
+os.sched_getaffinity = lambda pid: {0, 1}
+spec = sa.TokenProcessSpec()
+plan = sa.conditioning_plan(spec, sa.random_order(spec, 16, seed=0))
+cfg = sa.SamplerConfig(kind="euler_maruyama")
+grids = sa.step_grids(cfg, sa.StepScheduler(kind="linear", t_early=50, t_late=5,
+                                            ar_steps=16))
+default_rng, walk, calls = np.random.default_rng, generate.sample_with_config, []
+
+class FailingRng:
+    def __init__(self, seed):
+        self.rng, self.chunks = default_rng(seed), 0
+
+    def standard_normal(self, size=None, out=None):
+        self.chunks += 1
+        if self.chunks == 40:
+            raise ValueError("draw refused")
+        return self.rng.standard_normal(size, out=out)
+
+def failing_walk(*args, **kwargs):
+    calls.append(None)
+    if len(calls) == 4 and case == "walk":
+        raise ValueError("walk refused")
+    if len(calls) == 4:
+        time.sleep(0.2)
+        raise KeyboardInterrupt("stopped")
+    return walk(*args, **kwargs)
+
+if case == "producer":
+    np.random.default_rng = FailingRng
+else:
+    generate.sample_with_config = failing_walk
+threads = threading.active_count()
+try:
+    sa.simulate_sequences(plan, cfg, grids, n_sequences=4096, master_seed=0)
+except (RuntimeError, KeyboardInterrupt) as exc:
+    print(type(exc).__name__, exc)
+print(threading.active_count() - threads)
+np.random.default_rng, generate.sample_with_config = default_rng, walk
+batch = sa.simulate_sequences(plan, cfg, grids, n_sequences=5, master_seed=0)
+rows = b"".join(sa.batch_to_csv_rows(batch))
+os.sched_getaffinity = lambda pid: {0}
+print(rows == b"".join(sa.batch_to_csv_rows(batch)))
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+def _noise_shapes(seed):
+    """Random small shapes around the stream's chunk boundaries: a block that
+    ends 3 values short of a boundary, one across it, one larger than a
+    chunk, one across three chunks and an empty one."""
+    chunk = _workers._NOISE_CHUNK
+    rng = np.random.default_rng(seed)
+    small = [tuple(rng.integers(1, 6, size=rng.integers(1, 4)).tolist())
+             for _ in range(5)]
+    return [small[0], (chunk - 3 - math.prod(small[0]),), (2, 3), small[1],
+            (chunk + 7,), small[2], (2, chunk), small[3], (0, 4), small[4]]
 
 
 def _one(spec, order, cfg, pol, schedule=None, *, seed, start_index=None,
@@ -308,3 +387,102 @@ class TestSimulateSequences:
         flat = batch.values.transpose(0, 2, 1).reshape(-1, 16)
         emp = np.cov(flat, rowvar=False, ddof=1)
         assert np.linalg.norm(emp - cov) / np.linalg.norm(cov) < 0.05
+
+
+class TestNoiseStream:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_normals_in_pieces_equal_one_draw(self, seed):
+        # The property the stream rests on: a Generator's normals drawn in
+        # blocks of any shapes are one flat draw of their total size.
+        shapes = _noise_shapes(seed)
+        rng = np.random.default_rng([seed, 8192])
+        pieces = np.concatenate([rng.standard_normal(shape).ravel() for shape in shapes])
+        flat = np.random.default_rng([seed, 8192]).standard_normal(pieces.size)
+        np.testing.assert_array_equal(pieces, flat)
+
+    @pytest.mark.parametrize("cpus,ahead,threads", [
+        (2, True, 1), (3, True, 1), (1, True, 0), (2, False, 0)])
+    def test_stream_returns_the_generators_blocks(self, monkeypatch, cpus, ahead,
+                                                  threads):
+        # The stream hands out exactly the generator's own blocks, drawn
+        # ahead in one thread only when asked to and on two or more CPUs.
+        # Those blocks are read-only, so a write cannot change a later draw,
+        # and no thread outlives the stream.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        starts = count_thread_starts(monkeypatch)
+        alive = threading.active_count()
+        for seed in range(3):
+            shapes = _noise_shapes(seed)
+            rng = np.random.default_rng([seed, 8192])
+            expected = [rng.standard_normal(shape) for shape in shapes]
+            with _workers.NoiseStream(np.random.default_rng([seed, 8192]),
+                                      ahead) as stream:
+                for want in expected:
+                    got = stream.standard_normal(want.shape)
+                    assert got.shape == want.shape
+                    np.testing.assert_array_equal(got, want)
+                    if threads:
+                        with pytest.raises(ValueError, match="read-only"):
+                            got[...] = 0.0
+            assert threading.active_count() == alive
+        assert starts == ["stepanneal noise"] * (3 * threads)
+
+    @pytest.mark.parametrize("case,error", [
+        ("producer", r"RuntimeError AR step \d+: draw refused"),
+        ("walk", "RuntimeError AR step 3: walk refused"),
+        ("stopped", "KeyboardInterrupt stopped")])
+    def test_failure_leaves_no_thread(self, case, error):
+        # The thread's own failure, a walk's and a caller that stops reading:
+        # each raises, the thread is joined, and the next run's tokens.csv
+        # forks and reaps on 2 CPUs as before.  It runs in its own session,
+        # so a hang is killed whole after the timeout.
+        src = str(Path(sa.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen([sys.executable, "-c", _FAILING_NOISE, case],
+                                env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail(f"{case}: still running after 60 s")
+        assert proc.returncode == 0, err
+        raised, threads, same, left = out.splitlines()
+        assert re.fullmatch(error, raised), raised
+        assert (threads, same, left) == ("0", "True", "no child left")
+
+    def test_thread_failure_raises_at_every_later_draw(self, monkeypatch):
+        # The draw that needs the failed chunk raises the thread's error, and
+        # so does every later draw, rather than wait on a thread that has
+        # ended.  The reader runs in a thread of its own, so a wait fails the
+        # test instead of hanging it.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        chunk, rng = _workers._NOISE_CHUNK, np.random.default_rng(0)
+        fills, seen = [], []
+
+        class FailingRng:
+            def standard_normal(self, size=None, out=None):
+                fills.append(None)
+                if len(fills) == 2:
+                    raise ValueError("draw refused")
+                return rng.standard_normal(size, out=out)
+
+        def read():
+            with _workers.NoiseStream(FailingRng(), True) as stream:
+                seen.append(stream.standard_normal((chunk,)))
+                for _ in range(2):
+                    try:
+                        stream.standard_normal((1,))
+                    except ValueError as exc:
+                        seen.append(exc)
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        np.testing.assert_array_equal(seen[0],
+                                      np.random.default_rng(0).standard_normal(chunk))
+        assert [str(exc) for exc in seen[1:]] == ["draw refused"] * 2

@@ -250,6 +250,22 @@ class TestNfeAccounting:
         assert rec.nfe == cfg.calls(grid.step_count)
 
 
+    @pytest.mark.parametrize("cfg", [
+        DDPM, DDIM, sa.SamplerConfig("ddim", eta=0.5), DPM1, DPM2, DPM_PP, EULER_FLOW,
+        EULER_SDE, sa.SamplerConfig("euler_maruyama", sde_noise_scale=0.0)])
+    def test_noisy_transitions_match_the_rules(self, linear_schedule, cfg):
+        # The stated fact is what the rule yields: some transition draws xi
+        # on every grid of two or more steps, or none on any grid.  A
+        # one-step grid's only transition reaches the clean state, so no
+        # sampler draws xi there.
+        for steps in (1, 2, 5, 25):
+            grid = (sa.make_diffusion_grid(linear_schedule, steps, 950)
+                    if cfg.domain == sa.DIFFUSION else sa.make_flow_grid(steps, 1.0))
+            walk = grid.levels if cfg.domain == sa.DIFFUSION else grid.points
+            noisy = any(step.noise_std > 0.0
+                        for step in sa.samplers._RULES[cfg.kind](cfg, walk))
+            assert noisy == (cfg.noisy_transitions and steps > 1), steps
+
     @pytest.mark.parametrize("steps", [1, 5])
     @pytest.mark.parametrize("cfg", [DDPM, DPM2])
     def test_record_keeps_its_grid(self, linear_schedule, aniso_cond, oracle,
