@@ -25,6 +25,10 @@ carries no rotation) states are already eigen-coordinates, and a call is the
 elementwise ``(gain / (s^2 lam + sigma^2)) (x - s mu)`` with no rotation at
 all; the samplers call the oracle on that view.
 
+So a call is affine in ``x``, ``U (scale (U^T x - root mu))`` with
+``root = s`` and ``scale = gain / (s^2 lam + sigma^2)``: one row of a table
+(:meth:`ExactDenoiser.affine`) that a walk builds once for all its calls.
+
 Samplers call an oracle with the conditional context passed through, so the
 exact-process oracle below stays stateless; call counting lives in the
 sampler's trajectory record.
@@ -37,6 +41,7 @@ import math
 import numpy as np
 
 from .process import ConditionalGaussian, NumericalError
+from .schedules import DIFFUSION
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -58,71 +63,70 @@ def _flow_channel(t: float) -> tuple[float, float]:
     return (1.0 - t) ** 2, t**2
 
 
-def _per_probe(channel, levels: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``(level, s^2, sigma^2)`` for a (P,) array of levels or times, one per
-    leading probe of the state ``x``, each as an array of shape
-    (P, 1, ..., 1) of ``x``'s rank.  Each probe's row is its own scalar
-    ``channel`` call, so it is checked and rounded as that call."""
-    rows = np.array([(level, *channel(level)) for level in levels.tolist()])
-    return rows.T.reshape((3, -1) + (1,) * (np.ndim(x) - 1))
+# A call's kind: its channel and its per-eigenvalue gain as a function of
+# (level or time, s^2, lam).  E[x0|x] = mu + U (s lam r), E[eps - x0|x] =
+# U ((t - (1 - t) lam) r) - mu and the score is -U r (E[eps|x] = -sigma score).
+_X0 = (lambda a: _diffusion_channel(a, allow_zero=True),
+       lambda a, signal_var, lam: np.sqrt(signal_var) * lam)
+_VELOCITY = (_flow_channel, lambda t, signal_var, lam: t - (1.0 - t) * lam)
+_SCORE = (_diffusion_channel, lambda *_: -1.0)
+_FLOW_SCORE = (_flow_channel, lambda *_: -1.0)
 
 
-def _channel_solve(
-    cond: ConditionalGaussian,
-    x: np.ndarray,
-    signal_var: float | np.ndarray,
-    noise_var: float | np.ndarray,
-    gain: float | np.ndarray,
-    probes: bool = False,
-) -> np.ndarray:
-    """``U (gain * r)`` with ``r = U^T (x - s mu) / (s^2 lam + sigma^2)``,
-    ``s = sqrt(signal_var)`` and ``Sigma = U diag(lam) U^T``, for states of
-    shape (..., m, d).  ``r`` is the channel solve in the eigenbasis
-    (``y = U r``, ``Sigma y = U (lam r)``), so every output is one rotation
-    in, a per-eigenvalue ``gain`` (a scalar or an (m,) array) and one
-    rotation back.  On an eigen view (``U`` is ``None``) the state is
-    already in the eigenbasis and the solve is the elementwise
-    ``(gain / denom) (x - s mu)``.  A channel whose smallest
+def _table(cond: ConditionalGaussian, kind, ats) -> tuple[np.ndarray, np.ndarray]:
+    """The affine rows ``(root, scale)`` of the channel solve at a sequence of
+    T levels or times: ``root`` (T,) is ``s`` and ``scale`` (T, M, 1) is
+    ``gain / (s^2 lam + sigma^2)`` over the M positions of ``cond``, so a
+    call at row i is ``U (scale[i] (U^T x - root[i] mu))``.  Each level goes
+    through the scalar ``channel`` check, and every row is bit for bit that
+    level's scalar arithmetic.  A channel whose smallest
     ``s^2 lam + sigma^2`` is zero to rounding (at most ``m`` ulps of the
-    largest, the ``matrix_rank`` cut) is singular; on a stacked view
-    (``lam`` of shape (cells, m)) each cell's row is checked alone.  With
-    ``probes`` the variances (and a ``gain`` that varies by probe) are
-    :func:`_per_probe` arrays, one entry per leading probe of ``x``, and
-    each probe's slice is solved bit for bit as its own scalar call."""
-    lam, vecs = cond.spectrum
+    largest, the ``matrix_rank`` cut) is singular; on a stacked view (``lam``
+    of shape (cells, m)) each cell's row is checked alone, and the first
+    singular (row, cell) in order raises."""
+    channel, gain = kind
+    lam = cond.spectrum[0]
+    count = len(ats)
+    at, signal_var, noise_var = (
+        np.array([(a, *channel(a)) for a in ats], dtype=np.float64)
+        .reshape(count, 3).T.reshape((3, count) + (1,) * lam.ndim))
     denom = signal_var * lam + noise_var
     m = lam.shape[-1]
     rows = denom.reshape(-1, m)
-    for low, high in zip(rows[:, 0].tolist(), rows[:, -1].tolist()):
-        if low <= high * m * _EPS:
-            raise NumericalError(
-                f"marginal covariance is singular: eigenvalues of "
-                f"s^2 Sigma + sigma^2 I span {low:.3e} to {high:.3e}"
-            )
-    if probes:
-        scale = (gain / denom).reshape(denom.shape[:-2] + (-1, 1))
-        root = np.sqrt(signal_var)
-    else:
-        scale, root = (gain / denom).reshape(-1, 1), math.sqrt(signal_var)
+    low, high = rows[:, 0], rows[:, -1]
+    singular = low <= high * m * _EPS
+    if singular.any():
+        i = int(singular.argmax())
+        raise NumericalError(
+            f"marginal covariance is singular: eigenvalues of "
+            f"s^2 Sigma + sigma^2 I span {low[i]:.3e} to {high[i]:.3e}"
+        )
+    scale = gain(at, signal_var, lam) / denom
+    return np.sqrt(signal_var).reshape(count), scale.reshape(count, -1, 1)
+
+
+def _row(cond, kind, at, x):
+    """The affine row at one level or time ``at``; or, for a (P,) array of
+    them, a P-row table shaped against the probe states ``x`` of shape
+    (P, ..., M, d), each probe's row its own scalar call's."""
+    if not isinstance(at, np.ndarray):
+        root, scale = _table(cond, kind, [at])
+        return root.item(), scale[0]
+    root, scale = _table(cond, kind, at.tolist())
+    lead = (-1,) + (1,) * (np.ndim(x) - 3)
+    return root.reshape(lead + (1, 1)), scale.reshape(lead + scale.shape[1:])
+
+
+def _solve(cond: ConditionalGaussian, x: np.ndarray, root, scale) -> np.ndarray:
+    """``U (scale (U^T x - root mu))`` for states of shape (..., m, d): one
+    rotation in, a per-eigenvalue scale and one rotation back.  On an eigen
+    view (``U`` is ``None``) the state is already in the eigenbasis and the
+    solve is the elementwise ``scale (x - root mu)``."""
+    vecs = cond.spectrum[1]
     if vecs is None:
         return scale * (x - root * cond.mean)
     dev = np.asarray(x, dtype=np.float64) - root * cond.mean
     return vecs @ (scale * (vecs.T @ dev))
-
-
-def _posterior_velocity(
-    cond: ConditionalGaussian, x: np.ndarray, t: float | np.ndarray
-) -> np.ndarray:
-    """``E[eps - x0 | x] = t y - (mu + (1 - t) Sigma y)``, that is
-    ``U ((t - (1 - t) lam) r) - mu``; ``t`` a float, or a (P,) array with
-    one time per leading probe of ``x``."""
-    probes = isinstance(t, np.ndarray)
-    if probes:
-        t, signal_var, noise_var = _per_probe(_flow_channel, t, x)
-    else:
-        signal_var, noise_var = _flow_channel(t)
-    gain = t - (1.0 - t) * cond.spectrum[0]
-    return _channel_solve(cond, x, signal_var, noise_var, gain, probes) - cond.mean
 
 
 class ExactDenoiser:
@@ -137,47 +141,56 @@ class ExactDenoiser:
     take a (P,) array of them, one per leading probe of a (P, ...) state,
     each probe bit for bit its own scalar call.  Only the straightness
     probes, diagnostics not counted as NFE, call them so.
+    :meth:`x0` and :meth:`velocity` also take their call's ``row`` of an
+    :meth:`affine` table, and then skip the channel algebra, bit for bit.
     """
+
+    def affine(
+        self, cond: ConditionalGaussian, domain: str, ats
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The rows ``(root, scale)`` of :meth:`x0` (``domain`` diffusion,
+        ``ats`` levels) or :meth:`velocity` (flow, ``ats`` times) at each of
+        a sequence of T levels or times, with every level checked and every
+        (row, cell) channel checked for singularity before any call."""
+        return _table(cond, _X0 if domain == DIFFUSION else _VELOCITY, ats)
 
     def epsilon(
         self, x: np.ndarray, alpha_bar: float, cond: ConditionalGaussian
     ) -> np.ndarray:
-        signal_var, noise_var = _diffusion_channel(alpha_bar)
-        y = _channel_solve(cond, x, signal_var, noise_var, 1.0)
-        return math.sqrt(noise_var) * y
+        score = _solve(cond, x, *_row(cond, _SCORE, alpha_bar, x))
+        return -math.sqrt(1.0 - alpha_bar) * score
 
     def score(
         self, x: np.ndarray, alpha_bar: float | np.ndarray, cond: ConditionalGaussian
     ) -> np.ndarray:
-        if isinstance(alpha_bar, np.ndarray):
-            _, signal_var, noise_var = _per_probe(_diffusion_channel, alpha_bar, x)
-            return _channel_solve(cond, x, signal_var, noise_var, -1.0, probes=True)
-        return _channel_solve(cond, x, *_diffusion_channel(alpha_bar), -1.0)
+        return _solve(cond, x, *_row(cond, _SCORE, alpha_bar, x))
 
     def x0(
-        self, x: np.ndarray, alpha_bar: float, cond: ConditionalGaussian
+        self, x: np.ndarray, alpha_bar: float, cond: ConditionalGaussian, row=None
     ) -> np.ndarray:
-        signal_var, noise_var = _diffusion_channel(alpha_bar, allow_zero=True)
-        gain = math.sqrt(signal_var) * cond.spectrum[0]
-        return cond.mean + _channel_solve(cond, x, signal_var, noise_var, gain)
+        if row is None:
+            row = _row(cond, _X0, alpha_bar, x)
+        return cond.mean + _solve(cond, x, *row)
 
     def velocity(
-        self, x: np.ndarray, t: float | np.ndarray, cond: ConditionalGaussian
+        self, x: np.ndarray, t: float | np.ndarray, cond: ConditionalGaussian, row=None
     ) -> np.ndarray:
-        return _posterior_velocity(cond, x, t)
+        if row is None:
+            row = _row(cond, _VELOCITY, t, x)
+        return _solve(cond, x, *row) - cond.mean
 
     def flow_score(
         self, x: np.ndarray, t: float, cond: ConditionalGaussian
     ) -> np.ndarray:
-        return _channel_solve(cond, x, *_flow_channel(t), -1.0)
+        return _solve(cond, x, *_row(cond, _FLOW_SCORE, t, x))
 
     def velocity_and_flow_score(
         self, x: np.ndarray, t: float, cond: ConditionalGaussian
     ) -> tuple[np.ndarray, np.ndarray]:
         """Both flow quantities from one call (one denoiser evaluation).  No
         package code calls it; ``bench/spans.py`` traces it."""
-        return (_posterior_velocity(cond, x, t),
-                _channel_solve(cond, x, *_flow_channel(t), -1.0))
+        return (_solve(cond, x, *_row(cond, _VELOCITY, t, x)) - cond.mean,
+                _solve(cond, x, *_row(cond, _FLOW_SCORE, t, x)))
 
 
 class BiasedDenoiser(ExactDenoiser):

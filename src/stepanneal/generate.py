@@ -74,22 +74,24 @@ def step_grids(
     """The reverse grid of every AR step k, with ``grid.step_count`` = T(k).
     Building them all first checks the whole policy against the grid limits
     before any work starts; a grid that fails is a ``RuntimeError`` naming
-    the AR step."""
+    the AR step.  Grids are immutable, so steps with equal T(k) share one."""
     if config.domain == DIFFUSION:
         if schedule is None:
             raise ValueError("schedule: diffusion samplers need a noise schedule")
     elif not 0.0 < flow_start_time <= 1.0:
         raise ValueError(f"flow_start_time: must lie in (0, 1], got {flow_start_time}")
+    built: dict[int, TimeGrid] = {}
     grids = []
     for k in range(scheduler.ar_steps):
         try:
             t_k = steps_at(scheduler, k)
-            if config.domain == DIFFUSION:
-                grids.append(make_diffusion_grid(schedule, t_k, start_index))
-            else:
-                grids.append(make_flow_grid(t_k, flow_start_time))
+            if t_k not in built:
+                built[t_k] = (make_diffusion_grid(schedule, t_k, start_index)
+                              if config.domain == DIFFUSION
+                              else make_flow_grid(t_k, flow_start_time))
         except ValueError as exc:
             raise RuntimeError(f"AR step {k}: {exc}") from exc
+        grids.append(built[t_k])
     return grids
 
 

@@ -79,7 +79,8 @@ class TokenProcessSpec:
         built on first use, then cached and read-only like the fields.
         :func:`conditioning_plan` checks it positive definite.  The kernel
         depends only on the offsets ``|d_row|, |d_col|``, so it is evaluated
-        once on the H x W table of offsets and gathered."""
+        once on the H x W table of offsets and gathered, which makes the
+        matrix exactly symmetric."""
         h, w, n = self.grid_height, self.grid_width, self.token_count
         d_row = np.arange(h, dtype=np.float64)[:, None]
         d_col = np.arange(w, dtype=np.float64)[None, :]
@@ -329,7 +330,9 @@ def conditioning_plan(
     permuted = joint_covariance(spec)[np.ix_(perm, perm)]
     offsets = tuple(np.cumsum((0,) + order.group_sizes).tolist())
     try:
-        factor = np.linalg.cholesky(permuted)
+        # The covariance is exactly symmetric, so permuted.T is the same matrix
+        # in Fortran order, which LAPACK takes without numpy's strided copy.
+        factor = np.linalg.cholesky(permuted.T)
     except np.linalg.LinAlgError:
         pivot = _failed_pivot(permuted)
         row = pivot - 1

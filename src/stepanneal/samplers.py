@@ -31,6 +31,9 @@ every ``xi`` there (the same law), calls the oracle on the conditional's
 :attr:`~stepanneal.process.ConditionalGaussian.eigen` view, where an exact
 call is a per-eigenvalue scale, and rotates the final and recorded states
 back once each.  Given an eigen view it returns that view's coordinates.
+It asks the oracle once per walk for every call's affine row
+(``oracle.affine(view, domain, ats)``, which checks each channel before the
+first call) and passes each call its row: ``oracle.x0(x, level, view, row)``.
 A stacked view of several conditionals of one size is one walk for all of
 them, every call and transition elementwise, with one noise stream per cell.
 
@@ -286,12 +289,14 @@ def sample_with_config(
         cell = shape[:-2] + (shape[-2] // len(rngs), shape[-1])
         return np.concatenate([r.standard_normal(cell) for r in rngs], axis=-2)
 
+    steps = list(_RULES[config.kind](config, walk))
+    root, scale = oracle.affine(eigen, config.domain, [step.at for step in steps])
     x = noise()
     states = [x] if record_path else None
     prev = None
     nfe = 0
-    for step in _RULES[config.kind](config, walk):
-        pred = predict(x, step.at, eigen)
+    for step, row in zip(steps, zip(root.tolist(), scale)):
+        pred = predict(x, step.at, eigen, row)
         nfe += 1
         new = step.c_x * x + step.c_pred * pred
         if step.c_prev:

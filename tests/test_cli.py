@@ -369,16 +369,17 @@ def test_choices_come_from_the_library():
         assert args.scheduler_kind == kind
 
 
-@pytest.mark.parametrize("command, policies", [
-    ("simulate", 1), ("diagnose", 1), ("sweep", 2),
+@pytest.mark.parametrize("command, grids", [
+    ("simulate", 4), ("diagnose", 4), ("sweep", 5),
 ])
 def test_each_policy_builds_its_grids_once(capsys, tmp_path, monkeypatch,
-                                           command, policies):
-    # A command builds each policy's grids once, one per AR step, and the
-    # generation order's conditioning plan once, and hands them to generation
-    # and the diagnostics (the sweep's joint run too).  Counting every
-    # Cholesky factorisation as well shows that nothing else factors the
-    # covariance.
+                                           command, grids):
+    # A command builds each policy's grids once, one per distinct T(k) (the
+    # linear policy 10 -> 5 has T(k) = 10, 9, 8, 6 and the sweep's constant
+    # policy 10 one grid), and the generation order's conditioning plan
+    # once, and hands them to generation and the diagnostics (the sweep's
+    # joint run too).  Counting every Cholesky factorisation as well shows
+    # that nothing else factors the covariance.
     calls = {"grids": 0, "plans": 0, "factorisations": 0}
 
     def counted(key, fn):
@@ -401,7 +402,7 @@ def test_each_policy_builds_its_grids_once(capsys, tmp_path, monkeypatch,
         "sweep_t_early": [10], "sweep_t_late": [5, 10],
         "out_dir": str(tmp_path / "out")}))
     assert run_cli(capsys, command, "--config", str(config))[0] == 0
-    assert calls == {"grids": 4 * policies, "plans": 1, "factorisations": 1}
+    assert calls == {"grids": grids, "plans": 1, "factorisations": 1}
 
 
 class TestScheduleCommand:
@@ -1078,10 +1079,10 @@ def test_reported_nfe_equals_spent(capsys, tmp_path, monkeypatch, sampler, order
     spent = [0]
 
     def counted(method):
-        def wrapper(self, x, at, cond):
+        def wrapper(self, x, at, cond, *row):
             lam = cond.spectrum[0]
             spent[0] += lam.size // lam.shape[-1]
-            return method(self, x, at, cond)
+            return method(self, x, at, cond, *row)
         return wrapper
 
     for name in ("epsilon", "score", "x0", "velocity", "flow_score",
@@ -1107,6 +1108,46 @@ def test_reported_nfe_equals_spent(capsys, tmp_path, monkeypatch, sampler, order
     _, summaries = read_csv(tmp_path / "out" / "sweep_summary.csv")
     assert sum(int(r[5]) for r in rows) == spent[0]
     assert sum(int(r[4]) for r in summaries) == spent[0]
+
+
+@pytest.mark.parametrize("sampler, order", [
+    ("ddim", 1), ("dpm_solver", 2), ("euler_maruyama", 1),
+])
+def test_simulate_builds_one_table_per_walk(capsys, tmp_path, monkeypatch, sampler,
+                                            order):
+    """Each sampler walk asks the oracle once for its affine rows and passes
+    every call its row: no executor call recomputes the channel's
+    coefficients.  A count, not a timing, so that a change that brings the
+    per-call work back fails here."""
+    from stepanneal.denoiser import ExactDenoiser
+
+    calls = {"tables": 0, "with_row": 0, "rowless": 0}
+
+    def counted_table(method):
+        def wrapper(self, *args):
+            calls["tables"] += 1
+            return method(self, *args)
+        return wrapper
+
+    def counted_call(method):
+        def wrapper(self, x, at, cond, row=None):
+            calls["rowless" if row is None else "with_row"] += 1
+            return method(self, x, at, cond, row)
+        return wrapper
+
+    monkeypatch.setattr(ExactDenoiser, "affine", counted_table(ExactDenoiser.affine))
+    for name in ("x0", "velocity"):
+        monkeypatch.setattr(ExactDenoiser, name, counted_call(getattr(ExactDenoiser, name)))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "ar_steps": 8, "schedule_kind": "linear", "sampler": sampler,
+        "solver_order": order, "t_early": 9, "t_late": 3, "n_sequences": 3,
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert run_cli(capsys, "simulate", "--config", str(config))[0] == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert calls == {"tables": 8, "with_row": summary["nfe_per_sequence"],
+                     "rowless": 0}
 
 
 # Values of each config key's type that is not its type (for a float key:

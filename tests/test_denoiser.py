@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -276,6 +278,59 @@ class TestPerProbeLevels:
         states = np.stack([x, x, x])
         with pytest.raises(ValueError, match=f"^{message}$"):
             fn(states, np.array([0.5, bad, 0.5]), cond)
+
+
+class TestAffineTable:
+    # A walk's table holds, per call, the rows that the call's own scalar
+    # arithmetic would give: root = s and scale = gain / (s^2 lam + sigma^2),
+    # written here with Python floats, one eigenvalue at a time.
+    @staticmethod
+    def scalar_rows(domain, at, lam):
+        if domain == sa.DIFFUSION:
+            signal_var, noise_var = at, 1.0 - at
+            gains = [math.sqrt(signal_var) * value for value in lam]
+        else:
+            signal_var, noise_var = (1.0 - at) ** 2, at**2
+            gains = [at - (1.0 - at) * value for value in lam]
+        scale = [g / (signal_var * value + noise_var) for g, value in zip(gains, lam)]
+        return math.sqrt(signal_var), scale
+
+    @pytest.fixture(params=["eigen_view", "stacked"])
+    def view(self, request, aniso_cond):
+        if request.param == "eigen_view":
+            return aniso_cond.eigen
+        shifted = sa.ConditionalGaussian(aniso_cond.target_positions,
+                                         aniso_cond.mean + 0.5,
+                                         0.3 * aniso_cond.covariance)
+        return stacked_eigen([aniso_cond, shifted])
+
+    @pytest.mark.parametrize("domain, ats", [
+        (sa.DIFFUSION, [5e-324, 1e-300, 1e-12, 0.35, 1.0 - 1e-12, 1.0, 0.0]),
+        (sa.FLOW, [1.0, 1.0 - 1e-12, 0.4, 1e-12, 0.0]),
+    ])
+    def test_rows_equal_the_scalar_coefficients(self, oracle, view, x, domain, ats):
+        root, scale = oracle.affine(view, domain, ats)
+        lam = view.spectrum[0].ravel().tolist()
+        assert root.shape == (len(ats),) and scale.shape == (len(ats), len(lam), 1)
+        predict = oracle.x0 if domain == sa.DIFFUSION else oracle.velocity
+        states = np.broadcast_to(x[:, :1, :1], x.shape[:1] + view.mean.shape)
+        for i, at in enumerate(ats):
+            want_root, want_scale = self.scalar_rows(domain, at, lam)
+            assert root[i] == want_root
+            np.testing.assert_array_equal(scale[i, :, 0], want_scale)
+            row = (root.tolist()[i], scale[i])
+            np.testing.assert_array_equal(predict(states, at, view, row),
+                                          predict(states, at, view))
+
+    @pytest.mark.parametrize("domain, bad, message", [
+        (sa.DIFFUSION, 1.5, r"alpha_bar: must lie in \[0, 1\]"),
+        (sa.DIFFUSION, np.nan, r"alpha_bar: must lie in \[0, 1\]"),
+        (sa.FLOW, -0.1, r"t: must lie in \[0, 1\]"),
+    ])
+    def test_a_level_out_of_range_fails_as_its_scalar_call(self, oracle, aniso_cond,
+                                                           domain, bad, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            oracle.affine(aniso_cond.eigen, domain, [0.5, bad, 0.5])
 
 
 class TestBiasedDenoiser:

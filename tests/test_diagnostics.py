@@ -373,10 +373,10 @@ class TestProbeError:
 def failing_at(level):
     """An exact denoiser class whose x0 raises at one diffusion level."""
     class Failing(sa.ExactDenoiser):
-        def x0(self, x, alpha_bar, cond):
+        def x0(self, x, alpha_bar, cond, row=None):
             if alpha_bar == level:
                 raise sa.NumericalError("boom")
-            return super().x0(x, alpha_bar, cond)
+            return super().x0(x, alpha_bar, cond, row)
     return Failing
 
 

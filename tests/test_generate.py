@@ -250,6 +250,33 @@ class TestGenerateSequence:
         assert seq.trajectories[0].states is not None
 
 
+class TestStepGrids:
+    @pytest.mark.parametrize("kind", ["ddim", "euler_flow"])
+    @pytest.mark.parametrize("scheduler", [
+        sa.StepScheduler(kind="linear", t_early=50, t_late=5, ar_steps=64),
+        sa.StepScheduler(kind="cosine", t_early=20, t_late=3, ar_steps=16),
+        sa.StepScheduler(kind="two_stage", t_early=9, t_late=4, ar_steps=6),
+        sa.constant_scheduler(7, 5),
+    ], ids=lambda s: s.kind)
+    def test_one_grid_per_distinct_step_count(self, linear_schedule, kind, scheduler):
+        # Grids are immutable, so the AR steps with equal T(k) share one; each
+        # equals the grid built afresh for its T(k).
+        cfg = sa.SamplerConfig(kind)
+        grids = sa.step_grids(cfg, scheduler, linear_schedule, 950)
+        counts = [sa.steps_at(scheduler, k) for k in range(scheduler.ar_steps)]
+        assert len({id(grid) for grid in grids}) == len(set(counts))
+        for k, (grid, t_k) in enumerate(zip(grids, counts)):
+            assert grid is grids[counts.index(t_k)]
+            fresh = (sa.make_diffusion_grid(linear_schedule, t_k, 950)
+                     if cfg.domain == sa.DIFFUSION else sa.make_flow_grid(t_k, 1.0))
+            assert grid.step_count == t_k
+            np.testing.assert_array_equal(grid.points, fresh.points)
+            if fresh.levels is None:
+                assert grid.levels is None
+            else:
+                np.testing.assert_array_equal(grid.levels, fresh.levels)
+
+
 class TestSimulateSequences:
     def test_conditionals_are_exact(self, spec, linear_schedule, setup):
         # The loop grows one Cholesky factor along the order; every recorded

@@ -56,6 +56,15 @@ class TestJointCovariance:
         cov = sa.joint_covariance(spec)
         assert abs(cov[0, 1] - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("kernel", ["rbf", "ar1"])
+    @pytest.mark.parametrize("height, width", [(1, 1), (4, 4), (3, 7), (12, 5)])
+    def test_exactly_symmetric(self, kernel, height, width):
+        # conditioning_plan factors the transposed view of the permuted
+        # covariance, which is the same matrix only if this holds exactly.
+        cov = sa.TokenProcessSpec(grid_height=height, grid_width=width,
+                                  kernel=kernel, length_scale=1.7).covariance
+        np.testing.assert_array_equal(cov, cov.T)
+
     def test_rbf_matches_elementwise_formula(self, spec, cov):
         pos = np.stack(np.divmod(np.arange(spec.token_count), spec.grid_width),
                        axis=1).astype(np.float64)
@@ -321,6 +330,19 @@ class TestConditioningPlan:
             assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(sigma_to)
             gap = np.linalg.norm(weights - scratch.weights)
             assert gap <= weight_tol * np.linalg.norm(scratch.weights)
+
+    @pytest.mark.parametrize("kernel", ["rbf", "ar1"])
+    @pytest.mark.parametrize("random", [False, True], ids=["raster", "random"])
+    def test_factor_is_the_contiguous_factorisation(self, kernel, random):
+        # The plan hands LAPACK the permuted covariance in Fortran order; the
+        # factor must be the bytes of the C-ordered matrix's factorisation.
+        spec = sa.TokenProcessSpec(grid_height=12, grid_width=9, kernel=kernel)
+        order = (sa.random_order(spec, 27, seed=3) if random
+                 else sa.raster_order(spec, 27))
+        perm = np.asarray(order.permutation)
+        permuted = sa.joint_covariance(spec)[np.ix_(perm, perm)]
+        want = np.linalg.cholesky(np.ascontiguousarray(permuted))
+        np.testing.assert_array_equal(sa.conditioning_plan(spec, order).factor, want)
 
     def test_means_from_whitened_innovations(self, field):
         # Prefix values drawn from the field itself, as generation sees them.

@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -450,6 +451,141 @@ class TestStackedView:
                                   [rng, rng])
 
 
+def rowless_reference(config, oracle, cond, grid, rngs, n_samples, record_path):
+    """The executor with every oracle call on its row-less scalar path, which
+    builds the call's own one-row table; returns the final state and the
+    recorded states (``None`` unless ``record_path``)."""
+    if config.domain == sa.DIFFUSION:
+        predict, walk = oracle.x0, grid.levels
+    else:
+        predict, walk = oracle.velocity, grid.points
+    view = cond.eigen
+    shape = (() if cond.mean.ndim == 3 else (n_samples,)) + cond.mean.shape
+
+    def noise():
+        if len(rngs) == 1:
+            return rngs[0].standard_normal(shape)
+        cell = shape[:-2] + (shape[-2] // len(rngs), shape[-1])
+        return np.concatenate([r.standard_normal(cell) for r in rngs], axis=-2)
+
+    x = noise()
+    states, prev = [x], None
+    for step in sa.samplers._RULES[config.kind](config, walk):
+        pred = predict(x, step.at, view)
+        new = step.c_x * x + step.c_pred * pred
+        if step.c_prev:
+            new += step.c_prev * prev
+        if step.noise_std > 0.0:
+            new += step.noise_std * noise()
+        x, prev = new, pred
+        if step.recorded:
+            states.append(x)
+    vecs = cond.spectrum[1]
+    if vecs is not None:
+        x, states = vecs @ x, [vecs @ state for state in states]
+    return x, states if record_path else None
+
+
+class TestAffineRows:
+    # The executor asks for one table of affine rows per walk and passes each
+    # call its row: every state must be bit for bit the walk whose calls each
+    # compute their own coefficients.
+    @pytest.fixture(params=["plain", "batched_mean", "stacked"])
+    def case(self, request, aniso_cond):
+        if request.param == "plain":
+            return aniso_cond, 1, 3
+        if request.param == "batched_mean":
+            return sa.ConditionalGaussian(
+                aniso_cond.target_positions,
+                aniso_cond.mean + np.linspace(-1.0, 1.0, 5)[:, None, None],
+                aniso_cond.covariance), 1, 1
+        conds = [aniso_cond,
+                 sa.ConditionalGaussian((1, 2, 3), aniso_cond.mean - 0.5,
+                                        0.5 * aniso_cond.covariance + 0.1 * np.eye(3)),
+                 sa.ConditionalGaussian((4, 7, 9), aniso_cond.mean[::-1],
+                                        np.diag([0.2, 1.0, 3.0]))]
+        return stacked_eigen(conds), 3, 3
+
+    @pytest.mark.parametrize("cfg", [
+        DDPM, DDIM, sa.SamplerConfig("ddim", eta=0.5), DPM1, DPM2, DPM_PP,
+        EULER_FLOW, EULER_SDE,
+    ], ids=lambda c: f"{c.kind}-eta{c.eta}-order{c.order}")
+    @pytest.mark.parametrize("record_path", [False, True])
+    def test_walk_equals_rowless_calls(self, linear_schedule, oracle, case, cfg,
+                                       record_path):
+        cond, cells, n_samples = case
+        grid = (sa.make_diffusion_grid(linear_schedule, 7, 950)
+                if cfg.domain == sa.DIFFUSION else sa.make_flow_grid(7, 1.0))
+
+        def rngs():
+            return [np.random.default_rng(seed) for seed in range(20, 20 + cells)]
+
+        out, rec = sa.sample_with_config(cfg, oracle, cond, grid, rngs(),
+                                         n_samples=n_samples, record_path=record_path)
+        want, want_states = rowless_reference(cfg, oracle, cond, grid, rngs(),
+                                              n_samples, record_path)
+        np.testing.assert_array_equal(out, want)
+        assert rec.nfe == cfg.calls(grid.step_count)
+        if not record_path:
+            assert rec.states is None
+            return
+        assert len(rec.states) == len(want_states)
+        for state, want_state in zip(rec.states, want_states):
+            np.testing.assert_array_equal(state, want_state)
+
+    @pytest.mark.parametrize("cfg", [DDIM, EULER_FLOW], ids=lambda c: c.kind)
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_singular_channel_fails_before_any_call(self, linear_schedule, cfg,
+                                                    stacked):
+        # A cell with eigenvalues 0 and 1e16 is regular at the walk's first
+        # call and singular to rounding at a later one.  The table checks
+        # every call's channel first: the walk raises the message of the
+        # first row-less call that fails, naming the singular cell, and
+        # makes no call at all.
+        def cell(cov):
+            return sa.ConditionalGaussian((0, 1), np.full((2, 4), 0.3), cov)
+
+        singular = cell(np.diag([0.0, 1e16]))
+        conds = ([cell(np.eye(2)), singular, cell(1e3 * np.eye(2))] if stacked
+                 else [singular])
+        view = stacked_eigen(conds)
+
+        class Counting(sa.ExactDenoiser):
+            calls = 0
+
+            def x0(self, *args):
+                Counting.calls += 1
+                return super().x0(*args)
+
+            def velocity(self, *args):
+                Counting.calls += 1
+                return super().velocity(*args)
+
+        oracle = Counting()
+        if cfg.domain == sa.DIFFUSION:
+            grid = sa.make_diffusion_grid(linear_schedule, 5, 950)
+            predict, walk = oracle.x0, grid.levels
+        else:
+            grid = sa.make_flow_grid(5, 1.0)
+            predict, walk = oracle.velocity, grid.points
+        x = np.zeros((1,) + view.mean.shape)
+        failed = []
+        for step in sa.samplers._RULES[cfg.kind](cfg, walk):
+            try:
+                predict(x, step.at, view)
+            except sa.NumericalError as exc:
+                failed.append(str(exc))
+        assert 0 < len(failed) < Counting.calls
+        assert re.fullmatch(r"marginal covariance is singular: eigenvalues of "
+                            r"s\^2 Sigma \+ sigma\^2 I span \S+ to \S+", failed[0])
+        Counting.calls = 0
+        with pytest.raises(sa.NumericalError) as info:
+            sa.sample_with_config(cfg, oracle, view, grid,
+                                  [np.random.default_rng(0)] * len(conds))
+        assert str(info.value) == failed[0]
+        assert Counting.calls == 0
+
+
 class TestDdpm:
     def test_dirac_full_grid_hits_mean(self, linear_schedule, oracle):
         cond = dirac_cond(mean=0.7)
@@ -798,10 +934,10 @@ class TestSamplerConfig:
         # executor raises, naming the sampler, its calls and the grid, rather
         # than return it.
         class Infinite(sa.ExactDenoiser):
-            def x0(self, x, alpha_bar, cond):
+            def x0(self, x, alpha_bar, cond, row=None):
                 return np.full_like(x, np.inf)
 
-            def velocity(self, x, t, cond):
+            def velocity(self, x, t, cond, row=None):
                 return np.full_like(x, np.inf)
 
         grid = (sa.make_flow_grid(5, 1.0) if cfg.domain == sa.FLOW
