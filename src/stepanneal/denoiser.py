@@ -37,6 +37,7 @@ sampler's trajectory record.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,6 +74,15 @@ _SCORE = (_diffusion_channel, lambda *_: -1.0)
 _FLOW_SCORE = (_flow_channel, lambda *_: -1.0)
 
 
+@lru_cache(maxsize=256)  # a command's walks share their grids' levels
+def _channel_rows(kind, ats: tuple) -> np.ndarray:
+    """Read-only rows ``(at, s^2, sigma^2)``, (3, T), each level checked by ``channel``."""
+    rows = np.array([(a, *kind[0](a)) for a in ats], dtype=np.float64)
+    rows = rows.reshape(len(ats), 3).T
+    rows.flags.writeable = False
+    return rows
+
+
 def _table(cond: ConditionalGaussian, kind, ats) -> tuple[np.ndarray, np.ndarray]:
     """The affine rows ``(root, scale)`` of the channel solve at a sequence of
     T levels or times: ``root`` (T,) is ``s`` and ``scale`` (T, M, 1) is
@@ -84,12 +94,12 @@ def _table(cond: ConditionalGaussian, kind, ats) -> tuple[np.ndarray, np.ndarray
     largest, the ``matrix_rank`` cut) is singular; on a stacked view (``lam``
     of shape (cells, m)) each cell's row is checked alone, and the first
     singular (row, cell) in order raises."""
-    channel, gain = kind
-    lam = cond.spectrum[0]
+    gain, lam, ats = kind[1], cond.spectrum[0], tuple(ats)
     count = len(ats)
-    at, signal_var, noise_var = (
-        np.array([(a, *channel(a)) for a in ats], dtype=np.float64)
-        .reshape(count, 3).T.reshape((3, count) + (1,) * lam.ndim))
+    # Only plain nonzero floats share rows (-0.0 == 0.0 but its rows differ).
+    build = (_channel_rows if all(type(a) is float and a for a in ats)
+             else _channel_rows.__wrapped__)
+    at, signal_var, noise_var = build(kind, ats).reshape((3, count) + (1,) * lam.ndim)
     denom = signal_var * lam + noise_var
     m = lam.shape[-1]
     rows = denom.reshape(-1, m)

@@ -9,9 +9,9 @@ with the exact conditional as its denoiser.  On one numpy/BLAS build and BLAS
 thread count, runs are fully determined by the seed.  ``simulate_sequences``
 vectorizes many sequences through one shared generation order, given as its
 :class:`~stepanneal.process.ConditioningPlan` (built once per command; it
-carries the spec): every step's conditional covariance comes from the plan's
-factor, and each step's batched means are one product with the whitened
-innovations of the groups already drawn.
+carries the spec): every step's covariance and spectrum come from the plan,
+decomposed once and batched by group size, and each step's batched means
+are one product with the whitened innovations of the groups already drawn.
 ``batch_to_csv_rows`` formats a batch as the body of ``tokens.csv`` on every
 CPU the process may run on, one sequence range per forked worker
 (:class:`~stepanneal._workers.Worker`), with the same bytes at any CPU count.

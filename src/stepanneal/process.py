@@ -12,9 +12,10 @@ backbone plus denoising head, which lets sampler behaviour be checked
 against exact truth.
 
 Generation conditions through a :class:`ConditioningPlan`: one Cholesky
-factor of the covariance permuted into the generation order, from which
+factor of the covariance gathered in the generation order, from which
 every AR step's conditional follows by one small triangular solve and one
-matrix product (the innovations form of Gaussian autoregression).
+matrix product (the innovations form of Gaussian autoregression), and whose
+step covariances it decomposes once, batched by group size.
 
 Specs, plans, solvers and conditionals are immutable after construction and
 safe to share across concurrent workers.
@@ -75,13 +76,15 @@ class TokenProcessSpec:
 
     @cached_property
     def covariance(self) -> np.ndarray:
-        """Dense n x n position covariance, jitter included on the diagonal:
-        built on first use, then cached and read-only like the fields.
-        :func:`conditioning_plan` checks it positive definite.  The kernel
-        depends only on the offsets ``|d_row|, |d_col|``, so it is evaluated
-        once on the H x W table of offsets and gathered, which makes the
-        matrix exactly symmetric."""
-        h, w, n = self.grid_height, self.grid_width, self.token_count
+        """:meth:`covariance_of` every position, cached and read-only."""
+        return _readonly(self.covariance_of(np.arange(self.token_count)))
+
+    def covariance_of(self, positions) -> np.ndarray:
+        """Dense covariance of ``positions`` in that order, jitter on the
+        diagonal.  The kernel depends only on the offsets ``|d_row|, |d_col|``,
+        so it is evaluated once on the H x W offset table and gathered through
+        the positions' row and column lags: exactly symmetric in any order."""
+        h, w = self.grid_height, self.grid_width
         d_row = np.arange(h, dtype=np.float64)[:, None]
         d_col = np.arange(w, dtype=np.float64)[None, :]
         dist2 = d_row * d_row + d_col * d_col
@@ -90,18 +93,16 @@ class TokenProcessSpec:
             table = s2 * np.exp(-dist2 / (2.0 * self.length_scale**2))
         else:  # ar1: exponential decay in grid distance
             table = s2 * np.exp(-np.sqrt(dist2) / self.length_scale)
-        lag_row = np.abs(np.subtract.outer(np.arange(h), np.arange(h)))
-        lag_col = np.abs(np.subtract.outer(np.arange(w), np.arange(w)))
-        # Entry ((r1, c1), (r2, c2)) is table[|r1 - r2|, |c1 - c2|]: gather a
-        # table row per row pair, then its column lags, as (r1, r2, c1, c2).
-        cov = table[lag_row][:, :, lag_col].transpose(0, 2, 1, 3).reshape(n, n)
-        cov.flat[:: n + 1] += self.jitter
-        return _readonly(cov)
+        # Lags in their smallest signed type: page faults dominate the gather.
+        small = np.min_scalar_type(-max(h, w))
+        row, col = (a.astype(small) for a in np.divmod(np.asarray(positions), w))
+        cov = table[np.abs(row[:, None] - row), np.abs(col[:, None] - col)]
+        cov.flat[:: row.size + 1] += self.jitter
+        return cov
 
 
 def joint_covariance(spec: TokenProcessSpec) -> np.ndarray:
-    """Dense n x n position covariance (jitter included on the diagonal),
-    read-only and cached on the spec (:attr:`TokenProcessSpec.covariance`)."""
+    """The spec's cached natural-order :attr:`~TokenProcessSpec.covariance`."""
     return spec.covariance
 
 
@@ -196,7 +197,8 @@ class ConditionalGaussian:
     def spectrum(self) -> tuple[np.ndarray, np.ndarray | None]:
         """Eigenvalues ``lam`` (ascending) and orthonormal eigenvectors ``U``
         with ``covariance = U diag(lam) U^T``: one ``eigh`` on first use,
-        cached and read-only like the other fields.  ``U`` is ``None`` on an
+        cached and read-only like the other fields (a plan's conditionals get
+        the plan's :attr:`~ConditioningPlan.spectra`).  ``U`` is ``None`` on an
         :attr:`eigen` view, whose covariance is already ``diag(lam)``; on a
         :func:`stacked_eigen` view ``lam`` has one ascending row per cell."""
         lam, vecs = np.linalg.eigh(self.covariance)
@@ -281,27 +283,36 @@ class ConditioningPlan:
         rows = self.rows(k)
         return self.factor[rows, rows]
 
+    @cached_property
+    def spectra(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Each step k's read-only ``(L_kk L_kk^T, lam, U)``, bit for bit its own
+        2-D ``eigh``: one stacked product and ``eigh`` per distinct group size."""
+        out = {}
+        for m in set(self.order.group_sizes):  # np.unique would import numpy.ma
+            steps = [k for k, size in enumerate(self.order.group_sizes) if size == m]
+            rows = np.asarray(self.offsets)[steps, None] + np.arange(m)
+            cov = _readonly(_gram(self.factor[rows[:, :, None], rows[:, None, :]]))
+            out.update(zip(steps, zip(cov, *map(_readonly, np.linalg.eigh(cov)))))
+        return out
+
     def covariance(self, k: int) -> np.ndarray:
         """Step k's conditional covariance ``L_kk L_kk^T``."""
-        block = self.block(k)
-        cov = block @ block.T
-        return 0.5 * (cov + cov.T)
+        return self.spectra[k][0]
 
     def conditional(self, k: int, whitened: np.ndarray) -> ConditionalGaussian:
         """Step k's conditional given the whitened innovations of the groups
         before it: the rows of ``whitened`` before step k (later rows are not
-        read)."""
+        read).  Its spectrum is the plan's, so no ``eigh`` runs on it."""
         a, b = self.offsets[k], self.offsets[k + 1]
         prefix = whitened.reshape(whitened.shape[0], -1)[:a]
         mean = self.mean_field[a:b, None] + self.factor[a:b, :a] @ prefix
         mean = mean.reshape((b - a,) + whitened.shape[1:])
         if mean.ndim == 3:
             mean = mean.transpose(1, 0, 2)
-        return ConditionalGaussian(
-            target_positions=self.order.permutation[a:b],
-            mean=mean,
-            covariance=self.covariance(k),
-        )
+        cov, lam, vecs = self.spectra[k]
+        cond = ConditionalGaussian(self.order.permutation[a:b], mean, cov)
+        cond.__dict__["spectrum"] = lam, vecs  # seeds the cached property
+        return cond
 
     def whiten(self, k: int, innovation: np.ndarray) -> np.ndarray:
         """``L_kk^-1 innovation`` for step k's innovation ``x - mean`` of
@@ -314,20 +325,26 @@ class ConditioningPlan:
         return flat.reshape(innovation.shape)
 
 
+def _gram(blocks: np.ndarray) -> np.ndarray:
+    """``L L^T``, symmetrised, of each factor ``L`` in ``blocks`` (..., m, m)."""
+    cov = blocks @ blocks.swapaxes(-1, -2)
+    return 0.5 * (cov + cov.swapaxes(-1, -2))
+
+
 def conditioning_plan(
     spec: TokenProcessSpec, order: GenerationOrder
 ) -> ConditioningPlan:
-    """Factor the spec's joint covariance, permuted into ``order``, once: one
-    n x n Cholesky factorisation.  This is the field's positive-definiteness
-    check: a pivot that is not positive raises :class:`NumericalError`
-    naming ``length_scale/jitter``, its AR step and its position, before any
-    conditional is formed."""
+    """Factor the spec's joint covariance, gathered straight into ``order``
+    (no natural-order matrix), once: one n x n Cholesky factorisation.  This
+    is the field's positive-definiteness check: a pivot that is not positive
+    raises :class:`NumericalError` naming ``length_scale/jitter``, its AR step
+    and its position, before any conditional is formed."""
     n = spec.token_count
     if len(order.permutation) != n:
         raise ValueError(f"order: covers {len(order.permutation)} positions, "
                          f"the grid has {n}")
     perm = np.asarray(order.permutation)
-    permuted = joint_covariance(spec)[np.ix_(perm, perm)]
+    permuted = spec.covariance_of(perm)
     offsets = tuple(np.cumsum((0,) + order.group_sizes).tolist())
     try:
         # The covariance is exactly symmetric, so permuted.T is the same matrix
@@ -433,7 +450,7 @@ def conditional_solver(
         observed_positions=tuple(obs_idx.tolist()),
         target_positions=tuple(tgt_idx.tolist()),
         weights=np.linalg.solve(factor[:o, :o].T, factor[plan.rows(step), :o].T).T,
-        covariance=plan.covariance(step),
+        covariance=_gram(plan.block(step)),
     )
 
 

@@ -34,6 +34,8 @@ back once each.  Given an eigen view it returns that view's coordinates.
 It asks the oracle once per walk for every call's affine row
 (``oracle.affine(view, domain, ats)``, which checks each channel before the
 first call) and passes each call its row: ``oracle.x0(x, level, view, row)``.
+Work that depends only on the grid, the rule's transitions here and the
+levels' channel rows in the oracle, is done once per (config, grid), not per walk.
 A stacked view of several conditionals of one size is one walk for all of
 them, every call and transition elementwise, with one noise stream per cell.
 
@@ -61,6 +63,7 @@ concurrent trajectories independent generators and nothing is shared.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Protocol
 
@@ -242,6 +245,18 @@ def _euler_maruyama(config: SamplerConfig, times: np.ndarray) -> Iterator[Transi
 _RULES = {"ddpm": _ddim, "ddim": _ddim, "dpm_solver": _dpm_solver,
           "dpm_solver_pp": _dpm_solver_pp, "euler_flow": _euler_maruyama,
           "euler_maruyama": _euler_maruyama}
+_WALKS = weakref.WeakKeyDictionary()  # grid -> {config: walk}, freed with the grid
+
+
+def _walk(config: SamplerConfig, grid: TimeGrid) -> tuple[tuple, tuple]:
+    """The rule's transitions on ``grid`` and their call sites ``at``, once
+    per distinct (config, grid): a command's AR steps share their grids."""
+    walks = _WALKS.setdefault(grid, {})
+    if config not in walks:
+        walk = grid.levels if config.domain == DIFFUSION else grid.points
+        steps = tuple(_RULES[config.kind](config, walk))
+        walks[config] = steps, tuple(step.at for step in steps)
+    return walks[config]
 
 
 def sample_with_config(
@@ -271,10 +286,7 @@ def sample_with_config(
         raise ValueError(
             f"grid: {config.kind} requires a {config.domain} grid, got {grid.domain}"
         )
-    if config.domain == DIFFUSION:
-        predict, walk = oracle.x0, grid.levels
-    else:
-        predict, walk = oracle.velocity, grid.points
+    predict = oracle.x0 if config.domain == DIFFUSION else oracle.velocity
     rngs = list(rng) if isinstance(rng, (list, tuple)) else [rng]
     lam, vecs = cond.spectrum
     if len(rngs) not in (1, lam.size // lam.shape[-1]):
@@ -289,22 +301,23 @@ def sample_with_config(
         cell = shape[:-2] + (shape[-2] // len(rngs), shape[-1])
         return np.concatenate([r.standard_normal(cell) for r in rngs], axis=-2)
 
-    steps = list(_RULES[config.kind](config, walk))
-    root, scale = oracle.affine(eigen, config.domain, [step.at for step in steps])
+    steps, ats = _walk(config, grid)
+    root, scale = oracle.affine(eigen, config.domain, ats)
     x = noise()
     states = [x] if record_path else None
     prev = None
     nfe = 0
-    for step, row in zip(steps, zip(root.tolist(), scale)):
-        pred = predict(x, step.at, eigen, row)
+    for (at, c_x, c_pred, c_prev, std, recorded), *row in zip(steps, root.tolist(), scale):
+        pred = predict(x, at, eigen, row)
         nfe += 1
-        new = step.c_x * x + step.c_pred * pred
-        if step.c_prev:
-            new += step.c_prev * prev
-        if step.noise_std > 0.0:
-            new += step.noise_std * noise()
+        new = c_x * x
+        new += c_pred * pred
+        if c_prev:
+            new += c_prev * prev
+        if std > 0.0:
+            new += std * noise()
         x, prev = new, pred
-        if states is not None and step.recorded:
+        if states is not None and recorded:
             states.append(x)
     if not np.isfinite(x).all():
         raise NumericalError(f"{config.kind}: the walk's state is not finite after "

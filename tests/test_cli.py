@@ -1150,6 +1150,59 @@ def test_simulate_builds_one_table_per_walk(capsys, tmp_path, monkeypatch, sampl
                      "rowless": 0}
 
 
+@pytest.mark.parametrize("sampler, order", [
+    ("ddim", 1), ("dpm_solver", 2), ("euler_maruyama", 1),
+])
+def test_simulate_does_grid_and_plan_work_once(capsys, tmp_path, monkeypatch,
+                                               sampler, order):
+    """Work that does not depend on the samples runs once per command: one
+    ``eigh`` per distinct group size (25 positions in 7 AR steps: groups of 4
+    and 3), and each rule listed once per distinct grid, not per walk.
+    Counts, not timings."""
+    from stepanneal import samplers
+
+    eighs, rules = [0], [0]
+    eigh = np.linalg.eigh
+
+    def counted_eigh(a):
+        eighs[0] += 1
+        return eigh(a)
+
+    def counted_rule(rule):
+        def wrapper(*args):
+            rules[0] += 1
+            return rule(*args)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(samplers, "_RULES", {
+        kind: counted_rule(rule) for kind, rule in samplers._RULES.items()})
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "grid_height": 5, "grid_width": 5, "ar_steps": 7,
+        "schedule_kind": "linear", "sampler": sampler, "solver_order": order,
+        "t_early": 9, "t_late": 3, "n_sequences": 3, "out_dir": str(tmp_path / "out"),
+    }))
+    assert run_cli(capsys, "simulate", "--config", str(config))[0] == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert eighs[0] == 2
+    assert rules[0] == len(set(summary["step_counts"])) < len(summary["step_counts"])
+
+
+def test_plan_leaves_the_natural_order_covariance_unbuilt():
+    # The plan gathers its covariance in generation order, so the spec's
+    # n x n natural-order matrix is built only for the code that reads it.
+    spec = stepanneal.TokenProcessSpec(grid_height=6, grid_width=5)
+    plan = conditioning_plan(spec, stepanneal.random_order(spec, 6, seed=1))
+    cfg = stepanneal.SamplerConfig("ddim")
+    grids = step_grids(cfg, stepanneal.StepScheduler(
+        kind="linear", t_early=9, t_late=3, ar_steps=6), stepanneal.build_linear_beta())
+    simulate_sequences(plan, cfg, grids, n_sequences=2, master_seed=0)
+    assert "covariance" not in spec.__dict__
+    assert spec.covariance.shape == (30, 30)
+    assert "covariance" in spec.__dict__
+
+
 # Values of each config key's type that is not its type (for a float key:
 # also NaN and the infinities), drawn for the property test below.
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])

@@ -332,6 +332,28 @@ class TestAffineTable:
         with pytest.raises(ValueError, match=f"^{message}$"):
             oracle.affine(aniso_cond.eigen, domain, [0.5, bad, 0.5])
 
+    @pytest.mark.parametrize("domain, first, second", [
+        (sa.DIFFUSION, 0.0, -0.0),
+        (sa.DIFFUSION, -0.0, 0.0),
+        (sa.FLOW, 0.0, -0.0),
+        (sa.DIFFUSION, 0.3499999940395355, np.float32(0.35)),
+        (sa.DIFFUSION, np.float32(0.35), 0.3499999940395355),
+        (sa.FLOW, 0.5, np.float64(0.5)),
+    ])
+    def test_shared_rows_are_each_levels_own(self, oracle, aniso_cond, domain,
+                                             first, second):
+        # Channel rows are shared between calls at equal levels; levels that
+        # compare equal but differ in bytes or type (a signed zero, a float32)
+        # still get the rows built from themselves.
+        view = aniso_cond.eigen
+        sa.denoiser._channel_rows.cache_clear()
+        fresh = oracle.affine(view, domain, [second, 0.25])
+        sa.denoiser._channel_rows.cache_clear()
+        oracle.affine(view, domain, [first, 0.25])
+        got = oracle.affine(view, domain, [second, 0.25])
+        for a, b in zip(got, fresh):
+            assert a.tobytes() == b.tobytes()
+
 
 class TestBiasedDenoiser:
     def test_bias_breaks_gradient_identity(self, aniso_cond):

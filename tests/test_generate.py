@@ -416,6 +416,110 @@ class TestSimulateSequences:
         assert np.linalg.norm(emp - cov) / np.linalg.norm(cov) < 0.05
 
 
+def _old_walk(config, oracle, cond, grid, rng):
+    """The executor as a walk ran it before grid-only work was shared: the
+    rule listed for this walk alone, the oracle's channel rows built afresh
+    for it, each transition read field by field and the update summed in one
+    expression."""
+    sa.denoiser._channel_rows.cache_clear()
+    diffusion = config.domain == sa.DIFFUSION
+    predict = oracle.x0 if diffusion else oracle.velocity
+    steps = list(sa.samplers._RULES[config.kind](
+        config, grid.levels if diffusion else grid.points))
+    eigen = cond.eigen
+    root, scale = oracle.affine(eigen, config.domain, [step.at for step in steps])
+    x, prev = rng.standard_normal(cond.mean.shape), None
+    for step, row in zip(steps, zip(root.tolist(), scale)):
+        pred = predict(x, step.at, eigen, row)
+        new = step.c_x * x + step.c_pred * pred
+        if step.c_prev:
+            new += step.c_prev * prev
+        if step.noise_std > 0.0:
+            new += step.noise_std * rng.standard_normal(x.shape)
+        x, prev = new, pred
+    return cond.spectrum[1] @ x
+
+
+def _old_simulate(spec, order, config, grids, n_sequences, master_seed):
+    """``simulate_sequences`` the old way: the factor of the natural-order
+    covariance gathered by the permutation, and each step's conditional built
+    from ``L_kk L_kk^T`` with its own ``eigh``."""
+    perm = list(order.permutation)
+    factor = np.linalg.cholesky(sa.joint_covariance(spec)[np.ix_(perm, perm)])
+    mean_field = spec.mean_field[perm]
+    rng = np.random.default_rng([master_seed, n_sequences])
+    n, d = spec.token_count, spec.token_dim
+    values = np.zeros((n_sequences, n, d))
+    whitened = np.empty((n, n_sequences, d))
+    offsets = np.cumsum((0,) + order.group_sizes)
+    for k, (group, grid) in enumerate(zip(order.groups(), grids)):
+        a, b = offsets[k], offsets[k + 1]
+        block = factor[a:b, a:b]
+        cov = block @ block.T
+        mean = mean_field[a:b, None] + factor[a:b, :a] @ whitened.reshape(n, -1)[:a]
+        cond = sa.ConditionalGaussian(
+            group, mean.reshape(b - a, n_sequences, d).transpose(1, 0, 2),
+            0.5 * (cov + cov.T))
+        sample = _old_walk(config, sa.ExactDenoiser(), cond, grid, rng)
+        values[:, list(group), :] = sample
+        innovation = (sample - cond.mean).transpose(1, 0, 2)
+        whitened[a:b] = np.linalg.solve(block, innovation.reshape(b - a, -1)).reshape(
+            innovation.shape)
+    return values
+
+
+# (kernel, height, width, order kind, group count): groups of 1; unequal
+# groups of 4 and 3 (25 positions in 7 steps); groups of 10; groups of 8.
+_FIELDS = [("rbf", 4, 4, "random", 16), ("ar1", 5, 5, "random", 7),
+           ("rbf", 6, 5, "raster", 3), ("ar1", 4, 4, "raster", 2)]
+_CONFIGS = [sa.SamplerConfig("ddpm"), sa.SamplerConfig("ddim"),
+            sa.SamplerConfig("ddim", eta=0.5), sa.SamplerConfig("dpm_solver"),
+            sa.SamplerConfig("dpm_solver", order=2), sa.SamplerConfig("dpm_solver_pp"),
+            sa.SamplerConfig("euler_flow"), sa.SamplerConfig("euler_maruyama")]
+
+
+def _field(kernel, height, width, order_kind, group_count):
+    spec = sa.TokenProcessSpec(grid_height=height, grid_width=width, kernel=kernel,
+                               length_scale=1.6, token_dim=3)
+    order = (sa.random_order(spec, group_count, seed=6) if order_kind == "random"
+             else sa.raster_order(spec, group_count))
+    return spec, order
+
+
+class TestSampleIndependentWork:
+    # The plan's batched spectra, the per-grid transitions and channel rows,
+    # and the covariance gathered in generation order change no byte.
+    @pytest.mark.parametrize("field", _FIELDS, ids=lambda f: "-".join(map(str, f)))
+    @pytest.mark.parametrize("config", _CONFIGS,
+                             ids=lambda c: f"{c.kind}-eta{c.eta}-order{c.order}")
+    def test_simulate_equals_the_old_loop(self, linear_schedule, field, config):
+        spec, order = _field(*field)
+        scheduler = sa.StepScheduler(kind="linear", t_early=9, t_late=2,
+                                     ar_steps=order.step_count)
+        grids = sa.step_grids(config, scheduler, linear_schedule, 950)
+        batch = sa.simulate_sequences(sa.conditioning_plan(spec, order), config,
+                                      grids, n_sequences=3, master_seed=11)
+        old = _old_simulate(spec, order, config, grids, 3, 11)
+        assert np.array_equal(batch.values, old)
+
+    @pytest.mark.parametrize("field", _FIELDS, ids=lambda f: "-".join(map(str, f)))
+    def test_spectra_equal_each_steps_own_eigh(self, field):
+        spec, order = _field(*field)
+        plan = sa.conditioning_plan(spec, order)
+        whitened = np.zeros((spec.token_count, spec.token_dim))
+        for k in range(order.step_count):
+            block = plan.block(k)
+            cov = block @ block.T
+            cov = 0.5 * (cov + cov.T)
+            lam, vecs = np.linalg.eigh(cov)
+            assert np.array_equal(plan.covariance(k), cov)
+            got = plan.conditional(k, whitened)
+            assert np.array_equal(got.covariance, cov)
+            assert np.array_equal(got.spectrum[0], lam)
+            assert np.array_equal(got.spectrum[1], vecs)
+            assert not got.spectrum[0].flags.writeable
+
+
 class TestNoiseStream:
     @pytest.mark.parametrize("seed", range(5))
     def test_normals_in_pieces_equal_one_draw(self, seed):

@@ -399,7 +399,8 @@ class TestConditioningPlan:
         perm = list(order.permutation)
         cov = np.empty((64, 64))
         cov[np.ix_(perm, perm)] = indefinite_at(43, 64, seed=0)
-        monkeypatch.setattr(process, "joint_covariance", lambda _: cov)
+        monkeypatch.setattr(sa.TokenProcessSpec, "covariance_of",
+                            lambda _, positions: cov[np.ix_(positions, positions)])
         with pytest.raises(sa.NumericalError) as exc:
             sa.conditioning_plan(spec, order)
         assert str(exc.value).startswith(
@@ -440,6 +441,65 @@ class TestConditioningPlan:
         assert str(exc.value).startswith(
             f"length_scale/jitter: AR step 0: the joint covariance is not "
             f"positive definite at position {order.permutation[1]} ")
+
+
+def _orders(spec, group_count):
+    return {"random": sa.random_order(spec, group_count, seed=4),
+            "raster": sa.raster_order(spec, group_count)}
+
+
+class TestOrderedCovariance:
+    # The plan gathers the covariance straight into generation order; the
+    # reference is the natural-order matrix gathered again by the order's
+    # permutation, as the plan built it before.  A side over 128 takes
+    # int16 lags, not int8.
+    @pytest.mark.parametrize("kernel", ["rbf", "ar1"])
+    @pytest.mark.parametrize("height,width", [(3, 5), (4, 4), (6, 3), (1, 7), (2, 130)])
+    @pytest.mark.parametrize("order_kind", ["random", "raster"])
+    def test_gather_equals_permuted_natural_order(self, kernel, height, width,
+                                                  order_kind):
+        spec = sa.TokenProcessSpec(grid_height=height, grid_width=width,
+                                   kernel=kernel, length_scale=1.9,
+                                   marginal_std=0.7)
+        perm = list(_orders(spec, 1)[order_kind].permutation)
+        got = spec.covariance_of(perm)
+        assert got.tobytes() == spec.covariance[np.ix_(perm, perm)].tobytes()
+        np.testing.assert_array_equal(got, got.T)
+
+    @pytest.mark.parametrize("kernel", ["rbf", "ar1"])
+    @pytest.mark.parametrize("order_kind", ["random", "raster"])
+    def test_plan_factor_and_natural_matrix(self, kernel, order_kind):
+        # The factor is the old one bit for bit, and the plan leaves the
+        # spec's natural-order matrix unbuilt.
+        spec = sa.TokenProcessSpec(grid_height=3, grid_width=5, kernel=kernel)
+        order = _orders(spec, 4)[order_kind]
+        plan = sa.conditioning_plan(spec, order)
+        assert "covariance" not in spec.__dict__
+        perm = list(order.permutation)
+        old = np.linalg.cholesky(spec.covariance[np.ix_(perm, perm)])
+        assert plan.factor.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("height,width,length_scale", [(5, 3, 50.0), (6, 6, 20.0)])
+    def test_not_positive_definite_names_the_same_position(self, height, width,
+                                                           length_scale):
+        # A real field that rounding makes indefinite deep in the order: the
+        # error names the step, position and pivot that bisecting the old
+        # permuted matrix finds.
+        spec = sa.TokenProcessSpec(grid_height=height, grid_width=width,
+                                   length_scale=length_scale, jitter=1e-16)
+        order = sa.random_order(spec, 4, seed=5)
+        perm = list(order.permutation)
+        pivot = process._failed_pivot(spec.covariance[np.ix_(perm, perm)])
+        step = int(np.searchsorted(np.cumsum(order.group_sizes), pivot))
+        assert pivot > 2
+        with pytest.raises(sa.NumericalError) as exc:
+            sa.conditioning_plan(sa.TokenProcessSpec(
+                grid_height=height, grid_width=width, length_scale=length_scale,
+                jitter=1e-16), order)
+        assert str(exc.value).startswith(
+            f"length_scale/jitter: AR step {step}: the joint covariance is not "
+            f"positive definite at position {perm[pivot - 1]} (pivot {pivot} of "
+            f"{spec.token_count} ")
 
 
 class TestSampleConditional:
