@@ -100,7 +100,6 @@ DEFAULT_CONFIG = {
     "probe_sequences": 256,
     "floor_repeats": 8,
     "joint_sequences": 0,
-    "mc_samples": 1000000,
     # sweep grid
     "sweep_t_early": [50],
     "sweep_t_late": [5, 15, 25, 50],
@@ -431,10 +430,7 @@ def cmd_sweep(cfg: dict, args) -> int:
 
 
 def cmd_oracle_check(cfg: dict, args) -> int:
-    # The regression below fits 9 parameters (intercept and 8 observed
-    # positions) to a ninth position, and its checks use normal bounds,
-    # which hold only when the residual degrees of freedom are many.
-    check_minimums(cfg, {"mc_samples": 1000})
+    check_minimums(cfg, {})
     height, width = cfg["grid_height"], cfg["grid_width"]
     if height * width < 9:
         raise ValueError(
@@ -473,33 +469,19 @@ def cmd_oracle_check(cfg: dict, args) -> int:
     rel = float(np.max(np.abs(score - fd)) / np.max(np.abs(fd)))
     checks.append(("score finite-difference", rel < 1e-5, f"rel err {rel:.2e}"))
 
-    # Monte Carlo regression of the first target on the observed positions,
-    # from joint draws of those 9 positions alone.
-    n_mc = int(cfg["mc_samples"])
-    nine = obs_pos + targets[:1]
-    chol = np.linalg.cholesky(spec.covariance[np.ix_(nine, nine)])
-    draws = rng.standard_normal((n_mc, len(nine))) @ chol.T
-    y = draws[:, -1]
-    design = np.column_stack([np.ones(n_mc), draws[:, :-1]])
-    beta, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ beta
-    exact_var = float(solver.covariance[0, 0])
-    xtx_inv = np.linalg.inv(design.T @ design)
-    se = np.sqrt(np.var(resid, ddof=design.shape[1]) * np.diag(xtx_inv))
-    weights = solver.weights[0]
-    # One Bonferroni bound for the nine two-sided checks (8 weights and the
-    # variance): together they fail a correct oracle as often as one 3-sigma
-    # check does, 0.27% of the time.
-    from statistics import NormalDist
-    z = NormalDist().inv_cdf(1.0 - 0.0027 / 18)
-    ok_w = bool(np.all(np.abs(beta[1:] - weights) <= z * se[1:]))
-    var_mc = float(np.var(resid, ddof=design.shape[1]))
-    se_var = exact_var * np.sqrt(2.0 / (n_mc - design.shape[1]))
-    ok_v = abs(var_mc - exact_var) <= z * se_var
-    checks.append(
-        ("conditional moments vs MC regression", ok_w and ok_v,
-         f"max weight dev {float(np.max(np.abs(beta[1:] - weights))):.2e}")
-    )
+    # The Schur form of the observed and target block alone, independent of
+    # the plan: W = (S_oo^-1 S_ot)^T and C = S_tt - W S_ot.  Both sides are
+    # backward stable, so they agree to a multiple of eps * cond(S_oo).
+    o = len(obs_pos)
+    block = spec.covariance_of(obs_pos + targets)
+    observed, cross, target = block[:o, :o], block[:o, o:], block[o:, o:]
+    weights = np.linalg.solve(observed, cross).T
+    cov = target - weights @ cross
+    err = max(np.max(np.abs(solver.weights - weights)) / np.max(np.abs(weights)),
+              np.max(np.abs(solver.covariance - cov)) / np.max(np.abs(target)))
+    bound = 1e3 * np.finfo(np.float64).eps * np.linalg.cond(observed)
+    checks.append(("conditional moments vs Schur form", bool(err <= bound),
+                   f"rel err {err:.1e}, bound {bound:.1e}"))
 
     # Conditioning never increases uncertainty.
     small = conditional_solver(spec, obs_pos[:4], targets)

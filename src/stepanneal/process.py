@@ -419,6 +419,15 @@ class ConditionalSolver:
         )
 
 
+def _positions(positions) -> np.ndarray:
+    """``positions`` as a flat int array.  A non-integer position is refused,
+    not truncated; an empty list (float to numpy) is no positions."""
+    idx = np.asarray(positions).reshape(-1)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"positions: must be integers, got {idx.tolist()}")
+    return idx.astype(int)
+
+
 def conditional_solver(
     spec: TokenProcessSpec, observed_positions, target_positions
 ) -> ConditionalSolver:
@@ -429,8 +438,7 @@ def conditional_solver(
     against the observed block) and the covariance is ``L_tt L_tt^T``.  The
     plan factors the whole field, n^3 / 3 flops, and is its
     positive-definiteness check."""
-    obs_idx = np.asarray(observed_positions, dtype=int).reshape(-1)
-    tgt_idx = np.asarray(target_positions, dtype=int).reshape(-1)
+    obs_idx, tgt_idx = map(_positions, (observed_positions, target_positions))
     all_idx = np.concatenate([obs_idx, tgt_idx])
     if np.isin(tgt_idx, obs_idx).any():
         raise ValueError("observed/target positions must be disjoint")

@@ -57,7 +57,13 @@ euler_maruyama       S
 ===================  =========
 
 Samplers are pure functions of (oracle, conditional, grid, rng stream); give
-concurrent trajectories independent generators and nothing is shared.
+concurrent trajectories independent generators.  Two caches of grid-only
+work are shared by every walk in the process, each filled by the thread
+that runs the walk, never by a helper thread: ``_WALKS``, a grid's
+transitions per config, held weakly by the grid, and
+``denoiser._channel_rows``, a bounded ``lru_cache`` of each sequence of
+levels' channel rows.  Their entries are read-only and depend only on their
+keys, so two threads that fill one entry at once build equal values.
 """
 
 from __future__ import annotations

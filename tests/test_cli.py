@@ -12,7 +12,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +82,6 @@ BAD_CONFIG = {
     "floor_repeats": ({**_LINEAR, "floor_repeats": 0}, "floor_repeats: ", ("sweep",)),
     "joint_sequences": ({**_LINEAR, "joint_sequences": -3}, "joint_sequences: ",
                         ("sweep",)),
-    "mc_samples": ({"mc_samples": 5}, "mc_samples: ", ("oracle-check",)),
     "sweep_t_early": ({**_LINEAR, "sweep_t_early": [0]}, "sweep_t_early: ",
                       ("sweep",)),
     "sweep_t_late": ({**_LINEAR, "sweep_t_late": [0]}, "sweep_t_late: ", ("sweep",)),
@@ -310,6 +308,35 @@ def test_each_command_takes_the_flags_it_reads():
         assert dests == {key for key in flags if command in readers[key]}, command
 
 
+def test_every_config_key_is_read(tmp_path, capsys, monkeypatch):
+    # Every DEFAULT_CONFIG key is read by some command, so a key cannot
+    # outlive its last reader.  The keys are recorded as the commands read
+    # them from their configs, on tiny configs; a cosine schedule and a
+    # raster order read the keys that a linear schedule and a random order
+    # do not.  (A copy such as sweep's {**cfg, ...} is not recorded, so a key
+    # read only through one would show as unread, never the reverse.)
+    read = set()
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    load = cli.load_config
+    monkeypatch.setattr(cli, "load_config", lambda *args: Recording(load(*args)))
+    tiny = {"grid_height": 3, "grid_width": 3, "ar_steps": 3, "t_early": 3,
+            "t_late": 2, "n_sequences": 2, "draws_per_step": 2, "t_draws": 1,
+            "probe_sequences": 1, "floor_repeats": 1, "sweep_t_early": [3],
+            "sweep_t_late": [2], "out_dir": str(tmp_path / "out")}
+    config = tmp_path / "cfg.json"
+    for variant in ({"schedule_kind": "linear"},
+                    {"schedule_kind": "cosine", "order_kind": "raster"}):
+        config.write_text(json.dumps({**tiny, **variant}))
+        for command in cli._COMMANDS:
+            assert main([command, "--config", str(config)]) == 0, capsys.readouterr()
+    assert set(cli.DEFAULT_CONFIG) - read == set()
+
+
 def test_flags_parse_to_their_config_types():
     # Each override flag's type is its config key's: a valid value ("3" for
     # --start-index, "0.5" for --eta, "x" for --out-dir) parses to that type
@@ -474,7 +501,6 @@ def base_config(tmp_path):
         "draws_per_step": 32,
         "probe_sequences": 32,
         "floor_repeats": 2,
-        "mc_samples": 200000,
         "out_dir": str(tmp_path / "out"),
     }
     path = tmp_path / "config.json"
@@ -1356,16 +1382,35 @@ class TestOracleCheckCommand:
         checks = [line for line in out.splitlines() if line.startswith("[")]
         assert [re.sub(r" \(.*\)$", "", line) for line in checks] == [
             "[PASS] score finite-difference",
-            "[PASS] conditional moments vs MC regression",
+            "[PASS] conditional moments vs Schur form",
             "[PASS] conditioning tightens",
         ]
+        assert re.search(r"^\[PASS\] conditional moments vs Schur form "
+                         r"\(rel err \S+, bound \S+\)$", out, re.M)
         assert "all checks passed" in out
+        # The check is exact, so a rerun prints the same bytes.
+        assert run_cli(capsys, "oracle-check", "--config", str(config))[1] == out
+
+    @pytest.mark.parametrize("field", [
+        {}, {"grid_height": 32, "grid_width": 32}, {"length_scale": 50.0},
+        {"length_scale": 50.0, "jitter": 1e-12}, {"kernel": "ar1"},
+    ], ids=["default", "32x32", "long", "long-low-jitter", "ar1"])
+    def test_passes_on_fields(self, capsys, tmp_path, field):
+        # From a well-conditioned field to one whose observed block has
+        # cond 2.8e11, where the plan's weights are off by 7e-7 relative and
+        # the bound, 1e3 eps cond, is 6e-2.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(field))
+        code, out, _ = run_cli(capsys, "oracle-check", "--config", str(config))
+        assert code == 0, out
+        err, bound = map(float, re.search(
+            r"Schur form \(rel err (\S+), bound (\S+)\)", out).groups())
+        assert err <= bound
 
     def test_factors_the_field_twice(self, capsys, base_config, monkeypatch):
-        # The plan of (observed, targets, rest) gives the checked conditional
-        # and the exact regression; a second plan gives the conditional on
-        # fewer positions.  The Monte Carlo draws factor only the 9 positions
-        # the regression reads.
+        # The plan of (observed, targets, rest) gives the checked conditional;
+        # a second plan gives the conditional on fewer positions.  The Schur
+        # form solves its 8 x 8 block without a Cholesky factor.
         shapes = []
 
         def counted(a):
@@ -1376,22 +1421,22 @@ class TestOracleCheckCommand:
         monkeypatch.setattr(np.linalg, "cholesky", counted)
         config, _ = base_config
         assert run_cli(capsys, "oracle-check", "--config", str(config))[0] == 0
-        assert sorted(shapes) == [(9, 9), (16, 16), (16, 16)]
+        assert sorted(shapes) == [(16, 16), (16, 16)]
 
-    def test_big_field_draws_only_the_regressed_positions(self, capsys, tmp_path):
-        # On the 32 x 32 field, 10^5 draws of all 1024 positions would take
-        # 0.8 GB alone; the 9 regressed positions take 7 MB.
+    def test_big_field_builds_no_natural_order_covariance(
+            self, capsys, tmp_path, monkeypatch):
+        # The Schur form reads only the 11 x 11 observed and target block, so
+        # the spec's n x n natural-order covariance (8 MB on 32 x 32) is never
+        # built; the plans gather their own orders.
+        def refuse(spec):
+            raise AssertionError("spec.covariance built")
+
+        monkeypatch.setattr(stepanneal.TokenProcessSpec, "covariance",
+                            property(refuse))
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"grid_height": 32, "grid_width": 32,
-                                      "mc_samples": 100_000}))
-        tracemalloc.start()
-        try:
-            code, out, _ = run_cli(capsys, "oracle-check", "--config", str(config))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        config.write_text(json.dumps({"grid_height": 32, "grid_width": 32}))
+        code, out, _ = run_cli(capsys, "oracle-check", "--config", str(config))
         assert code == 0, out
-        assert peak < 100 * 2**20
 
     def test_reads_no_noise_schedule_key(self, capsys, base_config):
         # No check runs a sampler or builds a generation order, so a grid
@@ -1407,47 +1452,39 @@ class TestOracleCheckCommand:
         assert "all checks passed" in out
 
     def test_corrupted_score_fails(self, capsys, base_config):
+        # --corrupt-score fails the finite-difference check alone.
         config, _ = base_config
-        code, out, _ = run_cli(capsys, "oracle-check", "--config", str(config),
-                               "--corrupt-score")
+        code, out, err = run_cli(capsys, "oracle-check", "--config", str(config),
+                                 "--corrupt-score")
         assert code == 1
         assert "[FAIL] score finite-difference" in out
+        assert "[PASS] conditional moments vs Schur form" in out
+        assert "[PASS] conditioning tightens" in out
+        assert "oracle-check: 1 check(s) failed" in err
 
-    def test_weights_off_by_five_hundredths_fail(self, capsys, base_config,
-                                                 monkeypatch):
-        # Negative control of the moment check's Bonferroni bound: exact
-        # weights shifted by 0.05 must still fail at the default 10^6 draws.
+    @pytest.mark.parametrize("field", ["weights", "covariance"])
+    def test_moments_off_by_a_millionth_fail(self, capsys, base_config,
+                                             monkeypatch, field):
+        # Negative control of the Schur comparison: the plan's weights or
+        # covariance shifted by 1e-6 of their largest entry must fail; the
+        # Monte Carlo regression it replaced could not resolve 1e-3.
         config, _ = base_config
-        cfg = json.loads(config.read_text())
-        config.write_text(json.dumps({**cfg, "mc_samples": 1000000}))
         solver = cli.conditional_solver
 
         def shifted(*args):
             exact = solver(*args)
-            return dataclasses.replace(exact, weights=exact.weights + 0.05)
+            value = getattr(exact, field)
+            return dataclasses.replace(
+                exact, **{field: value + 1e-6 * np.max(np.abs(value))})
 
         monkeypatch.setattr(cli, "conditional_solver", shifted)
         code, out, _ = run_cli(capsys, "oracle-check", "--config", str(config))
         assert code == 1
-        assert "[FAIL] conditional moments vs MC regression" in out
+        assert "[FAIL] conditional moments vs Schur form" in out
         assert "[PASS] score finite-difference" in out
 
-    @pytest.mark.parametrize("samples", [0, 999])
-    def test_too_few_mc_samples_fails_first(self, capsys, base_config, samples):
-        # The moment regression fits 9 parameters and checks them with normal
-        # 3-sigma bounds, which need many residual degrees of freedom; with
-        # fewer than 1000 draws the run must stop before any check, naming
-        # the key.
-        config, _ = base_config
-        cfg = json.loads(config.read_text())
-        config.write_text(json.dumps({**cfg, "mc_samples": samples}))
-        code, out, err = run_cli(capsys, "oracle-check", "--config", str(config))
-        assert code == 1
-        assert f"error: mc_samples: must be >= 1000, got {samples}" in err
-        assert "[FAIL]" not in out
-
     def test_too_few_positions_fails_first(self, capsys, base_config):
-        # 8 observed positions and 1 regression target need a 9-position
+        # 8 observed positions and 1 target need a 9-position
         # field; a 2x2 field must stop before any check, naming the keys.
         config, _ = base_config
         cfg = json.loads(config.read_text())

@@ -174,6 +174,20 @@ class TestConditional:
         with pytest.raises(ValueError, match="target_positions: need at least one"):
             sa.conditional_solver(spec, [1], [])
 
+    def test_non_integer_positions_are_refused(self, spec):
+        # A float position is refused, not truncated: (1.5, v) once
+        # conditioned on position 1.
+        for observed, targets in [([(1.5, 0.2)], [2]), ([(1, 0.2)], [2.0])]:
+            with pytest.raises(ValueError, match=r"^positions: must be integers"):
+                sa.conditional(spec, observed, targets)
+        # numpy integers of any width and an empty (float) list still work.
+        by_numpy = sa.conditional_solver(spec, np.array([1, 4], dtype=np.uint8),
+                                         [np.int64(2)])
+        by_int = sa.conditional_solver(spec, [1, 4], [2])
+        np.testing.assert_array_equal(by_numpy.weights, by_int.weights)
+        assert by_numpy.observed_positions == (1, 4)
+        assert sa.conditional_solver(spec, [], [2]).weights.shape == (1, 0)
+
     def test_singular_observed_block(self):
         # The solver's plan is the positive-definiteness check, so its error
         # is the plan's, naming the keys.
