@@ -27,7 +27,8 @@ all; the samplers call the oracle on that view.
 
 So a call is affine in ``x``, ``U (scale (U^T x - root mu))`` with
 ``root = s`` and ``scale = gain / (s^2 lam + sigma^2)``: one row of a table
-(:meth:`ExactDenoiser.affine`) that a walk builds once for all its calls.
+(:meth:`ExactDenoiser.affine`) that depends on the eigenvalues alone, built
+once for all the calls of a walk, or of every walk on one grid.
 
 Samplers call an oracle with the conditional context passed through, so the
 exact-process oracle below stays stateless; call counting lives in the
@@ -37,7 +38,6 @@ sampler's trajectory record.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -74,32 +74,21 @@ _SCORE = (_diffusion_channel, lambda *_: -1.0)
 _FLOW_SCORE = (_flow_channel, lambda *_: -1.0)
 
 
-@lru_cache(maxsize=256)  # a command's walks share their grids' levels
-def _channel_rows(kind, ats: tuple) -> np.ndarray:
-    """Read-only rows ``(at, s^2, sigma^2)``, (3, T), each level checked by ``channel``."""
-    rows = np.array([(a, *kind[0](a)) for a in ats], dtype=np.float64)
-    rows = rows.reshape(len(ats), 3).T
-    rows.flags.writeable = False
-    return rows
-
-
-def _table(cond: ConditionalGaussian, kind, ats) -> tuple[np.ndarray, np.ndarray]:
+def _table(lam: np.ndarray, kind, ats) -> tuple[np.ndarray, np.ndarray]:
     """The affine rows ``(root, scale)`` of the channel solve at a sequence of
     T levels or times: ``root`` (T,) is ``s`` and ``scale`` (T, M, 1) is
-    ``gain / (s^2 lam + sigma^2)`` over the M positions of ``cond``, so a
+    ``gain / (s^2 lam + sigma^2)`` over the M eigenvalues ``lam``, so a
     call at row i is ``U (scale[i] (U^T x - root[i] mu))``.  Each level goes
     through the scalar ``channel`` check, and every row is bit for bit that
     level's scalar arithmetic.  A channel whose smallest
     ``s^2 lam + sigma^2`` is zero to rounding (at most ``m`` ulps of the
-    largest, the ``matrix_rank`` cut) is singular; on a stacked view (``lam``
-    of shape (cells, m)) each cell's row is checked alone, and the first
+    largest, the ``matrix_rank`` cut) is singular; on a stack (``lam`` of
+    shape (cells, m)) each cell's row is checked alone, and the first
     singular (row, cell) in order raises."""
-    gain, lam, ats = kind[1], cond.spectrum[0], tuple(ats)
-    count = len(ats)
-    # Only plain nonzero floats share rows (-0.0 == 0.0 but its rows differ).
-    build = (_channel_rows if all(type(a) is float and a for a in ats)
-             else _channel_rows.__wrapped__)
-    at, signal_var, noise_var = build(kind, ats).reshape((3, count) + (1,) * lam.ndim)
+    gain, count = kind[1], len(ats)
+    channel = np.array([(a, *kind[0](a)) for a in ats], dtype=np.float64)
+    at, signal_var, noise_var = channel.reshape(count, 3).T.reshape(
+        (3, count) + (1,) * lam.ndim)
     denom = signal_var * lam + noise_var
     m = lam.shape[-1]
     rows = denom.reshape(-1, m)
@@ -120,9 +109,9 @@ def _row(cond, kind, at, x):
     them, a P-row table shaped against the probe states ``x`` of shape
     (P, ..., M, d), each probe's row its own scalar call's."""
     if not isinstance(at, np.ndarray):
-        root, scale = _table(cond, kind, [at])
+        root, scale = _table(cond.spectrum[0], kind, [at])
         return root.item(), scale[0]
-    root, scale = _table(cond, kind, at.tolist())
+    root, scale = _table(cond.spectrum[0], kind, at.tolist())
     lead = (-1,) + (1,) * (np.ndim(x) - 3)
     return root.reshape(lead + (1, 1)), scale.reshape(lead + scale.shape[1:])
 
@@ -156,13 +145,15 @@ class ExactDenoiser:
     """
 
     def affine(
-        self, cond: ConditionalGaussian, domain: str, ats
+        self, lam: np.ndarray, domain: str, ats
     ) -> tuple[np.ndarray, np.ndarray]:
         """The rows ``(root, scale)`` of :meth:`x0` (``domain`` diffusion,
         ``ats`` levels) or :meth:`velocity` (flow, ``ats`` times) at each of
-        a sequence of T levels or times, with every level checked and every
-        (row, cell) channel checked for singularity before any call."""
-        return _table(cond, _X0 if domain == DIFFUSION else _VELOCITY, ats)
+        a sequence of T levels or times, on a conditional whose spectrum's
+        eigenvalues are ``lam`` (m,), or on a stack of them (cells, m), with
+        every level checked and every (row, cell) channel checked for
+        singularity before any call."""
+        return _table(lam, _X0 if domain == DIFFUSION else _VELOCITY, ats)
 
     def epsilon(
         self, x: np.ndarray, alpha_bar: float, cond: ConditionalGaussian

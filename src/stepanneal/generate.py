@@ -12,6 +12,10 @@ vectorizes many sequences through one shared generation order, given as its
 carries the spec): every step's covariance and spectrum come from the plan,
 decomposed once and batched by group size, and each step's batched means
 are one product with the whitened innovations of the groups already drawn.
+Every step's oracle table is built before the first walk, one per distinct
+(grid, group size), so a singular channel at any step fails before any
+work; the groups are drawn into generation order and put into position
+order once at the end.
 ``batch_to_csv_rows`` formats a batch as the body of ``tokens.csv`` on every
 CPU the process may run on, one sequence range per forked worker
 (:class:`~stepanneal._workers.Worker`), with the same bytes at any CPU count.
@@ -38,7 +42,7 @@ from .process import (
     conditional_solver,  # noqa: F401  (kept for bench/spans.py)
     joint_covariance,  # noqa: F401  (kept for bench/spans.py)
 )
-from .samplers import SamplerConfig, TrajectoryRecord, sample_with_config
+from .samplers import SamplerConfig, TrajectoryRecord, sample_with_config, walk_rows
 from .schedules import (
     DIFFUSION,
     DiffusionSchedule,
@@ -103,6 +107,35 @@ def check_grid_count(grids: list[TimeGrid], order: GenerationOrder) -> None:
         )
 
 
+def _step_tables(plan: ConditioningPlan, config: SamplerConfig, oracle,
+                 grids: list[TimeGrid]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every AR step's affine rows (:func:`~stepanneal.samplers.walk_rows`),
+    one table per distinct (grid, group size) over the plan's stacked
+    eigenvalues; a step's slice is bit for bit the table of its own walk.
+    A failing table raises before any walk, as ``AR step k: <error>`` for
+    the first failing k in generation order."""
+    stacks: dict[tuple, list[int]] = {}
+    for k, key in enumerate(zip(grids, plan.order.group_sizes)):
+        stacks.setdefault(key, []).append(k)
+    tables = [None] * len(grids)
+    try:
+        for (grid, m), steps in stacks.items():
+            lam = np.stack([plan.spectra[k][1] for k in steps])
+            root, scale = walk_rows(config, oracle, lam, grid)
+            for i, k in enumerate(steps):
+                tables[k] = root, scale[:, i * m:(i + 1) * m]
+    except Exception:
+        # A stack names its first failing (row, cell), not its first step:
+        # each step's own table, in generation order, names the step.
+        for k, grid in enumerate(grids):
+            try:
+                walk_rows(config, oracle, plan.spectra[k][1], grid)
+            except Exception as exc:
+                raise RuntimeError(f"AR step {k}: {exc}") from exc
+        raise
+    return tables
+
+
 def simulate_sequences(
     plan: ConditioningPlan,
     sampler_config: SamplerConfig,
@@ -124,30 +157,33 @@ def simulate_sequences(
         raise ValueError("n_sequences: must be positive")
     order = plan.order
     check_grid_count(grids, order)
-    rng = np.random.default_rng([master_seed, n_sequences])
     oracle = ExactDenoiser()
+    tables = _step_tables(plan, sampler_config, oracle, grids)
+    rng = np.random.default_rng([master_seed, n_sequences])
     n, d = plan.spec.token_count, plan.spec.token_dim
-    values = np.zeros((n_sequences, n, d))
+    drawn = np.empty((n_sequences, n, d))  # in generation order
     whitened = np.empty((n, n_sequences, d))
     trajectories = [] if record_paths else None
     conditionals = [] if record_paths else None
     nfe = 0
     with NoiseStream(rng, sampler_config.noisy_transitions) as noise:
-        for k, (group, grid) in enumerate(zip(order.groups(), grids)):
+        for k, (grid, rows) in enumerate(zip(grids, tables)):
             try:
                 cond = plan.conditional(k, whitened)
                 sample, record = sample_with_config(
                     sampler_config, oracle, cond, grid, noise,
-                    record_path=record_paths
+                    record_path=record_paths, rows=rows
                 )
             except Exception as exc:
                 raise RuntimeError(f"AR step {k}: {exc}") from exc
-            values[:, list(group), :] = sample
+            drawn[:, plan.rows(k)] = sample
             whitened[plan.rows(k)] = plan.whiten(k, sample - cond.mean)
             nfe += record.nfe
             if record_paths:
                 trajectories.append(record)
                 conditionals.append(cond)
+    values = np.empty_like(drawn)
+    values[:, np.asarray(order.permutation)] = drawn
     return SequenceBatch(
         values=values,
         order=order,
@@ -187,8 +223,9 @@ def batch_to_csv_rows(batch: SequenceBatch) -> list[bytes]:
         step_of[list(group)] = k
     count, n, d = batch.values.shape
     # One template per order; a sequence fills it with (s, v0, s, v1, ...).
+    steps = step_of.tolist()
     template = "".join(
-        f"%d,{step_of[p]},{p},{j},%s\n" for p in range(n) for j in range(d)
+        f"%d,{steps[p]},{p},{j},%s\n" for p in range(n) for j in range(d)
     )
     ranges = max(1, min(cpu_count(), count))
     bounds = [count * i // ranges for i in range(ranges + 1)]

@@ -31,11 +31,13 @@ every ``xi`` there (the same law), calls the oracle on the conditional's
 :attr:`~stepanneal.process.ConditionalGaussian.eigen` view, where an exact
 call is a per-eigenvalue scale, and rotates the final and recorded states
 back once each.  Given an eigen view it returns that view's coordinates.
-It asks the oracle once per walk for every call's affine row
-(``oracle.affine(view, domain, ats)``, which checks each channel before the
-first call) and passes each call its row: ``oracle.x0(x, level, view, row)``.
-Work that depends only on the grid, the rule's transitions here and the
-levels' channel rows in the oracle, is done once per (config, grid), not per walk.
+It passes each call its affine row, ``oracle.x0(x, level, view, row)``,
+from one table of every call's rows (:func:`walk_rows`, one
+``oracle.affine(lam, domain, ats)`` that checks each channel before the
+first call): the caller's, or built by the walk when the caller passes
+none.  Generation builds one table per distinct (grid, group size) before
+its first walk.  Work that depends only on the grid, the rule's transitions
+here, is done once per (config, grid), not per walk.
 A stacked view of several conditionals of one size is one walk for all of
 them, every call and transition elementwise, with one noise stream per cell.
 
@@ -57,13 +59,12 @@ euler_maruyama       S
 ===================  =========
 
 Samplers are pure functions of (oracle, conditional, grid, rng stream); give
-concurrent trajectories independent generators.  Two caches of grid-only
-work are shared by every walk in the process, each filled by the thread
-that runs the walk, never by a helper thread: ``_WALKS``, a grid's
-transitions per config, held weakly by the grid, and
-``denoiser._channel_rows``, a bounded ``lru_cache`` of each sequence of
-levels' channel rows.  Their entries are read-only and depend only on their
-keys, so two threads that fill one entry at once build equal values.
+concurrent trajectories independent generators.  One cache of grid-only
+work is shared by every walk in the process, filled by the thread that runs
+the walk, never by a helper thread: ``_WALKS``, a grid's transitions per
+config, held weakly by the grid.  Its entries are read-only and depend only
+on their keys, so two threads that fill one entry at once build equal
+values.
 """
 
 from __future__ import annotations
@@ -257,12 +258,24 @@ _WALKS = weakref.WeakKeyDictionary()  # grid -> {config: walk}, freed with the g
 def _walk(config: SamplerConfig, grid: TimeGrid) -> tuple[tuple, tuple]:
     """The rule's transitions on ``grid`` and their call sites ``at``, once
     per distinct (config, grid): a command's AR steps share their grids."""
+    if grid.domain != config.domain:
+        raise ValueError(
+            f"grid: {config.kind} requires a {config.domain} grid, got {grid.domain}"
+        )
     walks = _WALKS.setdefault(grid, {})
     if config not in walks:
         walk = grid.levels if config.domain == DIFFUSION else grid.points
         steps = tuple(_RULES[config.kind](config, walk))
         walks[config] = steps, tuple(step.at for step in steps)
     return walks[config]
+
+
+def walk_rows(config: SamplerConfig, oracle, lam: np.ndarray,
+              grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The affine rows ``(root, scale)`` of every call of a walk on ``grid``
+    over eigenvalues ``lam`` (m,), or (cells, m) for a stack: one
+    ``oracle.affine`` table, every channel checked before any call."""
+    return oracle.affine(lam, config.domain, _walk(config, grid)[1])
 
 
 def sample_with_config(
@@ -273,6 +286,7 @@ def sample_with_config(
     rng: NormalSource | list[np.random.Generator],
     n_samples: int = 1,
     record_path: bool = False,
+    rows: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, TrajectoryRecord]:
     """Run the configured sampler's rule on ``grid`` (the executor above);
     return the final state and the run's record.  A batched (3-D) conditional
@@ -285,13 +299,12 @@ def sample_with_config(
     (:func:`~stepanneal.process.stacked_eigen`) ``rng`` may be one generator
     per cell: each cell then draws its own start noise and ``xi`` as a run
     on that cell alone would, so its slice of the result equals that run.
+    ``rows`` are the walk's :func:`walk_rows` when the caller has built
+    them; by default the walk builds its own.
     A walk whose final state is not finite raises :class:`NumericalError`."""
     if cond.mean.ndim == 3 and n_samples != 1:
         raise ValueError(f"n_samples: must be 1 with a batched mean, got {n_samples}")
-    if grid.domain != config.domain:
-        raise ValueError(
-            f"grid: {config.kind} requires a {config.domain} grid, got {grid.domain}"
-        )
+    steps, ats = _walk(config, grid)
     predict = oracle.x0 if config.domain == DIFFUSION else oracle.velocity
     rngs = list(rng) if isinstance(rng, (list, tuple)) else [rng]
     lam, vecs = cond.spectrum
@@ -307,8 +320,7 @@ def sample_with_config(
         cell = shape[:-2] + (shape[-2] // len(rngs), shape[-1])
         return np.concatenate([r.standard_normal(cell) for r in rngs], axis=-2)
 
-    steps, ats = _walk(config, grid)
-    root, scale = oracle.affine(eigen, config.domain, ats)
+    root, scale = rows if rows is not None else oracle.affine(lam, config.domain, ats)
     x = noise()
     states = [x] if record_path else None
     prev = None

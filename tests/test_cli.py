@@ -1141,10 +1141,12 @@ def test_reported_nfe_equals_spent(capsys, tmp_path, monkeypatch, sampler, order
 ])
 def test_simulate_builds_one_table_per_walk(capsys, tmp_path, monkeypatch, sampler,
                                             order):
-    """Each sampler walk asks the oracle once for its affine rows and passes
-    every call its row: no executor call recomputes the channel's
-    coefficients.  A count, not a timing, so that a change that brings the
-    per-call work back fails here."""
+    """Generation asks the oracle for affine rows once per distinct (grid,
+    group size), 6 here (8 AR steps of 2 positions, 6 distinct T(k)), before
+    the first walk, and every executor call gets its row: no call recomputes
+    the channel's coefficients, and no walk builds its own table.  A count,
+    not a timing, so that a change that brings per-walk or per-call work
+    back fails here."""
     from stepanneal.denoiser import ExactDenoiser
 
     calls = {"tables": 0, "with_row": 0, "rowless": 0}
@@ -1172,7 +1174,7 @@ def test_simulate_builds_one_table_per_walk(capsys, tmp_path, monkeypatch, sampl
     }))
     assert run_cli(capsys, "simulate", "--config", str(config))[0] == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert calls == {"tables": 8, "with_row": summary["nfe_per_sequence"],
+    assert calls == {"tables": 6, "with_row": summary["nfe_per_sequence"],
                      "rowless": 0}
 
 

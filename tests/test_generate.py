@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import stepanneal as sa
-from stepanneal import _workers
+from stepanneal import _workers, cli
 
 from conftest import count_thread_starts, open_fd_count, schur_solver
 
@@ -418,17 +419,19 @@ class TestSimulateSequences:
 
 def _old_walk(config, oracle, cond, grid, rng):
     """The executor as a walk ran it before grid-only work was shared: the
-    rule listed for this walk alone, the oracle's channel rows built afresh
-    for it, each transition read field by field and the update summed in one
-    expression."""
-    sa.denoiser._channel_rows.cache_clear()
+    rule listed for this walk alone, the oracle's table built for this walk
+    alone, each transition read field by field and the update summed in one
+    expression.  Returns the final state and every recorded state, rotated
+    back."""
     diffusion = config.domain == sa.DIFFUSION
     predict = oracle.x0 if diffusion else oracle.velocity
     steps = list(sa.samplers._RULES[config.kind](
         config, grid.levels if diffusion else grid.points))
     eigen = cond.eigen
-    root, scale = oracle.affine(eigen, config.domain, [step.at for step in steps])
+    root, scale = oracle.affine(cond.spectrum[0], config.domain,
+                                [step.at for step in steps])
     x, prev = rng.standard_normal(cond.mean.shape), None
+    states = [x]
     for step, row in zip(steps, zip(root.tolist(), scale)):
         pred = predict(x, step.at, eigen, row)
         new = step.c_x * x + step.c_pred * pred
@@ -437,13 +440,18 @@ def _old_walk(config, oracle, cond, grid, rng):
         if step.noise_std > 0.0:
             new += step.noise_std * rng.standard_normal(x.shape)
         x, prev = new, pred
-    return cond.spectrum[1] @ x
+        if step.recorded:
+            states.append(x)
+    vecs = cond.spectrum[1]
+    return vecs @ x, [vecs @ state for state in states]
 
 
 def _old_simulate(spec, order, config, grids, n_sequences, master_seed):
     """``simulate_sequences`` the old way: the factor of the natural-order
-    covariance gathered by the permutation, and each step's conditional built
-    from ``L_kk L_kk^T`` with its own ``eigh``."""
+    covariance gathered by the permutation, each step's conditional built
+    from ``L_kk L_kk^T`` with its own ``eigh`` and walked with its own
+    table, and each group scattered into place as it is drawn.  Returns the
+    values and every step's recorded states."""
     perm = list(order.permutation)
     factor = np.linalg.cholesky(sa.joint_covariance(spec)[np.ix_(perm, perm)])
     mean_field = spec.mean_field[perm]
@@ -452,6 +460,7 @@ def _old_simulate(spec, order, config, grids, n_sequences, master_seed):
     values = np.zeros((n_sequences, n, d))
     whitened = np.empty((n, n_sequences, d))
     offsets = np.cumsum((0,) + order.group_sizes)
+    paths = []
     for k, (group, grid) in enumerate(zip(order.groups(), grids)):
         a, b = offsets[k], offsets[k + 1]
         block = factor[a:b, a:b]
@@ -460,12 +469,13 @@ def _old_simulate(spec, order, config, grids, n_sequences, master_seed):
         cond = sa.ConditionalGaussian(
             group, mean.reshape(b - a, n_sequences, d).transpose(1, 0, 2),
             0.5 * (cov + cov.T))
-        sample = _old_walk(config, sa.ExactDenoiser(), cond, grid, rng)
+        sample, states = _old_walk(config, sa.ExactDenoiser(), cond, grid, rng)
+        paths.append(states)
         values[:, list(group), :] = sample
         innovation = (sample - cond.mean).transpose(1, 0, 2)
         whitened[a:b] = np.linalg.solve(block, innovation.reshape(b - a, -1)).reshape(
             innovation.shape)
-    return values
+    return values, paths
 
 
 # (kernel, height, width, order kind, group count): groups of 1; unequal
@@ -487,20 +497,32 @@ def _field(kernel, height, width, order_kind, group_count):
 
 
 class TestSampleIndependentWork:
-    # The plan's batched spectra, the per-grid transitions and channel rows,
-    # and the covariance gathered in generation order change no byte.
+    # The plan's batched spectra, the per-grid transitions, the tables built
+    # once per (grid, group size), the covariance gathered in generation
+    # order and the one scatter into position order change no byte.
     @pytest.mark.parametrize("field", _FIELDS, ids=lambda f: "-".join(map(str, f)))
     @pytest.mark.parametrize("config", _CONFIGS,
                              ids=lambda c: f"{c.kind}-eta{c.eta}-order{c.order}")
-    def test_simulate_equals_the_old_loop(self, linear_schedule, field, config):
+    @pytest.mark.parametrize("record_paths", [False, True])
+    def test_simulate_equals_the_old_loop(self, linear_schedule, field, config,
+                                          record_paths):
         spec, order = _field(*field)
         scheduler = sa.StepScheduler(kind="linear", t_early=9, t_late=2,
                                      ar_steps=order.step_count)
         grids = sa.step_grids(config, scheduler, linear_schedule, 950)
         batch = sa.simulate_sequences(sa.conditioning_plan(spec, order), config,
-                                      grids, n_sequences=3, master_seed=11)
-        old = _old_simulate(spec, order, config, grids, 3, 11)
-        assert np.array_equal(batch.values, old)
+                                      grids, n_sequences=3, master_seed=11,
+                                      record_paths=record_paths)
+        values, paths = _old_simulate(spec, order, config, grids, 3, 11)
+        assert batch.values.tobytes() == values.tobytes()
+        if not record_paths:
+            assert batch.trajectories is None
+            return
+        assert len(batch.trajectories) == len(paths)
+        for record, states in zip(batch.trajectories, paths):
+            assert len(record.states) == len(states)
+            for got, want in zip(record.states, states):
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("field", _FIELDS, ids=lambda f: "-".join(map(str, f)))
     def test_spectra_equal_each_steps_own_eigh(self, field):
@@ -518,6 +540,55 @@ class TestSampleIndependentWork:
             assert np.array_equal(got.spectrum[0], lam)
             assert np.array_equal(got.spectrum[1], vecs)
             assert not got.spectrum[0].flags.writeable
+
+    def test_late_singular_channel_fails_before_any_walk(self, capsys, tmp_path,
+                                                         monkeypatch, linear_schedule):
+        # Steps 5 and 6 of 8 share one grid (a constant policy) and get a zero
+        # eigenvalue: beside 1e13, step 5's channel is singular only at the
+        # last call; beside 1e16, step 6's is singular from an earlier row,
+        # so the shared table names step 6.  The run still names step 5, the
+        # first in generation order, before any walk: no oracle call and no
+        # tokens.csv.
+        spectra = sa.ConditioningPlan.spectra.func
+
+        def singular(plan):
+            out = dict(spectra(plan))
+            for k, lam in ((5, [0.0, 1e13]), (6, [0.0, 1e16])):
+                cov, _, vecs = out[k]
+                out[k] = cov, np.array(lam), vecs
+            return out
+
+        monkeypatch.setattr(sa.ConditioningPlan, "spectra", property(singular))
+        calls = []
+
+        def counted(method):
+            def wrapper(self, *args):
+                calls.append(method.__name__)
+                return method(self, *args)
+            return wrapper
+
+        for name in ("x0", "velocity"):
+            monkeypatch.setattr(sa.ExactDenoiser, name,
+                                counted(getattr(sa.ExactDenoiser, name)))
+        config = tmp_path / "cfg.json"
+        out_dir = tmp_path / "out"
+        config.write_text(json.dumps({
+            "ar_steps": 8, "scheduler_kind": "constant", "t_early": 6,
+            "sampler": "ddim", "schedule_kind": "linear", "n_sequences": 2,
+            "out_dir": str(out_dir)}))
+        code = cli.main(["simulate", "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("error: AR step 5: marginal covariance is singular: "
+                       "eigenvalues of s^2 Sigma + sigma^2 I span 1.000e-04 to "
+                       "9.999e+12\n")
+        assert calls == []
+        assert not (out_dir / "tokens.csv").exists()
+        # A table of the two cells alone names step 6's row.
+        with pytest.raises(sa.NumericalError, match=r"span 7\.732e-01 to 2\.268e\+15$"):
+            sa.samplers.walk_rows(sa.SamplerConfig("ddim"), sa.ExactDenoiser(),
+                                  np.array([[0.0, 1e13], [0.0, 1e16]]),
+                                  sa.make_diffusion_grid(linear_schedule, 6, 950))
 
 
 class TestNoiseStream:
